@@ -16,8 +16,7 @@ def smooth_state(ops, seed, n_burn=20, dt_burn=5e-3):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(ops.n_dofs)
     prop = dh.Propagator(ops, dt_burn, "backward_euler")
-    for _ in range(n_burn):
-        u = prop.step(u)
+    u = prop.flow(u, n_burn)
     return dh.State(ops.grid, u / ops.norm(u))
 
 

@@ -28,7 +28,7 @@ def main():
 
     payload = np.sin(np.linspace(0.0, np.pi, ops.grid.omega_idx.size))
     impulse = dh.ImpulseEvent(tau=0.5, payload=payload)
-    kicked, info = dh.propagate_impulsive(ops, state0, impulse, sched)
+    kicked, _, info = dh.propagate_impulsive(ops, state0, impulse, sched)
     print("\nimpulsive flow, tau = 0.5")
     print(f"  effective kick time : {info['tau_effective']}")
     print(f"  ||u|| before kick   : {info['norm_before_kick']:.6f}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
@@ -46,64 +44,43 @@ def _unit_random_states(grid, ops, count, seed, initial):
     return states
 
 
-def _map_members(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _cmd_simulate(cfg, out_dir, threads):
+def _cmd_simulate(cfg, out_dir):
     grid = cfg.grid()
     ops = assemble_operator(grid)
     sched = cfg.schedule()
-    states = _unit_random_states(grid, ops, 1, cfg.seed, cfg.initial)
-    state0 = states[0]
+    state0 = _unit_random_states(grid, ops, 1, cfg.seed, cfg.initial)[0]
 
-    if cfg.tau is not None:
+    if cfg.tau is None:
+        final, rec = propagate(ops, state0, sched)
+        info = {}
+    else:
         rng = np.random.default_rng((cfg.seed, 1))
         payload = rng.standard_normal(grid.omega_idx.size)
         impulse = ImpulseEvent(tau=cfg.tau, payload=payload)
-        final, info = propagate_impulsive(ops, state0, impulse, sched)
-        # re-run the two legs to record norms along the way
-        before = replace(sched, t1=info["tau_effective"])
-        after = replace(sched, t0=info["tau_effective"])
-        _, rec1 = propagate(ops, state0, before, record_states=True)
-        kicked = State(grid, rec1.states[-1] + ops.embed_omega(payload).values)
-        _, rec2 = propagate(ops, kicked, after)
-        times = np.concatenate([rec1.times, rec2.times[1:]])
-        norms = np.concatenate([rec1.norms, rec2.norms[1:]])
-        contraction = bool(np.all(np.diff(rec1.norms) <= 1e-12 * norms[0])
-                           and np.all(np.diff(rec2.norms) <= 1e-12 * norms[0]))
-        doc = {
-            "scheme": sched.scheme, "dt": sched.dt, "T": sched.t1,
-            "tau_effective": info["tau_effective"],
-            "norm_initial": float(norms[0]),
-            "norm_final": float(ops.norm(final)),
-            "norm_before_kick": info["norm_before_kick"],
-            "norm_after_kick": info["norm_after_kick"],
-            "contraction": contraction,
-        }
-    else:
-        final, rec = propagate(ops, state0, sched)
-        times, norms = rec.times, rec.norms
-        contraction = bool(np.all(np.diff(norms) <= 1e-12 * norms[0]))
-        doc = {
-            "scheme": sched.scheme, "dt": sched.dt, "T": sched.t1,
-            "tau_effective": None,
-            "norm_initial": float(norms[0]),
-            "norm_final": float(ops.norm(final)),
-            "norm_before_kick": None, "norm_after_kick": None,
-            "contraction": contraction,
-        }
+        final, rec, info = propagate_impulsive(ops, state0, impulse, sched)
+    # the kick is the one zero-length step: it is neither checked for
+    # contraction nor written twice
+    moved = np.diff(rec.times) > 0.0
+    keep = np.concatenate([[True], moved])
+    contraction = bool(np.all(np.diff(rec.norms)[moved] <= 1e-12 * rec.norms[0]))
+    doc = {
+        "scheme": sched.scheme, "dt": sched.dt, "T": sched.t1,
+        "tau_effective": info.get("tau_effective"),
+        "norm_initial": float(rec.norms[0]),
+        "norm_final": float(ops.norm(final)),
+        "norm_before_kick": info.get("norm_before_kick"),
+        "norm_after_kick": info.get("norm_after_kick"),
+        "contraction": contraction,
+    }
 
     write_text(os.path.join(out_dir, "trajectory.csv"),
-               csv_text(["t", "norm"], np.column_stack([times, norms])))
+               csv_text(["t", "norm"],
+                        np.column_stack([rec.times[keep], rec.norms[keep]])))
     write_text(os.path.join(out_dir, "simulate.json"), canonical_json(doc))
-    return EXIT_OK if doc["contraction"] else EXIT_CERT_FAILED
+    return EXIT_OK if contraction else EXIT_CERT_FAILED
 
 
-def _cmd_observe(cfg, out_dir, threads):
+def _cmd_observe(cfg, out_dir):
     grid = cfg.grid()
     ops = assemble_operator(grid)
     sched = cfg.schedule()
@@ -112,9 +89,12 @@ def _cmd_observe(cfg, out_dir, threads):
     if cfg.initial == "zero":
         raise ConfigurationError(
             "ensemble.initial = zero cannot drive an observation ensemble")
+    if sched.steps < 2:
+        raise ConfigurationError(
+            f"observe needs at least 3 time samples; time.dt = {sched.dt} "
+            f"gives {sched.steps + 1} over [0, {sched.t1}]")
     states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
-    traces = _map_members(lambda st: lc.run_trace(ops, params, st, sched),
-                          states, threads)
+    traces = [lc.run_trace(ops, params, st, sched) for st in states]
 
     C = lc.fit_bound_constant(traces)
     bound_violations = sum(lc.count_bound_violations(tr, C) for tr in traces)
@@ -154,7 +134,7 @@ def _cmd_observe(cfg, out_dir, threads):
     return EXIT_OK if passed else EXIT_CERT_FAILED
 
 
-def _cmd_commutator_check(cfg, out_dir, threads):
+def _cmd_commutator_check(cfg, out_dir):
     domain = cfg.domain()
     params = cfg.weight_params()
     t_check = 0.5 * params.T
@@ -191,7 +171,7 @@ def _cmd_commutator_check(cfg, out_dir, threads):
     return EXIT_OK if monotone else EXIT_CERT_FAILED
 
 
-def _cmd_control(cfg, out_dir, threads):
+def _cmd_control(cfg, out_dir):
     grid = cfg.grid()
     ops = assemble_operator(grid)
     sched = cfg.schedule()
@@ -213,7 +193,7 @@ def _cmd_control(cfg, out_dir, threads):
     return EXIT_OK if result.certified else EXIT_CERT_FAILED
 
 
-def _cmd_cost_study(cfg, out_dir, threads):
+def _cmd_cost_study(cfg, out_dir):
     grid = cfg.grid()
     ops = assemble_operator(grid)
     sched = cfg.schedule()
@@ -252,7 +232,7 @@ def _cmd_cost_study(cfg, out_dir, threads):
     return EXIT_OK if passed else EXIT_CERT_FAILED
 
 
-def _cmd_report(cfg, out_dir, threads):
+def _cmd_report(cfg, out_dir):
     report = merge_report(out_dir)
     write_text(os.path.join(out_dir, "report.json"), canonical_json(report))
     return EXIT_OK if report["all_passed"] else EXIT_CERT_FAILED
@@ -278,8 +258,6 @@ def build_parser():
     parser.add_argument("--out", help="artifact directory (default from config)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the ensemble seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for ensemble members")
     return parser
 
 
@@ -298,10 +276,8 @@ def main(argv=None):
             if args.seed is not None:
                 cfg.seed = args.seed
             out_dir = args.out or cfg.out_dir or "."
-        if args.threads < 1:
-            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, out_dir, args.threads)
+        return _COMMANDS[args.subcommand](cfg, out_dir)
     except (ConfigurationError, UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

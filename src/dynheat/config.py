@@ -8,6 +8,7 @@ a tolerance key fails the run instead of silently using a default.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .discretize import build_grid
@@ -16,22 +17,28 @@ from .evolve import SCHEMES, Schedule
 from .geometry import DomainSpec, WeightParams
 
 # section -> {key: (parser, required)}; parsers raise ValueError on bad text
-_FLOAT = float
 _INT = int
+
+
+def _FLOAT(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _pair(text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected two comma-separated numbers, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    return (_FLOAT(parts[0]), _FLOAT(parts[1]))
 
 
 def _float_list(text):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_FLOAT(p) for p in parts)
 
 
 def _scheme(text):
@@ -45,7 +52,7 @@ def _kappa_mode(text):
     name = text.strip()
     if name == "auto":
         return None
-    return float(name)
+    return _FLOAT(name)
 
 
 _SCHEMA = {
@@ -157,7 +164,7 @@ def load_config(path):
     if kind == "interval":
         x0_raw = _get(sections, "domain", "x0", required=True)
         try:
-            x0 = float(x0_raw)
+            x0 = _FLOAT(x0_raw)
         except ValueError as exc:
             raise ConfigurationError(
                 f"invalid value for domain.x0: {exc}") from exc

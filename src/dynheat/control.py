@@ -84,22 +84,16 @@ class ControlOperator:
         self.n_obs = self.n_total - self.n_tau
         self.tau_effective = sched.t0 + self.n_tau * sched.dt
 
-    def flow(self, u, steps):
-        u = np.array(u, dtype=float, copy=True)
-        for _ in range(steps):
-            u = self.prop.step(u)
-        return u
-
     def observe(self, zeta):
         """R_omega P^{n_obs} zeta: the dual observation at time T - tau."""
-        return self.ops.restrict_omega(self.flow(zeta, self.n_obs))
+        return self.ops.restrict_omega(self.prop.flow(zeta, self.n_obs))
 
     def gramian_apply(self, zeta):
         """kappa^2 P^n E_omega R_omega P^n zeta + eps^2 zeta."""
         if self.prob.kappa is None:
             raise UsageError("gramian needs a calibrated kappa; run calibrate_kappa")
         v = self.ops.embed_omega(self.observe(zeta)).values
-        return self.prob.kappa ** 2 * self.flow(v, self.n_obs) + self.prob.eps ** 2 * zeta
+        return self.prob.kappa ** 2 * self.prop.flow(v, self.n_obs) + self.prob.eps ** 2 * zeta
 
 
 def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
@@ -183,7 +177,7 @@ def synthesize(ops, prob, sched, psi0):
                              theta0=np.zeros(ops.n_dofs),
                              psi_T=np.zeros(ops.n_dofs))
 
-    free_T = co.flow(psi0.values, co.n_total)
+    free_T = co.prop.flow(psi0.values, co.n_total)
     rhs = -free_T
     theta, cg_rel, cg_iters = _cg_mass_inner(co.gramian_apply, rhs, ops.inner,
                                              prob.cg_tol, prob.cg_maxit)
@@ -192,16 +186,16 @@ def synthesize(ops, prob, sched, psi0):
     h = prob.kappa ** 2 * v
 
     # impulsive trajectory with the synthesized payload
-    u = co.flow(psi0.values, co.n_tau)
+    u = co.prop.flow(psi0.values, co.n_tau)
     u += ops.embed_omega(h).values
-    psi_T = co.flow(u, co.n_obs)
+    psi_T = co.prop.flow(u, co.n_obs)
 
     norm_h = ops.norm_omega(h)
     norm_psiT = ops.norm(psi_T)
     norm_theta = ops.norm(theta)
     terminal = ops.norm(psi_T + prob.eps ** 2 * theta) / norm_psi0
 
-    theta_T = co.flow(theta, co.n_total)
+    theta_T = co.prop.flow(theta, co.n_total)
     lhs_apriori = prob.kappa ** 2 * ops.inner_omega(v, v) + prob.eps ** 2 * norm_theta ** 2
     rhs_apriori = norm_psi0 * ops.norm(theta_T)
 
@@ -233,15 +227,15 @@ def verify_duality(ops, prob, sched, psi0, result, zeta0s):
     """
     co = ControlOperator(ops, prob, sched)
     norm_psi0 = ops.norm(psi0)
+    Z0 = np.column_stack([z.values if isinstance(z, State) else z for z in zeta0s])
+    Z_obs = co.prop.flow(Z0, co.n_obs)
+    Z_T = co.prop.flow(Z_obs, co.n_tau)  # P^{n_total} = P^{n_tau} P^{n_obs}
     out = []
-    for z0 in zeta0s:
-        z0v = z0.values if isinstance(z0, State) else np.asarray(z0, dtype=float)
-        z_obs = co.observe(z0v)
-        zT = co.flow(z0v, co.n_total)
+    for z0, z_obs, zT in zip(Z0.T, ops.restrict_omega(Z_obs).T, Z_T.T):
         val = (ops.inner_omega(result.h, z_obs)
                + ops.inner(psi0.values, zT)
-               - ops.inner(result.psi_T, z0v))
-        out.append(abs(val) / (norm_psi0 * ops.norm(z0v)))
+               - ops.inner(result.psi_T, z0))
+        out.append(abs(val) / (norm_psi0 * ops.norm(z0)))
     return np.array(out)
 
 
@@ -325,12 +319,15 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
     """
     if not eps_list:
         raise ConfigurationError("cost study needs a nonempty eps list")
+    if not psi0s:
+        raise ConfigurationError(
+            "cost study needs at least one initial state (ensemble.count >= 1)")
     co = ControlOperator(ops, replace(prob_template, kappa=None), sched)
+    free_T = co.prop.flow(np.column_stack([p.values for p in psi0s]), co.n_total)
     free_ratio = []
-    for psi0 in psi0s:
+    for psi0, u in zip(psi0s, free_T.T):
         n0 = ops.norm(psi0)
-        free_ratio.append(np.inf if n0 == 0.0 else
-                          ops.norm(co.flow(psi0.values, co.n_total)) / n0)
+        free_ratio.append(np.inf if n0 == 0.0 else ops.norm(u) / n0)
 
     rows = []
     kappa_floor = None

@@ -274,8 +274,10 @@ class OperatorSet:
 
     # -- operator action -------------------------------------------------
     def apply_K(self, u):
+        """K u for a state (n,) or a block of states (n, m)."""
         w = self.incidence @ _values(u)
-        return self.incidence.T @ (self.edge_weights * w)
+        g = self.edge_weights if w.ndim == 1 else self.edge_weights[:, None]
+        return self.incidence.T @ (g * w)
 
     def apply_A(self, u):
         return -self.apply_K(u) / self.mass

@@ -15,6 +15,9 @@ The impulsive solution is the mild formula: free flow to tau, add the
 localized payload, free flow to T.  tau is rounded to the nearest step
 boundary and the effective value is reported.
 
+Propagator is the one place where the flow advances, for single states and
+for blocks of states alike.
+
 Linear systems use a symmetric iterative solver (conjugate gradients with
 Jacobi preconditioning, relative tolerance 1e-12) with a direct sparse
 factorization on small grids, where it is both faster and a little more
@@ -23,7 +26,7 @@ accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,7 +89,11 @@ class ImpulseEvent:
 
 
 class Propagator:
-    """Prefactorized single-step solver for one (ops, dt, scheme) triple."""
+    """Prefactorized step solver for one (ops, dt, scheme) triple.
+
+    step, trajectory and flow take a state (n,) or a block of states
+    (n, m), one per column, and return the same shape.
+    """
 
     def __init__(self, ops, dt, scheme="crank_nicolson", direct_max_dofs=DIRECT_SOLVE_MAX_DOFS):
         if scheme not in SCHEMES:
@@ -101,7 +108,7 @@ class Propagator:
         self._direct = ops.n_dofs <= direct_max_dofs
         if self._direct:
             try:
-                self._solve = spla.factorized(self._lhs)
+                self._solve = spla.splu(self._lhs).solve
             except RuntimeError as exc:
                 raise NumericalError(f"factorization of the step matrix failed: {exc}") from exc
         else:
@@ -110,12 +117,20 @@ class Propagator:
             self._lhs_csr = self._lhs.tocsr()
 
     def step(self, u):
-        """Advance one step; u is a plain dof vector."""
-        rhs = self.ops.mass * u
+        """Advance one step of a state (n,) or a block of states (n, m)."""
+        mass = self.ops.mass if u.ndim == 1 else self.ops.mass[:, None]
+        rhs = mass * u
         if self._rhs_c:
             rhs -= self._rhs_c * self.ops.apply_K(u)
         if self._direct:
             return self._solve(rhs)
+        if rhs.ndim == 1:
+            return self._cg(rhs)
+        # cg is 1-D only; stacking rows and transposing keeps each column
+        # contiguous (Fortran order), as the direct solve returns it
+        return np.array([self._cg(b) for b in rhs.T]).T
+
+    def _cg(self, rhs):
         out, info = spla.cg(self._lhs_csr, rhs, rtol=1e-12, atol=0.0,
                             M=self._precond, maxiter=10 * self.ops.n_dofs)
         if info != 0:
@@ -123,37 +138,51 @@ class Propagator:
                 f"step solve failed to converge (cg info={info}, n={self.ops.n_dofs})")
         return out
 
+    def trajectory(self, u, steps):
+        """Yield U_0, ..., U_steps of the flow from u, (n,) or (n, m).
+
+        Each yielded state is a new array; blocks are in Fortran order, so
+        every column is one contiguous state.
+        """
+        u = np.array(u, dtype=float, order="F")
+        yield u
+        for _ in range(steps):
+            u = self.step(u)
+            yield u
+
+    def flow(self, u, steps):
+        """P^steps u for a state (n,) or a block (n, m); never a view of u."""
+        for u in self.trajectory(u, steps):
+            pass
+        return u
+
 
 @dataclass
 class PropagationRecord:
-    """Optional per-step log: times and state norms (always), states (on request)."""
+    """Per-step times and state norms of one run.
+
+    An impulsive run records both legs, so tau appears twice: with the norm
+    just before the kick and with the norm just after it.
+    """
 
     times: np.ndarray
     norms: np.ndarray
-    states: list = field(default_factory=list)
 
 
-def propagate(ops, state, sched, record_states=False, propagator=None):
+def propagate(ops, state, sched, propagator=None):
     """Run the free flow over the schedule; returns (final State, record)."""
     prop = propagator or Propagator(ops, sched.dt, sched.scheme)
-    u = state.values.copy()
-    times = sched.times()
-    norms = np.empty(times.size)
-    norms[0] = ops.norm(u)
-    states = [u.copy()] if record_states else []
-    for k in range(sched.steps):
-        u = prop.step(u)
-        norms[k + 1] = ops.norm(u)
-        if record_states:
-            states.append(u.copy())
-    rec = PropagationRecord(times=times, norms=norms, states=states)
-    return State(ops.grid, u), rec
+    norms = np.empty(sched.steps + 1)
+    for k, u in enumerate(prop.trajectory(state.values, sched.steps)):
+        norms[k] = ops.norm(u)
+    return State(ops.grid, u), PropagationRecord(times=sched.times(), norms=norms)
 
 
 def propagate_impulsive(ops, state0, impulse, sched, propagator=None):
     """Mild impulsive solution: flow to tau, add embedded payload, flow to T.
 
-    Returns (final State, info dict) where info reports the effective tau
+    Returns (final State, record, info).  The record holds the norms of
+    both legs (see PropagationRecord); info reports the effective tau
     (snapped to the step grid) and the norms before/after the kick.
     """
     if not (sched.t0 < impulse.tau < sched.t1):
@@ -165,21 +194,17 @@ def propagate_impulsive(ops, state0, impulse, sched, propagator=None):
     tau_eff = sched.t0 + n_tau * sched.dt
 
     prop = propagator or Propagator(ops, sched.dt, sched.scheme)
-    u = state0.values.copy()
-    for _ in range(n_tau):
-        u = prop.step(u)
-    norm_before = ops.norm(u)
-    u = u + ops.embed_omega(impulse.payload).values
-    norm_after = ops.norm(u)
-    for _ in range(sched.steps - n_tau):
-        u = prop.step(u)
-
+    mid, before = propagate(ops, state0, sched.replace(t1=tau_eff), propagator=prop)
+    kicked = State(ops.grid, mid.values + ops.embed_omega(impulse.payload).values)
+    final, after = propagate(ops, kicked, sched.replace(t0=tau_eff), propagator=prop)
+    rec = PropagationRecord(times=np.concatenate([before.times, after.times]),
+                            norms=np.concatenate([before.norms, after.norms]))
     info = {
         "tau_requested": impulse.tau,
         "tau_effective": tau_eff,
         "steps_before": n_tau,
         "steps_after": sched.steps - n_tau,
-        "norm_before_kick": norm_before,
-        "norm_after_kick": norm_after,
+        "norm_before_kick": float(before.norms[-1]),
+        "norm_after_kick": float(after.norms[0]),
     }
-    return State(ops.grid, u), info
+    return final, rec, info

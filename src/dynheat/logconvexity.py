@@ -217,12 +217,7 @@ def run_trace(ops, params, state0, sched):
     prop = Propagator(ops, sched.dt, sched.scheme)
     times = sched.times()
     n_rec = times.size
-    states = np.empty((n_rec, ops.n_dofs))
-    states[0] = state0.values
-    u = state0.values.copy()
-    for k in range(sched.steps):
-        u = prop.step(u)
-        states[k + 1] = u
+    states = np.array(list(prop.trajectory(state0.values, sched.steps)))
 
     normF2 = np.empty(n_rec)
     N = np.empty(n_rec)
@@ -566,19 +561,14 @@ def derive_penalization_constants(beta, K1, K2):
 
 def ensemble_observation_data(ops, sched, states):
     """Per-member (final norm, omega observation, initial norm) triples."""
+    c = np.array([ops.norm(st) for st in states])
+    if np.any(c == 0.0):
+        raise DegenerateDataError("observability ensemble contains a zero state")
     prop = Propagator(ops, sched.dt, sched.scheme)
-    a, b, c = [], [], []
-    for st in states:
-        c_i = ops.norm(st)
-        if c_i == 0.0:
-            raise DegenerateDataError("observability ensemble contains a zero state")
-        u = st.values.copy()
-        for _ in range(sched.steps):
-            u = prop.step(u)
-        a.append(ops.norm(u))
-        b.append(ops.norm_omega(u[ops.grid.omega_idx]))
-        c.append(c_i)
-    return np.array(a), np.array(b), np.array(c)
+    final = prop.flow(np.column_stack([st.values for st in states]), sched.steps)
+    a = np.array([ops.norm(u) for u in final.T])
+    b = np.array([ops.norm_omega(u[ops.grid.omega_idx]) for u in final.T])
+    return a, b, c
 
 
 def fit_observability_constants(ops, sched, states):
@@ -637,37 +627,37 @@ def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2):
     """Seeded ensemble of unit states with varied spectral and spatial content.
 
     Cycles through raw noise, mean-free noise, smoothed noise (a few steps
-    of the flow), and noise concentrated away from omega.  The mix spreads
-    the observation-to-norm ratios, which an informative observability fit
-    needs; identical-member ensembles are degenerate by design.
+    of the flow; modes 2 and 3, only when sched is given), and noise
+    concentrated away from omega.  The mix spreads the observation-to-norm
+    ratios, which an informative observability fit needs; identical-member
+    ensembles are degenerate by design.
     """
     rng = np.random.default_rng(seed)
     grid = ops.grid
     n = grid.n_dofs
-    prop = None
-    if sched is not None:
-        prop = Propagator(ops, sched.dt, sched.scheme)
+    smoothing = {2: 2, 3: 4}   # mode -> flow steps, when sched is given
     ones = np.ones(n)
     ones_nrm2 = ops.inner(ones, ones)
     off_omega = np.setdiff1d(np.arange(n), grid.omega_idx)
 
-    members = []
+    raw = []
     for k in range(count):
         u = rng.standard_normal(n)
         mode = k % 5
-        if mode == 1:
+        if mode == 1 or (mode == 3 and sched is not None):
             u -= ops.inner(u, ones) / ones_nrm2 * ones
-        elif mode == 2 and prop is not None:
-            for _ in range(2):
-                u = prop.step(u)
-        elif mode == 3 and prop is not None:
-            u -= ops.inner(u, ones) / ones_nrm2 * ones
-            for _ in range(4):
-                u = prop.step(u)
         elif mode == 4:
             v = np.zeros(n)
             v[off_omega] = rng.standard_normal(off_omega.size)
             u = v + omega_free_fraction * u
-        nrm = ops.norm(u)
-        members.append(State(grid, u / nrm))
-    return members
+        raw.append(u)
+
+    if sched is not None:
+        prop = Propagator(ops, sched.dt, sched.scheme)
+        for mode, steps in smoothing.items():
+            idx = range(mode, count, 5)
+            if idx:
+                block = prop.flow(np.column_stack([raw[i] for i in idx]), steps)
+                for i, u in zip(idx, block.T):
+                    raw[i] = u
+    return [State(grid, u / ops.norm(u)) for u in raw]

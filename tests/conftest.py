@@ -51,6 +51,5 @@ def smooth_random_state(ops, seed, n_burn=20, dt_burn=5e-3):
     rng = np.random.default_rng(seed)
     prop = dh.Propagator(ops, dt_burn, "backward_euler")
     u = rng.standard_normal(ops.n_dofs)
-    for _ in range(n_burn):
-        u = prop.step(u)
+    u = prop.flow(u, n_burn)
     return dh.State(ops.grid, u / ops.norm(u))

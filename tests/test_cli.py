@@ -55,11 +55,10 @@ def config_path(tmp_path_factory):
     return str(path)
 
 
-def run_pipeline(config_path, out_dir, extra=()):
+def run_pipeline(config_path, out_dir):
     codes = {}
     for sub in PIPELINE:
-        codes[sub] = main([sub, "--config", config_path, "--out", str(out_dir),
-                           *extra])
+        codes[sub] = main([sub, "--config", config_path, "--out", str(out_dir)])
     return codes
 
 
@@ -118,14 +117,6 @@ class TestDeterminism:
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert mismatch == [] and errors == []
 
-    def test_threads_do_not_change_bytes(self, config_path, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_pipeline(config_path, a)
-        run_pipeline(config_path, b, extra=["--threads", "4"])
-        names = sorted(os.listdir(a))
-        match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
-        assert mismatch == [] and errors == []
-
     def test_seed_override_changes_results(self, config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["observe", "--config", config_path, "--out", str(a)]) == 0
@@ -170,10 +161,29 @@ class TestConfigErrors:
         assert main(["simulate", "--out", str(tmp_path)]) == 2
         assert "needs --config" in capsys.readouterr().err
 
-    def test_bad_thread_count(self, config_path, tmp_path, capsys):
-        assert main(["simulate", "--config", config_path, "--out", str(tmp_path),
-                     "--threads", "0"]) == 2
-        assert "--threads" in capsys.readouterr().err
+    @pytest.mark.parametrize("old, new, key", [
+        ("dt = 0.02", "dt = nan", "time.dt"),
+        ("T = 1.0", "T = inf", "time.T"),
+        ("eps = 0.2, 0.1", "eps = 0.2, nan", "control.eps"),
+        ("kappa = auto", "kappa = nan", "control.kappa"),
+        ("h_weight = 0.5", "h_weight = inf", "weight.h_weight"),
+    ])
+    def test_non_finite_value_is_named(self, tmp_path, capsys, old, new, key):
+        bad = self.write(tmp_path, CONFIG.replace(old, new))
+        assert main(["observe", "--config", bad, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+
+    def test_observe_needs_three_time_samples(self, tmp_path, capsys):
+        bad = self.write(tmp_path, CONFIG.replace("dt = 0.02", "dt = 1.0"))
+        assert main(["observe", "--config", bad, "--out", str(tmp_path)]) == 2
+        assert "time.dt" in capsys.readouterr().err
+
+    def test_cost_study_needs_a_member(self, tmp_path, capsys):
+        bad = self.write(tmp_path, CONFIG.replace("count = 6", "count = 0"))
+        assert main(["cost-study", "--config", bad, "--out", str(tmp_path)]) == 2
+        assert "ensemble.count" in capsys.readouterr().err
+        assert not (tmp_path / "cost_study.json").exists()
 
 
 class TestDegenerateData:

@@ -119,7 +119,7 @@ class TestSynthesize:
         co = dh.ControlOperator(ops, prob, ctrl_sched)
         psi0 = unit_random_state(ops, 76)
         res = dh.synthesize(ops, prob, ctrl_sched, psi0)
-        free_T = co.flow(psi0.values, co.n_total)
+        free_T = co.prop.flow(psi0.values, co.n_total)
 
         def J(z):
             return 0.5 * ops.inner(co.gramian_apply(z), z) + ops.inner(free_T, z)

@@ -36,16 +36,31 @@ class TestSchedule:
         assert (halved.t0, halved.t1, halved.scheme) == (0.0, 1.0, sched.scheme)
 
 
+# a single state (n,) or a block of three states (n, 3), per scheme, through
+# the direct solve or the conjugate-gradient branch
+STEP_CASES = [
+    pytest.param(scheme, columns, direct,
+                 id=scheme + ("-block" if columns else "") + ("" if direct else "-cg"))
+    for direct in (True, False)
+    for scheme in ("crank_nicolson", "backward_euler")
+    for columns in (None, 3)]
+
+
 class TestSingleStepOracle:
     """One step must equal the dense linear solve it abbreviates."""
 
-    @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
-    def test_step_matches_dense_solve(self, iv_small_ops, scheme):
+    @pytest.mark.parametrize("scheme, columns, direct", STEP_CASES)
+    def test_step_matches_dense_solve(self, iv_small_ops, scheme, columns,
+                                      direct):
         ops = iv_small_ops
         dt = 0.05
-        u0 = unit_random_state(ops, 21).values
-        prop = dh.Propagator(ops, dt, scheme)
+        rng = np.random.default_rng(21)
+        u0 = rng.standard_normal((ops.n_dofs,) if columns is None
+                                 else (ops.n_dofs, columns))
+        prop = dh.Propagator(ops, dt, scheme,
+                             direct_max_dofs=ops.n_dofs if direct else 0)
         got = prop.step(u0)
+        assert got.shape == u0.shape
 
         M = np.diag(ops.mass)
         K = ops.K.toarray()
@@ -54,7 +69,10 @@ class TestSingleStepOracle:
         else:
             lhs, rhs = M + dt * K, M @ u0
         expect = np.linalg.solve(lhs, rhs)
-        assert got == pytest.approx(expect, rel=1e-12, abs=1e-13)
+        if direct:
+            assert got == pytest.approx(expect, rel=1e-12, abs=1e-13)
+        else:
+            assert got == pytest.approx(expect, rel=1e-9, abs=1e-11)
 
     @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
     def test_step_is_mass_self_adjoint(self, iv_small_ops, scheme):
@@ -96,12 +114,38 @@ class TestFlowProperties:
         assert err < 1e-3
 
     def test_recorded_states_replay_norms(self, iv_small_ops):
-        st = unit_random_state(iv_small_ops, 26)
+        """The record's norms are those of states advanced one step at a time."""
+        ops = iv_small_ops
+        st = unit_random_state(ops, 26)
         sched = dh.Schedule(0.0, 0.2, 0.05)
-        _, rec = dh.propagate(iv_small_ops, st, sched, record_states=True)
-        assert len(rec.states) == sched.steps + 1
-        replayed = [iv_small_ops.norm(u) for u in rec.states]
-        assert rec.norms == pytest.approx(replayed)
+        _, rec = dh.propagate(ops, st, sched)
+        prop = dh.Propagator(ops, sched.dt, sched.scheme)
+        u = st.values
+        replayed = [ops.norm(u)]
+        for _ in range(sched.steps):
+            u = prop.step(u)
+            replayed.append(ops.norm(u))
+        assert rec.times == pytest.approx(sched.times())
+        assert rec.norms == pytest.approx(replayed, rel=1e-14)
+
+    def test_block_flow_matches_column_flows(self, iv_small_ops):
+        """A block of states flows as its columns do, one at a time."""
+        ops = iv_small_ops
+        prop = dh.Propagator(ops, 0.05)
+        block = np.random.default_rng(32).standard_normal((ops.n_dofs, 4))
+        got = prop.flow(block, 6)
+        assert got.shape == block.shape
+        for j in range(block.shape[1]):
+            u = block[:, j]
+            for _ in range(6):
+                u = prop.step(u)
+            assert got[:, j] == pytest.approx(u, rel=1e-13, abs=1e-15)
+
+    def test_flow_returns_a_new_array(self, iv_small_ops):
+        prop = dh.Propagator(iv_small_ops, 0.05)
+        u = unit_random_state(iv_small_ops, 33).values
+        out = prop.flow(u, 0)
+        assert np.array_equal(out, u) and not np.shares_memory(out, u)
 
     def test_shared_propagator_reuse(self, iv_small_ops):
         prop = dh.Propagator(iv_small_ops, 0.05)
@@ -119,13 +163,17 @@ class TestImpulsiveFlow:
         st = unit_random_state(iv_ops, 28)
         payload = np.sin(np.linspace(0.0, np.pi, iv_ops.grid.omega_idx.size))
         imp = dh.ImpulseEvent(tau=0.5, payload=payload)
-        final, info = dh.propagate_impulsive(iv_ops, st, imp, sched)
+        final, rec, info = dh.propagate_impulsive(iv_ops, st, imp, sched)
 
-        mid, _ = dh.propagate(iv_ops, st, dh.Schedule(0.0, 0.5, 0.01))
+        mid, leg1 = dh.propagate(iv_ops, st, dh.Schedule(0.0, 0.5, 0.01))
         kicked = dh.State(iv_ops.grid,
                           mid.values + iv_ops.embed_omega(payload).values)
-        expect, _ = dh.propagate(iv_ops, kicked, dh.Schedule(0.5, 1.0, 0.01))
+        expect, leg2 = dh.propagate(iv_ops, kicked, dh.Schedule(0.5, 1.0, 0.01))
         assert final.values == pytest.approx(expect.values, rel=1e-12, abs=1e-14)
+        assert rec.norms == pytest.approx(
+            np.concatenate([leg1.norms, leg2.norms]), rel=1e-12)
+        assert rec.times == pytest.approx(
+            np.concatenate([leg1.times, leg2.times]))
         assert info["tau_effective"] == pytest.approx(0.5)
         assert info["steps_before"] == 50
         assert info["norm_after_kick"] == pytest.approx(iv_ops.norm(kicked))
@@ -134,10 +182,10 @@ class TestImpulsiveFlow:
         sched = dh.Schedule(0.0, 1.0, 0.1)
         st = unit_random_state(iv_small_ops, 29)
         payload = np.zeros(iv_small_ops.grid.omega_idx.size)
-        _, info = dh.propagate_impulsive(
+        _, _, info = dh.propagate_impulsive(
             iv_small_ops, st, dh.ImpulseEvent(tau=0.512, payload=payload), sched)
         assert info["tau_effective"] == pytest.approx(0.5)
-        _, info = dh.propagate_impulsive(
+        _, _, info = dh.propagate_impulsive(
             iv_small_ops, st, dh.ImpulseEvent(tau=0.03, payload=payload), sched)
         assert info["tau_effective"] == pytest.approx(0.1)
         assert info["steps_before"] == 1
