@@ -93,6 +93,9 @@ def _cmd_observe(cfg, out_dir):
         raise ConfigurationError(
             f"observe needs at least 3 time samples; time.dt = {sched.dt} "
             f"gives {sched.steps + 1} over [0, {sched.t1}]")
+    if cfg.ensemble_count < 1:
+        raise ConfigurationError(
+            f"observe needs at least one member; ensemble.count = {cfg.ensemble_count}")
     states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
     traces = [lc.run_trace(ops, params, st, sched) for st in states]
 
@@ -218,11 +221,10 @@ def _cmd_cost_study(cfg, out_dir):
     rows = [[r.eps, r.sup_cost, r.kappa, r.passes] for r in study.rows]
     write_text(os.path.join(out_dir, "cost_study.csv"),
                csv_text(["eps", "sup_cost", "kappa", "passes"], rows))
-    slope = None if not np.isfinite(study.slope) else study.slope
     doc = {
         "rows": [{"eps": r.eps, "sup_cost": r.sup_cost, "kappa": r.kappa,
                   "passes": r.passes} for r in study.rows],
-        "slope": slope,
+        "slope": study.slope,
         "delta_fitted": study.delta_fitted,
         "all_certified": study.all_certified,
         "nondecreasing": study.nondecreasing,

@@ -41,6 +41,13 @@ def _float_list(text):
     return tuple(_FLOAT(p) for p in parts)
 
 
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def _scheme(text):
     name = text.strip()
     if name not in SCHEMES:
@@ -65,7 +72,7 @@ _SCHEMA = {
     "impulse": {"tau": _FLOAT},
     "control": {"eps": _float_list, "kappa": _kappa_mode, "cg_tol": _FLOAT,
                 "cg_maxit": _INT},
-    "ensemble": {"count": _INT, "seed": _INT, "initial": str},
+    "ensemble": {"count": _count, "seed": _INT, "initial": str},
     "output": {"dir": str},
 }
 

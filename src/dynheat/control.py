@@ -26,6 +26,14 @@ forward and backward.  The certificates checked after each synthesis:
 with v = R_omega P^n theta.  kappa is calibrated by doubling from the
 penalization seed M1 e^{M2/(T-tau)} / eps^delta when fitted constants are
 available (else from 1) until target and cost both certify.
+
+The ensemble is solved as one block.  A ControlOperator depends only on
+(ops, sched, tau), so a calibration or a cost study factors the step
+matrix once and reuses it for every kappa doubling, every eps level and
+every member.  Each doubling runs one block CG whose columns keep their
+own scalars and stopping tests; flows act column by column and inner
+products are taken on contiguous columns, so every member's result is
+bit-identical to a one-member synthesis.
 """
 
 from __future__ import annotations
@@ -68,18 +76,23 @@ class ControlProblem:
 
 
 class ControlOperator:
-    """Flow-based pieces of one control problem on a fixed schedule."""
+    """Flow-based pieces of impulsive control with a kick at tau.
 
-    def __init__(self, ops, prob, sched):
-        if not (sched.t0 < prob.tau < sched.t1):
+    Depends only on (ops, sched, tau), so one Propagator, hence one
+    factorization, serves every kappa, every eps and every member.
+    observe and gramian_apply take a state (n,) or a block (n, m).
+    """
+
+    def __init__(self, ops, sched, tau):
+        if not (sched.t0 < tau < sched.t1):
             raise ConfigurationError(
-                f"tau={prob.tau} must lie strictly inside ({sched.t0}, {sched.t1})")
+                f"tau={tau} must lie strictly inside ({sched.t0}, {sched.t1})")
         self.ops = ops
-        self.prob = prob
         self.sched = sched
+        self.tau = tau
         self.prop = Propagator(ops, sched.dt, sched.scheme)
         self.n_total = sched.steps
-        n_tau = round((prob.tau - sched.t0) / sched.dt)
+        n_tau = round((tau - sched.t0) / sched.dt)
         self.n_tau = min(max(n_tau, 1), self.n_total - 1)
         self.n_obs = self.n_total - self.n_tau
         self.tau_effective = sched.t0 + self.n_tau * sched.dt
@@ -88,40 +101,72 @@ class ControlOperator:
         """R_omega P^{n_obs} zeta: the dual observation at time T - tau."""
         return self.ops.restrict_omega(self.prop.flow(zeta, self.n_obs))
 
-    def gramian_apply(self, zeta):
+    def gramian_apply(self, zeta, kappa, eps):
         """kappa^2 P^n E_omega R_omega P^n zeta + eps^2 zeta."""
-        if self.prob.kappa is None:
+        if kappa is None:
             raise UsageError("gramian needs a calibrated kappa; run calibrate_kappa")
-        v = self.ops.embed_omega(self.observe(zeta)).values
-        return self.prob.kappa ** 2 * self.prop.flow(v, self.n_obs) + self.prob.eps ** 2 * zeta
+        v = self.ops.embed_omega(self.observe(zeta))
+        return kappa ** 2 * self.prop.flow(v, self.n_obs) + eps ** 2 * zeta
+
+
+def _column_inner(inner, A, B):
+    """inner(a, b) for each column pair of two (n, m) blocks.
+
+    Each product is taken on contiguous columns: np.dot over a strided
+    column rounds differently from the one-state call.
+    """
+    return np.array([inner(np.ascontiguousarray(a), np.ascontiguousarray(b))
+                     for a, b in zip(A.T, B.T)])
 
 
 def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
-    """Conjugate gradients for an operator self-adjoint in `inner`."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    rr = inner(r, r)
+    """Conjugate gradients for an operator self-adjoint in `inner`.
+
+    Solves every column of rhs (n, m) at once.  Each column keeps its own
+    alpha, beta, residual and stopping test, and each iteration applies G
+    once to the block of columns still iterating, so every column's
+    arithmetic is that of a one-column solve.  Returns the solutions, the
+    relative true residuals ||rhs - G x|| / ||rhs|| (one block apply for
+    all columns once the last has stopped) and the iteration counts, one
+    per column.
+    """
+    X = np.zeros(rhs.shape, order="F")
+    R = np.array(rhs, dtype=float, order="F")
+    P = R.copy(order="F")
+    rr = _column_inner(inner, R, R)
     rhs_norm = np.sqrt(rr)
-    if rhs_norm == 0.0:
-        return x, 0.0, 0
-    p = r.copy()
+    rel = np.zeros(rhs.shape[1])
+    iters = np.zeros(rhs.shape[1], dtype=int)
+    active = np.flatnonzero(rhs_norm != 0.0)
     for it in range(1, maxit + 1):
-        Gp = apply_G(p)
-        pGp = inner(p, Gp)
-        if pGp <= 0.0:
-            raise NumericalError(f"gramian lost positivity at iteration {it} (pGp={pGp})")
-        alpha = rr / pGp
-        x += alpha * p
-        r -= alpha * Gp
-        rr_new = inner(r, r)
-        if np.sqrt(rr_new) <= tol * rhs_norm:
-            true_r = rhs - apply_G(x)
-            return x, float(np.sqrt(inner(true_r, true_r)) / rhs_norm), it
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise NumericalError(
-        f"gramian solve did not reach tol={tol} in {maxit} iterations "
-        f"(residual {np.sqrt(rr) / rhs_norm:.3e})")
+        if active.size == 0:
+            break
+        Pa = P[:, active]
+        GP = apply_G(Pa)
+        pGp = _column_inner(inner, Pa, GP)
+        if np.any(pGp <= 0.0):
+            raise NumericalError(
+                f"gramian lost positivity at iteration {it} (pGp={pGp.min()})")
+        alpha = rr[active] / pGp
+        X[:, active] += alpha * Pa
+        R[:, active] -= alpha * GP
+        Ra = R[:, active]
+        rr_new = _column_inner(inner, Ra, Ra)
+        done = np.sqrt(rr_new) <= tol * rhs_norm[active]
+        iters[active[done]] = it
+        active = active[~done]
+        rr_new = rr_new[~done]
+        P[:, active] = R[:, active] + (rr_new / rr[active]) * P[:, active]
+        rr[active] = rr_new
+    if active.size:
+        raise NumericalError(
+            f"gramian solve did not reach tol={tol} in {maxit} iterations "
+            f"(residual {np.max(np.sqrt(rr[active]) / rhs_norm[active]):.3e})")
+    solved = np.flatnonzero(iters)
+    if solved.size:
+        true_r = rhs[:, solved] - apply_G(X[:, solved])
+        rel[solved] = np.sqrt(_column_inner(inner, true_r, true_r)) / rhs_norm[solved]
+    return X, rel, iters
 
 
 @dataclass
@@ -157,65 +202,81 @@ class ControlResult:
         }
 
 
+def _free_flows(co, psi0s):
+    """Norms of the initial states and their free flows to tau and to T, as blocks."""
+    norms = [co.ops.norm(psi0) for psi0 in psi0s]
+    free_tau = co.prop.flow(np.column_stack([p.values for p in psi0s]), co.n_tau)
+    return norms, free_tau, co.prop.flow(free_tau, co.n_obs)
+
+
+def _synthesize_block(co, prob, norms, free_tau, free_T):
+    """One ControlResult per member: the Gramian solve and certificates as blocks.
+
+    norms, free_tau and free_T come from _free_flows.  Members with zero
+    data need no control: the minimizer of their dual functional is 0.
+    """
+    ops, kappa, eps = co.ops, prob.kappa, prob.eps
+    n_omega = ops.grid.omega_idx.size
+    results = [ControlResult(
+        kappa=kappa, eps=eps, norm_h=0.0, norm_PsiT=0.0, norm_Psi0=0.0,
+        flags={"target": True, "cost": True, "apriori": True, "observation": True},
+        residuals={"cg_rel": 0.0, "cg_iterations": 0, "terminal_identity": 0.0},
+        tau_effective=co.tau_effective, h=np.zeros(n_omega),
+        theta0=np.zeros(ops.n_dofs), psi_T=np.zeros(ops.n_dofs))
+        for _ in norms]
+    live = [j for j, n0 in enumerate(norms) if n0 != 0.0]
+    if not live:
+        return results
+
+    theta, cg_rel, cg_iters = _cg_mass_inner(
+        lambda z: co.gramian_apply(z, kappa, eps), -free_T[:, live], ops.inner,
+        prob.cg_tol, prob.cg_maxit)
+
+    # P^{n_total} theta = P^{n_tau} P^{n_obs} theta: the same steps in turn
+    theta_obs = co.prop.flow(theta, co.n_obs)
+    theta_T = co.prop.flow(theta_obs, co.n_tau)
+    V = ops.restrict_omega(theta_obs)
+    H = kappa ** 2 * V
+
+    # impulsive trajectory with the synthesized payloads
+    psi_T = co.prop.flow(free_tau[:, live] + ops.embed_omega(H), co.n_obs)
+
+    for k, j in enumerate(live):
+        h, v = np.ascontiguousarray(H[:, k]), np.ascontiguousarray(V[:, k])
+        th, pT = np.ascontiguousarray(theta[:, k]), np.ascontiguousarray(psi_T[:, k])
+        norm_psi0 = norms[j]
+        norm_h = ops.norm_omega(h)
+        norm_psiT = ops.norm(pT)
+        norm_theta = ops.norm(th)
+        terminal = ops.norm(pT + eps ** 2 * th) / norm_psi0
+        lhs_apriori = kappa ** 2 * ops.inner_omega(v, v) + eps ** 2 * norm_theta ** 2
+        rhs_apriori = norm_psi0 * ops.norm(np.ascontiguousarray(theta_T[:, k]))
+        cost_lhs = norm_h ** 2 / kappa ** 2 + norm_psiT ** 2 / eps ** 2
+        flags = {
+            "target": bool(norm_psiT <= eps * norm_psi0 * (1.0 + CERT_SLACK)),
+            "cost": bool(cost_lhs <= norm_psi0 ** 2 * (1.0 + CERT_SLACK)),
+            "apriori": bool(lhs_apriori <= rhs_apriori * (1.0 + CERT_SLACK)),
+            "observation": bool(ops.norm_omega(v) <= norm_psi0 * (1.0 + CERT_SLACK)),
+        }
+        residuals = {
+            "cg_rel": float(cg_rel[k]),
+            "cg_iterations": int(cg_iters[k]),
+            "terminal_identity": terminal,
+        }
+        results[j] = ControlResult(kappa=kappa, eps=eps, norm_h=norm_h,
+                                   norm_PsiT=norm_psiT, norm_Psi0=norm_psi0,
+                                   flags=flags, residuals=residuals,
+                                   tau_effective=co.tau_effective,
+                                   h=h, theta0=th, psi_T=pT)
+    return results
+
+
 def synthesize(ops, prob, sched, psi0):
     """Solve the dual Gramian system and build the certified impulse."""
     if prob.kappa is None:
         raise UsageError("synthesize needs kappa; set it or run calibrate_kappa")
-    co = ControlOperator(ops, prob, sched)
-    norm_psi0 = ops.norm(psi0)
-    if norm_psi0 == 0.0:
-        # zero data needs no control: the minimizer of the dual functional is 0
-        n_omega = ops.grid.omega_idx.size
-        zero_flags = {"target": True, "cost": True, "apriori": True,
-                      "observation": True}
-        zero_res = {"cg_rel": 0.0, "cg_iterations": 0, "terminal_identity": 0.0}
-        return ControlResult(kappa=prob.kappa, eps=prob.eps, norm_h=0.0,
-                             norm_PsiT=0.0, norm_Psi0=0.0,
-                             flags=zero_flags, residuals=zero_res,
-                             tau_effective=co.tau_effective,
-                             h=np.zeros(n_omega),
-                             theta0=np.zeros(ops.n_dofs),
-                             psi_T=np.zeros(ops.n_dofs))
-
-    free_T = co.prop.flow(psi0.values, co.n_total)
-    rhs = -free_T
-    theta, cg_rel, cg_iters = _cg_mass_inner(co.gramian_apply, rhs, ops.inner,
-                                             prob.cg_tol, prob.cg_maxit)
-
-    v = co.observe(theta)
-    h = prob.kappa ** 2 * v
-
-    # impulsive trajectory with the synthesized payload
-    u = co.prop.flow(psi0.values, co.n_tau)
-    u += ops.embed_omega(h).values
-    psi_T = co.prop.flow(u, co.n_obs)
-
-    norm_h = ops.norm_omega(h)
-    norm_psiT = ops.norm(psi_T)
-    norm_theta = ops.norm(theta)
-    terminal = ops.norm(psi_T + prob.eps ** 2 * theta) / norm_psi0
-
-    theta_T = co.prop.flow(theta, co.n_total)
-    lhs_apriori = prob.kappa ** 2 * ops.inner_omega(v, v) + prob.eps ** 2 * norm_theta ** 2
-    rhs_apriori = norm_psi0 * ops.norm(theta_T)
-
-    cost_lhs = norm_h ** 2 / prob.kappa ** 2 + norm_psiT ** 2 / prob.eps ** 2
-    flags = {
-        "target": bool(norm_psiT <= prob.eps * norm_psi0 * (1.0 + CERT_SLACK)),
-        "cost": bool(cost_lhs <= norm_psi0 ** 2 * (1.0 + CERT_SLACK)),
-        "apriori": bool(lhs_apriori <= rhs_apriori * (1.0 + CERT_SLACK)),
-        "observation": bool(ops.norm_omega(v) <= norm_psi0 * (1.0 + CERT_SLACK)),
-    }
-    residuals = {
-        "cg_rel": cg_rel,
-        "cg_iterations": cg_iters,
-        "terminal_identity": terminal,
-    }
-    return ControlResult(kappa=prob.kappa, eps=prob.eps, norm_h=norm_h,
-                         norm_PsiT=norm_psiT, norm_Psi0=norm_psi0,
-                         flags=flags, residuals=residuals,
-                         tau_effective=co.tau_effective,
-                         h=h, theta0=theta, psi_T=psi_T)
+    co = ControlOperator(ops, sched, prob.tau)
+    return _synthesize_block(co, prob, *_free_flows(co, [psi0]))[0]
 
 
 def verify_duality(ops, prob, sched, psi0, result, zeta0s):
@@ -225,7 +286,7 @@ def verify_duality(ops, prob, sched, psi0, result, zeta0s):
     identity holds at solver precision because the discrete flow is
     self-adjoint in the mass inner product.
     """
-    co = ControlOperator(ops, prob, sched)
+    co = ControlOperator(ops, sched, prob.tau)
     norm_psi0 = ops.norm(psi0)
     Z0 = np.column_stack([z.values if isinstance(z, State) else z for z in zeta0s])
     Z_obs = co.prop.flow(Z0, co.n_obs)
@@ -248,12 +309,15 @@ class CalibrationResult:
 
 
 def calibrate_kappa(ops, prob, sched, psi0s, constants=None, kappa0=None,
-                    budget=DEFAULT_DOUBLING_BUDGET):
+                    budget=DEFAULT_DOUBLING_BUDGET, operator=None):
     """Double kappa from its seed until every member certifies target + cost.
 
     Seed order: explicit kappa0, else the penalization formula from fitted
     constants at horizon T - tau, else 1.  Exhausting the budget raises
     CalibrationError (budget counts doublings; budget=0 tests the seed only).
+    Each doubling synthesizes all members as one block.  operator is a
+    ControlOperator for (ops, sched, prob.tau) to reuse; one is built when
+    it is None.
     """
     if budget < 0:
         raise ConfigurationError(f"doubling budget must be >= 0, got {budget}")
@@ -267,11 +331,14 @@ def calibrate_kappa(ops, prob, sched, psi0s, constants=None, kappa0=None,
         seed = 1.0
     if seed <= 0.0:
         raise ConfigurationError(f"kappa seed must be positive, got {seed}")
+    co = operator or ControlOperator(ops, sched, prob.tau)
+    if co.ops is not ops or co.sched != sched or co.tau != prob.tau:
+        raise UsageError("operator was built for another (ops, sched, tau)")
+    flows = _free_flows(co, psi0s)
 
     kappa = seed
     for k in range(budget + 1):
-        prob_k = replace(prob, kappa=kappa)
-        results = [synthesize(ops, prob_k, sched, psi0) for psi0 in psi0s]
+        results = _synthesize_block(co, replace(prob, kappa=kappa), *flows)
         if all(r.certified for r in results):
             return CalibrationResult(kappa=kappa, kappa0=seed, doublings=k,
                                      results=tuple(results))
@@ -292,7 +359,7 @@ class CostStudyRow:
 @dataclass(frozen=True)
 class CostStudy:
     rows: tuple
-    slope: float
+    slope: float | None
     delta_fitted: float | None
 
     @property
@@ -322,12 +389,10 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
     if not psi0s:
         raise ConfigurationError(
             "cost study needs at least one initial state (ensemble.count >= 1)")
-    co = ControlOperator(ops, replace(prob_template, kappa=None), sched)
-    free_T = co.prop.flow(np.column_stack([p.values for p in psi0s]), co.n_total)
-    free_ratio = []
-    for psi0, u in zip(psi0s, free_T.T):
-        n0 = ops.norm(psi0)
-        free_ratio.append(np.inf if n0 == 0.0 else ops.norm(u) / n0)
+    co = ControlOperator(ops, sched, prob_template.tau)
+    norms, _, free_T = _free_flows(co, psi0s)
+    free_ratio = [np.inf if n0 == 0.0 else ops.norm(u) / n0
+                  for n0, u in zip(norms, free_T.T)]
 
     rows = []
     kappa_floor = None
@@ -342,7 +407,7 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
                   if np.isfinite(r) and r > prob.eps]
         if active:
             cal = calibrate_kappa(ops, prob, sched, active, kappa0=seed,
-                                  budget=budget)
+                                  budget=budget, operator=co)
             kappa_floor = cal.kappa
             sup_cost = max(r.norm_h for r in cal.results)
             passes = all(r.certified for r in cal.results)
@@ -352,8 +417,12 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
         rows.append(CostStudyRow(eps=float(eps), kappa=kappa_row,
                                  sup_cost=float(sup_cost), passes=bool(passes)))
 
-    xs = np.log(1.0 / np.array([r.eps for r in rows]))
-    ys = np.log(np.maximum([r.sup_cost for r in rows], 1e-300))
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) >= 2 else float("nan")
+    # log sup cost is defined on rows that needed control only
+    costly = [r for r in rows if r.sup_cost > 0.0]
+    slope = None
+    if len(costly) >= 2:
+        xs = np.log(1.0 / np.array([r.eps for r in costly]))
+        ys = np.log(np.array([r.sup_cost for r in costly]))
+        slope = float(np.polyfit(xs, ys, 1)[0])
     delta = float(constants.delta) if constants is not None else None
     return CostStudy(rows=tuple(rows), slope=slope, delta_fitted=delta)

@@ -235,7 +235,9 @@ class OperatorSet:
 
     K is kept in two forms: an incidence factorization (D, g) used for
     operator application (exact on constants) and a CSR matrix used to
-    build time-stepping systems and dense oracles.
+    build time-stepping systems and dense oracles.  D^T is stored once as
+    CSR with sorted indices, which sums each row in the same order as the
+    on-the-fly transpose, so K u is unchanged to the last bit.
     """
 
     grid: Grid
@@ -244,12 +246,16 @@ class OperatorSet:
     incidence: sp.csr_matrix
     edge_weights: np.ndarray
     _mass_omega: np.ndarray = field(repr=False, default=None)
+    _incidence_T: sp.csr_matrix = field(repr=False, default=None)
 
     def __post_init__(self):
         self.mass.setflags(write=False)
         self.edge_weights.setflags(write=False)
         object.__setattr__(self, "_mass_omega", self.grid.w_bulk[self.grid.omega_idx].copy())
         self._mass_omega.setflags(write=False)
+        DT = self.incidence.T.tocsr()
+        DT.sort_indices()
+        object.__setattr__(self, "_incidence_T", DT)
 
     @property
     def n_dofs(self):
@@ -277,7 +283,7 @@ class OperatorSet:
         """K u for a state (n,) or a block of states (n, m)."""
         w = self.incidence @ _values(u)
         g = self.edge_weights if w.ndim == 1 else self.edge_weights[:, None]
-        return self.incidence.T @ (g * w)
+        return self._incidence_T @ (g * w)
 
     def apply_A(self, u):
         return -self.apply_K(u) / self.mass
@@ -299,13 +305,15 @@ class OperatorSet:
         return _values(u)[self.grid.omega_idx].copy()
 
     def embed_omega(self, v):
+        """Zero extension of an omega vector (n_omega,) or block (n_omega, m)."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.grid.omega_idx.size,):
+        n_omega = self.grid.omega_idx.size
+        if v.ndim not in (1, 2) or v.shape[0] != n_omega:
             raise UsageError(
-                f"omega payload needs shape ({self.grid.omega_idx.size},), got {v.shape}")
-        full = np.zeros(self.n_dofs)
+                f"omega payload needs shape ({n_omega},) or ({n_omega}, m), got {v.shape}")
+        full = np.zeros((self.n_dofs,) + v.shape[1:])
         full[self.grid.omega_idx] = v
-        return State(self.grid, full)
+        return full
 
 
 def _edges_interval(grid):

@@ -195,7 +195,7 @@ def propagate_impulsive(ops, state0, impulse, sched, propagator=None):
 
     prop = propagator or Propagator(ops, sched.dt, sched.scheme)
     mid, before = propagate(ops, state0, sched.replace(t1=tau_eff), propagator=prop)
-    kicked = State(ops.grid, mid.values + ops.embed_omega(impulse.payload).values)
+    kicked = State(ops.grid, mid.values + ops.embed_omega(impulse.payload))
     final, after = propagate(ops, kicked, sched.replace(t0=tau_eff), propagator=prop)
     rec = PropagationRecord(times=np.concatenate([before.times, after.times]),
                             norms=np.concatenate([before.norms, after.norms]))

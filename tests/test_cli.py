@@ -174,6 +174,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert key in err and "finite" in err
 
+    @pytest.mark.parametrize("stage, count", [
+        ("simulate", -1), ("control", -1), ("observe", -1), ("cost-study", -1),
+        ("observe", 0),
+    ])
+    def test_ensemble_count_is_checked(self, tmp_path, capsys, stage, count):
+        bad = self.write(tmp_path, CONFIG.replace("count = 6", f"count = {count}"))
+        assert main([stage, "--config", bad, "--out", str(tmp_path)]) == 2
+        assert "ensemble.count" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad.ini"]
+
     def test_observe_needs_three_time_samples(self, tmp_path, capsys):
         bad = self.write(tmp_path, CONFIG.replace("dt = 0.02", "dt = 1.0"))
         assert main(["observe", "--config", bad, "--out", str(tmp_path)]) == 2

@@ -110,6 +110,17 @@ class TestOperatorStructure:
             lhs = float(u @ ops.apply_K(u))
             assert lhs == pytest.approx(ops.dirichlet_form(u, u), rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["iv_ops", "disk_ops"])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_apply_K_matches_on_the_fly_transpose(self, request, name, cols):
+        """The stored D^T sums in the order of D.T, so K u is bit-identical."""
+        ops = request.getfixturevalue(name)
+        shape = (ops.n_dofs,) if cols is None else (ops.n_dofs, cols)
+        u = np.random.default_rng(12).standard_normal(shape)
+        g = ops.edge_weights if cols is None else ops.edge_weights[:, None]
+        expect = ops.incidence.T @ (g * (ops.incidence @ u))
+        assert np.array_equal(ops.apply_K(u), expect)
+
     def test_interval_stencil_against_literal_second_difference(self, iv_domain):
         """Oracle: interior rows of K act as (2u_i - u_{i-1} - u_{i+1})/dx."""
         grid = dh.build_grid(iv_domain, n=9)
@@ -174,10 +185,10 @@ class TestOmegaRestriction:
         u = rng.standard_normal(iv_small_ops.n_dofs)
         r = iv_small_ops.restrict_omega(u)
         back = iv_small_ops.embed_omega(r)
-        assert back.values[iv_small_ops.grid.omega_idx] == pytest.approx(r)
+        assert back[iv_small_ops.grid.omega_idx] == pytest.approx(r)
         mask = np.ones(iv_small_ops.n_dofs, dtype=bool)
         mask[iv_small_ops.grid.omega_idx] = False
-        assert np.all(back.values[mask] == 0.0)
+        assert np.all(back[mask] == 0.0)
 
     def test_omega_norm_is_bulk_measure_of_patch(self, iv_small_ops):
         u = np.ones(iv_small_ops.n_dofs)

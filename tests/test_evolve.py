@@ -167,7 +167,7 @@ class TestImpulsiveFlow:
 
         mid, leg1 = dh.propagate(iv_ops, st, dh.Schedule(0.0, 0.5, 0.01))
         kicked = dh.State(iv_ops.grid,
-                          mid.values + iv_ops.embed_omega(payload).values)
+                          mid.values + iv_ops.embed_omega(payload))
         expect, leg2 = dh.propagate(iv_ops, kicked, dh.Schedule(0.5, 1.0, 0.01))
         assert final.values == pytest.approx(expect.values, rel=1e-12, abs=1e-14)
         assert rec.norms == pytest.approx(
