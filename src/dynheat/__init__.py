@@ -27,8 +27,8 @@ from .logconvexity import (CommutatorReport, FrequencyTrace, InteriorBump,
                            commutator_rhs, count_bound_violations,
                            count_observability_violations, diverse_ensemble,
                            fit_bound_constant, fit_observability_constants,
-                           frequency, interpolation_check,
-                           interpolation_exponent, run_trace, step_constants)
+                           frequency, interpolation_check, interpolation_exponent,
+                           run_trace, run_traces, step_constants)
 from .reporting import canonical_json, csv_text, merge_report
 
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@ machine-readable artifacts.
 
 Exit codes: 0 when the run completed and every certification in scope
 passed; 1 when a certification failed; 2 on configuration or usage errors;
-3 on numerical failures.  Every number written to an artifact comes from a
-module operation; the CLI only aggregates.
+3 on numerical failures, which also write failure.json (error class,
+message, diagnostics) into the artifact directory.  Every number written
+to an artifact comes from a module operation; the CLI only aggregates.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _cmd_observe(cfg, out_dir):
         raise ConfigurationError(
             f"observe needs at least one member; ensemble.count = {cfg.ensemble_count}")
     states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
-    traces = [lc.run_trace(ops, params, st, sched) for st in states]
+    traces = lc.run_traces(ops, params, states, sched)
 
     C = lc.fit_bound_constant(traces)
     bound_violations = sum(lc.count_bound_violations(tr, C) for tr in traces)
@@ -265,7 +266,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out_dir = None
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         if args.subcommand == "report" and args.config is None:
             cfg = None
             out_dir = args.out
@@ -286,6 +290,10 @@ def main(argv=None):
     except (NumericalError, CalibrationError, FitFailureError,
             DegenerateDataError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        if out_dir is not None:
+            write_text(os.path.join(out_dir, "failure.json"), canonical_json(
+                {"error": type(exc).__name__, "message": str(exc),
+                 "diagnostics": getattr(exc, "diagnostics", {})}))
         return EXIT_NUMERICAL
     except DynHeatError as exc:
         print(f"error: {exc}", file=sys.stderr)

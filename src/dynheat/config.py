@@ -44,7 +44,7 @@ def _float_list(text):
 def _count(text):
     value = int(text)
     if value < 0:
-        raise ValueError(f"expected a count >= 0, got {value}")
+        raise ValueError(f"expected an integer >= 0, got {value}")
     return value
 
 
@@ -72,7 +72,7 @@ _SCHEMA = {
     "impulse": {"tau": _FLOAT},
     "control": {"eps": _float_list, "kappa": _kappa_mode, "cg_tol": _FLOAT,
                 "cg_maxit": _INT},
-    "ensemble": {"count": _count, "seed": _INT, "initial": str},
+    "ensemble": {"count": _count, "seed": _count, "initial": str},
     "output": {"dir": str},
 }
 

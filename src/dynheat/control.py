@@ -109,18 +109,9 @@ class ControlOperator:
         return kappa ** 2 * self.prop.flow(v, self.n_obs) + eps ** 2 * zeta
 
 
-def _column_inner(inner, A, B):
-    """inner(a, b) for each column pair of two (n, m) blocks.
-
-    Each product is taken on contiguous columns: np.dot over a strided
-    column rounds differently from the one-state call.
-    """
-    return np.array([inner(np.ascontiguousarray(a), np.ascontiguousarray(b))
-                     for a, b in zip(A.T, B.T)])
-
-
 def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
-    """Conjugate gradients for an operator self-adjoint in `inner`.
+    """Conjugate gradients for an operator self-adjoint in `inner`, which
+    takes two blocks and returns one product per column pair.
 
     Solves every column of rhs (n, m) at once.  Each column keeps its own
     alpha, beta, residual and stopping test, and each iteration applies G
@@ -133,7 +124,7 @@ def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
     X = np.zeros(rhs.shape, order="F")
     R = np.array(rhs, dtype=float, order="F")
     P = R.copy(order="F")
-    rr = _column_inner(inner, R, R)
+    rr = inner(R, R)
     rhs_norm = np.sqrt(rr)
     rel = np.zeros(rhs.shape[1])
     iters = np.zeros(rhs.shape[1], dtype=int)
@@ -143,7 +134,7 @@ def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
             break
         Pa = P[:, active]
         GP = apply_G(Pa)
-        pGp = _column_inner(inner, Pa, GP)
+        pGp = inner(Pa, GP)
         if np.any(pGp <= 0.0):
             raise NumericalError(
                 f"gramian lost positivity at iteration {it} (pGp={pGp.min()})")
@@ -151,7 +142,7 @@ def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
         X[:, active] += alpha * Pa
         R[:, active] -= alpha * GP
         Ra = R[:, active]
-        rr_new = _column_inner(inner, Ra, Ra)
+        rr_new = inner(Ra, Ra)
         done = np.sqrt(rr_new) <= tol * rhs_norm[active]
         iters[active[done]] = it
         active = active[~done]
@@ -165,7 +156,7 @@ def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
     solved = np.flatnonzero(iters)
     if solved.size:
         true_r = rhs[:, solved] - apply_G(X[:, solved])
-        rel[solved] = np.sqrt(_column_inner(inner, true_r, true_r)) / rhs_norm[solved]
+        rel[solved] = np.sqrt(inner(true_r, true_r)) / rhs_norm[solved]
     return X, rel, iters
 
 

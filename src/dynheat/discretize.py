@@ -229,6 +229,21 @@ def _values(u):
     return u.values if isinstance(u, State) else np.asarray(u, dtype=float)
 
 
+def per_node(w, u):
+    """Node weights w shaped to scale a state (n,) or a block (n, m)."""
+    return w if np.ndim(u) == 1 else w[:, None]
+
+
+def _column_dots(a, b):
+    """np.dot of two vectors, or of each column pair of two (n, m) blocks on
+    contiguous copies (np.dot over a strided column rounds differently)."""
+    if b.ndim == 1:
+        return float(np.dot(a, b))
+    a, b = np.broadcast_arrays(a, b)
+    return np.array([np.dot(x, y) for x, y in
+                     zip(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))])
+
+
 @dataclass(frozen=True)
 class OperatorSet:
     """Assembled mass and stiffness with the action A = -M^{-1} K.
@@ -263,7 +278,9 @@ class OperatorSet:
 
     # -- inner products -------------------------------------------------
     def inner(self, u, v):
-        return float(np.dot(self.mass * _values(u), _values(v)))
+        """Mass inner product of two states, or per column of two blocks."""
+        u, v = _values(u), _values(v)
+        return _column_dots(per_node(self.mass, u) * u, v)
 
     def norm(self, u):
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
@@ -282,19 +299,19 @@ class OperatorSet:
     def apply_K(self, u):
         """K u for a state (n,) or a block of states (n, m)."""
         w = self.incidence @ _values(u)
-        g = self.edge_weights if w.ndim == 1 else self.edge_weights[:, None]
-        return self._incidence_T @ (g * w)
+        return self._incidence_T @ (per_node(self.edge_weights, w) * w)
 
     def apply_A(self, u):
-        return -self.apply_K(u) / self.mass
+        """A u for a state (n,) or a block of states (n, m)."""
+        return -self.apply_K(u) / per_node(self.mass, _values(u))
 
     def apply_A_state(self, u):
         return State(self.grid, self.apply_A(u))
 
     def dirichlet_form(self, u, v):
-        """Energy E(u, v) = (D u) . (g * (D v)); nonnegative for u = v."""
-        return float(np.dot(self.edge_weights * (self.incidence @ _values(u)),
-                            self.incidence @ _values(v)))
+        """Energy E(u, v) = (D u) . (g * (D v)), per column for blocks; >= 0 for u = v."""
+        du, dv = self.incidence @ _values(u), self.incidence @ _values(v)
+        return _column_dots(per_node(self.edge_weights, du) * du, dv)
 
     def dense_A(self):
         """Dense operator matrix for small-grid oracles."""

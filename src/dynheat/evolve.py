@@ -116,19 +116,24 @@ class Propagator:
             self._precond = spla.LinearOperator(self._lhs.shape, lambda x: x / ilu_diag)
             self._lhs_csr = self._lhs.tocsr()
 
-    def step(self, u):
-        """Advance one step of a state (n,) or a block of states (n, m)."""
+    def step(self, u, columnwise=False):
+        """Advance one step of a state (n,) or a block of states (n, m).
+
+        A block's direct solve takes SuperLU's multi-column path, whose
+        level-3 BLAS kernels can round a column differently from a
+        one-state solve; columnwise=True solves each column alone, so every
+        column carries exactly the bits of a one-state step.
+        """
         mass = self.ops.mass if u.ndim == 1 else self.ops.mass[:, None]
         rhs = mass * u
         if self._rhs_c:
             rhs -= self._rhs_c * self.ops.apply_K(u)
-        if self._direct:
-            return self._solve(rhs)
-        if rhs.ndim == 1:
-            return self._cg(rhs)
+        solve = self._solve if self._direct else self._cg
+        if rhs.ndim == 1 or (self._direct and not columnwise):
+            return solve(rhs)
         # cg is 1-D only; stacking rows and transposing keeps each column
-        # contiguous (Fortran order), as the direct solve returns it
-        return np.array([self._cg(b) for b in rhs.T]).T
+        # contiguous (Fortran order), as the block direct solve returns it
+        return np.array([solve(b) for b in rhs.T]).T
 
     def _cg(self, rhs):
         out, info = spla.cg(self._lhs_csr, rhs, rtol=1e-12, atol=0.0,
@@ -138,16 +143,16 @@ class Propagator:
                 f"step solve failed to converge (cg info={info}, n={self.ops.n_dofs})")
         return out
 
-    def trajectory(self, u, steps):
+    def trajectory(self, u, steps, columnwise=False):
         """Yield U_0, ..., U_steps of the flow from u, (n,) or (n, m).
 
         Each yielded state is a new array; blocks are in Fortran order, so
-        every column is one contiguous state.
+        every column is one contiguous state.  columnwise as in step.
         """
         u = np.array(u, dtype=float, order="F")
         yield u
         for _ in range(steps):
-            u = self.step(u)
+            u = self.step(u, columnwise)
             yield u
 
     def flow(self, u, steps):

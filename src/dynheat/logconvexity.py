@@ -18,10 +18,10 @@ becomes a statement about convergence to the closed-form integrals, not an
 exact discrete identity.  This module provides:
 
 * the weighted operator bundle at a given time (with an overflow guard on
-  the exponent),
-* the frequency function and trace runner, including the fitted drift
-  constant C in  Q <= (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2  with
-  C0 = 1 - s^3,
+  the exponent), acting on a state or a block of states,
+* the frequency function and trace runner, which traces an ensemble as one
+  block, bit for bit its one-member traces, and fits the drift constant C in
+  Q <= (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2  with C0 = 1 - s^3,
 * the commutator identity refinement study (interval, and disk with the
   anchor at the center so the weight is constant on the boundary),
 * the three-point logarithmic interpolation inequality with the explicit
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .discretize import State, assemble_operator, build_grid
+from .discretize import State, assemble_operator, build_grid, per_node
 from .errors import (ConfigurationError, DegenerateDataError, FitFailureError,
                      ParameterError, UsageError)
 from .evolve import Propagator, Schedule
@@ -59,10 +59,8 @@ class WeightedOperators:
     """Weighted generator pieces frozen at one time t.
 
     E is the nodal weight exp(Phi/2); d = dPhi/dt / 2 is the diagonal part
-    of P1.  eta and theta are the zero-order coefficients of the symmetric
-    part predicted by the continuum calculus (bulk and trace), kept for
-    diagnostics; the operator action itself uses the exact matrix
-    splitting, not these fields.
+    of P1.  Every action and form takes a state (n,) or a block of states
+    (n, m); forms of a block come out per column.
     """
 
     ops: object
@@ -71,52 +69,52 @@ class WeightedOperators:
     upsilon: float
     E: np.ndarray
     d: np.ndarray
-    eta: np.ndarray
-    theta: np.ndarray
 
     def apply_B(self, x):
-        return self.E * self.ops.apply_A(x / self.E)
+        E = per_node(self.E, x)
+        return E * self.ops.apply_A(x / E)
 
     def apply_B_star(self, x):
-        return self.ops.apply_A(self.E * x) / self.E
+        E = per_node(self.E, x)
+        return self.ops.apply_A(E * x) / E
 
     def apply_P1(self, x):
-        return self.d * x + self.apply_B(x)
+        return per_node(self.d, x) * x + self.apply_B(x)
+
+    def split(self, x):
+        """(S x, Aanti x) from one application each of B and B*."""
+        Bx, Bsx = self.apply_B(x), self.apply_B_star(x)
+        return per_node(self.d, x) * x + 0.5 * (Bx + Bsx), 0.5 * (Bx - Bsx)
 
     def apply_S(self, x):
-        return self.d * x + 0.5 * (self.apply_B(x) + self.apply_B_star(x))
+        return self.split(x)[0]
 
     def apply_Aanti(self, x):
-        return 0.5 * (self.apply_B(x) - self.apply_B_star(x))
+        return self.split(x)[1]
 
     def neg_S_form(self, x):
         """<-S x, x>, evaluated through the Dirichlet edge form."""
         x = np.asarray(x, dtype=float)
-        diag = float(np.dot(self.ops.mass * self.d, x * x))
-        return self.ops.dirichlet_form(x / self.E, self.E * x) - diag
+        E = per_node(self.E, x)
+        return self.ops.dirichlet_form(x / E, E * x) - self.ops.inner(per_node(self.d, x), x * x)
 
 
-def _weighted_ops_unchecked(ops, params, t):
+def _s_phi(ops, params):
+    """s phi at the grid nodes: Phi(t) = s phi / Upsilon(t) for every t."""
     grid = ops.grid
+    return params.s * geometry.weight_phi_bundle(grid.domain, grid.points).phi
+
+
+def _weighted_ops_unchecked(ops, params, t, s_phi):
     ups = params.T - t + params.h
-    bundle = geometry.weight_phi_bundle(grid.domain, grid.points)
-    Phi = params.s * bundle.phi / ups
+    Phi = s_phi / ups
     bad = np.abs(Phi) > PHI_EXP_GUARD
     if np.any(bad):
         raise ParameterError(
             f"|Phi| exceeds {PHI_EXP_GUARD} at {int(bad.sum())} nodes "
             f"(max {np.abs(Phi).max():.3g}); increase the pad h")
-    dPhi_dt = params.s * bundle.phi / ups ** 2
-
-    grad_Phi = params.s * bundle.grad / ups
-    eta = 0.5 * (dPhi_dt + 0.5 * np.sum(grad_Phi * grad_Phi, axis=1))
-    bpts = grid.points[grid.boundary_idx]
-    tang = geometry.phi_tangential_gradient(grid.domain, bpts) * (params.s / ups)
-    theta = 0.5 * (dPhi_dt[grid.boundary_idx] + 0.5 * np.sum(tang * tang, axis=1))
-
     return WeightedOperators(ops=ops, params=params, t=t, upsilon=ups,
-                             E=np.exp(0.5 * Phi), d=0.5 * dPhi_dt,
-                             eta=eta, theta=theta)
+                             E=np.exp(0.5 * Phi), d=0.5 * (s_phi / ups ** 2))
 
 
 def build_weighted_operators(ops, params, t):
@@ -124,7 +122,7 @@ def build_weighted_operators(ops, params, t):
     t = float(t)
     if t < 0.0 or t > params.T:
         raise UsageError(f"t={t} outside [0, {params.T}]")
-    return _weighted_ops_unchecked(ops, params, t)
+    return _weighted_ops_unchecked(ops, params, t, _s_phi(ops, params))
 
 
 def frequency(wops, F):
@@ -136,21 +134,31 @@ def frequency(wops, F):
     return wops.neg_S_form(F) / nf2
 
 
-def s_prime_form(ops, params, t, F):
-    """<S'(t) F, F> by centered differencing with delta = 1e-6 Upsilon(t)."""
-    F = np.asarray(F, dtype=float)
+def _s_prime_forms(ops, params, t, F, s_phi):
+    """<S'(t) F, F> per column of the block F, by centered differencing."""
     delta = SPRIME_DELTA_FACTOR * (params.T - t + params.h)
-    hi = _weighted_ops_unchecked(ops, params, t + delta)
-    lo = _weighted_ops_unchecked(ops, params, t - delta)
+    hi = _weighted_ops_unchecked(ops, params, t + delta, s_phi)
+    lo = _weighted_ops_unchecked(ops, params, t - delta, s_phi)
     return (-hi.neg_S_form(F) + lo.neg_S_form(F)) / (2.0 * delta)
 
 
-def commutator_form(ops, params, t, F, wops=None):
+def _commutator_forms(w, F, s_phi):
+    """Q per column of the block F, with w the weighted operators at w.t."""
+    S, Aanti = w.split(F)
+    return -_s_prime_forms(w.ops, w.params, w.t, F, s_phi) - 2.0 * w.ops.inner(S, Aanti)
+
+
+def s_prime_form(ops, params, t, F):
+    """<S'(t) F, F> by centered differencing with delta = 1e-6 Upsilon(t)."""
+    F = np.asarray(F, dtype=float)[:, None]
+    return float(_s_prime_forms(ops, params, t, F, _s_phi(ops, params))[0])
+
+
+def commutator_form(ops, params, t, F):
     """Q(F) = <-S' F, F> - 2 <S F, Aanti F> at time t."""
-    F = np.asarray(F, dtype=float)
-    w = wops or _weighted_ops_unchecked(ops, params, t)
-    cross = ops.inner(w.apply_S(F), w.apply_Aanti(F))
-    return -s_prime_form(ops, params, t, F) - 2.0 * cross
+    s_phi = _s_phi(ops, params)
+    w = _weighted_ops_unchecked(ops, params, t, s_phi)
+    return float(_commutator_forms(w, np.asarray(F, dtype=float)[:, None], s_phi)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,69 +203,63 @@ class FrequencyTrace:
         return np.column_stack([self.t, self.normF2, self.N, self.Q, self.bound])
 
 
-def run_trace(ops, params, state0, sched):
-    """Propagate state0 over the schedule and record the weighted diagnostics.
+def run_traces(ops, params, states, sched):
+    """Propagate the states as one block; one FrequencyTrace per state, bit
+    for bit its one-member trace (columnwise solves, and reductions on
+    contiguous columns).
 
-    Fits the smallest C >= 0 making the drift bound hold along this trace.
-    The headline fit C maximizes dN/dt - (1 + C0) N / Upsilon over the
-    trace (centered differencing) and scales by h^2; the quadratic-form
-    variant C_form does the same with Q / ||F||^2 in place of dN/dt.  For
-    the exact flow dN/dt <= Q / ||F||^2 pointwise, but the differenced N
-    of an under-resolved trajectory also carries the time-discretization
-    transient, so on rough data C can exceed C_form by orders of
-    magnitude.  That direction keeps the certified form bound, which is
-    what count_bound_violations checks, conservative.
+    C is the smallest constant >= 0 with dN/dt <= (1 + C0) N / Upsilon +
+    C / h^2 along the trace (centered differencing), C_form the same with
+    Q / ||F||^2 for dN/dt.  On rough data C can exceed C_form by orders of
+    magnitude (the differenced N carries the time-discretization
+    transient), which keeps the certified form bound conservative.
     """
     if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
         raise UsageError(
             f"schedule [{sched.t0}, {sched.t1}] must match the weight horizon [0, {params.T}]")
-    if ops.norm(state0) == 0.0:
+    if any(ops.norm(st) == 0.0 for st in states):
         raise DegenerateDataError("cannot trace a zero initial state")
 
+    s_phi = _s_phi(ops, params)
     prop = Propagator(ops, sched.dt, sched.scheme)
     times = sched.times()
-    n_rec = times.size
-    states = np.array(list(prop.trajectory(state0.values, sched.steps)))
-
-    normF2 = np.empty(n_rec)
-    N = np.empty(n_rec)
-    Q = np.empty(n_rec)
-    neg_S = np.empty(n_rec)
-    for k, t in enumerate(times):
-        w = _weighted_ops_unchecked(ops, params, t)
-        F = w.E * states[k]
-        nf2 = ops.inner(F, F)
-        if nf2 <= 0.0:
-            raise DegenerateDataError(f"weighted state vanished at t={t}")
-        ns = w.neg_S_form(F)
-        normF2[k] = nf2
-        neg_S[k] = ns
-        N[k] = ns / nf2
-        Q[k] = commutator_form(ops, params, t, F, wops=w)
-
-    # midpoint energy-identity residuals, O(dt^2) by construction
     t_mid = 0.5 * (times[:-1] + times[1:])
-    resid = np.empty(t_mid.size)
-    for k, tm in enumerate(t_mid):
-        w = _weighted_ops_unchecked(ops, params, tm)
-        Fm = w.E * (0.5 * (states[k] + states[k + 1]))
-        resid[k] = 0.5 * (normF2[k + 1] - normF2[k]) / sched.dt + w.neg_S_form(Fm)
+    normF2, N, Q, neg_S = (np.empty((len(states), times.size)) for _ in range(4))
+    resid = np.empty((len(states), t_mid.size))
+    block = np.column_stack([st.values for st in states])
+    for k, X in enumerate(prop.trajectory(block, sched.steps, columnwise=True)):
+        w = _weighted_ops_unchecked(ops, params, times[k], s_phi)
+        F = w.E[:, None] * X
+        normF2[:, k] = ops.inner(F, F)
+        if np.any(normF2[:, k] <= 0.0):
+            raise DegenerateDataError(f"weighted state vanished at t={times[k]}")
+        neg_S[:, k] = w.neg_S_form(F)
+        N[:, k] = neg_S[:, k] / normF2[:, k]
+        Q[:, k] = _commutator_forms(w, F, s_phi)
+        if k:
+            # midpoint energy-identity residual, O(dt^2) by construction
+            w = _weighted_ops_unchecked(ops, params, t_mid[k - 1], s_phi)
+            resid[:, k - 1] = (0.5 * (normF2[:, k] - normF2[:, k - 1]) / sched.dt
+                               + w.neg_S_form(w.E[:, None] * (0.5 * (prev + X))))
+        prev = X
 
-    C0 = params.C0
+    C0, h2 = params.C0, params.h ** 2
     ups = params.T - times + params.h
-    h2 = params.h ** 2
-    C_form = float(max(0.0, np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2)))
-    if n_rec >= 3:
-        dN = (N[2:] - N[:-2]) / (times[2:] - times[:-2])
-        mid = slice(1, -1)
-        C = float(max(0.0, np.max(h2 * (dN - (1.0 + C0) / ups[mid] * N[mid]))))
-    else:
-        C = 0.0
+    C_form = np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2, axis=1)
+    dN = (N[:, 2:] - N[:, :-2]) / (times[2:] - times[:-2])
+    C = np.array([max(0.0, c) for c in np.max(
+        h2 * (dN - (1.0 + C0) / ups[1:-1] * N[:, 1:-1]), axis=1, initial=-np.inf)])
+    bound = (1.0 + C0) / ups * neg_S + (C[:, None] / h2) * normF2
+    return [FrequencyTrace(params=params, t=times, normF2=normF2[j], N=N[j], Q=Q[j],
+                           neg_S=neg_S[j], bound=bound[j], C=float(C[j]),
+                           C_form=float(max(0.0, C_form[j])),
+                           energy_times=t_mid, energy_residuals=resid[j])
+            for j in range(len(states))]
 
-    bound = (1.0 + C0) / ups * neg_S + (C / h2) * normF2
-    return FrequencyTrace(params=params, t=times, normF2=normF2, N=N, Q=Q,
-                          neg_S=neg_S, bound=bound, C=C, C_form=C_form,
-                          energy_times=t_mid, energy_residuals=resid)
+
+def run_trace(ops, params, state0, sched):
+    """The FrequencyTrace of one state: run_traces on a one-member block."""
+    return run_traces(ops, params, [state0], sched)[0]
 
 
 def fit_bound_constant(traces):

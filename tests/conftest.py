@@ -30,6 +30,15 @@ def disk_ops(disk_domain):
 
 
 @pytest.fixture(scope="session")
+def wide_disk_ops():
+    """The certify-disk benchmark grid (816 dofs), large enough for SuperLU
+    supernodes: a multi-column step solve there can round a column
+    differently from a one-state solve, which the small grids never do."""
+    dom = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), 0.3)
+    return dh.assemble_operator(dh.build_grid(dom, nr=16, ntheta=48))
+
+
+@pytest.fixture(scope="session")
 def params():
     return dh.WeightParams(s=0.5, h=0.5, T=1.0)
 

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from dynheat import FitFailureError, logconvexity as lc
 from dynheat.cli import main
+from dynheat.reporting import canonical_json
 
 CONFIG = """\
 [domain]
@@ -194,6 +196,55 @@ class TestConfigErrors:
         assert main(["cost-study", "--config", bad, "--out", str(tmp_path)]) == 2
         assert "ensemble.count" in capsys.readouterr().err
         assert not (tmp_path / "cost_study.json").exists()
+
+
+    @pytest.mark.parametrize("stage", ["simulate", "observe", "control", "cost-study"])
+    def test_negative_seed_in_config_is_named(self, tmp_path, capsys, stage):
+        bad = self.write(tmp_path, CONFIG.replace("seed = 7", "seed = -5"))
+        assert main([stage, "--config", bad, "--out", str(tmp_path)]) == 2
+        assert "ensemble.seed" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad.ini"]
+
+    @pytest.mark.parametrize("stage", ["simulate", "observe", "control", "cost-study"])
+    def test_negative_seed_flag_is_named(self, config_path, tmp_path, capsys, stage):
+        out = tmp_path / "out"
+        assert main([stage, "--config", config_path, "--out", str(out),
+                     "--seed", "-3"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFailureArtifact:
+    def test_numerical_exit_writes_failure_json(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.replace("cg_maxit = 400", "cg_maxit = 2"))
+        out = tmp_path / "out"
+        assert main(["control", "--config", str(path), "--out", str(out)]) == 3
+        message = capsys.readouterr().err.split("numerical failure: ", 1)[1].strip()
+        assert message.startswith("gramian solve did not reach tol")
+        assert os.listdir(out) == ["failure.json"]
+        assert (out / "failure.json").read_text() == canonical_json(
+            {"error": "NumericalError", "message": message, "diagnostics": {}})
+
+    def test_fit_failure_diagnostics_are_kept(self, config_path, tmp_path, monkeypatch):
+        def fail(*args):
+            raise FitFailureError("beta left (0, 1)", diagnostics={"beta": 1.5})
+
+        monkeypatch.setattr(lc, "fit_observability_constants", fail)
+        assert main(["observe", "--config", config_path, "--out", str(tmp_path)]) == 3
+        doc = json.loads((tmp_path / "failure.json").read_text())
+        assert doc == {"error": "FitFailureError", "message": "beta left (0, 1)",
+                       "diagnostics": {"beta": 1.5}}
+
+    def test_other_exits_write_none(self, pipeline_dir, tmp_path):
+        out, codes = pipeline_dir
+        assert set(codes.values()) == {0}
+        assert not (out / "failure.json").exists()
+        (tmp_path / "constants.json").write_text(
+            '{"bound_violations": 1, "interpolation_violations": 0}\n')
+        (tmp_path / "frequency_trace.csv").write_text("t,normF2,N,Q,bound\n")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "failure.json").exists()
 
 
 class TestDegenerateData:

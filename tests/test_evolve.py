@@ -141,6 +141,20 @@ class TestFlowProperties:
                 u = prop.step(u)
             assert got[:, j] == pytest.approx(u, rel=1e-13, abs=1e-15)
 
+    def test_columnwise_steps_carry_one_state_bits(self, wide_disk_ops):
+        """On these members the multi-column solve rounds member 3
+        differently from a one-state solve in the first step; columnwise
+        solves give every column exactly its one-state steps."""
+        ops = wide_disk_ops
+        sched = dh.Schedule(0.0, 0.2, 0.01)
+        members = [st.values for st in dh.diverse_ensemble(ops, 5, 51, sched)]
+        prop = dh.Propagator(ops, sched.dt)
+        flows = [prop.trajectory(u, 4) for u in members]
+        for X in prop.trajectory(np.column_stack(members), 4, columnwise=True):
+            assert X.flags.f_contiguous
+            for j, flow in enumerate(flows):
+                assert np.array_equal(X[:, j], next(flow))
+
     def test_flow_returns_a_new_array(self, iv_small_ops):
         prop = dh.Propagator(iv_small_ops, 0.05)
         u = unit_random_state(iv_small_ops, 33).values

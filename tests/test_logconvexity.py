@@ -1,7 +1,9 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import dynheat as dh
@@ -221,6 +223,192 @@ class TestRunTrace:
         assert lc.fit_bound_constant(traces) == max(tr.C for tr in traces)
         with pytest.raises(dh.ConfigurationError):
             lc.fit_bound_constant([])
+
+
+# The one-member trace loop as it stood before the ensemble was traced as one
+# block, frozen here as the bit-for-bit reference: per-sample weights from the
+# bundle, 1-D sparse products through the incidence factorization, and every
+# reduction an np.dot on one member's contiguous vector.
+
+def _frozen_weights(ops, params, t):
+    grid = ops.grid
+    phi = geometry.weight_phi_bundle(grid.domain, grid.points).phi
+    ups = params.T - t + params.h
+    return np.exp(0.5 * (params.s * phi / ups)), 0.5 * (params.s * phi / ups ** 2)
+
+
+def _frozen_A(ops, u):
+    D, g = ops.incidence, ops.edge_weights
+    return -(D.T @ (g * (D @ u))) / ops.mass
+
+
+def _frozen_neg_S(ops, E, d, x):
+    D, g = ops.incidence, ops.edge_weights
+    diag = float(np.dot(ops.mass * d, x * x))
+    return float(np.dot(g * (D @ (x / E)), D @ (E * x))) - diag
+
+
+def _frozen_s_prime(ops, params, t, F):
+    delta = lc.SPRIME_DELTA_FACTOR * (params.T - t + params.h)
+    hi = _frozen_weights(ops, params, t + delta)
+    lo = _frozen_weights(ops, params, t - delta)
+    return (-_frozen_neg_S(ops, *hi, F) + _frozen_neg_S(ops, *lo, F)) / (2.0 * delta)
+
+
+def _frozen_Q(ops, params, t, F):
+    E, d = _frozen_weights(ops, params, t)
+    B, Bs = E * _frozen_A(ops, F / E), _frozen_A(ops, E * F) / E
+    cross = float(np.dot(ops.mass * (d * F + 0.5 * (B + Bs)), 0.5 * (B - Bs)))
+    return -_frozen_s_prime(ops, params, t, F) - 2.0 * cross
+
+
+def _frozen_trace(ops, params, state0, sched):
+    prop = dh.Propagator(ops, sched.dt, sched.scheme)
+    times = sched.times()
+    states = np.array(list(prop.trajectory(state0.values, sched.steps)))
+    normF2, N, Q, neg_S = (np.empty(times.size) for _ in range(4))
+    for k, t in enumerate(times):
+        E, d = _frozen_weights(ops, params, t)
+        F = E * states[k]
+        normF2[k] = float(np.dot(ops.mass * F, F))
+        neg_S[k] = _frozen_neg_S(ops, E, d, F)
+        N[k] = neg_S[k] / normF2[k]
+        Q[k] = _frozen_Q(ops, params, t, F)
+    t_mid = 0.5 * (times[:-1] + times[1:])
+    resid = np.empty(t_mid.size)
+    for k, tm in enumerate(t_mid):
+        E, d = _frozen_weights(ops, params, tm)
+        Fm = E * (0.5 * (states[k] + states[k + 1]))
+        resid[k] = 0.5 * (normF2[k + 1] - normF2[k]) / sched.dt + _frozen_neg_S(ops, E, d, Fm)
+    C0, h2 = params.C0, params.h ** 2
+    ups = params.T - times + params.h
+    C_form = float(max(0.0, np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2)))
+    dN = (N[2:] - N[:-2]) / (times[2:] - times[:-2])
+    C = float(max(0.0, np.max(h2 * (dN - (1.0 + C0) / ups[1:-1] * N[1:-1]))))
+    bound = (1.0 + C0) / ups * neg_S + (C / h2) * normF2
+    return types.SimpleNamespace(normF2=normF2, N=N, Q=Q, neg_S=neg_S, bound=bound,
+                                 energy_residuals=resid, C=C, C_form=C_form)
+
+
+def assert_same_trace(tr, ref):
+    for name in ("normF2", "N", "Q", "neg_S", "bound", "energy_residuals"):
+        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+    assert (tr.C, tr.C_form) == (ref.C, ref.C_form)
+
+
+def _mixed_members(ops, sched):
+    """A smooth member, two rough ones and two of the observe ensemble."""
+    return ([smooth_random_state(ops, 100), unit_random_state(ops, 61),
+             unit_random_state(ops, 62)]
+            + lc.diverse_ensemble(ops, 5, seed=9, sched=sched)[2:4])
+
+
+class TestBlockTrace:
+    @pytest.mark.parametrize("which, T, dt, seed", [
+        ("iv_ops", 1.0, 0.01, None), ("disk_ops", 1.0, 0.05, None),
+        # members whose multi-column step solve rounds differently from a
+        # one-state solve (test_evolve's columnwise test)
+        ("wide_disk_ops", 0.2, 0.01, 51)])
+    def test_block_equals_frozen_one_member_loop(self, request, which, T, dt, seed):
+        ops = request.getfixturevalue(which)
+        params = dh.WeightParams(s=0.5, h=0.5, T=T)
+        sched = dh.Schedule(0.0, T, dt)
+        members = (_mixed_members(ops, sched) if seed is None
+                   else dh.diverse_ensemble(ops, 5, seed, sched))
+        traces = lc.run_traces(ops, params, members, sched)
+        assert len(traces) == len(members)
+        for tr, st0 in zip(traces, members):
+            assert_same_trace(tr, _frozen_trace(ops, params, st0, sched))
+        assert_same_trace(lc.run_trace(ops, params, members[0], sched), traces[0])
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_one_state_forms_equal_frozen_forms(self, iv_ops, params, t):
+        F = unit_random_state(iv_ops, 63).values
+        assert lc.s_prime_form(iv_ops, params, t, F) == _frozen_s_prime(iv_ops, params, t, F)
+        assert lc.commutator_form(iv_ops, params, t, F) == _frozen_Q(iv_ops, params, t, F)
+        w = dh.build_weighted_operators(iv_ops, params, t)
+        assert w.neg_S_form(F) == _frozen_neg_S(iv_ops, *_frozen_weights(iv_ops, params, t), F)
+
+    @pytest.mark.parametrize("which", ["iv", "disk"])
+    def test_matches_dense_oracle(self, iv_domain, disk_domain, params, which):
+        """Dense B = E A E^{-1} and B* = M^{-1} B^T M, a dense CN step and
+        the same centred difference for S'; n <= 64.
+
+        normF2 and neg_S agree to 1e-9 relative.  Q agrees to 1e-9 relative
+        plus the rounding bound of the difference quotient, n eps times the
+        summed magnitudes of <S F, F> at t +- delta, over delta: the 1/delta
+        quotient amplifies rounding in both codes (the trace's own Q is off
+        by up to about 1e-8 of max |Q| from an extended-precision
+        evaluation).  That allowance stays below 1% of |S'| here, so a
+        wrong term in Q still shows.
+        """
+        grid = (dh.build_grid(iv_domain, n=40) if which == "iv"
+                else dh.build_grid(disk_domain, nr=3, ntheta=12))
+        ops = dh.assemble_operator(grid)
+        assert ops.n_dofs <= 64
+        sched = dh.Schedule(0.0, 1.0, 0.05)
+        members = _mixed_members(ops, sched)
+        traces = lc.run_traces(ops, params, members, sched)
+
+        m = ops.mass
+        A = ops.dense_A()
+        K = -m[:, None] * A
+        step = np.linalg.solve(np.diag(m) + 0.5 * sched.dt * K,
+                               np.diag(m) - 0.5 * sched.dt * K)
+        diff = grid.points - grid.domain.x0_array[None, :]
+        phi = -0.25 * np.sum(diff * diff, axis=1)
+
+        def parts(t):
+            ups = params.T - t + params.h
+            E = np.exp(0.5 * params.s * phi / ups)
+            B = E[:, None] * A / E[None, :]
+            B_star = B.T * m[None, :] / m[:, None]
+            S = np.diag(0.5 * params.s * phi / ups ** 2) + 0.5 * (B + B_star)
+            return E, S, 0.5 * (B - B_star)
+
+        for tr, st0 in zip(traces, members):
+            u = st0.values
+            for k, t in enumerate(sched.times()):
+                E, S, Aanti = parts(t)
+                F = E * u
+                delta = lc.SPRIME_DELTA_FACTOR * (params.T - t + params.h)
+                S_hi, S_lo = parts(t + delta)[1], parts(t - delta)[1]
+                s_prime = (F @ (m * (S_hi @ F)) - F @ (m * (S_lo @ F))) / (2.0 * delta)
+                Q = -s_prime - 2.0 * ((S @ F) @ (m * (Aanti @ F)))
+                summed = np.abs(m * F) @ (np.abs(S_hi) + np.abs(S_lo)) @ np.abs(F)
+                rounding = ops.n_dofs * np.finfo(float).eps * summed / (2.0 * delta)
+                assert rounding < 1e-2 * abs(s_prime)
+                assert tr.normF2[k] == pytest.approx(F @ (m * F), rel=1e-9)
+                assert tr.neg_S[k] == pytest.approx(-F @ (m * (S @ F)), rel=1e-9)
+                assert tr.Q[k] == pytest.approx(Q, rel=1e-9, abs=rounding)
+                u = step @ u
+
+    def test_zero_member_is_degenerate(self, iv_small_ops, params, sched):
+        members = [unit_random_state(iv_small_ops, 64), dh.State.zeros(iv_small_ops.grid)]
+        with pytest.raises(dh.DegenerateDataError):
+            lc.run_traces(iv_small_ops, params, members, sched)
+
+
+_ENSEMBLE_SCHED = dh.Schedule(0.0, 1.0, 0.05)
+
+
+@pytest.fixture(scope="module")
+def one_member_traces(iv_small_ops, params):
+    members = _mixed_members(iv_small_ops, _ENSEMBLE_SCHED)
+    return members, [lc.run_trace(iv_small_ops, params, st0, _ENSEMBLE_SCHED)
+                     for st0 in members]
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(5)), size=st.integers(1, 5))
+def test_any_subset_in_any_order_traces_as_its_members(
+        iv_small_ops, params, one_member_traces, order, size):
+    members, singles = one_member_traces
+    pick = order[:size]
+    traces = lc.run_traces(iv_small_ops, params, [members[i] for i in pick],
+                           _ENSEMBLE_SCHED)
+    for tr, i in zip(traces, pick):
+        assert_same_trace(tr, singles[i])
 
 
 class TestInterpolation:
