@@ -3,9 +3,11 @@ machine-readable artifacts.
 
 Exit codes: 0 when the run completed and every certification in scope
 passed; 1 when a certification failed; 2 on configuration or usage errors;
-3 on numerical failures, which also write failure.json (error class,
-message, diagnostics) into the artifact directory.  Every number written
-to an artifact comes from a module operation; the CLI only aggregates.
+3 on numerical failures, which also write failure.json (stage, error
+class, message, diagnostics) into the artifact directory.  That stage
+removes it when it next completes, and report fails while one is present.
+Every number written to an artifact comes from a module operation; the CLI
+only aggregates.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .discretize import State, assemble_operator
 from .errors import (CalibrationError, ConfigurationError, DegenerateDataError,
                      DynHeatError, FitFailureError, NumericalError,
                      ParameterError, UsageError)
-from .evolve import ImpulseEvent, propagate, propagate_impulsive
+from .evolve import ImpulseEvent, Propagator, propagate, propagate_impulsive
 from .reporting import (canonical_json, csv_text, merge_report, read_json,
                         write_text)
 
@@ -97,8 +99,9 @@ def _cmd_observe(cfg, out_dir):
     if cfg.ensemble_count < 1:
         raise ConfigurationError(
             f"observe needs at least one member; ensemble.count = {cfg.ensemble_count}")
-    states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
-    traces = lc.run_traces(ops, params, states, sched)
+    prop = Propagator(ops, sched.dt, sched.scheme)
+    states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched, propagator=prop)
+    traces = lc.run_traces(ops, params, states, sched, propagator=prop)
 
     C = lc.fit_bound_constant(traces)
     bound_violations = sum(lc.count_bound_violations(tr, C) for tr in traces)
@@ -115,7 +118,8 @@ def _cmd_observe(cfg, out_dir):
         recs = lc.interpolation_check(tr.t, tr.normF2, params, C, triples)
         interp_violations += sum(1 for r in recs if not r.passed)
 
-    fit = lc.fit_observability_constants(ops, sched, states)
+    fit = lc.fit_observability_constants(
+        ops, sched, states, np.column_stack([tr.final for tr in traces]))
     steps = lc.step_constants(grid.domain, params, C, cfg.ell)
 
     doc = {
@@ -283,7 +287,11 @@ def main(argv=None):
                 cfg.seed = args.seed
             out_dir = args.out or cfg.out_dir or "."
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, out_dir)
+        code = _COMMANDS[args.subcommand](cfg, out_dir)
+        failure = os.path.join(out_dir, "failure.json")
+        if os.path.exists(failure) and read_json(failure).get("stage") == args.subcommand:
+            os.remove(failure)
+        return code
     except (ConfigurationError, UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -292,8 +300,8 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         if out_dir is not None:
             write_text(os.path.join(out_dir, "failure.json"), canonical_json(
-                {"error": type(exc).__name__, "message": str(exc),
-                 "diagnostics": getattr(exc, "diagnostics", {})}))
+                {"stage": args.subcommand, "error": type(exc).__name__,
+                 "message": str(exc), "diagnostics": getattr(exc, "diagnostics", {})}))
         return EXIT_NUMERICAL
     except DynHeatError as exc:
         print(f"error: {exc}", file=sys.stderr)

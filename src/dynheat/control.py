@@ -218,6 +218,9 @@ def _synthesize_block(co, prob, norms, free_tau, free_T):
     live = [j for j, n0 in enumerate(norms) if n0 != 0.0]
     if not live:
         return results
+    if not (0.0 < kappa * kappa < np.inf and 0.0 < eps * eps < np.inf):
+        raise NumericalError(
+            f"kappa={kappa:.6g} or eps={eps:.6g} leaves the float range when squared")
 
     theta, cg_rel, cg_iters = _cg_mass_inner(
         lambda z: co.gramian_apply(z, kappa, eps), -free_T[:, live], ops.inner,

@@ -234,7 +234,7 @@ def per_node(w, u):
     return w if np.ndim(u) == 1 else w[:, None]
 
 
-def _column_dots(a, b):
+def column_dots(a, b):
     """np.dot of two vectors, or of each column pair of two (n, m) blocks on
     contiguous copies (np.dot over a strided column rounds differently)."""
     if b.ndim == 1:
@@ -280,7 +280,7 @@ class OperatorSet:
     def inner(self, u, v):
         """Mass inner product of two states, or per column of two blocks."""
         u, v = _values(u), _values(v)
-        return _column_dots(per_node(self.mass, u) * u, v)
+        return column_dots(per_node(self.mass, u) * u, v)
 
     def norm(self, u):
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
@@ -296,22 +296,26 @@ class OperatorSet:
         return float(np.sqrt(max(self.inner_omega(u, u), 0.0)))
 
     # -- operator action -------------------------------------------------
+    def edge_flux(self, u):
+        """g * (D u) for a state (n,) or a block (n, m): K u = D^T edge_flux(u)."""
+        w = self.incidence @ _values(u)
+        return per_node(self.edge_weights, w) * w
+
     def apply_K(self, u):
         """K u for a state (n,) or a block of states (n, m)."""
-        w = self.incidence @ _values(u)
-        return self._incidence_T @ (per_node(self.edge_weights, w) * w)
+        return self._incidence_T @ self.edge_flux(u)
+
+    def flux_to_A(self, f):
+        """A u = -M^{-1} D^T f from the edge flux f = edge_flux(u)."""
+        return -(self._incidence_T @ f) / per_node(self.mass, f)
 
     def apply_A(self, u):
         """A u for a state (n,) or a block of states (n, m)."""
-        return -self.apply_K(u) / per_node(self.mass, _values(u))
-
-    def apply_A_state(self, u):
-        return State(self.grid, self.apply_A(u))
+        return self.flux_to_A(self.edge_flux(u))
 
     def dirichlet_form(self, u, v):
         """Energy E(u, v) = (D u) . (g * (D v)), per column for blocks; >= 0 for u = v."""
-        du, dv = self.incidence @ _values(u), self.incidence @ _values(v)
-        return _column_dots(per_node(self.edge_weights, du) * du, dv)
+        return column_dots(self.edge_flux(u), self.incidence @ _values(v))
 
     def dense_A(self):
         """Dense operator matrix for small-grid oracles."""

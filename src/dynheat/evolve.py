@@ -155,9 +155,10 @@ class Propagator:
             u = self.step(u, columnwise)
             yield u
 
-    def flow(self, u, steps):
-        """P^steps u for a state (n,) or a block (n, m); never a view of u."""
-        for u in self.trajectory(u, steps):
+    def flow(self, u, steps, columnwise=False):
+        """P^steps u for a state (n,) or a block (n, m); never a view of u.
+        columnwise as in step."""
+        for u in self.trajectory(u, steps, columnwise):
             pass
         return u
 

@@ -18,7 +18,8 @@ becomes a statement about convergence to the closed-form integrals, not an
 exact discrete identity.  This module provides:
 
 * the weighted operator bundle at a given time (with an overflow guard on
-  the exponent), acting on a state or a block of states,
+  the exponent), acting on a state or a block of states; one kernel gives
+  <-S F, F> and the pair (S F, Aanti F) from shared edge differences,
 * the frequency function and trace runner, which traces an ensemble as one
   block, bit for bit its one-member traces, and fits the drift constant C in
   Q <= (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2  with C0 = 1 - s^3,
@@ -27,7 +28,8 @@ exact discrete identity.  This module provides:
 * the three-point logarithmic interpolation inequality with the explicit
   exponent M and additive drift D,
 * the telescoping constants M_ell, D_ell with their sign condition, and
-* the empirical observability fit (beta, mu, K) with the derived
+* the empirical observability fit (beta, mu, K), which reads the ensemble's
+  final states from its traces (FrequencyTrace.final), with the derived
   penalization constants (M1, M2, delta).
 
 All operations are pure functions of immutable inputs.
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .discretize import State, assemble_operator, build_grid, per_node
+from .discretize import State, assemble_operator, build_grid, column_dots, per_node
 from .errors import (ConfigurationError, DegenerateDataError, FitFailureError,
                      ParameterError, UsageError)
 from .evolve import Propagator, Schedule
@@ -81,10 +83,21 @@ class WeightedOperators:
     def apply_P1(self, x):
         return per_node(self.d, x) * x + self.apply_B(x)
 
+    def forms(self, x, pair=True):
+        """<-S x, x> and, with pair, (S x, Aanti x): x / E, E x and their
+        edge differences are formed once for the Dirichlet edge form and
+        for B x, B* x."""
+        x = np.asarray(x, dtype=float)
+        ops, E, d = self.ops, per_node(self.E, x), per_node(self.d, x)
+        flux, dv = ops.edge_flux(x / E), ops.incidence @ (E * x)
+        neg_S = column_dots(flux, dv) - ops.inner(d, x * x)
+        if not pair:
+            return neg_S
+        Bx, Bsx = E * ops.flux_to_A(flux), ops.flux_to_A(per_node(ops.edge_weights, dv) * dv) / E
+        return neg_S, (d * x + 0.5 * (Bx + Bsx), 0.5 * (Bx - Bsx))
+
     def split(self, x):
-        """(S x, Aanti x) from one application each of B and B*."""
-        Bx, Bsx = self.apply_B(x), self.apply_B_star(x)
-        return per_node(self.d, x) * x + 0.5 * (Bx + Bsx), 0.5 * (Bx - Bsx)
+        return self.forms(x)[1]
 
     def apply_S(self, x):
         return self.split(x)[0]
@@ -94,9 +107,7 @@ class WeightedOperators:
 
     def neg_S_form(self, x):
         """<-S x, x>, evaluated through the Dirichlet edge form."""
-        x = np.asarray(x, dtype=float)
-        E = per_node(self.E, x)
-        return self.ops.dirichlet_form(x / E, E * x) - self.ops.inner(per_node(self.d, x), x * x)
+        return self.forms(x, pair=False)
 
 
 def _s_phi(ops, params):
@@ -143,9 +154,9 @@ def _s_prime_forms(ops, params, t, F, s_phi):
 
 
 def _commutator_forms(w, F, s_phi):
-    """Q per column of the block F, with w the weighted operators at w.t."""
-    S, Aanti = w.split(F)
-    return -_s_prime_forms(w.ops, w.params, w.t, F, s_phi) - 2.0 * w.ops.inner(S, Aanti)
+    """<-S F, F> and Q per column of the block F; w is the bundle at w.t."""
+    neg_S, (S, Aanti) = w.forms(F)
+    return neg_S, -_s_prime_forms(w.ops, w.params, w.t, F, s_phi) - 2.0 * w.ops.inner(S, Aanti)
 
 
 def s_prime_form(ops, params, t, F):
@@ -158,7 +169,7 @@ def commutator_form(ops, params, t, F):
     """Q(F) = <-S' F, F> - 2 <S F, Aanti F> at time t."""
     s_phi = _s_phi(ops, params)
     w = _weighted_ops_unchecked(ops, params, t, s_phi)
-    return float(_commutator_forms(w, np.asarray(F, dtype=float)[:, None], s_phi)[0])
+    return float(_commutator_forms(w, np.asarray(F, dtype=float)[:, None], s_phi)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +186,7 @@ class FrequencyTrace:
     smallest constant with Q <= (1 + C0)/Upsilon neg_S + C_form/h^2 normF2
     along the trace.  energy_residuals sit at the step midpoints and
     measure 1/2 d/dt ||F||^2 + <-S F, F>, which vanishes at order dt^2.
+    final is the state U(T) the trace ends at.
     """
 
     params: geometry.WeightParams
@@ -188,6 +200,7 @@ class FrequencyTrace:
     C_form: float
     energy_times: np.ndarray
     energy_residuals: np.ndarray
+    final: np.ndarray
 
     @property
     def C0(self):
@@ -203,10 +216,11 @@ class FrequencyTrace:
         return np.column_stack([self.t, self.normF2, self.N, self.Q, self.bound])
 
 
-def run_traces(ops, params, states, sched):
+def run_traces(ops, params, states, sched, propagator=None):
     """Propagate the states as one block; one FrequencyTrace per state, bit
     for bit its one-member trace (columnwise solves, and reductions on
-    contiguous columns).
+    contiguous columns); propagator, a Propagator for (ops, sched.dt,
+    sched.scheme), is built when None.
 
     C is the smallest constant >= 0 with dN/dt <= (1 + C0) N / Upsilon +
     C / h^2 along the trace (centered differencing), C_form the same with
@@ -221,7 +235,7 @@ def run_traces(ops, params, states, sched):
         raise DegenerateDataError("cannot trace a zero initial state")
 
     s_phi = _s_phi(ops, params)
-    prop = Propagator(ops, sched.dt, sched.scheme)
+    prop = propagator or Propagator(ops, sched.dt, sched.scheme)
     times = sched.times()
     t_mid = 0.5 * (times[:-1] + times[1:])
     normF2, N, Q, neg_S = (np.empty((len(states), times.size)) for _ in range(4))
@@ -233,9 +247,8 @@ def run_traces(ops, params, states, sched):
         normF2[:, k] = ops.inner(F, F)
         if np.any(normF2[:, k] <= 0.0):
             raise DegenerateDataError(f"weighted state vanished at t={times[k]}")
-        neg_S[:, k] = w.neg_S_form(F)
+        neg_S[:, k], Q[:, k] = _commutator_forms(w, F, s_phi)
         N[:, k] = neg_S[:, k] / normF2[:, k]
-        Q[:, k] = _commutator_forms(w, F, s_phi)
         if k:
             # midpoint energy-identity residual, O(dt^2) by construction
             w = _weighted_ops_unchecked(ops, params, t_mid[k - 1], s_phi)
@@ -253,7 +266,7 @@ def run_traces(ops, params, states, sched):
     return [FrequencyTrace(params=params, t=times, normF2=normF2[j], N=N[j], Q=Q[j],
                            neg_S=neg_S[j], bound=bound[j], C=float(C[j]),
                            C_form=float(max(0.0, C_form[j])),
-                           energy_times=t_mid, energy_residuals=resid[j])
+                           energy_times=t_mid, energy_residuals=resid[j], final=X[:, j])
             for j in range(len(states))]
 
 
@@ -561,29 +574,34 @@ def derive_penalization_constants(beta, K1, K2):
     return float(M1), float(M2), float(delta)
 
 
-def ensemble_observation_data(ops, sched, states):
-    """Per-member (final norm, omega observation, initial norm) triples."""
+def ensemble_observation_data(ops, sched, states, final=None):
+    """Per-member (final norm, omega observation, initial norm) triples.
+    final is the (n, m) block of the members at T (FrequencyTrace.final);
+    when None they flow here as in run_traces, to the same bits."""
     c = np.array([ops.norm(st) for st in states])
     if np.any(c == 0.0):
         raise DegenerateDataError("observability ensemble contains a zero state")
-    prop = Propagator(ops, sched.dt, sched.scheme)
-    final = prop.flow(np.column_stack([st.values for st in states]), sched.steps)
-    a = np.array([ops.norm(u) for u in final.T])
-    b = np.array([ops.norm_omega(u[ops.grid.omega_idx]) for u in final.T])
+    if final is None:
+        final = Propagator(ops, sched.dt, sched.scheme).flow(
+            np.column_stack([st.values for st in states]), sched.steps, columnwise=True)
+    cols = np.ascontiguousarray(np.transpose(final))
+    a = np.array([ops.norm(u) for u in cols])
+    b = np.array([ops.norm_omega(u[ops.grid.omega_idx]) for u in cols])
     return a, b, c
 
 
-def fit_observability_constants(ops, sched, states):
+def fit_observability_constants(ops, sched, states, final=None):
     """Fit beta in (0, 1) and the smallest prefactor from an ensemble of runs.
 
     Least squares in log scale on log(a/c) = beta log(b/c) + beta log G,
     followed by a shift of log G so the inequality holds with equality for
     at least one member.  Degenerate ensembles (identical observations) and
-    slopes outside (0, 1) raise FitFailureError.
+    slopes outside (0, 1) raise FitFailureError.  final as in
+    ensemble_observation_data.
     """
     if len(states) < 2:
         raise ConfigurationError(f"observability fit needs >= 2 members, got {len(states)}")
-    a, b, c = ensemble_observation_data(ops, sched, states)
+    a, b, c = ensemble_observation_data(ops, sched, states, final)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise DegenerateDataError("observability fit needs nonvanishing final states "
                                   "and observations")
@@ -616,23 +634,23 @@ def fit_observability_constants(ops, sched, states):
                             n_members=len(states))
 
 
-def count_observability_violations(fit, ops, sched, states, slack=1e-12):
+def count_observability_violations(fit, ops, sched, states, slack=1e-12, final=None):
     """Members violating the fitted estimate beyond a relative slack."""
-    a, b, c = ensemble_observation_data(ops, sched, states)
+    a, b, c = ensemble_observation_data(ops, sched, states, final)
     lhs = np.log(a)
     rhs = fit.beta * (fit.log_G + np.log(b)) + (1.0 - fit.beta) * np.log(c)
     tol = slack * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return int(np.sum(lhs > rhs + tol))
 
 
-def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2):
+def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2, propagator=None):
     """Seeded ensemble of unit states with varied spectral and spatial content.
 
     Cycles through raw noise, mean-free noise, smoothed noise (a few steps
     of the flow; modes 2 and 3, only when sched is given), and noise
     concentrated away from omega.  The mix spreads the observation-to-norm
     ratios, which an informative observability fit needs; identical-member
-    ensembles are degenerate by design.
+    ensembles are degenerate by design.  propagator as in run_traces.
     """
     rng = np.random.default_rng(seed)
     grid = ops.grid
@@ -655,7 +673,7 @@ def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2):
         raw.append(u)
 
     if sched is not None:
-        prop = Propagator(ops, sched.dt, sched.scheme)
+        prop = propagator or Propagator(ops, sched.dt, sched.scheme)
         for mode, steps in smoothing.items():
             idx = range(mode, count, 5)
             if idx:

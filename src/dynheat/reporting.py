@@ -83,14 +83,6 @@ def read_json(path):
         return json.load(fh)
 
 
-def read_csv(path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
-
-
 # artifact names each subcommand emits; report() merges whichever exist
 ARTIFACTS = {
     "simulate": ("trajectory.csv", "simulate.json"),
@@ -105,7 +97,8 @@ def merge_report(directory):
     """Merge prior run artifacts in directory into one report document.
 
     Sections without artifacts come out null; an empty directory is an
-    error listing every recognized artifact.  The merge reads only files,
+    error listing every recognized artifact.  A failure.json is copied
+    under "failure" and fails the report.  The merge reads only files,
     so running it twice produces the same document.
     """
     found_any = False
@@ -156,6 +149,11 @@ def merge_report(directory):
         flags.append(bool(doc["nondecreasing"]))
     else:
         report["cost_study"] = None
+
+    if have(("failure.json",)):
+        found_any = True
+        report["failure"] = read_json(os.path.join(directory, "failure.json"))
+        flags.append(False)
 
     if not found_any:
         wanted = sorted({n for names in ARTIFACTS.values() for n in names})

@@ -224,7 +224,8 @@ class TestFailureArtifact:
         assert message.startswith("gramian solve did not reach tol")
         assert os.listdir(out) == ["failure.json"]
         assert (out / "failure.json").read_text() == canonical_json(
-            {"error": "NumericalError", "message": message, "diagnostics": {}})
+            {"stage": "control", "error": "NumericalError", "message": message,
+             "diagnostics": {}})
 
     def test_fit_failure_diagnostics_are_kept(self, config_path, tmp_path, monkeypatch):
         def fail(*args):
@@ -233,8 +234,34 @@ class TestFailureArtifact:
         monkeypatch.setattr(lc, "fit_observability_constants", fail)
         assert main(["observe", "--config", config_path, "--out", str(tmp_path)]) == 3
         doc = json.loads((tmp_path / "failure.json").read_text())
-        assert doc == {"error": "FitFailureError", "message": "beta left (0, 1)",
-                       "diagnostics": {"beta": 1.5}}
+        assert doc == {"stage": "observe", "error": "FitFailureError",
+                       "message": "beta left (0, 1)", "diagnostics": {"beta": 1.5}}
+
+    def test_completed_stage_clears_its_failure(self, config_path, tmp_path):
+        failing = tmp_path / "failing.ini"
+        failing.write_text(CONFIG.replace("cg_maxit = 400", "cg_maxit = 2"))
+        out = tmp_path / "out"
+        assert main(["control", "--config", str(failing), "--out", str(out)]) == 3
+        assert main(["control", "--config", config_path, "--out", str(out)]) == 0
+        assert not (out / "failure.json").exists()
+        assert main(["report", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["all_passed"] is True and "failure" not in report
+
+    def test_report_fails_while_a_failure_is_present(self, config_path, tmp_path):
+        failing = tmp_path / "failing.ini"
+        failing.write_text(CONFIG.replace("cg_maxit = 400", "cg_maxit = 2"))
+        out = tmp_path / "out"
+        assert main(["control", "--config", str(failing), "--out", str(out)]) == 3
+        assert main(["report", "--out", str(out)]) == 1
+        # a stage other than the failed one leaves the failure in place
+        assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["all_passed"] is False
+        assert report["simulate"]["contraction"] is True
+        assert report["failure"]["stage"] == "control"
+        assert report["failure"]["error"] == "NumericalError"
 
     def test_other_exits_write_none(self, pipeline_dir, tmp_path):
         out, codes = pipeline_dir

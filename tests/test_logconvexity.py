@@ -389,6 +389,34 @@ class TestBlockTrace:
             lc.run_traces(iv_small_ops, params, members, sched)
 
 
+def _frozen_split(ops, E, d, x):
+    B, Bs = E * _frozen_A(ops, x / E), _frozen_A(ops, E * x) / E
+    return d * x + 0.5 * (B + Bs), 0.5 * (B - Bs)
+
+
+class TestSharedFormKernel:
+    """forms(F) gives <-S F, F> and (S F, Aanti F) from one set of edge
+    differences, per column exactly the one-member forms frozen above, and
+    neg_S_form and split read it."""
+
+    @pytest.mark.parametrize("which", ["iv_ops", "disk_ops", "wide_disk_ops"])
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_block_forms_equal_frozen_forms(self, request, params, which, t):
+        ops = request.getfixturevalue(which)
+        w = dh.build_weighted_operators(ops, params, t)
+        E, d = _frozen_weights(ops, params, t)
+        F = np.asfortranarray(np.random.default_rng(66).standard_normal((ops.n_dofs, 4)))
+        neg_S = np.array([_frozen_neg_S(ops, E, d, f) for f in F.T])
+        S, Aanti = (np.column_stack(p) for p in zip(*(_frozen_split(ops, E, d, f) for f in F.T)))
+        got_neg_S, (got_S, got_Aanti) = w.forms(F)
+        for got, want in ((got_neg_S, neg_S), (w.neg_S_form(F), neg_S), (got_S, S),
+                          (got_Aanti, Aanti), (w.split(F)[0], S), (w.split(F)[1], Aanti)):
+            assert np.array_equal(got, want)
+        for j, f in enumerate(F.T):
+            assert w.forms(f)[0] == neg_S[j]
+            assert np.array_equal(w.split(f)[1], Aanti[:, j])
+
+
 _ENSEMBLE_SCHED = dh.Schedule(0.0, 1.0, 0.05)
 
 
@@ -512,6 +540,46 @@ class TestObservabilityFit:
         fit = lc.fit_observability_constants(iv_ops, sched, states)
         shrunk = dataclasses.replace(fit, log_G=fit.log_G - 1.0)
         assert lc.count_observability_violations(shrunk, iv_ops, sched, states) > 0
+
+    def test_observation_data_matches_dense_oracle(self, disk_domain):
+        """50 dense CN steps, each an np.linalg.solve with the dense step
+        matrix, give the final and omega norms to 1e-10 relative."""
+        ops = dh.assemble_operator(dh.build_grid(disk_domain, nr=8, ntheta=16))
+        assert ops.n_dofs <= 200
+        sched = dh.Schedule(0.0, 0.5, 0.01)
+        assert sched.steps == 50
+        states = lc.diverse_ensemble(ops, 6, seed=17, sched=sched)
+        a, b, c = lc.ensemble_observation_data(ops, sched, states)
+        m, K = ops.mass, ops.K.toarray()
+        lhs = np.diag(m) + 0.5 * sched.dt * K
+        rhs = np.diag(m) - 0.5 * sched.dt * K
+        om = ops.grid.omega_idx
+        m_om = ops.grid.w_bulk[om]
+        for j, st0 in enumerate(states):
+            u = st0.values
+            for _ in range(sched.steps):
+                u = np.linalg.solve(lhs, rhs @ u)
+            assert a[j] == pytest.approx(np.sqrt(u @ (m * u)), rel=1e-10)
+            assert b[j] == pytest.approx(np.sqrt(u[om] @ (m_om * u[om])), rel=1e-10)
+            assert c[j] == pytest.approx(np.sqrt(st0.values @ (m * st0.values)), rel=1e-10)
+
+    def test_traced_final_block_gives_the_same_fit(self, wide_disk_ops):
+        """On members whose multi-column solve rounds differently from a
+        one-state solve, the fit from run_traces' final block and the fit
+        that propagates on its own agree bit for bit."""
+        ops = wide_disk_ops
+        sched = dh.Schedule(0.0, 0.2, 0.01)
+        params = dh.WeightParams(s=0.5, h=0.5, T=0.2)
+        states = dh.diverse_ensemble(ops, 5, 51, sched)
+        final = np.column_stack([tr.final for tr in lc.run_traces(ops, params, states, sched)])
+        traced = lc.ensemble_observation_data(ops, sched, states, final)
+        for got, want in zip(traced, lc.ensemble_observation_data(ops, sched, states)):
+            assert np.array_equal(got, want)
+        fit = lc.fit_observability_constants(ops, sched, states, final)
+        assert fit == lc.fit_observability_constants(ops, sched, states)
+        shrunk = dataclasses.replace(fit, log_G=fit.log_G - 0.05)
+        assert (lc.count_observability_violations(shrunk, ops, sched, states, final=final)
+                == lc.count_observability_violations(shrunk, ops, sched, states) > 0)
 
     def test_penalization_constants_worked_example(self):
         M1, M2, delta = lc.derive_penalization_constants(0.5, 2.0, 1.0)
