@@ -31,9 +31,11 @@ The ensemble is solved as one block.  A ControlOperator depends only on
 (ops, sched, tau), so a calibration or a cost study factors the step
 matrix once and reuses it for every kappa doubling, every eps level and
 every member.  Each doubling runs one block CG whose columns keep their
-own scalars and stopping tests; flows act column by column and inner
-products are taken on contiguous columns, so every member's result is
-bit-identical to a one-member synthesis.
+own scalars and stopping tests, and inner products are taken on
+contiguous columns.  Flows advance the block through SuperLU's
+multi-column solve, so a member's result is bit-identical to a one-member
+synthesis wherever that solve rounds each column as a one-state solve
+does: checked on the interval, not guaranteed on large disk grids.
 """
 
 from __future__ import annotations
@@ -376,7 +378,8 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
     which together with the monotonicity of the minimizer in kappa and eps
     keeps the reported cost nondecreasing as eps shrinks.  Members whose
     free decay already meets the eps target contribute zero cost and are
-    left out of the calibration.
+    left out of the calibration.  The slope is None unless the rows with
+    positive cost hold at least two distinct eps.
     """
     if not eps_list:
         raise ConfigurationError("cost study needs a nonempty eps list")
@@ -414,7 +417,7 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
     # log sup cost is defined on rows that needed control only
     costly = [r for r in rows if r.sup_cost > 0.0]
     slope = None
-    if len(costly) >= 2:
+    if len({r.eps for r in costly}) >= 2:
         xs = np.log(1.0 / np.array([r.eps for r in costly]))
         ys = np.log(np.array([r.sup_cost for r in costly]))
         slope = float(np.polyfit(xs, ys, 1)[0])

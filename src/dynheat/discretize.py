@@ -72,10 +72,6 @@ class Grid:
         return self.points.shape[0]
 
     @property
-    def dim(self):
-        return self.points.shape[1]
-
-    @property
     def mass(self):
         return self.w_bulk + self.w_trace
 
@@ -174,7 +170,7 @@ class State:
     """Coupled bulk/trace state: one value per grid node.
 
     Boundary nodes carry both the bulk sample and the trace value (a single
-    unknown), so .trace is a view into the same degrees of freedom.
+    unknown), so the trace is values[grid.boundary_idx].
     """
 
     __slots__ = ("grid", "values")
@@ -189,37 +185,6 @@ class State:
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.n_dofs))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Sample a callable of the node coordinates; fn gets an (n, dim) array."""
-        return cls(grid, np.asarray(fn(grid.points), dtype=float))
-
-    @classmethod
-    def from_parts(cls, grid, bulk, trace):
-        """Build from separate bulk and trace vectors, which must agree on Gamma."""
-        bulk = np.asarray(bulk, dtype=float)
-        trace = np.asarray(trace, dtype=float)
-        if bulk.shape != (grid.n_dofs,):
-            raise UsageError(f"bulk part needs shape ({grid.n_dofs},), got {bulk.shape}")
-        if trace.shape != (grid.boundary_idx.size,):
-            raise UsageError(
-                f"trace part needs shape ({grid.boundary_idx.size},), got {trace.shape}")
-        if not np.array_equal(bulk[grid.boundary_idx], trace):
-            raise UsageError("trace part must equal the bulk values on boundary nodes")
-        return cls(grid, bulk)
-
-    @classmethod
-    def random(cls, grid, rng):
-        return cls(grid, rng.standard_normal(grid.n_dofs))
-
-    @property
-    def bulk(self):
-        return self.values
-
-    @property
-    def trace(self):
-        return self.values[self.grid.boundary_idx]
 
     def copy(self):
         return State(self.grid, self.values.copy())

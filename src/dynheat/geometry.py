@@ -1,15 +1,15 @@
-"""Convex domains, gauge functions, and the parabolic weight.
+"""Convex domains and the parabolic weight.
 
 Two domain kinds are supported: an open interval (a, b) and a disk.  Both
 are star-shaped with respect to every interior point, which is what the
 analysis machinery needs: an anchor point x0 inside the observation region
-omega, a gauge (Minkowski functional) vanishing at the center, and the
-quadratic weight
+omega, and the quadratic weight
 
     phi(x) = -|x - x0|^2 / 4,
 
 whose algebra (phi + |grad phi|^2 = 0, constant Laplacian, explicit normal
-derivative) drives every weighted identity downstream.  The time profile is
+derivative) drives every weighted identity downstream.  The time profile,
+which logconvexity evaluates, is
 
     Upsilon(t) = T - t + h,      Phi(x, t) = s * phi(x) / Upsilon(t),
 
@@ -141,19 +141,6 @@ class DomainSpec:
             return self.b - self.a, 2.0
         return np.pi * self.radius ** 2, 2.0 * np.pi * self.radius
 
-    def contains(self, x, boundary_ok=False):
-        """Vectorized membership test for the closed (or open) domain."""
-        pts, scalar = _as_points(self, x)
-        tol = _BOUNDARY_RTOL * max(1.0, self._scale())
-        if self.kind == "interval":
-            lo, hi = (self.a - tol, self.b + tol) if boundary_ok else (self.a + tol, self.b - tol)
-            inside = (pts[:, 0] >= lo) & (pts[:, 0] <= hi)
-        else:
-            d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-            lim = self.radius + tol if boundary_ok else self.radius - tol
-            inside = d <= lim
-        return bool(inside[0]) if scalar else inside
-
     def on_boundary(self, x):
         pts, scalar = _as_points(self, x)
         tol = _BOUNDARY_RTOL * max(1.0, self._scale())
@@ -207,62 +194,22 @@ class WeightParams:
         return 1.0 - self.s ** 3
 
 
-def gauge(domain, x):
-    """Minkowski functional of the domain about its center.
-
-    Positively homogeneous of degree one, zero at the center, one on the
-    boundary, and subadditive (the domain is convex).
-    """
-    pts, scalar = _as_points(domain, x)
-    if domain.kind == "interval":
-        mid = domain.interval_center
-        half = 0.5 * (domain.b - domain.a)
-        val = np.abs(pts[:, 0] - mid) / half
-    else:
-        c = np.asarray(domain.center)
-        val = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) / domain.radius
-    return float(val[0]) if scalar else val
-
-
-def level(domain, x):
-    """Level function gauge^2 - 1: negative inside, zero on the boundary."""
-    g = gauge(domain, x)
-    return g * g - 1.0
-
-
 @dataclass(frozen=True)
 class PhiBundle:
     """Pointwise data of the spatial weight phi at a batch of points."""
 
-    domain: DomainSpec
-    points: np.ndarray
     phi: np.ndarray
     grad: np.ndarray
     laplacian: float
 
-    @property
-    def normal_deriv(self):
-        """d(phi)/d(nu) at the batch points; UsageError unless all on boundary."""
-        on = self.domain.on_boundary(self.points if self.domain.dim == 2 else self.points[:, 0])
-        if not np.all(on):
-            raise UsageError("normal_deriv of phi is defined on boundary points only")
-        nrm = self.domain.outward_normal(self.points if self.domain.dim == 2 else self.points[:, 0])
-        nrm = np.atleast_2d(nrm)
-        return np.sum(self.grad * nrm, axis=1)
-
 
 def weight_phi_bundle(domain, x):
-    """Evaluate phi = -|x-x0|^2/4 with gradient and (constant) Laplacian.
-
-    The returned bundle also exposes the outward normal derivative, which is
-    only legal to read when every point lies on the boundary.
-    """
+    """Evaluate phi = -|x-x0|^2/4 with gradient and (constant) Laplacian."""
     pts, _ = _as_points(domain, x)
     diff = pts - domain.x0_array.reshape(1, -1)
     phi = -0.25 * np.sum(diff * diff, axis=1)
     grad = -0.5 * diff
-    return PhiBundle(domain=domain, points=pts, phi=phi, grad=grad,
-                     laplacian=-0.5 * domain.dim)
+    return PhiBundle(phi=phi, grad=grad, laplacian=-0.5 * domain.dim)
 
 
 def phi_tangential_gradient(domain, x):
@@ -274,57 +221,6 @@ def phi_tangential_gradient(domain, x):
     nrm = domain.outward_normal(pts)
     normal_part = np.sum(bundle.grad * nrm, axis=1, keepdims=True) * nrm
     return bundle.grad - normal_part
-
-
-def upsilon(params, t):
-    """Time pad Upsilon(t) = T - t + h, valid for t in [0, T]."""
-    t = float(t)
-    if t < 0.0 or t > params.T:
-        raise UsageError(f"t={t} outside [0, {params.T}]")
-    return params.T - t + params.h
-
-
-@dataclass(frozen=True)
-class BigPhi:
-    """Space-time weight Phi = s*phi/Upsilon with its time derivative."""
-
-    Phi: np.ndarray
-    dPhi_dt: np.ndarray
-    Upsilon: float
-
-
-def big_phi(params, domain, x, t):
-    """Evaluate Phi(x, t) = s*phi(x)/Upsilon(t) and dPhi/dt = s*phi/Upsilon^2."""
-    ups = upsilon(params, t)
-    bundle = weight_phi_bundle(domain, x)
-    return BigPhi(Phi=params.s * bundle.phi / ups,
-                  dPhi_dt=params.s * bundle.phi / ups ** 2,
-                  Upsilon=ups)
-
-
-@dataclass(frozen=True)
-class NormalSignReport:
-    """Star-shapedness certificate: sign of -(x - x0) . nu over the boundary."""
-
-    min_value: float
-    max_value: float
-    passed: bool
-
-
-def check_normal_sign(domain):
-    """Verify -(x - x0) . nu(x) < 0 over the whole boundary (closed form).
-
-    For the interval this is a two-point check; for the disk the extreme
-    values over the circle are -R -+ |x0 - c|.
-    """
-    x0 = domain.x0_array
-    if domain.kind == "interval":
-        vals = np.array([-(domain.a - x0[0]) * (-1.0), -(domain.b - x0[0]) * (+1.0)])
-        lo, hi = float(vals.min()), float(vals.max())
-    else:
-        off = float(np.hypot(x0[0] - domain.center[0], x0[1] - domain.center[1]))
-        lo, hi = -domain.radius - off, -domain.radius + off
-    return NormalSignReport(min_value=lo, max_value=hi, passed=hi < 0.0)
 
 
 def phi_extremes(domain):

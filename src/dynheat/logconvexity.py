@@ -37,15 +37,15 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .discretize import State, assemble_operator, build_grid, column_dots, per_node
 from .errors import (ConfigurationError, DegenerateDataError, FitFailureError,
-                     ParameterError, UsageError)
-from .evolve import Propagator, Schedule
+                     NumericalError, ParameterError, UsageError)
+from .evolve import Propagator
 
 PHI_EXP_GUARD = 700.0
 SPRIME_DELTA_FACTOR = 1e-6
@@ -558,10 +558,21 @@ class ObservabilityFit:
     n_members: int
 
     def kappa0(self, horizon, eps):
-        """Penalization seed M1 e^{M2/horizon} / eps^delta."""
+        """Penalization seed M1 e^{M2/horizon} / eps^delta; NumericalError
+        when it leaves the positive float range."""
         if horizon <= 0.0 or eps <= 0.0:
             raise UsageError(f"need positive horizon and eps, got {horizon}, {eps}")
-        return self.M1 * np.exp(self.M2 / horizon) / eps ** self.delta
+        try:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                seed = self.M1 * np.exp(self.M2 / horizon) / eps ** self.delta
+        except OverflowError:  # eps ** delta above the float range
+            seed = 0.0
+        if not (np.isfinite(seed) and seed > 0.0):
+            raise NumericalError(
+                f"kappa seed M1 e^(M2/horizon) / eps^delta leaves the float range: "
+                f"beta={self.beta!r}, delta={self.delta!r}, M1={self.M1!r}, "
+                f"M2={self.M2!r}, eps={eps!r}, horizon={horizon!r}")
+        return seed
 
 
 def derive_penalization_constants(beta, K1, K2):

@@ -83,13 +83,24 @@ def read_json(path):
         return json.load(fh)
 
 
-# artifact names each subcommand emits; report() merges whichever exist
+# artifact names each subcommand emits, its JSON document last;
+# report() merges whichever sections are complete
 ARTIFACTS = {
     "simulate": ("trajectory.csv", "simulate.json"),
     "observe": ("frequency_trace.csv", "constants.json"),
     "commutator": ("commutator_residuals.csv", "commutator.json"),
     "control": ("control_result.json",),
     "cost_study": ("cost_study.csv", "cost_study.json"),
+}
+
+# whether a section's document certifies
+SECTION_PASSED = {
+    "simulate": lambda doc: doc["contraction"],
+    "observe": lambda doc: (doc["bound_violations"] == 0
+                            and doc["interpolation_violations"] == 0),
+    "commutator": lambda doc: doc["monotone"],
+    "control": lambda doc: doc["flags"]["target"] and doc["flags"]["cost"],
+    "cost_study": lambda doc: doc["all_certified"] and doc["nondecreasing"],
 }
 
 
@@ -101,61 +112,23 @@ def merge_report(directory):
     under "failure" and fails the report.  The merge reads only files,
     so running it twice produces the same document.
     """
-    found_any = False
+    def have(name):
+        return os.path.exists(os.path.join(directory, name))
+
     report = {}
     flags = []
+    for section, names in ARTIFACTS.items():
+        doc = None
+        if all(have(n) for n in names):
+            doc = read_json(os.path.join(directory, names[-1]))
+            flags.append(SECTION_PASSED[section](doc))
+        report[section] = doc
 
-    def have(names):
-        return all(os.path.exists(os.path.join(directory, n)) for n in names)
-
-    if have(ARTIFACTS["simulate"]):
-        found_any = True
-        doc = read_json(os.path.join(directory, "simulate.json"))
-        report["simulate"] = doc
-        flags.append(bool(doc["contraction"]))
-    else:
-        report["simulate"] = None
-
-    if have(ARTIFACTS["observe"]):
-        found_any = True
-        doc = read_json(os.path.join(directory, "constants.json"))
-        report["observe"] = doc
-        flags.append(doc["bound_violations"] == 0)
-        flags.append(doc["interpolation_violations"] == 0)
-    else:
-        report["observe"] = None
-
-    if have(ARTIFACTS["commutator"]):
-        found_any = True
-        doc = read_json(os.path.join(directory, "commutator.json"))
-        report["commutator"] = doc
-        flags.append(bool(doc["monotone"]))
-    else:
-        report["commutator"] = None
-
-    if have(ARTIFACTS["control"]):
-        found_any = True
-        doc = read_json(os.path.join(directory, "control_result.json"))
-        report["control"] = doc
-        flags.append(bool(doc["flags"]["target"] and doc["flags"]["cost"]))
-    else:
-        report["control"] = None
-
-    if have(ARTIFACTS["cost_study"]):
-        found_any = True
-        doc = read_json(os.path.join(directory, "cost_study.json"))
-        report["cost_study"] = doc
-        flags.append(bool(doc["all_certified"]))
-        flags.append(bool(doc["nondecreasing"]))
-    else:
-        report["cost_study"] = None
-
-    if have(("failure.json",)):
-        found_any = True
+    if have("failure.json"):
         report["failure"] = read_json(os.path.join(directory, "failure.json"))
         flags.append(False)
 
-    if not found_any:
+    if not flags:
         wanted = sorted({n for names in ARTIFACTS.values() for n in names})
         raise ConfigurationError(
             "no run artifacts found; expected any of: " + ", ".join(wanted))

@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 
 import dynheat as dh
 from dynheat import logconvexity as lc
+from dynheat.control import ControlOperator
 
 from conftest import unit_random_state
 
@@ -38,21 +39,21 @@ class TestControlOperator:
     def test_tau_must_be_interior(self, iv_small_ops, ctrl_sched):
         for bad in (0.0, 1.0, 2.0):
             with pytest.raises(dh.ConfigurationError):
-                dh.ControlOperator(iv_small_ops, ctrl_sched, bad)
+                ControlOperator(iv_small_ops, ctrl_sched, bad)
 
     def test_step_split_and_tau_snapping(self, iv_small_ops, ctrl_sched):
-        co = dh.ControlOperator(iv_small_ops, ctrl_sched, 0.503)
+        co = ControlOperator(iv_small_ops, ctrl_sched, 0.503)
         assert co.n_tau + co.n_obs == co.n_total == 100
         assert co.tau_effective == pytest.approx(0.5)
 
     def test_gramian_needs_kappa(self, iv_small_ops, ctrl_sched):
-        co = dh.ControlOperator(iv_small_ops, ctrl_sched, 0.5)
+        co = ControlOperator(iv_small_ops, ctrl_sched, 0.5)
         with pytest.raises(dh.UsageError):
             co.gramian_apply(np.ones(iv_small_ops.n_dofs), None, 0.1)
 
     def test_gramian_is_self_adjoint_and_coercive(self, iv_small_ops, prob, ctrl_sched):
         ops = iv_small_ops
-        co = dh.ControlOperator(ops, ctrl_sched, prob.tau)
+        co = ControlOperator(ops, ctrl_sched, prob.tau)
         rng = np.random.default_rng(70)
         z = rng.standard_normal(ops.n_dofs)
         w = rng.standard_normal(ops.n_dofs)
@@ -69,7 +70,7 @@ class TestControlOperator:
     def test_dense_gramian_eigenvalues_sit_above_eps_squared(
             self, iv_small_ops, prob, ctrl_sched):
         ops = iv_small_ops
-        co = dh.ControlOperator(ops, ctrl_sched, prob.tau)
+        co = ControlOperator(ops, ctrl_sched, prob.tau)
         n = ops.n_dofs
         G = co.gramian_apply(np.eye(n), prob.kappa, prob.eps)
         m = ops.mass
@@ -119,7 +120,7 @@ class TestSynthesize:
         must land on the CG minimizer."""
         ops = iv_small_ops
         prob = dh.ControlProblem(tau=0.5, eps=0.2, kappa=5.0)
-        co = dh.ControlOperator(ops, ctrl_sched, prob.tau)
+        co = ControlOperator(ops, ctrl_sched, prob.tau)
         psi0 = unit_random_state(ops, 76)
         res = dh.synthesize(ops, prob, ctrl_sched, psi0)
         free_T = co.prop.flow(psi0.values, co.n_total)
@@ -245,7 +246,7 @@ class TestBatchedCalibration:
         ops, dt = iv_ops, ctrl_sched.dt
         M, K = np.diag(ops.mass), ops.K.toarray()
         S = np.linalg.solve(M + 0.5 * dt * K, M - 0.5 * dt * K)
-        co = dh.ControlOperator(ops, ctrl_sched, prob.tau)
+        co = ControlOperator(ops, ctrl_sched, prob.tau)
         P_obs = np.linalg.matrix_power(S, co.n_obs)
         P_T = np.linalg.matrix_power(S, co.n_total)
         on_omega = np.zeros(ops.n_dofs)
@@ -293,11 +294,12 @@ class TestCostStudy:
         assert mixed.rows[0].sup_cost == pytest.approx(rand_only.rows[0].sup_cost)
 
     def test_slope_skips_zero_cost_rows(self, iv_ops, ctrl_sched):
-        """Rows whose members all decay below eps unaided have no log cost."""
+        """Rows whose members all decay below eps unaided have no log cost,
+        and a slope needs two distinct eps among the rest."""
         x = iv_ops.grid.points[:, 0]
         fast = np.cos(np.sqrt(13.492357146504844) * (x - 0.5))
         fast_st = dh.State(iv_ops.grid, fast / iv_ops.norm(fast))
-        co = dh.ControlOperator(iv_ops, ctrl_sched, 0.5)
+        co = ControlOperator(iv_ops, ctrl_sched, 0.5)
         ratio = iv_ops.norm(co.prop.flow(fast_st.values, co.n_total))
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
 
@@ -313,6 +315,11 @@ class TestCostStudy:
                                    [2.0 * ratio, 0.5 * ratio], [fast_st])
         assert one_costly.rows[0].sup_cost == 0.0
         assert one_costly.slope is None
+
+        one_eps = dh.cost_study(iv_ops, prob, ctrl_sched,
+                                [0.5 * ratio, 0.5 * ratio], [fast_st])
+        assert all(r.sup_cost > 0.0 for r in one_eps.rows)
+        assert one_eps.slope is None
 
     def test_fitted_delta_is_reported(self, iv_ops, ctrl_sched):
         fit = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0,

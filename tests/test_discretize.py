@@ -58,29 +58,6 @@ class TestGridWeights:
             grid.w_bulk[0] = 99.0
 
 
-class TestState:
-    def test_from_parts_requires_matching_trace(self, iv_small_ops):
-        grid = iv_small_ops.grid
-        bulk = np.zeros(grid.n_dofs)
-        trace = np.ones(grid.boundary_idx.size)
-        with pytest.raises(dh.UsageError):
-            dh.State.from_parts(grid, bulk, trace)
-        bulk[grid.boundary_idx] = 1.0
-        st = dh.State.from_parts(grid, bulk, trace)
-        assert st.trace == pytest.approx(trace)
-
-    def test_from_function_samples_points(self, iv_small_ops):
-        grid = iv_small_ops.grid
-        st = dh.State.from_function(grid, lambda p: p[:, 0] ** 2)
-        assert st.values == pytest.approx(grid.points[:, 0] ** 2)
-
-    def test_random_is_seeded(self, iv_small_ops):
-        grid = iv_small_ops.grid
-        a = dh.State.random(grid, np.random.default_rng(5))
-        b = dh.State.random(grid, np.random.default_rng(5))
-        assert a.values == pytest.approx(b.values)
-
-
 class TestOperatorStructure:
     def test_constants_are_annihilated_exactly(self, iv_ops, disk_ops):
         for ops in (iv_ops, disk_ops):

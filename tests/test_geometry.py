@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dynheat as dh
-from dynheat.geometry import phi_tangential_gradient
+from dynheat.geometry import phi_extremes, phi_tangential_gradient, weight_phi_bundle
 
 
 class TestDomainValidation:
@@ -49,29 +49,13 @@ class TestWeightParams:
             dh.WeightParams(**kw)
 
 
-class TestGaugeAndLevel:
-    def test_interval_gauge_is_one_on_boundary(self):
-        dom = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
-        pts = np.array([[0.0], [1.0], [0.5], [0.25]])
-        g = dh.gauge(dom, pts)
-        assert g == pytest.approx([1.0, 1.0, 0.0, 0.5])
-        lev = dh.level(dom, pts)
-        assert lev[:2] == pytest.approx([0.0, 0.0])
-        assert np.all(lev[2:] < 0.0)
-
-    def test_disk_gauge(self):
-        dom = dh.DomainSpec.disk((1.0, 0.0), 2.0, (1.0, 0.0), (1.0, 0.0), 0.5)
-        pts = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert dh.gauge(dom, pts) == pytest.approx([1.0, 0.0, 0.5])
-
-
 class TestPhiBundle:
     """phi = -|x - x0|^2 / 4, grad = -(x - x0)/2, laplacian = -dim/2."""
 
     def test_values_against_direct_formula(self):
         dom = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
         pts = np.linspace(0.0, 1.0, 7)[:, None]
-        b = dh.weight_phi_bundle(dom, pts)
+        b = weight_phi_bundle(dom, pts)
         assert b.phi == pytest.approx(-(pts[:, 0] - 0.5) ** 2 / 4.0)
         assert b.grad[:, 0] == pytest.approx(-(pts[:, 0] - 0.5) / 2.0)
         assert b.laplacian == pytest.approx(-0.5)
@@ -83,50 +67,15 @@ class TestPhiBundle:
         r = 0.9 * np.sqrt(rng.uniform(size=40))
         th = rng.uniform(0, 2 * np.pi, size=40)
         pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        b = dh.weight_phi_bundle(dom, pts)
+        b = weight_phi_bundle(dom, pts)
         assert b.phi + np.sum(b.grad ** 2, axis=1) == pytest.approx(
             np.zeros(40), abs=1e-15)
         assert b.laplacian == pytest.approx(-1.0)
 
-    def test_normal_derivative_needs_boundary_points(self):
-        dom = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
-        b = dh.weight_phi_bundle(dom, np.array([[0.5]]))
-        with pytest.raises(dh.UsageError):
-            _ = b.normal_deriv
-
-
-class TestNormalSign:
-    def test_interval_closed_form_matches_boundary_evaluation(self):
-        dom = dh.DomainSpec.interval(0.0, 1.0, 0.4, 0.3, 0.7)
-        rep = dh.check_normal_sign(dom)
-        # oracle: evaluate -(x - x0) . nu at both endpoints directly
-        vals = []
-        for x, nu in ((0.0, -1.0), (1.0, 1.0)):
-            vals.append(-(x - 0.4) * nu)
-        assert rep.min_value == pytest.approx(min(vals))
-        assert rep.max_value == pytest.approx(max(vals))
-        assert rep.passed
-
-    def test_disk_closed_form_matches_dense_sampling(self):
-        dom = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.2, 0.1), (0.2, 0.1), 0.3)
-        rep = dh.check_normal_sign(dom)
-        th = np.linspace(0, 2 * np.pi, 20001)
-        pts = np.column_stack([np.cos(th), np.sin(th)])
-        nu = pts.copy()
-        dn = np.sum(-(pts - np.array([0.2, 0.1])) * nu, axis=1)
-        assert rep.min_value == pytest.approx(dn.min(), abs=1e-6)
-        assert rep.max_value == pytest.approx(dn.max(), abs=1e-6)
-        assert rep.passed == bool(dn.max() < 0.0)
-
-    def test_strict_negativity_holds_for_interior_anchor(self):
-        dom = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), 0.5)
-        assert dh.check_normal_sign(dom).passed
-
-
 class TestPhiExtremes:
     def test_interval_against_dense_sampling(self):
         dom = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
-        phi_min, phi_max_out = dh.phi_extremes(dom)
+        phi_min, phi_max_out = phi_extremes(dom)
         xs = np.linspace(0.0, 1.0, 200001)
         phi = -(xs - 0.5) ** 2 / 4.0
         outside = (xs <= 0.3) | (xs >= 0.7)
@@ -135,7 +84,7 @@ class TestPhiExtremes:
 
     def test_disk_against_dense_sampling(self):
         dom = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.1, 0.0), (0.1, 0.0), 0.4)
-        phi_min, phi_max_out = dh.phi_extremes(dom)
+        phi_min, phi_max_out = phi_extremes(dom)
         r, th = np.meshgrid(np.linspace(0.0, 1.0, 1501),
                             np.linspace(0.0, 2 * np.pi, 3001))
         pts = np.column_stack([(r * np.cos(th)).ravel(), (r * np.sin(th)).ravel()])
@@ -143,23 +92,6 @@ class TestPhiExtremes:
         outside = np.hypot(pts[:, 0] - 0.1, pts[:, 1]) >= 0.4
         assert phi_min == pytest.approx(phi.min(), abs=1e-5)
         assert phi_max_out == pytest.approx(phi[outside].max(), abs=1e-5)
-
-
-class TestUpsilonAndBigPhi:
-    def test_upsilon_values_and_range(self, params):
-        assert dh.upsilon(params, 0.0) == pytest.approx(1.5)
-        assert dh.upsilon(params, 1.0) == pytest.approx(0.5)
-        with pytest.raises(dh.UsageError):
-            dh.upsilon(params, -0.1)
-        with pytest.raises(dh.UsageError):
-            dh.upsilon(params, 1.1)
-
-    def test_big_phi_spot_value(self, params):
-        dom = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
-        # Phi = s phi / Upsilon at x=0, t=1: 0.5 * (-1/16) / 0.5
-        bp = dh.big_phi(params, dom, np.array([[0.0]]), 1.0)
-        assert bp.Phi == pytest.approx([-1.0 / 16.0])
-        assert bp.Upsilon == pytest.approx(0.5)
 
 
 class TestTangentialGradient:

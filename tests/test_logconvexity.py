@@ -15,13 +15,13 @@ from conftest import smooth_random_state, unit_random_state
 class TestWeightedOperators:
     def test_B_is_similarity_transform_of_A(self, iv_small_ops, params):
         """Dense oracle: B = diag(E) A diag(1/E)."""
-        w = dh.build_weighted_operators(iv_small_ops, params, 0.3)
+        w = lc.build_weighted_operators(iv_small_ops, params, 0.3)
         dense_B = w.E[:, None] * iv_small_ops.dense_A() / w.E[None, :]
         x = unit_random_state(iv_small_ops, 40).values
         assert w.apply_B(x) == pytest.approx(dense_B @ x, rel=1e-12, abs=1e-13)
 
     def test_B_star_is_mass_adjoint_of_B(self, iv_small_ops, params):
-        w = dh.build_weighted_operators(iv_small_ops, params, 0.3)
+        w = lc.build_weighted_operators(iv_small_ops, params, 0.3)
         rng = np.random.default_rng(41)
         u = rng.standard_normal(iv_small_ops.n_dofs)
         v = rng.standard_normal(iv_small_ops.n_dofs)
@@ -30,7 +30,7 @@ class TestWeightedOperators:
 
     def test_splitting_symmetry_classes(self, iv_small_ops, params):
         ops = iv_small_ops
-        w = dh.build_weighted_operators(ops, params, 0.7)
+        w = lc.build_weighted_operators(ops, params, 0.7)
         rng = np.random.default_rng(42)
         u = rng.standard_normal(ops.n_dofs)
         v = rng.standard_normal(ops.n_dofs)
@@ -40,14 +40,14 @@ class TestWeightedOperators:
             -ops.inner(u, w.apply_Aanti(v)), rel=1e-12, abs=1e-13)
 
     def test_splitting_recomposes_P1(self, iv_small_ops, params):
-        w = dh.build_weighted_operators(iv_small_ops, params, 0.7)
+        w = lc.build_weighted_operators(iv_small_ops, params, 0.7)
         x = unit_random_state(iv_small_ops, 43).values
         recomposed = w.apply_S(x) + w.apply_Aanti(x)
         assert recomposed == pytest.approx(w.apply_P1(x), rel=1e-12, abs=1e-14)
 
     def test_neg_S_form_matches_operator_action(self, iv_small_ops, params):
         ops = iv_small_ops
-        w = dh.build_weighted_operators(ops, params, 0.2)
+        w = lc.build_weighted_operators(ops, params, 0.2)
         x = unit_random_state(ops, 44).values
         assert w.neg_S_form(x) == pytest.approx(-ops.inner(w.apply_S(x), x),
                                                 rel=1e-11)
@@ -55,17 +55,17 @@ class TestWeightedOperators:
     def test_time_window_enforced(self, iv_small_ops, params):
         for bad_t in (-0.1, params.T + 0.1):
             with pytest.raises(dh.UsageError):
-                dh.build_weighted_operators(iv_small_ops, params, bad_t)
+                lc.build_weighted_operators(iv_small_ops, params, bad_t)
 
     def test_exponent_overflow_guard(self):
         dom = dh.DomainSpec.interval(0.0, 100.0, 50.0, 40.0, 60.0)
         ops = dh.assemble_operator(dh.build_grid(dom, n=8))
         tight = dh.WeightParams(s=0.5, h=1e-4, T=1.0)
         with pytest.raises(dh.ParameterError):
-            dh.build_weighted_operators(ops, tight, tight.T)
+            lc.build_weighted_operators(ops, tight, tight.T)
 
     def test_frequency_of_zero_state_is_degenerate(self, iv_small_ops, params):
-        w = dh.build_weighted_operators(iv_small_ops, params, 0.5)
+        w = lc.build_weighted_operators(iv_small_ops, params, 0.5)
         with pytest.raises(dh.DegenerateDataError):
             lc.frequency(w, np.zeros(iv_small_ops.n_dofs))
         x = unit_random_state(iv_small_ops, 45).values
@@ -81,7 +81,7 @@ class TestSPrimeOracle:
     def test_matches_exact_commutator_form(self, iv_ops, params, t):
         ops = iv_ops
         F = unit_random_state(ops, 46).values
-        w = dh.build_weighted_operators(ops, params, t)
+        w = lc.build_weighted_operators(ops, params, t)
         ups = params.T - t + params.h
         bundle = geometry.weight_phi_bundle(ops.grid.domain, ops.grid.points)
         d_prime = params.s * bundle.phi / ups ** 3
@@ -326,7 +326,7 @@ class TestBlockTrace:
         F = unit_random_state(iv_ops, 63).values
         assert lc.s_prime_form(iv_ops, params, t, F) == _frozen_s_prime(iv_ops, params, t, F)
         assert lc.commutator_form(iv_ops, params, t, F) == _frozen_Q(iv_ops, params, t, F)
-        w = dh.build_weighted_operators(iv_ops, params, t)
+        w = lc.build_weighted_operators(iv_ops, params, t)
         assert w.neg_S_form(F) == _frozen_neg_S(iv_ops, *_frozen_weights(iv_ops, params, t), F)
 
     @pytest.mark.parametrize("which", ["iv", "disk"])
@@ -403,7 +403,7 @@ class TestSharedFormKernel:
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_block_forms_equal_frozen_forms(self, request, params, which, t):
         ops = request.getfixturevalue(which)
-        w = dh.build_weighted_operators(ops, params, t)
+        w = lc.build_weighted_operators(ops, params, t)
         E, d = _frozen_weights(ops, params, t)
         F = np.asfortranarray(np.random.default_rng(66).standard_normal((ops.n_dofs, 4)))
         neg_S = np.array([_frozen_neg_S(ops, E, d, f) for f in F.T])
@@ -599,6 +599,11 @@ class TestObservabilityFit:
             fit.kappa0(0.0, 0.1)
         with pytest.raises(dh.UsageError):
             fit.kappa0(0.5, 0.0)
+        # eps^delta below, then above the float range; e^{M2/horizon} above it
+        steep = dataclasses.replace(fit, delta=2.0)
+        for f, horizon, eps in ((fit, 0.5, 1e-320), (steep, 0.5, 1e200), (fit, 1e-3, 0.1)):
+            with pytest.raises(dh.NumericalError, match=f"beta=0.5, delta={f.delta}, M1=2.0"):
+                f.kappa0(horizon, eps)
 
     def test_identical_ensemble_fails_fit(self, iv_small_ops, sched):
         st = unit_random_state(iv_small_ops, 60)

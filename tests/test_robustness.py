@@ -1,6 +1,7 @@
 """Every stage on generated tiny interval configs either runs or exits with
 a named reason: exit codes stay in {0, 1, 2, 3}, no stage ends in a
-traceback, and exit 1 always comes with a failed flag in its artifact."""
+traceback or raises a RuntimeWarning, and exit 1 always comes with a
+failed flag in its artifact."""
 
 import contextlib
 import io
@@ -8,8 +9,9 @@ import json
 import os
 import tempfile
 import traceback
+import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynheat.cli import main
 
@@ -37,17 +39,9 @@ def _failed_flag(stage, out):
     return not doc("report.json")["all_passed"]
 
 
-@st.composite
-def interval_configs(draw):
-    # omega and the anchor are valid (lo < x0 < hi inside (0, 1)); the
-    # other keys reach every configuration error on their own
-    lo, x0, hi = sorted(draw(st.lists(st.integers(1, 19), min_size=3, max_size=3,
-                                      unique=True)))
-    T = draw(st.sampled_from([0.05, 0.1, 0.2]))
-    steps = draw(st.integers(1, 10))
-    eps = draw(st.lists(st.sampled_from(["0.3", "0.1", "0.02", "1e-200"]),
-                        min_size=1, max_size=2))
-    kappa = draw(st.sampled_from(["auto", "1.0", "50.0", "1e200", "1e-300"]))
+def _config(lo, x0, hi, T, steps, eps, kappa, n, s, h_weight, ell, scheme,
+            tau, cg_maxit, count, seed):
+    """Interval config text; lo, x0, hi and tau are in twentieths."""
     return f"""\
 [domain]
 kind = interval
@@ -60,34 +54,68 @@ lo = {lo / 20}
 hi = {hi / 20}
 
 [grid]
-n = {draw(st.integers(3, 24))}
+n = {n}
 
 [weight]
-s = {draw(st.sampled_from([0.1, 0.5, 0.9]))}
-h_weight = {draw(st.sampled_from([0.01, 0.1, 0.5]))}
-ell = {draw(st.sampled_from([1.0, 2.0, 4.0]))}
+s = {s}
+h_weight = {h_weight}
+ell = {ell}
 
 [time]
 T = {T}
 dt = {T / steps!r}
-scheme = {draw(st.sampled_from(["crank_nicolson", "backward_euler"]))}
+scheme = {scheme}
 
 [impulse]
-tau = {draw(st.integers(0, 20)) / 20 * T}
+tau = {tau / 20 * T}
 
 [control]
 eps = {", ".join(eps)}
 kappa = {kappa}
-cg_maxit = {draw(st.sampled_from([2, 400]))}
+cg_maxit = {cg_maxit}
 
 [ensemble]
-count = {draw(st.integers(0, 6))}
-seed = {draw(st.integers(0, 9999))}
+count = {count}
+seed = {seed}
 """
+
+
+@st.composite
+def interval_configs(draw):
+    # omega and the anchor are valid (lo < x0 < hi inside (0, 1)); the
+    # other keys reach every configuration error on their own
+    lo, x0, hi = sorted(draw(st.lists(st.integers(1, 19), min_size=3, max_size=3,
+                                      unique=True)))
+    return _config(
+        lo, x0, hi,
+        T=draw(st.sampled_from([0.05, 0.1, 0.2])),
+        steps=draw(st.integers(1, 10)),
+        eps=draw(st.lists(st.sampled_from(["0.3", "0.1", "0.02", "1e-200"]),
+                          min_size=1, max_size=2)),
+        kappa=draw(st.sampled_from(["auto", "1.0", "50.0", "1e200", "1e-300"])),
+        n=draw(st.integers(3, 24)),
+        s=draw(st.sampled_from([0.1, 0.5, 0.9])),
+        h_weight=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        ell=draw(st.sampled_from([1.0, 2.0, 4.0])),
+        scheme=draw(st.sampled_from(["crank_nicolson", "backward_euler"])),
+        tau=draw(st.integers(0, 20)),
+        cg_maxit=draw(st.sampled_from([2, 400])),
+        count=draw(st.integers(0, 6)),
+        seed=draw(st.integers(0, 9999)))
+
+
+_BASE = dict(lo=6, x0=10, hi=14, T=0.2, steps=10, kappa="auto", n=16, s=0.5,
+             h_weight=0.5, ell=2.0, scheme="backward_euler", tau=10,
+             cg_maxit=400, count=3, seed=7)
 
 
 @settings(max_examples=25, deadline=None)
 @given(config=interval_configs())
+# eps^delta leaves the float range in the fitted kappa seed
+@example(config=_config(eps=["1e-200"], **_BASE))
+@example(config=_config(eps=["1e200"], **_BASE))
+# a log-log slope through two rows that share one eps
+@example(config=_config(eps=["0.1", "0.1"], **_BASE))
 def test_every_stage_exits_with_a_named_reason(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
@@ -97,7 +125,10 @@ def test_every_stage_exits_with_a_named_reason(config):
         for stage in PIPELINE:
             err = io.StringIO()
             try:
-                with contextlib.redirect_stderr(err):
+                # a RuntimeWarning (numpy's RankWarning is one) marks a
+                # number the stage did not check
+                with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
                     code = main([stage, "--config", path, "--out", out])
             except Exception:
                 raise AssertionError(f"{stage} raised:\n{traceback.format_exc()}\n{config}")
