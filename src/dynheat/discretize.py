@@ -313,35 +313,25 @@ def _edges_disk(grid):
     nr, ntheta = grid.shape
     dr, dtheta = grid.spacing
     n_int = nr * ntheta
-    edges = []
-    weights = []
-
-    def ring(i, j):
-        return i * ntheta + j
-
     j = np.arange(ntheta)
-    # radial fluxes between consecutive rings, weighted by the edge radius
-    for i in range(nr - 1):
-        edges.append(np.column_stack([ring(i, j), ring(i + 1, j)]))
-        weights.append(np.full(ntheta, (i + 1) * dr * dtheta / dr))
-    # radial flux from the last ring into the boundary ring
-    edges.append(np.column_stack([ring(nr - 1, j), n_int + j]))
-    weights.append(np.full(ntheta, nr * dr * dtheta / dr))
-    # angular fluxes within each ring
     jn = (j + 1) % ntheta
-    for i in range(nr):
-        r = (i + 0.5) * dr
-        edges.append(np.column_stack([ring(i, j), ring(i, jn)]))
-        weights.append(np.full(ntheta, dr / (r * dtheta)))
-    # angular flux of the outermost half cell, carried by the boundary nodes
+    # radial fluxes from ring i to ring i + 1 (the boundary ring for
+    # i = nr - 1, its nodes at n_int + j), weighted by the edge radius
+    inner = np.arange(n_int)
+    radial = np.column_stack([inner, inner + ntheta])
+    g_radial = np.arange(1, nr + 1) * dr * dtheta / dr
+    # angular fluxes within each interior ring, then twice along the
+    # boundary ring: the outermost half cell and the Laplace-Beltrami
+    # coupling
+    rings = np.append(np.arange(nr + 1), nr)[:, None] * ntheta
+    angular = np.column_stack([(rings + j).ravel(), (rings + jn).ravel()])
+    r = (np.arange(nr) + 0.5) * dr
     r_half = (nr + 0.25) * dr
-    edges.append(np.column_stack([n_int + j, n_int + jn]))
-    weights.append(np.full(ntheta, 0.5 * dr / (r_half * dtheta)))
-    # Laplace-Beltrami coupling along the boundary ring
-    edges.append(np.column_stack([n_int + j, n_int + jn]))
-    weights.append(np.full(ntheta, 1.0 / (grid.domain.radius * dtheta)))
-
-    return np.vstack(edges), np.concatenate(weights)
+    g_angular = np.concatenate([dr / (r * dtheta),
+                                [0.5 * dr / (r_half * dtheta),
+                                 1.0 / (grid.domain.radius * dtheta)]])
+    return (np.vstack([radial, angular]),
+            np.repeat(np.concatenate([g_radial, g_angular]), ntheta))
 
 
 def assemble_operator(grid):

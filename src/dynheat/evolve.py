@@ -18,10 +18,16 @@ boundary and the effective value is reported.
 Propagator is the one place where the flow advances, for single states and
 for blocks of states alike.
 
-Linear systems use a symmetric iterative solver (conjugate gradients with
-Jacobi preconditioning, relative tolerance 1e-12) with a direct sparse
-factorization on small grids, where it is both faster and a little more
-accurate.
+Every step solve is exact up to rounding.  Interval grids and disk grids
+up to DIRECT_SOLVE_MAX_DOFS unknowns take a SuperLU factorization of the
+step matrix; a tridiagonal matrix has no fill, so the interval takes it at
+every size.  Larger disk grids take a structured solve: every ring carries
+ntheta nodes with ring-only weights, so the step matrix is block-circulant
+in theta.  A real FFT over theta splits it into ntheta/2 + 1 tridiagonal
+systems in r, one per Fourier mode, and one Thomas sweep over the rings
+solves them all (Hockney, J. ACM 12, 1965; Swarztrauber, SIAM J. Numer.
+Anal. 11, 1974).  On small disks SuperLU's factor and solve are the
+faster of the two.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .errors import ConfigurationError, NumericalError
 
 SCHEMES = ("crank_nicolson", "backward_euler")
 DIRECT_SOLVE_MAX_DOFS = 20000
+_STRUCTURED_RESIDUAL_TOL = 1e-10
 _DT_DIVISION_RTOL = 1e-9
 
 
@@ -88,60 +95,119 @@ class ImpulseEvent:
         object.__setattr__(self, "payload", np.asarray(self.payload, dtype=float))
 
 
+class _DiskSolver:
+    """Exact solve of (diag(mass) + c K) x = b on a disk grid.
+
+    Nodes are ring-major, the boundary ring last, so a state reshapes to
+    (nr + 1, ntheta).  The ring coefficients are read from the assembled K
+    at each ring's theta = 0 node: the diagonal, the angular coupling to
+    the next node in theta and the radial coupling to the next ring.  A
+    real FFT over theta turns the circulant angular coupling into the
+    diagonal factor 2 cos(2 pi k / ntheta) per mode k; each mode leaves an
+    SPD, strictly diagonally dominant tridiagonal system in r, factorized
+    here once without pivoting.  The sweep acts on the real and imaginary
+    parts of every column alone with elementwise operations, so a block
+    equals its per-column solves bit for bit.  Construction solves one
+    fixed vector, checks it against K itself and raises NumericalError
+    when the relative residual exceeds 1e-10, as it does for a K that is
+    not theta-invariant.
+    """
+
+    def __init__(self, ops, c):
+        nr, ntheta = ops.grid.shape
+        self._shape = (nr + 1, ntheta)
+        first = np.arange(nr + 1) * ntheta
+        K = ops.K
+        diag = np.asarray(K[first, first]).ravel()
+        angular = -np.asarray(K[first, first + 1]).ravel()
+        radial = -np.asarray(K[first[:-1], first[1:]]).ravel()
+        # diag - 2 angular cos(phi) as (diag - 2 angular) + 4 angular
+        # sin^2(phi / 2): on the inner rings the angular weights dwarf the
+        # radial ones, and there the first difference is exact (Sterbenz),
+        # so the low modes keep their small radial part
+        half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
+        d = (ops.mass[first] + c * (diag - 2.0 * angular))[:, None] \
+            + (4.0 * c * angular)[:, None] * half
+        self._off = -c * radial
+        for i in range(1, nr + 1):
+            d[i] -= self._off[i - 1] ** 2 / d[i - 1]
+        # the pivots d and multipliers off / d, each repeated for the real
+        # and the imaginary part of a mode
+        self._pivot = np.repeat(d, 2, axis=1)
+        self._mult = np.repeat(self._off[:, None] / d[:-1], 2, axis=1)
+
+        b = np.random.default_rng(0).standard_normal(ops.n_dofs)
+        x = self(b)
+        # sums of squares, not np.linalg.norm: BLAS may start its thread
+        # pool for a vector this long, which costs more than the solve
+        r = ops.mass * x + c * (K @ x) - b
+        residual = np.sqrt(np.sum(r * r) / np.sum(b * b))
+        if not residual <= _STRUCTURED_RESIDUAL_TOL:
+            raise NumericalError(
+                f"structured step solve misses M + cK on the {nr}x{ntheta} disk: "
+                f"relative residual {residual:.3e} > {_STRUCTURED_RESIDUAL_TOL:g}")
+
+    def __call__(self, rhs):
+        """x for a right-hand side (n,) or a block (n, m), same shape;
+        a block comes back in Fortran order."""
+        rings, ntheta = self._shape
+        F = np.fft.rfft(np.ascontiguousarray(rhs.T).reshape(-1, rings, ntheta), axis=-1)
+        Y = F.view(np.float64)
+        for i in range(1, rings):
+            Y[:, i] -= self._mult[i - 1] * Y[:, i - 1]
+        Y[:, -1] /= self._pivot[-1]
+        for i in range(rings - 2, -1, -1):
+            Y[:, i] -= self._off[i] * Y[:, i + 1]
+            Y[:, i] /= self._pivot[i]
+        x = np.fft.irfft(F, n=ntheta, axis=-1)
+        return x.reshape(rhs.shape[::-1]).T
+
+
 class Propagator:
     """Prefactorized step solver for one (ops, dt, scheme) triple.
 
     step, trajectory and flow take a state (n,) or a block of states
-    (n, m), one per column, and return the same shape.
+    (n, m), one per column, and return the same shape.  Disk grids above
+    DIRECT_SOLVE_MAX_DOFS unknowns take the structured FFT/Thomas solve,
+    every other grid SuperLU (see the module docstring).
     """
 
-    def __init__(self, ops, dt, scheme="crank_nicolson", direct_max_dofs=DIRECT_SOLVE_MAX_DOFS):
+    def __init__(self, ops, dt, scheme="crank_nicolson"):
         if scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
         self.ops = ops
         self.dt = float(dt)
         self.scheme = scheme
-        M = sp.diags(ops.mass)
         c = 0.5 * self.dt if scheme == "crank_nicolson" else self.dt
-        self._lhs = (M + c * ops.K).tocsc()
         self._rhs_c = 0.5 * self.dt if scheme == "crank_nicolson" else 0.0
-        self._direct = ops.n_dofs <= direct_max_dofs
-        if self._direct:
-            try:
-                self._solve = spla.splu(self._lhs).solve
-            except RuntimeError as exc:
-                raise NumericalError(f"factorization of the step matrix failed: {exc}") from exc
-        else:
-            ilu_diag = self._lhs.diagonal()
-            self._precond = spla.LinearOperator(self._lhs.shape, lambda x: x / ilu_diag)
-            self._lhs_csr = self._lhs.tocsr()
+        self._structured = (ops.grid.domain.kind == "disk"
+                            and ops.n_dofs > DIRECT_SOLVE_MAX_DOFS)
+        if self._structured:
+            self._solve = _DiskSolver(ops, c)
+            return
+        try:
+            self._solve = spla.splu((sp.diags(ops.mass) + c * ops.K).tocsc()).solve
+        except RuntimeError as exc:
+            raise NumericalError(f"factorization of the step matrix failed: {exc}") from exc
 
     def step(self, u, columnwise=False):
         """Advance one step of a state (n,) or a block of states (n, m).
 
-        A block's direct solve takes SuperLU's multi-column path, whose
-        level-3 BLAS kernels can round a column differently from a
-        one-state solve; columnwise=True solves each column alone, so every
-        column carries exactly the bits of a one-state step.
+        A block's SuperLU solve takes the multi-column path, whose level-3
+        BLAS kernels can round a column differently from a one-state solve;
+        columnwise=True solves each column alone, so every column carries
+        exactly the bits of a one-state step.  The structured solve treats
+        every column alone anyway, so there columnwise changes nothing.
         """
         mass = self.ops.mass if u.ndim == 1 else self.ops.mass[:, None]
         rhs = mass * u
         if self._rhs_c:
             rhs -= self._rhs_c * self.ops.apply_K(u)
-        solve = self._solve if self._direct else self._cg
-        if rhs.ndim == 1 or (self._direct and not columnwise):
-            return solve(rhs)
-        # cg is 1-D only; stacking rows and transposing keeps each column
-        # contiguous (Fortran order), as the block direct solve returns it
-        return np.array([solve(b) for b in rhs.T]).T
-
-    def _cg(self, rhs):
-        out, info = spla.cg(self._lhs_csr, rhs, rtol=1e-12, atol=0.0,
-                            M=self._precond, maxiter=10 * self.ops.n_dofs)
-        if info != 0:
-            raise NumericalError(
-                f"step solve failed to converge (cg info={info}, n={self.ops.n_dofs})")
-        return out
+        if rhs.ndim == 1 or self._structured or not columnwise:
+            return self._solve(rhs)
+        # stacking rows and transposing keeps each column contiguous
+        # (Fortran order), as the block solve returns it
+        return np.array([self._solve(b) for b in rhs.T]).T
 
     def trajectory(self, u, steps, columnwise=False):
         """Yield U_0, ..., U_steps of the flow from u, (n,) or (n, m).

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dynheat as dh
+from dynheat.discretize import OperatorSet
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,13 @@ def smooth_random_state(ops, seed, n_burn=20, dt_burn=5e-3):
     u = rng.standard_normal(ops.n_dofs)
     u = prop.flow(u, n_burn)
     return dh.State(ops.grid, u / ops.norm(u))
+
+
+def theta_broken(ops):
+    """Disk ops with one diagonal entry of K doubled, off ring 2's theta = 0
+    node: K is no longer invariant under rotation in theta."""
+    K = ops.K.copy()
+    node = 2 * ops.grid.shape[1] + 3
+    K[node, node] *= 2.0
+    return OperatorSet(grid=ops.grid, mass=ops.mass.copy(), K=K,
+                       incidence=ops.incidence, edge_weights=ops.edge_weights.copy())

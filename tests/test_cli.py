@@ -4,9 +4,12 @@ import os
 
 import pytest
 
-from dynheat import FitFailureError, logconvexity as lc
+from dynheat import FitFailureError, cli, evolve, logconvexity as lc
 from dynheat.cli import main
+from dynheat.discretize import assemble_operator
 from dynheat.reporting import canonical_json
+
+from conftest import theta_broken
 
 CONFIG = """\
 [domain]
@@ -43,6 +46,38 @@ cg_maxit = 400
 
 [ensemble]
 count = 6
+seed = 7
+"""
+
+DISK_CONFIG = """\
+[domain]
+kind = disk
+center = 0.0, 0.0
+radius = 1.0
+x0 = 0.0, 0.0
+
+[omega]
+center = 0.0, 0.0
+radius = 0.5
+
+[grid]
+nr = 6
+ntheta = 16
+
+[weight]
+s = 0.5
+h_weight = 0.5
+ell = 2.0
+
+[time]
+T = 0.1
+dt = 0.02
+
+[impulse]
+tau = 0.04
+
+[ensemble]
+count = 3
 seed = 7
 """
 
@@ -262,6 +297,21 @@ class TestFailureArtifact:
         assert report["simulate"]["contraction"] is True
         assert report["failure"]["stage"] == "control"
         assert report["failure"]["error"] == "NumericalError"
+
+    def test_structured_solve_check_is_a_numerical_exit(self, tmp_path, monkeypatch):
+        """A K that is not theta-invariant fails the structured disk solve's
+        construction check instead of flowing with the wrong matrix."""
+        path = tmp_path / "disk.ini"
+        path.write_text(DISK_CONFIG)
+        monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
+        monkeypatch.setattr(cli, "assemble_operator",
+                            lambda grid: theta_broken(assemble_operator(grid)))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        assert os.listdir(out) == ["failure.json"]
+        doc = json.loads((out / "failure.json").read_text())
+        assert doc["stage"] == "simulate" and doc["error"] == "NumericalError"
+        assert doc["message"].startswith("structured step solve misses M + cK on the 6x16 disk")
 
     def test_other_exits_write_none(self, pipeline_dir, tmp_path):
         out, codes = pipeline_dir

@@ -5,6 +5,7 @@ from scipy.optimize import brentq
 from scipy.special import jv, jvp
 
 import dynheat as dh
+from dynheat import discretize
 
 from conftest import unit_random_state
 
@@ -98,6 +99,20 @@ class TestOperatorStructure:
         expect = ops.incidence.T @ (g * (ops.incidence @ u))
         assert np.array_equal(ops.apply_K(u), expect)
 
+    @pytest.mark.parametrize("nr, ntheta", [(2, 4), (6, 16), (128, 160)])
+    def test_disk_edges_match_the_ring_loop(self, disk_domain, monkeypatch, nr, ntheta):
+        """The vectorised disk edges are the ring-by-ring loop's, in order and
+        to the bit, so K is unchanged to the last bit."""
+        grid = dh.build_grid(disk_domain, nr=nr, ntheta=ntheta)
+        edges, g = discretize._edges_disk(grid)
+        loop_edges, loop_g = ring_loop_edges(grid)
+        assert np.array_equal(edges, loop_edges) and np.array_equal(g, loop_g)
+        K = dh.assemble_operator(grid).K
+        monkeypatch.setattr(discretize, "_edges_disk", ring_loop_edges)
+        loop_K = dh.assemble_operator(grid).K
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(K, name), getattr(loop_K, name))
+
     def test_interval_stencil_against_literal_second_difference(self, iv_domain):
         """Oracle: interior rows of K act as (2u_i - u_{i-1} - u_{i+1})/dx."""
         grid = dh.build_grid(iv_domain, n=9)
@@ -111,6 +126,31 @@ class TestOperatorStructure:
             assert ku[i] == pytest.approx(expect, rel=1e-13, abs=1e-13)
         assert ku[0] == pytest.approx((u[0] - u[1]) / dx, rel=1e-13)
         assert ku[-1] == pytest.approx((u[-1] - u[-2]) / dx, rel=1e-13)
+
+
+def ring_loop_edges(grid):
+    """Reference disk edges and weights, built one ring at a time."""
+    nr, ntheta = grid.shape
+    dr, dtheta = grid.spacing
+    n_int = nr * ntheta
+    edges, weights = [], []
+    j = np.arange(ntheta)
+    jn = (j + 1) % ntheta
+    for i in range(nr - 1):
+        edges.append(np.column_stack([i * ntheta + j, (i + 1) * ntheta + j]))
+        weights.append(np.full(ntheta, (i + 1) * dr * dtheta / dr))
+    edges.append(np.column_stack([(nr - 1) * ntheta + j, n_int + j]))
+    weights.append(np.full(ntheta, nr * dr * dtheta / dr))
+    for i in range(nr):
+        r = (i + 0.5) * dr
+        edges.append(np.column_stack([i * ntheta + j, i * ntheta + jn]))
+        weights.append(np.full(ntheta, dr / (r * dtheta)))
+    r_half = (nr + 0.25) * dr
+    edges.append(np.column_stack([n_int + j, n_int + jn]))
+    weights.append(np.full(ntheta, 0.5 * dr / (r_half * dtheta)))
+    edges.append(np.column_stack([n_int + j, n_int + jn]))
+    weights.append(np.full(ntheta, 1.0 / (grid.domain.radius * dtheta)))
+    return np.vstack(edges), np.concatenate(weights)
 
 
 class TestSpectrumAgainstContinuum:

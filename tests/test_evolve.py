@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 import dynheat as dh
+from dynheat import evolve
 
-from conftest import unit_random_state
+from conftest import theta_broken, unit_random_state
 
 
 class TestSchedule:
@@ -37,42 +39,46 @@ class TestSchedule:
 
 
 # a single state (n,) or a block of three states (n, 3), per scheme, through
-# the direct solve or the conjugate-gradient branch
+# SuperLU on the interval or through the structured solve on a disk
 STEP_CASES = [
-    pytest.param(scheme, columns, direct,
-                 id=scheme + ("-block" if columns else "") + ("" if direct else "-cg"))
-    for direct in (True, False)
+    pytest.param(scheme, columns, structured,
+                 id=scheme + ("-block" if columns else "")
+                 + ("-structured" if structured else ""))
+    for structured in (False, True)
     for scheme in ("crank_nicolson", "backward_euler")
     for columns in (None, 3)]
+
+
+def dense_step(ops, dt, scheme, u0):
+    """One step by a dense solve of the step matrix M + c K."""
+    M = np.diag(ops.mass)
+    K = ops.K.toarray()
+    if scheme == "crank_nicolson":
+        lhs, rhs = M + 0.5 * dt * K, (M - 0.5 * dt * K) @ u0
+    else:
+        lhs, rhs = M + dt * K, M @ u0
+    return np.linalg.solve(lhs, rhs)
 
 
 class TestSingleStepOracle:
     """One step must equal the dense linear solve it abbreviates."""
 
-    @pytest.mark.parametrize("scheme, columns, direct", STEP_CASES)
-    def test_step_matches_dense_solve(self, iv_small_ops, scheme, columns,
-                                      direct):
-        ops = iv_small_ops
+    @pytest.mark.parametrize("scheme, columns, structured", STEP_CASES)
+    def test_step_matches_dense_solve(self, iv_small_ops, disk_ops, monkeypatch,
+                                      scheme, columns, structured):
+        if structured:
+            # route the small disk onto the path of the large ones
+            monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
+        ops = disk_ops if structured else iv_small_ops
         dt = 0.05
         rng = np.random.default_rng(21)
         u0 = rng.standard_normal((ops.n_dofs,) if columns is None
                                  else (ops.n_dofs, columns))
-        prop = dh.Propagator(ops, dt, scheme,
-                             direct_max_dofs=ops.n_dofs if direct else 0)
+        prop = dh.Propagator(ops, dt, scheme)
+        assert prop._structured == structured
         got = prop.step(u0)
         assert got.shape == u0.shape
-
-        M = np.diag(ops.mass)
-        K = ops.K.toarray()
-        if scheme == "crank_nicolson":
-            lhs, rhs = M + 0.5 * dt * K, (M - 0.5 * dt * K) @ u0
-        else:
-            lhs, rhs = M + dt * K, M @ u0
-        expect = np.linalg.solve(lhs, rhs)
-        if direct:
-            assert got == pytest.approx(expect, rel=1e-12, abs=1e-13)
-        else:
-            assert got == pytest.approx(expect, rel=1e-9, abs=1e-11)
+        assert got == pytest.approx(dense_step(ops, dt, scheme, u0), rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
     def test_step_is_mass_self_adjoint(self, iv_small_ops, scheme):
@@ -84,11 +90,69 @@ class TestSingleStepOracle:
         assert ops.inner(prop.step(u), v) == pytest.approx(
             ops.inner(u, prop.step(v)), rel=1e-11)
 
-    def test_iterative_branch_agrees_with_direct(self, iv_ops):
-        u0 = unit_random_state(iv_ops, 23).values
-        direct = dh.Propagator(iv_ops, 0.01).step(u0)
-        iterative = dh.Propagator(iv_ops, 0.01, direct_max_dofs=0).step(u0)
-        assert iterative == pytest.approx(direct, rel=1e-9, abs=1e-11)
+    def test_interval_above_the_disk_threshold_takes_superlu(self, iv_domain):
+        """A tridiagonal step matrix has no fill, so the interval keeps the
+        direct solve at every size."""
+        ops = dh.assemble_operator(dh.build_grid(iv_domain, n=20010))
+        assert ops.n_dofs > evolve.DIRECT_SOLVE_MAX_DOFS
+        # two backward-stable solves agree to about the condition number
+        # times the rounding unit; in the mass norm that is 1 + c 4/dx^2,
+        # 8e3 at this dt (and 8e5 at dt = 1e-3, where they part at 2e-12)
+        dt = 1e-5
+        u0 = np.random.default_rng(34).standard_normal(ops.n_dofs)
+        prop = dh.Propagator(ops, dt)
+        assert not prop._structured
+        got = prop.step(u0)
+
+        c = 0.5 * dt
+        main, off = ops.K.diagonal(), ops.K.diagonal(1)
+        rhs = ops.mass * u0 - c * (main * u0)
+        rhs[:-1] -= c * off * u0[1:]
+        rhs[1:] -= c * off * u0[:-1]
+        bands = np.zeros((3, ops.n_dofs))
+        bands[0, 1:] = bands[2, :-1] = c * off
+        bands[1] = ops.mass + c * main
+        expect = sla.solve_banded((1, 1), bands, rhs)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+class TestStructuredSolve:
+    """The FFT/Thomas disk solve against a dense solve of M + c K, on small
+    disks routed onto it by lowering the threshold."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(nr=st.integers(2, 12), ntheta=st.integers(4, 40),
+           width=st.integers(1, 6),
+           scheme=st.sampled_from(["crank_nicolson", "backward_euler"]))
+    def test_block_equals_columns_and_dense_solve(self, disk_domain, nr, ntheta,
+                                                  width, scheme):
+        ops = dh.assemble_operator(dh.build_grid(disk_domain, nr=nr, ntheta=ntheta))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
+            prop = dh.Propagator(ops, 0.02, scheme)
+        block = np.asfortranarray(
+            np.random.default_rng(nr * 100 + ntheta).standard_normal((ops.n_dofs, width)))
+        got = prop.step(block)
+        assert got.flags.f_contiguous
+        for j in range(width):
+            assert np.array_equal(got[:, j], prop.step(block[:, j].copy()))
+        expect = dense_step(ops, 0.02, scheme, block)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_columnwise_is_the_block_solve(self, disk_ops, monkeypatch):
+        monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
+        prop = dh.Propagator(disk_ops, 0.05)
+        block = np.random.default_rng(35).standard_normal((disk_ops.n_dofs, 4))
+        assert np.array_equal(prop.step(block, columnwise=True), prop.step(block))
+
+    def test_k_off_theta_invariance_is_a_numerical_error(self, disk_ops, monkeypatch):
+        monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
+        broken = theta_broken(disk_ops)
+        with pytest.raises(dh.NumericalError, match=r"6x16 disk: relative residual"):
+            dh.Propagator(broken, 0.05)
+        # the same matrix is solved exactly through SuperLU
+        monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", broken.n_dofs)
+        dh.Propagator(broken, 0.05)
 
 
 class TestFlowProperties:

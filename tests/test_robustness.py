@@ -1,6 +1,6 @@
-"""Every stage on generated tiny interval configs either runs or exits with
-a named reason: exit codes stay in {0, 1, 2, 3}, no stage ends in a
-traceback or raises a RuntimeWarning, and exit 1 always comes with a
+"""Every stage on generated tiny interval and disk configs either runs or
+exits with a named reason: exit codes stay in {0, 1, 2, 3}, no stage ends
+in a traceback or raises a RuntimeWarning, and exit 1 always comes with a
 failed flag in its artifact."""
 
 import contextlib
@@ -109,20 +109,13 @@ _BASE = dict(lo=6, x0=10, hi=14, T=0.2, steps=10, kappa="auto", n=16, s=0.5,
              cg_maxit=400, count=3, seed=7)
 
 
-@settings(max_examples=25, deadline=None)
-@given(config=interval_configs())
-# eps^delta leaves the float range in the fitted kappa seed
-@example(config=_config(eps=["1e-200"], **_BASE))
-@example(config=_config(eps=["1e200"], **_BASE))
-# a log-log slope through two rows that share one eps
-@example(config=_config(eps=["0.1", "0.1"], **_BASE))
-def test_every_stage_exits_with_a_named_reason(config):
+def _check_stages(config, stages):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
         with open(path, "w") as fh:
             fh.write(config)
         out = os.path.join(tmp, "out")
-        for stage in PIPELINE:
+        for stage in stages:
             err = io.StringIO()
             try:
                 # a RuntimeWarning (numpy's RankWarning is one) marks a
@@ -136,3 +129,85 @@ def test_every_stage_exits_with_a_named_reason(config):
             assert "Traceback" not in err.getvalue(), (stage, err.getvalue(), config)
             if code == 1:
                 assert _failed_flag(stage, out), (stage, config)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=interval_configs())
+# eps^delta leaves the float range in the fitted kappa seed
+@example(config=_config(eps=["1e-200"], **_BASE))
+@example(config=_config(eps=["1e200"], **_BASE))
+# a log-log slope through two rows that share one eps
+@example(config=_config(eps=["0.1", "0.1"], **_BASE))
+def test_every_stage_exits_with_a_named_reason(config):
+    _check_stages(config, PIPELINE)
+
+
+
+DISK_STAGES = ("simulate", "observe", "commutator-check", "report")
+
+
+def _disk_config(nr, ntheta, omega, x0, T, steps, s, h_weight, ell, scheme,
+                 tau, count, seed):
+    """Disk config text on the unit disk; tau is in twentieths of T."""
+    return f"""\
+[domain]
+kind = disk
+center = 0.0, 0.0
+radius = 1.0
+x0 = {x0[0]}, {x0[1]}
+
+[omega]
+center = {omega[0]}, {omega[1]}
+radius = {omega[2]}
+
+[grid]
+nr = {nr}
+ntheta = {ntheta}
+
+[weight]
+s = {s}
+h_weight = {h_weight}
+ell = {ell}
+
+[time]
+T = {T}
+dt = {T / steps!r}
+scheme = {scheme}
+
+[impulse]
+tau = {tau / 20 * T}
+
+[ensemble]
+count = {count}
+seed = {seed}
+"""
+
+
+@st.composite
+def disk_configs(draw):
+    # the anchor sits at omega's centre, halfway to its rim or outside it;
+    # omega may hold no node of a coarse grid, a configuration error of its
+    # own, and only an anchor at the disk's centre passes commutator-check
+    ox, oy, radius = draw(st.sampled_from([(0.0, 0.0, 0.5), (0.0, 0.0, 0.2),
+                                           (0.3, -0.2, 0.4), (0.0, 0.0, 0.9)]))
+    shift = draw(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.5])) * radius
+    return _disk_config(
+        nr=draw(st.integers(2, 6)),
+        ntheta=draw(st.integers(4, 12)),
+        omega=(ox, oy, radius),
+        x0=(ox + shift, oy),
+        T=draw(st.sampled_from([0.05, 0.1, 0.2])),
+        steps=draw(st.integers(1, 10)),
+        s=draw(st.sampled_from([0.1, 0.5, 0.9])),
+        h_weight=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        ell=draw(st.sampled_from([1.0, 2.0, 4.0])),
+        scheme=draw(st.sampled_from(["crank_nicolson", "backward_euler"])),
+        tau=draw(st.integers(0, 20)),
+        count=draw(st.integers(0, 6)),
+        seed=draw(st.integers(0, 9999)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=disk_configs())
+def test_every_disk_stage_exits_with_a_named_reason(config):
+    _check_stages(config, DISK_STAGES)
