@@ -32,10 +32,13 @@ The ensemble is solved as one block.  A ControlOperator depends only on
 matrix once and reuses it for every kappa doubling, every eps level and
 every member.  Each doubling runs one block CG whose columns keep their
 own scalars and stopping tests, and inner products are taken on
-contiguous columns.  Flows advance the block through SuperLU's
-multi-column solve, so a member's result is bit-identical to a one-member
-synthesis wherever that solve rounds each column as a one-state solve
-does: checked on the interval, not guaranteed on large disk grids.
+contiguous columns.  A member's result is bit-identical to a one-member
+synthesis wherever the block step solve rounds each column as a one-state
+solve does.  That holds on disks above DIRECT_SOLVE_MAX_DOFS, whose
+structured solve treats each column alone, and is checked on the
+interval.  It is not guaranteed on SuperLU disks up to
+DIRECT_SOLVE_MAX_DOFS, whose multi-column solve can round a column
+differently (the 816-dof certify-disk grid).
 """
 
 from __future__ import annotations

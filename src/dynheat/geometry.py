@@ -27,21 +27,16 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidDomainError, UsageError
 
-_BOUNDARY_RTOL = 1e-9
-
 
 def _as_points(domain, x):
-    """Return points as an (m, dim) float array plus a scalar-input flag."""
+    """Return points as an (m, dim) float array."""
     arr = np.asarray(x, dtype=float)
     if domain.dim == 1:
-        scalar = arr.ndim == 0
-        pts = np.atleast_1d(arr).reshape(-1, 1)
-    else:
-        scalar = arr.ndim == 1
-        pts = np.atleast_2d(arr)
-        if pts.shape[1] != 2:
-            raise UsageError(f"disk points must have 2 coordinates, got shape {pts.shape}")
-    return pts, scalar
+        return np.atleast_1d(arr).reshape(-1, 1)
+    pts = np.atleast_2d(arr)
+    if pts.shape[1] != 2:
+        raise UsageError(f"disk points must have 2 coordinates, got shape {pts.shape}")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -141,36 +136,6 @@ class DomainSpec:
             return self.b - self.a, 2.0
         return np.pi * self.radius ** 2, 2.0 * np.pi * self.radius
 
-    def on_boundary(self, x):
-        pts, scalar = _as_points(self, x)
-        tol = _BOUNDARY_RTOL * max(1.0, self._scale())
-        if self.kind == "interval":
-            on = (np.abs(pts[:, 0] - self.a) <= tol) | (np.abs(pts[:, 0] - self.b) <= tol)
-        else:
-            d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-            on = np.abs(d - self.radius) <= tol
-        return bool(on[0]) if scalar else on
-
-    def outward_normal(self, x):
-        """Outward unit normal at boundary points; UsageError off the boundary."""
-        pts, scalar = _as_points(self, x)
-        on = self.on_boundary(pts if self.dim == 2 else pts[:, 0])
-        if not np.all(on):
-            raise UsageError("outward_normal requested at a point off the boundary")
-        if self.kind == "interval":
-            mid = self.interval_center
-            nrm = np.where(pts[:, 0] > mid, 1.0, -1.0).reshape(-1, 1)
-        else:
-            c = np.asarray(self.center)
-            v = pts - c
-            nrm = v / np.linalg.norm(v, axis=1, keepdims=True)
-        return nrm[0] if scalar else nrm
-
-    def _scale(self):
-        if self.kind == "interval":
-            return abs(self.a) + abs(self.b) + (self.b - self.a)
-        return abs(self.center[0]) + abs(self.center[1]) + self.radius
-
 
 @dataclass(frozen=True)
 class WeightParams:
@@ -205,22 +170,10 @@ class PhiBundle:
 
 def weight_phi_bundle(domain, x):
     """Evaluate phi = -|x-x0|^2/4 with gradient and (constant) Laplacian."""
-    pts, _ = _as_points(domain, x)
-    diff = pts - domain.x0_array.reshape(1, -1)
+    diff = _as_points(domain, x) - domain.x0_array.reshape(1, -1)
     phi = -0.25 * np.sum(diff * diff, axis=1)
     grad = -0.5 * diff
     return PhiBundle(phi=phi, grad=grad, laplacian=-0.5 * domain.dim)
-
-
-def phi_tangential_gradient(domain, x):
-    """Tangential part of grad phi at boundary points (zero for intervals)."""
-    pts, _ = _as_points(domain, x)
-    bundle = weight_phi_bundle(domain, pts)
-    if domain.kind == "interval":
-        return np.zeros_like(bundle.grad)
-    nrm = domain.outward_normal(pts)
-    normal_part = np.sum(bundle.grad * nrm, axis=1, keepdims=True) * nrm
-    return bundle.grad - normal_part
 
 
 def phi_extremes(domain):

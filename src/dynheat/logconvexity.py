@@ -20,7 +20,11 @@ exact discrete identity.  This module provides:
 * the weighted operator bundle at a given time (with an overflow guard on
   the exponent), acting on a state or a block of states; one kernel gives
   <-S F, F> and the pair (S F, Aanti F) from shared edge differences,
-* the frequency function and trace runner, which traces an ensemble as one
+* Q in closed form from that one kernel call: dE/dt = d E gives
+  S' = diag(d') + [diag(d), Aanti] exactly, and the skewness of Aanti
+  turns <S' F, F> into <d' F, F> + 2 <d F, Aanti F>, so no derivative in t
+  is differenced,
+* the frequency trace runner, which traces an ensemble as one
   block, bit for bit its one-member traces, and fits the drift constant C in
   Q <= (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2  with C0 = 1 - s^3,
 * the commutator identity refinement study (interval, and disk with the
@@ -48,7 +52,6 @@ from .errors import (ConfigurationError, DegenerateDataError, FitFailureError,
 from .evolve import Propagator
 
 PHI_EXP_GUARD = 700.0
-SPRIME_DELTA_FACTOR = 1e-6
 DEFAULT_SLACK = 1e-8
 
 
@@ -61,27 +64,14 @@ class WeightedOperators:
     """Weighted generator pieces frozen at one time t.
 
     E is the nodal weight exp(Phi/2); d = dPhi/dt / 2 is the diagonal part
-    of P1.  Every action and form takes a state (n,) or a block of states
-    (n, m); forms of a block come out per column.
+    of P1 and d_prime = dd/dt.  Every form takes a state (n,) or a block of
+    states (n, m); forms of a block come out per column.
     """
 
     ops: object
-    params: geometry.WeightParams
-    t: float
-    upsilon: float
     E: np.ndarray
     d: np.ndarray
-
-    def apply_B(self, x):
-        E = per_node(self.E, x)
-        return E * self.ops.apply_A(x / E)
-
-    def apply_B_star(self, x):
-        E = per_node(self.E, x)
-        return self.ops.apply_A(E * x) / E
-
-    def apply_P1(self, x):
-        return per_node(self.d, x) * x + self.apply_B(x)
+    d_prime: np.ndarray
 
     def forms(self, x, pair=True):
         """<-S x, x> and, with pair, (S x, Aanti x): x / E, E x and their
@@ -95,15 +85,6 @@ class WeightedOperators:
             return neg_S
         Bx, Bsx = E * ops.flux_to_A(flux), ops.flux_to_A(per_node(ops.edge_weights, dv) * dv) / E
         return neg_S, (d * x + 0.5 * (Bx + Bsx), 0.5 * (Bx - Bsx))
-
-    def split(self, x):
-        return self.forms(x)[1]
-
-    def apply_S(self, x):
-        return self.split(x)[0]
-
-    def apply_Aanti(self, x):
-        return self.split(x)[1]
 
     def neg_S_form(self, x):
         """<-S x, x>, evaluated through the Dirichlet edge form."""
@@ -124,8 +105,8 @@ def _weighted_ops_unchecked(ops, params, t, s_phi):
         raise ParameterError(
             f"|Phi| exceeds {PHI_EXP_GUARD} at {int(bad.sum())} nodes "
             f"(max {np.abs(Phi).max():.3g}); increase the pad h")
-    return WeightedOperators(ops=ops, params=params, t=t, upsilon=ups,
-                             E=np.exp(0.5 * Phi), d=0.5 * (s_phi / ups ** 2))
+    return WeightedOperators(ops=ops, E=np.exp(0.5 * Phi), d=0.5 * (s_phi / ups ** 2),
+                             d_prime=s_phi / ups ** 3)
 
 
 def build_weighted_operators(ops, params, t):
@@ -136,40 +117,30 @@ def build_weighted_operators(ops, params, t):
     return _weighted_ops_unchecked(ops, params, t, _s_phi(ops, params))
 
 
-def frequency(wops, F):
-    """Frequency N = <-S F, F> / ||F||^2; zero F is degenerate."""
-    F = np.asarray(F, dtype=float)
-    nf2 = wops.ops.inner(F, F)
-    if nf2 <= 0.0:
-        raise DegenerateDataError("frequency of a zero state is undefined")
-    return wops.neg_S_form(F) / nf2
+def _commutator_forms(w, F):
+    """<-S F, F> and Q per column of the block F, from one forms call.
 
-
-def _s_prime_forms(ops, params, t, F, s_phi):
-    """<S'(t) F, F> per column of the block F, by centered differencing."""
-    delta = SPRIME_DELTA_FACTOR * (params.T - t + params.h)
-    hi = _weighted_ops_unchecked(ops, params, t + delta, s_phi)
-    lo = _weighted_ops_unchecked(ops, params, t - delta, s_phi)
-    return (-hi.neg_S_form(F) + lo.neg_S_form(F)) / (2.0 * delta)
-
-
-def _commutator_forms(w, F, s_phi):
-    """<-S F, F> and Q per column of the block F; w is the bundle at w.t."""
+    dE/dt = d E gives S' = diag(d') + [diag(d), Aanti]; Aanti is skew in
+    the mass product, so <S' F, F> = <d' F, F> + 2 <d F, Aanti F> and
+    Q = -<d' F, F> - 2 <d F + S F, Aanti F>.
+    """
     neg_S, (S, Aanti) = w.forms(F)
-    return neg_S, -_s_prime_forms(w.ops, w.params, w.t, F, s_phi) - 2.0 * w.ops.inner(S, Aanti)
+    inner, dF = w.ops.inner, per_node(w.d, F) * F
+    return neg_S, -inner(per_node(w.d_prime, F), F * F) - 2.0 * inner(dF + S, Aanti)
 
 
 def s_prime_form(ops, params, t, F):
-    """<S'(t) F, F> by centered differencing with delta = 1e-6 Upsilon(t)."""
-    F = np.asarray(F, dtype=float)[:, None]
-    return float(_s_prime_forms(ops, params, t, F, _s_phi(ops, params))[0])
+    """<S'(t) F, F> = <d' F, F> + 2 <d F, Aanti F>, exact."""
+    w = _weighted_ops_unchecked(ops, params, t, _s_phi(ops, params))
+    F = np.asarray(F, dtype=float)
+    Aanti = w.forms(F)[1][1]
+    return ops.inner(w.d_prime, F * F) + 2.0 * ops.inner(w.d * F, Aanti)
 
 
 def commutator_form(ops, params, t, F):
     """Q(F) = <-S' F, F> - 2 <S F, Aanti F> at time t."""
-    s_phi = _s_phi(ops, params)
-    w = _weighted_ops_unchecked(ops, params, t, s_phi)
-    return float(_commutator_forms(w, np.asarray(F, dtype=float)[:, None], s_phi)[1][0])
+    w = _weighted_ops_unchecked(ops, params, t, _s_phi(ops, params))
+    return float(_commutator_forms(w, np.asarray(F, dtype=float)[:, None])[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +169,6 @@ class FrequencyTrace:
     bound: np.ndarray
     C: float
     C_form: float
-    energy_times: np.ndarray
     energy_residuals: np.ndarray
     final: np.ndarray
 
@@ -247,7 +217,7 @@ def run_traces(ops, params, states, sched, propagator=None):
         normF2[:, k] = ops.inner(F, F)
         if np.any(normF2[:, k] <= 0.0):
             raise DegenerateDataError(f"weighted state vanished at t={times[k]}")
-        neg_S[:, k], Q[:, k] = _commutator_forms(w, F, s_phi)
+        neg_S[:, k], Q[:, k] = _commutator_forms(w, F)
         N[:, k] = neg_S[:, k] / normF2[:, k]
         if k:
             # midpoint energy-identity residual, O(dt^2) by construction
@@ -266,7 +236,7 @@ def run_traces(ops, params, states, sched, propagator=None):
     return [FrequencyTrace(params=params, t=times, normF2=normF2[j], N=N[j], Q=Q[j],
                            neg_S=neg_S[j], bound=bound[j], C=float(C[j]),
                            C_form=float(max(0.0, C_form[j])),
-                           energy_times=t_mid, energy_residuals=resid[j], final=X[:, j])
+                           energy_residuals=resid[j], final=X[:, j])
             for j in range(len(states))]
 
 
@@ -381,21 +351,19 @@ def commutator_rhs(ops, params, t, family):
 
     bidx = grid.boundary_idx
     wt = grid.w_trace[bidx]
-    bpts = pts[bidx]
     nrm = grid.normals
     phi_b = bundle.phi[bidx]
     dn_phi = np.sum(bundle.grad[bidx] * nrm, axis=1)
     f_b = f[bidx]
     dn_f = np.sum(gf[bidx] * nrm, axis=1)
-    tang_phi = geometry.phi_tangential_gradient(grid.domain, bpts)
-    tang_phi_sq = np.sum(tang_phi * tang_phi, axis=1)
     lap_phi = bundle.laplacian
 
-    # with phi constant on the boundary, its tangential Hessian and
-    # Laplace-Beltrami terms drop; the surviving boundary family is below
+    # with phi constant on the boundary, its tangential gradient, tangential
+    # Hessian and Laplace-Beltrami terms drop; the surviving boundary family
+    # is below
     boundary = (
         (s / ups) * np.dot(wt, dn_phi * dn_f * dn_f)
-        - (s / ups ** 3) * np.dot(wt, (phi_b + 0.5 * s * tang_phi_sq) * f_b * f_b)
+        - (s / ups ** 3) * np.dot(wt, phi_b * f_b * f_b)
         + (s / ups) * np.dot(wt, (lap_phi + dn_phi) * dn_f * f_b)
         + (s ** 3 / (4.0 * ups ** 3)) * np.dot(wt, dn_phi ** 3 * f_b * f_b)
     )

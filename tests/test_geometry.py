@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dynheat as dh
-from dynheat.geometry import phi_extremes, phi_tangential_gradient, weight_phi_bundle
+from dynheat.geometry import phi_extremes, weight_phi_bundle
 
 
 class TestDomainValidation:
@@ -93,19 +93,3 @@ class TestPhiExtremes:
         assert phi_min == pytest.approx(phi.min(), abs=1e-5)
         assert phi_max_out == pytest.approx(phi[outside].max(), abs=1e-5)
 
-
-class TestTangentialGradient:
-    def test_vanishes_on_interval_and_centered_disk(self):
-        iv = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
-        assert np.all(phi_tangential_gradient(iv, np.array([[0.0], [1.0]])) == 0.0)
-        dk = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), 0.5)
-        th = np.linspace(0, 2 * np.pi, 17)
-        pts = np.column_stack([np.cos(th), np.sin(th)])
-        assert np.allclose(phi_tangential_gradient(dk, pts), 0.0, atol=1e-15)
-
-    def test_orthogonal_to_normal_off_center(self):
-        dk = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.3, 0.1), (0.3, 0.1), 0.4)
-        th = np.linspace(0, 2 * np.pi, 33)
-        pts = np.column_stack([np.cos(th), np.sin(th)])
-        tang = phi_tangential_gradient(dk, pts)
-        assert np.max(np.abs(np.sum(tang * pts, axis=1))) < 1e-14

@@ -12,45 +12,94 @@ from dynheat import geometry, logconvexity as lc
 from conftest import smooth_random_state, unit_random_state
 
 
+def _nodal_s_phi(ops, params):
+    diff = ops.grid.points - ops.grid.domain.x0_array[None, :]
+    return params.s * -0.25 * np.sum(diff * diff, axis=1)
+
+
+def _dense_splitting(ops, params, t):
+    """Dense weight E, d = dPhi/dt / 2, the mass-product splitting S, Aanti
+    of P1 = diag(d) + B (B = E A E^{-1}, B* = M^{-1} B^T M) and
+    S' = diag(d') + [diag(d), Aanti] with d' = s phi / Upsilon^3."""
+    m, s_phi, ups = ops.mass, _nodal_s_phi(ops, params), params.T - t + params.h
+    E, d = np.exp(0.5 * s_phi / ups), 0.5 * s_phi / ups ** 2
+    B = E[:, None] * ops.dense_A() / E[None, :]
+    B_star = B.T * m[None, :] / m[:, None]
+    Aanti = 0.5 * (B - B_star)
+    return types.SimpleNamespace(
+        E=E, d=d, S=np.diag(d) + 0.5 * (B + B_star), Aanti=Aanti,
+        S_prime=np.diag(s_phi / ups ** 3) + d[:, None] * Aanti - Aanti * d[None, :])
+
+
+def _complex_step_s_prime(ops, params, t, F, step=1e-30):
+    """<S'(t) F, F> = -d/dt <-S F, F> by complex-step differentiation: the
+    edge form is evaluated at t + i step straight from the incidence, the
+    edge weights and the mass, so no float cast cuts the imaginary part."""
+    D, g, m = ops.incidence, ops.edge_weights, ops.mass
+    s_phi = _nodal_s_phi(ops, params)
+    ups = params.T - complex(t, step) + params.h
+    E, d = np.exp(0.5 * s_phi / ups), 0.5 * s_phi / ups ** 2
+    neg_S = np.sum(g * (D @ (F / E)) * (D @ (E * F))) - np.sum(m * d * F * F)
+    return -neg_S.imag / step
+
+
 class TestWeightedOperators:
-    def test_B_is_similarity_transform_of_A(self, iv_small_ops, params):
-        """Dense oracle: B = diag(E) A diag(1/E)."""
-        w = lc.build_weighted_operators(iv_small_ops, params, 0.3)
-        dense_B = w.E[:, None] * iv_small_ops.dense_A() / w.E[None, :]
-        x = unit_random_state(iv_small_ops, 40).values
-        assert w.apply_B(x) == pytest.approx(dense_B @ x, rel=1e-12, abs=1e-13)
+    """forms(x) against the dense splitting, on the small interval and on
+    the disk: (S x, Aanti x) and <-S x, x>."""
 
-    def test_B_star_is_mass_adjoint_of_B(self, iv_small_ops, params):
-        w = lc.build_weighted_operators(iv_small_ops, params, 0.3)
-        rng = np.random.default_rng(41)
-        u = rng.standard_normal(iv_small_ops.n_dofs)
-        v = rng.standard_normal(iv_small_ops.n_dofs)
-        assert iv_small_ops.inner(w.apply_B(u), v) == pytest.approx(
-            iv_small_ops.inner(u, w.apply_B_star(v)), rel=1e-12)
+    @pytest.fixture
+    def grids(self, iv_small_ops, disk_ops):
+        return iv_small_ops, disk_ops
 
-    def test_splitting_symmetry_classes(self, iv_small_ops, params):
-        ops = iv_small_ops
-        w = lc.build_weighted_operators(ops, params, 0.7)
-        rng = np.random.default_rng(42)
-        u = rng.standard_normal(ops.n_dofs)
-        v = rng.standard_normal(ops.n_dofs)
-        assert ops.inner(w.apply_S(u), v) == pytest.approx(
-            ops.inner(u, w.apply_S(v)), rel=1e-12, abs=1e-13)
-        assert ops.inner(w.apply_Aanti(u), v) == pytest.approx(
-            -ops.inner(u, w.apply_Aanti(v)), rel=1e-12, abs=1e-13)
+    def test_B_is_similarity_transform_of_A(self, grids, params):
+        """Dense oracle: B = diag(E) A diag(1/E), B* = M^{-1} B^T M."""
+        for ops in grids:
+            w = lc.build_weighted_operators(ops, params, 0.3)
+            dense = _dense_splitting(ops, params, 0.3)
+            x = unit_random_state(ops, 40).values
+            got_S, got_Aanti = w.forms(x)[1]
+            assert got_S == pytest.approx(dense.S @ x, rel=1e-12, abs=1e-12)
+            assert got_Aanti == pytest.approx(dense.Aanti @ x, rel=1e-12, abs=1e-12)
 
-    def test_splitting_recomposes_P1(self, iv_small_ops, params):
-        w = lc.build_weighted_operators(iv_small_ops, params, 0.7)
-        x = unit_random_state(iv_small_ops, 43).values
-        recomposed = w.apply_S(x) + w.apply_Aanti(x)
-        assert recomposed == pytest.approx(w.apply_P1(x), rel=1e-12, abs=1e-14)
+    def test_B_star_is_mass_adjoint_of_B(self, grids, params):
+        """B = S + Aanti - diag(d) and B* = S - Aanti - diag(d) from forms."""
+        for ops in grids:
+            w = lc.build_weighted_operators(ops, params, 0.3)
+            u, v = np.random.default_rng(41).standard_normal((2, ops.n_dofs))
+            S_u, Aanti_u = w.forms(u)[1]
+            S_v, Aanti_v = w.forms(v)[1]
+            assert ops.inner(S_u + Aanti_u - w.d * u, v) == pytest.approx(
+                ops.inner(u, S_v - Aanti_v - w.d * v), rel=1e-12)
 
-    def test_neg_S_form_matches_operator_action(self, iv_small_ops, params):
-        ops = iv_small_ops
-        w = lc.build_weighted_operators(ops, params, 0.2)
-        x = unit_random_state(ops, 44).values
-        assert w.neg_S_form(x) == pytest.approx(-ops.inner(w.apply_S(x), x),
-                                                rel=1e-11)
+    def test_splitting_symmetry_classes(self, grids, params):
+        """S is symmetric and Aanti skew in the mass product; the closed
+        form of <S' F, F> rests on the skewness."""
+        for ops in grids:
+            w = lc.build_weighted_operators(ops, params, 0.7)
+            u, v = np.random.default_rng(42).standard_normal((2, ops.n_dofs))
+            S_u, Aanti_u = w.forms(u)[1]
+            S_v, Aanti_v = w.forms(v)[1]
+            assert ops.inner(S_u, v) == pytest.approx(ops.inner(u, S_v), rel=1e-12, abs=1e-13)
+            assert ops.inner(Aanti_u, v) == pytest.approx(-ops.inner(u, Aanti_v),
+                                                          rel=1e-12, abs=1e-13)
+            assert abs(ops.inner(Aanti_u, u)) <= 1e-12 * ops.inner(u, u)
+
+    def test_splitting_recomposes_P1(self, grids, params):
+        for ops in grids:
+            w = lc.build_weighted_operators(ops, params, 0.7)
+            dense = _dense_splitting(ops, params, 0.7)
+            P1 = np.diag(dense.d) + dense.E[:, None] * ops.dense_A() / dense.E[None, :]
+            x = unit_random_state(ops, 43).values
+            S, Aanti = w.forms(x)[1]
+            assert S + Aanti == pytest.approx(P1 @ x, rel=1e-12, abs=1e-12)
+
+    def test_neg_S_form_matches_operator_action(self, grids, params):
+        for ops in grids:
+            w = lc.build_weighted_operators(ops, params, 0.2)
+            S = _dense_splitting(ops, params, 0.2).S
+            x = unit_random_state(ops, 44).values
+            assert w.neg_S_form(x) == pytest.approx(-ops.inner(w.forms(x)[1][0], x), rel=1e-11)
+            assert w.neg_S_form(x) == pytest.approx(-ops.inner(S @ x, x), rel=1e-11)
 
     def test_time_window_enforced(self, iv_small_ops, params):
         for bad_t in (-0.1, params.T + 0.1):
@@ -64,32 +113,45 @@ class TestWeightedOperators:
         with pytest.raises(dh.ParameterError):
             lc.build_weighted_operators(ops, tight, tight.T)
 
-    def test_frequency_of_zero_state_is_degenerate(self, iv_small_ops, params):
-        w = lc.build_weighted_operators(iv_small_ops, params, 0.5)
-        with pytest.raises(dh.DegenerateDataError):
-            lc.frequency(w, np.zeros(iv_small_ops.n_dofs))
-        x = unit_random_state(iv_small_ops, 45).values
-        expect = w.neg_S_form(x) / iv_small_ops.inner(x, x)
-        assert lc.frequency(w, x) == pytest.approx(expect)
+
+@st.composite
+def _anchored_grids(draw):
+    """An interval (n 4-64) or a disk (nr 2-8, ntheta 4-24) whose anchor
+    sits off the domain centre, with its weight parameters and a time."""
+    if draw(st.booleans()):
+        x0 = draw(st.floats(0.25, 0.75))
+        grid = dh.build_grid(dh.DomainSpec.interval(0.0, 1.0, x0, 0.2, 0.8),
+                             n=draw(st.integers(4, 64)))
+    else:
+        c = np.array(draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+        a, b = draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(0.0, 2 * np.pi))
+        oc = c + draw(st.floats(0.0, 0.4)) * np.array([np.cos(a), np.sin(a)])
+        x0 = oc + draw(st.floats(0.0, 0.45)) * np.array([np.cos(b), np.sin(b)])
+        grid = dh.build_grid(dh.DomainSpec.disk(c, 1.0, x0, oc, 0.5),
+                             nr=draw(st.integers(2, 8)), ntheta=draw(st.integers(4, 24)))
+    params = dh.WeightParams(s=draw(st.floats(0.1, 0.9)), h=draw(st.floats(0.2, 1.0)),
+                             T=draw(st.floats(0.5, 2.0)))
+    return dh.assemble_operator(grid), params, draw(st.floats(0.0, params.T))
 
 
 class TestSPrimeOracle:
-    """The differenced <S'(t) F, F> must match the exact derivative
-    S' = diag(d2Phi/dt2 / 2) + [diag(d), Aanti]."""
+    """<S'(t) F, F> in closed form: S' = diag(d') + [diag(d), Aanti]."""
 
     @pytest.mark.parametrize("t", [0.37, 0.9])
     def test_matches_exact_commutator_form(self, iv_ops, params, t):
         ops = iv_ops
         F = unit_random_state(ops, 46).values
-        w = lc.build_weighted_operators(ops, params, t)
-        ups = params.T - t + params.h
-        bundle = geometry.weight_phi_bundle(ops.grid.domain, ops.grid.points)
-        d_prime = params.s * bundle.phi / ups ** 3
-        commutator = w.d * w.apply_Aanti(F) - w.apply_Aanti(w.d * F)
-        exact = ops.inner(d_prime * F + commutator, F)
-        # the differenced value carries ~1e-7 absolute truncation error
+        S_prime = _dense_splitting(ops, params, t).S_prime
         assert lc.s_prime_form(ops, params, t, F) == pytest.approx(
-            exact, rel=1e-4, abs=1e-6)
+            ops.inner(S_prime @ F, F), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_anchored_grids(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_complex_step_derivative(self, case, seed):
+        ops, params, t = case
+        F = np.random.default_rng(seed).standard_normal(ops.n_dofs)
+        assert lc.s_prime_form(ops, params, t, F) == pytest.approx(
+            _complex_step_s_prime(ops, params, t, F), rel=1e-10)
 
 
 class TestInteriorBump:
@@ -228,7 +290,8 @@ class TestRunTrace:
 # The one-member trace loop as it stood before the ensemble was traced as one
 # block, frozen here as the bit-for-bit reference: per-sample weights from the
 # bundle, 1-D sparse products through the incidence factorization, and every
-# reduction an np.dot on one member's contiguous vector.
+# reduction an np.dot on one member's contiguous vector.  Q takes the closed
+# form <S' F, F> = <d' F, F> + 2 <d F, Aanti F> with d' = s phi / Upsilon^3.
 
 def _frozen_weights(ops, params, t):
     grid = ops.grid
@@ -248,18 +311,28 @@ def _frozen_neg_S(ops, E, d, x):
     return float(np.dot(g * (D @ (x / E)), D @ (E * x))) - diag
 
 
+def _frozen_d_prime(ops, params, t):
+    phi = geometry.weight_phi_bundle(ops.grid.domain, ops.grid.points).phi
+    return params.s * phi / (params.T - t + params.h) ** 3
+
+
+def _frozen_split(ops, E, d, x):
+    B, Bs = E * _frozen_A(ops, x / E), _frozen_A(ops, E * x) / E
+    return d * x + 0.5 * (B + Bs), 0.5 * (B - Bs)
+
+
 def _frozen_s_prime(ops, params, t, F):
-    delta = lc.SPRIME_DELTA_FACTOR * (params.T - t + params.h)
-    hi = _frozen_weights(ops, params, t + delta)
-    lo = _frozen_weights(ops, params, t - delta)
-    return (-_frozen_neg_S(ops, *hi, F) + _frozen_neg_S(ops, *lo, F)) / (2.0 * delta)
+    E, d = _frozen_weights(ops, params, t)
+    Aanti = _frozen_split(ops, E, d, F)[1]
+    return (float(np.dot(ops.mass * _frozen_d_prime(ops, params, t), F * F))
+            + 2.0 * float(np.dot(ops.mass * (d * F), Aanti)))
 
 
 def _frozen_Q(ops, params, t, F):
     E, d = _frozen_weights(ops, params, t)
-    B, Bs = E * _frozen_A(ops, F / E), _frozen_A(ops, E * F) / E
-    cross = float(np.dot(ops.mass * (d * F + 0.5 * (B + Bs)), 0.5 * (B - Bs)))
-    return -_frozen_s_prime(ops, params, t, F) - 2.0 * cross
+    S, Aanti = _frozen_split(ops, E, d, F)
+    return (-float(np.dot(ops.mass * _frozen_d_prime(ops, params, t), F * F))
+            - 2.0 * float(np.dot(ops.mass * (d * F + S), Aanti)))
 
 
 def _frozen_trace(ops, params, state0, sched):
@@ -332,16 +405,8 @@ class TestBlockTrace:
     @pytest.mark.parametrize("which", ["iv", "disk"])
     def test_matches_dense_oracle(self, iv_domain, disk_domain, params, which):
         """Dense B = E A E^{-1} and B* = M^{-1} B^T M, a dense CN step and
-        the same centred difference for S'; n <= 64.
-
-        normF2 and neg_S agree to 1e-9 relative.  Q agrees to 1e-9 relative
-        plus the rounding bound of the difference quotient, n eps times the
-        summed magnitudes of <S F, F> at t +- delta, over delta: the 1/delta
-        quotient amplifies rounding in both codes (the trace's own Q is off
-        by up to about 1e-8 of max |Q| from an extended-precision
-        evaluation).  That allowance stays below 1% of |S'| here, so a
-        wrong term in Q still shows.
-        """
+        the dense S' = diag(d') + [diag(d), Aanti]; n <= 64.  normF2,
+        neg_S and Q agree to 1e-9 relative."""
         grid = (dh.build_grid(iv_domain, n=40) if which == "iv"
                 else dh.build_grid(disk_domain, nr=3, ntheta=12))
         ops = dh.assemble_operator(grid)
@@ -351,36 +416,19 @@ class TestBlockTrace:
         traces = lc.run_traces(ops, params, members, sched)
 
         m = ops.mass
-        A = ops.dense_A()
-        K = -m[:, None] * A
+        K = -m[:, None] * ops.dense_A()
         step = np.linalg.solve(np.diag(m) + 0.5 * sched.dt * K,
                                np.diag(m) - 0.5 * sched.dt * K)
-        diff = grid.points - grid.domain.x0_array[None, :]
-        phi = -0.25 * np.sum(diff * diff, axis=1)
-
-        def parts(t):
-            ups = params.T - t + params.h
-            E = np.exp(0.5 * params.s * phi / ups)
-            B = E[:, None] * A / E[None, :]
-            B_star = B.T * m[None, :] / m[:, None]
-            S = np.diag(0.5 * params.s * phi / ups ** 2) + 0.5 * (B + B_star)
-            return E, S, 0.5 * (B - B_star)
-
         for tr, st0 in zip(traces, members):
             u = st0.values
             for k, t in enumerate(sched.times()):
-                E, S, Aanti = parts(t)
-                F = E * u
-                delta = lc.SPRIME_DELTA_FACTOR * (params.T - t + params.h)
-                S_hi, S_lo = parts(t + delta)[1], parts(t - delta)[1]
-                s_prime = (F @ (m * (S_hi @ F)) - F @ (m * (S_lo @ F))) / (2.0 * delta)
-                Q = -s_prime - 2.0 * ((S @ F) @ (m * (Aanti @ F)))
-                summed = np.abs(m * F) @ (np.abs(S_hi) + np.abs(S_lo)) @ np.abs(F)
-                rounding = ops.n_dofs * np.finfo(float).eps * summed / (2.0 * delta)
-                assert rounding < 1e-2 * abs(s_prime)
+                dense = _dense_splitting(ops, params, t)
+                F = dense.E * u
+                S_F = dense.S @ F
+                Q = -F @ (m * (dense.S_prime @ F)) - 2.0 * (S_F @ (m * (dense.Aanti @ F)))
                 assert tr.normF2[k] == pytest.approx(F @ (m * F), rel=1e-9)
-                assert tr.neg_S[k] == pytest.approx(-F @ (m * (S @ F)), rel=1e-9)
-                assert tr.Q[k] == pytest.approx(Q, rel=1e-9, abs=rounding)
+                assert tr.neg_S[k] == pytest.approx(-F @ (m * S_F), rel=1e-9)
+                assert tr.Q[k] == pytest.approx(Q, rel=1e-9)
                 u = step @ u
 
     def test_zero_member_is_degenerate(self, iv_small_ops, params, sched):
@@ -389,15 +437,10 @@ class TestBlockTrace:
             lc.run_traces(iv_small_ops, params, members, sched)
 
 
-def _frozen_split(ops, E, d, x):
-    B, Bs = E * _frozen_A(ops, x / E), _frozen_A(ops, E * x) / E
-    return d * x + 0.5 * (B + Bs), 0.5 * (B - Bs)
-
-
 class TestSharedFormKernel:
     """forms(F) gives <-S F, F> and (S F, Aanti F) from one set of edge
     differences, per column exactly the one-member forms frozen above, and
-    neg_S_form and split read it."""
+    neg_S_form reads it."""
 
     @pytest.mark.parametrize("which", ["iv_ops", "disk_ops", "wide_disk_ops"])
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
@@ -410,11 +453,11 @@ class TestSharedFormKernel:
         S, Aanti = (np.column_stack(p) for p in zip(*(_frozen_split(ops, E, d, f) for f in F.T)))
         got_neg_S, (got_S, got_Aanti) = w.forms(F)
         for got, want in ((got_neg_S, neg_S), (w.neg_S_form(F), neg_S), (got_S, S),
-                          (got_Aanti, Aanti), (w.split(F)[0], S), (w.split(F)[1], Aanti)):
+                          (got_Aanti, Aanti)):
             assert np.array_equal(got, want)
         for j, f in enumerate(F.T):
             assert w.forms(f)[0] == neg_S[j]
-            assert np.array_equal(w.split(f)[1], Aanti[:, j])
+            assert np.array_equal(w.forms(f)[1][1], Aanti[:, j])
 
 
 _ENSEMBLE_SCHED = dh.Schedule(0.0, 1.0, 0.05)

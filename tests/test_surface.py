@@ -1,6 +1,8 @@
 """The package's declared surface, and the scripts that use it: every demo
 and the README library example run in process against the package."""
 
+import ast
+import importlib
 import re
 import runpy
 import types
@@ -42,3 +44,30 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     script.write_text(code)
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(script), run_name="__main__")
+
+
+def _tracer_targets():
+    """perfbench/tracer.py's TARGETS, read from its source without importing
+    the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("module, name", _tracer_targets(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_benchmark_tracer_target_resolves(module, name):
+    """The benchmark tracer records a target it cannot find as absent, so a
+    renamed or deleted name would quietly blank its per-layer metric."""
+    owner = importlib.import_module(f"dynheat.{module}")
+    for part in name.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_benchmark_reads_the_direct_solve_threshold():
+    from dynheat import evolve
+    assert isinstance(evolve.DIRECT_SOLVE_MAX_DOFS, int)
