@@ -27,23 +27,57 @@ with v = R_omega P^n theta.  kappa is calibrated by doubling from the
 penalization seed M1 e^{M2/(T-tau)} / eps^delta when fitted constants are
 available (else from 1) until target and cost both certify.
 
+omega is small, so the Gramian is also solved in omega-coordinates, the
+penalized HUM of Boyer (ESAIM Proc. 41, 2013) and Glowinski, Lions & He
+(Cambridge UP, 2008) with the Gramian assembled explicitly.  By the
+push-through identity h = kappa^2 (eps^2 + kappa^2 W)^{-1} R_omega P^n b
+with b = -P^{n_T} Psi0 and W = R_omega P^{2n} E_omega, an n_omega x n_omega
+matrix symmetric in the omega mass M_omega (omega's nodes are interior, so
+they carry bulk mass only).  Each ControlOperator builds it once, on first
+use, from one block flow of the n_omega unit payloads, and one eigh of
+M_omega^{1/2} W M_omega^{-1/2} = Q diag(lam) Q^T turns every (kappa, eps)
+pair into a diagonal scaling.  With c = Q^T M_omega^{1/2} R_omega P^n a,
+a = P^{n_T} Psi0, the payload has coordinates y = -kappa^2 c / (eps^2 +
+kappa^2 lam), and
+
+    ||Psi(T)||^2 = ||a||^2 + 2 y.c + sum lam y^2,    ||h||_omega^2 = sum y^2.
+
+The reduced solution is used twice, and never certifies anything:
+
+- warm start: theta0 = (b - Z y) / eps^2, Z = P^n E_omega M_omega^{-1/2} Q,
+  starts the CG.  cg_tol keeps its meaning: a column stops once its
+  full-space residual ||b - G theta|| is at most cg_tol ||b||, checked at
+  theta0 too, so a column can stop with 0 iterations; cg_rel is that
+  residual, recomputed from the final theta.
+- predicted rung: the target and cost certificates are predicted for every
+  rung of the doubling ladder, and propagation starts at the first rung
+  that every member is predicted to certify or to miss by less than 1e-6
+  relative.  The rungs below it miss by more, so the ladder picks the
+  kappa and doubling count that propagating every rung would.  The ladder
+  then continues by propagation.  Prediction stops where kappa^2 leaves
+  the float range, and propagation decides from there.
+
+Grids whose Z would exceed REDUCED_GRAMIAN_MAX_ENTRIES numbers skip the
+reduced Gramian: the CG starts from zero and the ladder from its seed.
+
 The ensemble is solved as one block.  A ControlOperator depends only on
 (ops, sched, tau), so a calibration or a cost study factors the step
 matrix once and reuses it for every kappa doubling, every eps level and
-every member.  Each doubling runs one block CG whose columns keep their
-own scalars and stopping tests, and inner products are taken on
-contiguous columns.  A member's result is bit-identical to a one-member
-synthesis wherever the block step solve rounds each column as a one-state
-solve does.  That holds on disks above DIRECT_SOLVE_MAX_DOFS, whose
-structured solve treats each column alone, and is checked on the
-interval.  It is not guaranteed on SuperLU disks up to
-DIRECT_SOLVE_MAX_DOFS, whose multi-column solve can round a column
-differently (the 816-dof certify-disk grid).
+every member, and flows each member once.  Each propagated rung runs one
+block CG whose columns keep their own scalars and stopping tests, and
+inner products and the reduced products are taken on contiguous columns.
+A member's result is bit-identical to a one-member synthesis wherever the
+block step solve rounds each column as a one-state solve does.  That
+holds on disks above DIRECT_SOLVE_MAX_DOFS, whose structured solve treats
+each column alone, and is checked on the interval.  It is not guaranteed
+on SuperLU disks up to DIRECT_SOLVE_MAX_DOFS, whose multi-column solve can
+round a column differently (the 816-dof certify-disk grid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +90,13 @@ CERT_SLACK = 1e-8
 DEFAULT_CG_TOL = 1e-12
 DEFAULT_CG_MAXIT = 400
 DEFAULT_DOUBLING_BUDGET = 40
+# cap on n_dofs * n_omega, the numbers in Z.  Building the reduced Gramian
+# raised peak RSS by 48 bytes per number on a 2000-node interval and by 66
+# to 72 on 816- and 2624-node disks (Z, P^n E_omega, the flow's working
+# blocks and eigh), so the cap keeps the build under about 150 MB
+REDUCED_GRAMIAN_MAX_ENTRIES = 2_000_000
+# a rung predicted to miss by less than this, relative, is propagated too
+_NEAR_MISS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,6 +119,41 @@ class ControlProblem:
             raise ConfigurationError(f"kappa must be positive, got {self.kappa}")
         if self.cg_tol <= 0.0 or self.cg_maxit < 1:
             raise ConfigurationError("cg_tol must be positive and cg_maxit >= 1")
+
+
+def _per_column(A, X):
+    """A @ x for every column x of X on contiguous copies, so each column
+    carries the bits of a one-column product; Fortran order."""
+    return np.array([A @ x for x in np.ascontiguousarray(X.T)]).T
+
+
+@dataclass(frozen=True)
+class _ReducedGramian:
+    """W = R_omega P^{2n} E_omega in the eigenbasis of the mass-symmetrised
+    M_omega^{1/2} W M_omega^{-1/2} = Q diag(eigenvalues) Q^T.
+
+    lam clips the eigenvalues at 0: W is positive semidefinite, so a
+    negative eigenvalue is rounding.  Z = P^n E_omega M_omega^{-1/2} Q maps
+    payload coordinates y to the state they add at T, and Z^T M Z is
+    diag(lam).
+    """
+
+    sqrt_mass: np.ndarray
+    eigenvalues: np.ndarray
+    lam: np.ndarray
+    Q: np.ndarray
+    Z: np.ndarray
+
+    def coords(self, V):
+        """Q^T M_omega^{1/2} v for every column v of an omega block V."""
+        return _per_column(self.Q.T, self.sqrt_mass[:, None] * V)
+
+    def payload(self, c, kappa, eps):
+        """Coordinates y of the payload kappa^2 (eps^2 + kappa^2 W)^{-1}
+        R_omega P^n (-a) for free states a with coordinates c (coords of
+        R_omega P^n a); the payload itself is M_omega^{-1/2} Q y."""
+        k2 = kappa * kappa
+        return -(k2 * c) / (eps * eps + k2 * self.lam[:, None])
 
 
 class ControlOperator:
@@ -110,30 +186,51 @@ class ControlOperator:
         """kappa^2 P^n E_omega R_omega P^n zeta + eps^2 zeta."""
         if kappa is None:
             raise UsageError("gramian needs a calibrated kappa; run calibrate_kappa")
-        v = self.ops.embed_omega(self.observe(zeta))
+        return self._gramian_from(self.prop.flow(zeta, self.n_obs), zeta, kappa, eps)
+
+    def _gramian_from(self, flowed, zeta, kappa, eps):
+        """G zeta from flowed = P^n zeta, which the caller keeps."""
+        v = self.ops.embed_omega(self.ops.restrict_omega(flowed))
         return kappa ** 2 * self.prop.flow(v, self.n_obs) + eps ** 2 * zeta
 
+    @cached_property
+    def reduced(self):
+        """The _ReducedGramian, built on first use; None when Z would hold
+        more than REDUCED_GRAMIAN_MAX_ENTRIES numbers."""
+        ops = self.ops
+        idx = ops.grid.omega_idx
+        if ops.n_dofs * idx.size > REDUCED_GRAMIAN_MAX_ENTRIES:
+            return None
+        Z0 = self.prop.flow(ops.embed_omega(np.eye(idx.size)), self.n_obs)
+        W = ops.restrict_omega(self.prop.flow(Z0, self.n_obs))
+        sqrt_mass = np.sqrt(ops.mass[idx])
+        S = sqrt_mass[:, None] * W / sqrt_mass[None, :]
+        eigenvalues, Q = np.linalg.eigh(0.5 * (S + S.T))
+        return _ReducedGramian(sqrt_mass=sqrt_mass, eigenvalues=eigenvalues,
+                               lam=np.maximum(eigenvalues, 0.0), Q=Q,
+                               Z=(Z0 / sqrt_mass) @ Q)
 
-def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
+
+def _cg_mass_inner(apply_G, rhs, inner, tol, maxit, x0=None, r0=None):
     """Conjugate gradients for an operator self-adjoint in `inner`, which
     takes two blocks and returns one product per column pair.
 
-    Solves every column of rhs (n, m) at once.  Each column keeps its own
-    alpha, beta, residual and stopping test, and each iteration applies G
+    Solves every column of rhs (n, m) at once, from x0 with its residual
+    r0 = rhs - G x0 (zero and rhs when None).  Each column keeps its own
+    alpha, beta, residual and stopping test ||r|| <= tol ||rhs||, which is
+    checked before the first iteration too, and each iteration applies G
     once to the block of columns still iterating, so every column's
-    arithmetic is that of a one-column solve.  Returns the solutions, the
-    relative true residuals ||rhs - G x|| / ||rhs|| (one block apply for
-    all columns once the last has stopped) and the iteration counts, one
-    per column.
+    arithmetic is that of a one-column solve.  Returns the solutions and
+    the iteration counts, one per column; a column whose start already
+    meets tol returns it with 0 iterations.
     """
-    X = np.zeros(rhs.shape, order="F")
-    R = np.array(rhs, dtype=float, order="F")
+    X = np.zeros(rhs.shape, order="F") if x0 is None else np.array(x0, order="F")
+    R = np.array(rhs if r0 is None else r0, dtype=float, order="F")
     P = R.copy(order="F")
     rr = inner(R, R)
-    rhs_norm = np.sqrt(rr)
-    rel = np.zeros(rhs.shape[1])
+    rhs_norm = np.sqrt(inner(rhs, rhs))
     iters = np.zeros(rhs.shape[1], dtype=int)
-    active = np.flatnonzero(rhs_norm != 0.0)
+    active = np.flatnonzero(np.sqrt(rr) > tol * rhs_norm)
     for it in range(1, maxit + 1):
         if active.size == 0:
             break
@@ -158,11 +255,7 @@ def _cg_mass_inner(apply_G, rhs, inner, tol, maxit):
         raise NumericalError(
             f"gramian solve did not reach tol={tol} in {maxit} iterations "
             f"(residual {np.max(np.sqrt(rr[active]) / rhs_norm[active]):.3e})")
-    solved = np.flatnonzero(iters)
-    if solved.size:
-        true_r = rhs[:, solved] - apply_G(X[:, solved])
-        rel[solved] = np.sqrt(inner(true_r, true_r)) / rhs_norm[solved]
-    return X, rel, iters
+    return X, iters
 
 
 @dataclass
@@ -198,18 +291,69 @@ class ControlResult:
         }
 
 
+@dataclass(frozen=True)
+class _Flows:
+    """The members' data, flowed once per calibration or cost study.
+
+    norms are ||Psi0||; free_tau and free_T hold P^{n_tau} Psi0 and
+    a = P^{n_T} Psi0, one column per member; c holds the reduced
+    coordinates Q^T M_omega^{1/2} R_omega P^n a, or is None without a
+    reduced Gramian.
+    """
+
+    norms: list
+    free_tau: np.ndarray
+    free_T: np.ndarray
+    c: np.ndarray | None
+
+    def subset(self, idx):
+        return _Flows(norms=[self.norms[j] for j in idx],
+                      free_tau=self.free_tau[:, idx], free_T=self.free_T[:, idx],
+                      c=None if self.c is None else self.c[:, idx])
+
+
 def _free_flows(co, psi0s):
-    """Norms of the initial states and their free flows to tau and to T, as blocks."""
+    """_Flows of the initial states psi0s."""
     norms = [co.ops.norm(psi0) for psi0 in psi0s]
     free_tau = co.prop.flow(np.column_stack([p.values for p in psi0s]), co.n_tau)
-    return norms, free_tau, co.prop.flow(free_tau, co.n_obs)
+    free_T = co.prop.flow(free_tau, co.n_obs)
+    red = co.reduced
+    c = None if red is None else red.coords(co.observe(free_T))
+    return _Flows(norms=norms, free_tau=free_tau, free_T=free_T, c=c)
 
 
-def _synthesize_block(co, prob, norms, free_tau, free_T):
+def _warm_start(co, flows, rhs, kappa, eps):
+    """theta0 = (rhs - Z y) / eps^2 with P^n theta0, G theta0 and the residual
+    rhs - G theta0, as blocks over the columns of rhs.
+
+    Without a reduced Gramian, and in a column where the residual is not
+    below ||rhs|| (the zero start's), theta0 is 0, whose flow and Gramian
+    are 0 without a step.
+    """
+    zero = np.zeros(rhs.shape, order="F")
+    red = co.reduced
+    if red is None:
+        return zero, zero.copy(), zero.copy(), rhs
+    # a tiny eps can blow theta0 up past the float range; such columns fail
+    # the comparison and start from zero
+    with np.errstate(all="ignore"):
+        y = red.payload(flows.c, kappa, eps)
+        theta0 = (rhs - _per_column(red.Z, y)) / eps ** 2
+        flowed = co.prop.flow(theta0, co.n_obs)
+        G_theta0 = co._gramian_from(flowed, theta0, kappa, eps)
+        r0 = rhs - G_theta0
+        cold = ~(co.ops.inner(r0, r0) < co.ops.inner(rhs, rhs))
+    for block in (theta0, flowed, G_theta0):
+        block[:, cold] = 0.0
+    r0[:, cold] = rhs[:, cold]
+    return theta0, flowed, G_theta0, r0
+
+
+def _synthesize_block(co, prob, flows):
     """One ControlResult per member: the Gramian solve and certificates as blocks.
 
-    norms, free_tau and free_T come from _free_flows.  Members with zero
-    data need no control: the minimizer of their dual functional is 0.
+    Members with zero data need no control: the minimizer of their dual
+    functional is 0.
     """
     ops, kappa, eps = co.ops, prob.kappa, prob.eps
     n_omega = ops.grid.omega_idx.size
@@ -219,31 +363,43 @@ def _synthesize_block(co, prob, norms, free_tau, free_T):
         residuals={"cg_rel": 0.0, "cg_iterations": 0, "terminal_identity": 0.0},
         tau_effective=co.tau_effective, h=np.zeros(n_omega),
         theta0=np.zeros(ops.n_dofs), psi_T=np.zeros(ops.n_dofs))
-        for _ in norms]
-    live = [j for j, n0 in enumerate(norms) if n0 != 0.0]
+        for _ in flows.norms]
+    live = [j for j, n0 in enumerate(flows.norms) if n0 != 0.0]
     if not live:
         return results
     if not (0.0 < kappa * kappa < np.inf and 0.0 < eps * eps < np.inf):
         raise NumericalError(
             f"kappa={kappa:.6g} or eps={eps:.6g} leaves the float range when squared")
+    flows = flows.subset(live)
 
-    theta, cg_rel, cg_iters = _cg_mass_inner(
-        lambda z: co.gramian_apply(z, kappa, eps), -free_T[:, live], ops.inner,
-        prob.cg_tol, prob.cg_maxit)
+    rhs = -flows.free_T
+    theta0, theta_obs, G_theta, r0 = _warm_start(co, flows, rhs, kappa, eps)
+    theta, cg_iters = _cg_mass_inner(
+        lambda z: co.gramian_apply(z, kappa, eps), rhs, ops.inner,
+        prob.cg_tol, prob.cg_maxit, theta0, r0)
+    # the full-space true residual rhs - G theta; a column that stopped at
+    # theta0 already has P^n theta and G theta from its start
+    moved = cg_iters > 0
+    if moved.any():
+        flowed = co.prop.flow(theta[:, moved], co.n_obs)
+        theta_obs[:, moved] = flowed
+        G_theta[:, moved] = co._gramian_from(flowed, theta[:, moved], kappa, eps)
+    true_r = rhs - G_theta
+    rhs_norm = np.sqrt(ops.inner(rhs, rhs))
+    cg_rel = np.sqrt(ops.inner(true_r, true_r)) / np.where(rhs_norm > 0.0, rhs_norm, 1.0)
 
     # P^{n_total} theta = P^{n_tau} P^{n_obs} theta: the same steps in turn
-    theta_obs = co.prop.flow(theta, co.n_obs)
     theta_T = co.prop.flow(theta_obs, co.n_tau)
     V = ops.restrict_omega(theta_obs)
     H = kappa ** 2 * V
 
     # impulsive trajectory with the synthesized payloads
-    psi_T = co.prop.flow(free_tau[:, live] + ops.embed_omega(H), co.n_obs)
+    psi_T = co.prop.flow(flows.free_tau + ops.embed_omega(H), co.n_obs)
 
     for k, j in enumerate(live):
         h, v = np.ascontiguousarray(H[:, k]), np.ascontiguousarray(V[:, k])
         th, pT = np.ascontiguousarray(theta[:, k]), np.ascontiguousarray(psi_T[:, k])
-        norm_psi0 = norms[j]
+        norm_psi0 = flows.norms[k]
         norm_h = ops.norm_omega(h)
         norm_psiT = ops.norm(pT)
         norm_theta = ops.norm(th)
@@ -275,7 +431,7 @@ def synthesize(ops, prob, sched, psi0):
     if prob.kappa is None:
         raise UsageError("synthesize needs kappa; set it or run calibrate_kappa")
     co = ControlOperator(ops, sched, prob.tau)
-    return _synthesize_block(co, prob, *_free_flows(co, [psi0]))[0]
+    return _synthesize_block(co, prob, _free_flows(co, [psi0]))[0]
 
 
 def verify_duality(ops, prob, sched, psi0, result, zeta0s):
@@ -307,19 +463,92 @@ class CalibrationResult:
     results: tuple
 
 
+def _predict(co, flows, kappa, eps):
+    """Reduced-model ||Psi(T)|| / ||Psi0|| and cost / ||Psi0||^2 per member
+    at (kappa, eps), 0 for zero data; None without a reduced Gramian, when
+    kappa^2 leaves the float range or when a prediction is not finite."""
+    red, k2 = co.reduced, kappa * kappa
+    if red is None or not 0.0 < k2 < np.inf:
+        return None
+    n0 = np.array(flows.norms)
+    n0[n0 == 0.0] = 1.0  # zero data has a = c = y = 0
+    a, c = flows.free_T, flows.c
+    with np.errstate(all="ignore"):
+        y = red.payload(c, kappa, eps)
+        psiT2 = np.maximum(co.ops.inner(a, a)
+                           + np.sum(y * (2.0 * c + red.lam[:, None] * y), axis=0), 0.0)
+        ratio = np.sqrt(psiT2) / n0
+        cost = (np.sum(y * y, axis=0) / k2 + psiT2 / (eps * eps)) / n0 ** 2
+    if not np.all(np.isfinite(ratio) & np.isfinite(cost)):
+        return None
+    return ratio, cost
+
+
+def _predicted_miss(co, flows, kappa, eps):
+    """True when some member is predicted to miss target or cost at kappa
+    by more than _NEAR_MISS relative; False without a prediction."""
+    pred = _predict(co, flows, kappa, eps)
+    if pred is None:
+        return False
+    ratio, cost = pred
+    bound = (1.0 + CERT_SLACK) * (1.0 + _NEAR_MISS)
+    return bool(np.any(ratio > eps * bound) or np.any(cost > bound))
+
+
+def _calibration_diagnostics(co, flows, kappa, eps):
+    """n_omega, W's extreme eigenvalues and each member's predicted
+    ||Psi(T)|| / ||Psi0|| at kappa, None where unknown."""
+    red = co.reduced
+    pred = _predict(co, flows, kappa, eps)
+    return {
+        "n_omega": int(co.ops.grid.omega_idx.size),
+        "kappa_last": kappa,
+        "w_eigenvalue_min": None if red is None else float(red.eigenvalues[0]),
+        "w_eigenvalue_max": None if red is None else float(red.eigenvalues[-1]),
+        "predicted_ratio_last": None if pred is None else [float(r) for r in pred[0]],
+    }
+
+
+def _calibrate(co, prob, flows, seed, budget):
+    """Double kappa from seed until every member of flows certifies target
+    and cost; the ladder of calibrate_kappa and cost_study.
+
+    The rungs that the reduced model predicts to miss by more than
+    _NEAR_MISS are skipped without a flow; from the first other rung on,
+    each rung synthesizes all members as one block.  Exhausting the budget
+    raises CalibrationError with diagnostics at the last rung.
+    """
+    if budget < 0:
+        raise ConfigurationError(f"doubling budget must be >= 0, got {budget}")
+    if seed <= 0.0:
+        raise ConfigurationError(f"kappa seed must be positive, got {seed}")
+    kappa, start = seed, 0
+    while start < budget and _predicted_miss(co, flows, kappa, prob.eps):
+        kappa *= 2.0
+        start += 1
+    for k in range(start, budget + 1):
+        results = _synthesize_block(co, replace(prob, kappa=kappa), flows)
+        if all(r.certified for r in results):
+            return CalibrationResult(kappa=kappa, kappa0=seed, doublings=k,
+                                     results=tuple(results))
+        last, kappa = kappa, kappa * 2.0
+    raise CalibrationError(
+        f"no certifying kappa within {budget} doublings from {seed:.6g} "
+        f"(eps={prob.eps})",
+        diagnostics=_calibration_diagnostics(co, flows, last, prob.eps))
+
+
 def calibrate_kappa(ops, prob, sched, psi0s, constants=None, kappa0=None,
-                    budget=DEFAULT_DOUBLING_BUDGET, operator=None):
+                    budget=DEFAULT_DOUBLING_BUDGET):
     """Double kappa from its seed until every member certifies target + cost.
 
     Seed order: explicit kappa0, else the penalization formula from fitted
     constants at horizon T - tau, else 1.  Exhausting the budget raises
-    CalibrationError (budget counts doublings; budget=0 tests the seed only).
-    Each doubling synthesizes all members as one block.  operator is a
-    ControlOperator for (ops, sched, prob.tau) to reuse; one is built when
-    it is None.
+    CalibrationError (budget counts doublings; budget=0 tests the seed
+    only).  The reduced model picks the first rung to propagate (see the
+    module docstring); each propagated rung synthesizes all members as one
+    block.
     """
-    if budget < 0:
-        raise ConfigurationError(f"doubling budget must be >= 0, got {budget}")
     if not psi0s:
         raise ConfigurationError("calibration needs at least one initial state")
     if kappa0 is not None:
@@ -328,23 +557,8 @@ def calibrate_kappa(ops, prob, sched, psi0s, constants=None, kappa0=None,
         seed = float(constants.kappa0(sched.t1 - prob.tau, prob.eps))
     else:
         seed = 1.0
-    if seed <= 0.0:
-        raise ConfigurationError(f"kappa seed must be positive, got {seed}")
-    co = operator or ControlOperator(ops, sched, prob.tau)
-    if co.ops is not ops or co.sched != sched or co.tau != prob.tau:
-        raise UsageError("operator was built for another (ops, sched, tau)")
-    flows = _free_flows(co, psi0s)
-
-    kappa = seed
-    for k in range(budget + 1):
-        results = _synthesize_block(co, replace(prob, kappa=kappa), *flows)
-        if all(r.certified for r in results):
-            return CalibrationResult(kappa=kappa, kappa0=seed, doublings=k,
-                                     results=tuple(results))
-        kappa *= 2.0
-    raise CalibrationError(
-        f"no certifying kappa within {budget} doublings from {seed:.6g} "
-        f"(eps={prob.eps})")
+    co = ControlOperator(ops, sched, prob.tau)
+    return _calibrate(co, prob, _free_flows(co, psi0s), seed, budget)
 
 
 @dataclass(frozen=True)
@@ -383,6 +597,12 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
     free decay already meets the eps target contribute zero cost and are
     left out of the calibration.  The slope is None unless the rows with
     positive cost hold at least two distinct eps.
+
+    Every member is flowed once, and each eps level calibrates on the
+    columns of its active members.  On the interval a block's columns
+    equal per-column solves (the bit-for-bit test of a calibration against
+    one-member synthesis shows it), so this gives the bits of flowing the
+    active members alone.
     """
     if not eps_list:
         raise ConfigurationError("cost study needs a nonempty eps list")
@@ -390,9 +610,9 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
         raise ConfigurationError(
             "cost study needs at least one initial state (ensemble.count >= 1)")
     co = ControlOperator(ops, sched, prob_template.tau)
-    norms, _, free_T = _free_flows(co, psi0s)
+    flows = _free_flows(co, psi0s)
     free_ratio = [np.inf if n0 == 0.0 else ops.norm(u) / n0
-                  for n0, u in zip(norms, free_T.T)]
+                  for n0, u in zip(flows.norms, flows.free_T.T)]
 
     rows = []
     kappa_floor = None
@@ -403,11 +623,10 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
             seed = float(constants.kappa0(sched.t1 - prob.tau, prob.eps))
         if kappa_floor is not None:
             seed = max(seed, kappa_floor)
-        active = [psi0 for psi0, r in zip(psi0s, free_ratio)
+        active = [j for j, r in enumerate(free_ratio)
                   if np.isfinite(r) and r > prob.eps]
         if active:
-            cal = calibrate_kappa(ops, prob, sched, active, kappa0=seed,
-                                  budget=budget, operator=co)
+            cal = _calibrate(co, prob, flows.subset(active), seed, budget)
             kappa_floor = cal.kappa
             sup_cost = max(r.norm_h for r in cal.results)
             passes = all(r.certified for r in cal.results)

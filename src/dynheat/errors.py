@@ -35,13 +35,18 @@ class DegenerateDataError(DynHeatError):
     """Input data carries no information (zero state, identical ensemble)."""
 
 
-class CalibrationError(DynHeatError):
-    """Penalization calibration exhausted its doubling budget."""
-
-
-class FitFailureError(DynHeatError):
-    """An empirical fit left its admissible range; diagnostics attached."""
+class _DiagnosedError(DynHeatError):
+    """An error that carries a dict of diagnostics for failure.json."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
+
+
+class CalibrationError(_DiagnosedError):
+    """Penalization calibration exhausted its doubling budget; diagnostics
+    attached."""
+
+
+class FitFailureError(_DiagnosedError):
+    """An empirical fit left its admissible range; diagnostics attached."""

@@ -1,10 +1,11 @@
 import filecmp
+import functools
 import json
 import os
 
 import pytest
 
-from dynheat import FitFailureError, cli, evolve, logconvexity as lc
+from dynheat import FitFailureError, cli, control as ctl, evolve, logconvexity as lc
 from dynheat.cli import main
 from dynheat.discretize import assemble_operator
 from dynheat.reporting import canonical_json
@@ -84,6 +85,12 @@ seed = 7
 PIPELINE = ["simulate", "observe", "commutator-check", "control",
             "cost-study", "report"]
 
+# a large explicit penalization: kappa^2 / eps^2 = 2.5e9 leaves the warm
+# start's full-space residual near 1e-7, which two CG iterations cannot
+# bring to cg_tol, so control exits 3
+FAILING_CONFIG = (CONFIG.replace("kappa = auto", "kappa = 1e4")
+                  .replace("cg_maxit = 400", "cg_maxit = 2"))
+
 
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
@@ -160,6 +167,29 @@ class TestDeterminism:
         assert main(["observe", "--config", config_path, "--out", str(b),
                      "--seed", "99"]) == 0
         assert (a / "constants.json").read_bytes() != (b / "constants.json").read_bytes()
+
+
+class TestWorkCounts:
+    """Step-solve ceilings for control and cost-study on CONFIG (50 steps,
+    the kick after 25).  control: the reduced Gramian's block flow (50),
+    the free flows (50), R_omega P^n a (25) and one propagated rung with
+    no CG iteration: P^n theta0 and G theta0 (50), theta(T) (25) and
+    Psi(T) (25).  cost-study: the same 125 once and one such rung per eps.
+    Flowing every rung, or the members once per eps, exceeds them."""
+
+    @pytest.mark.parametrize("stage, ceiling", [("control", 225), ("cost-study", 325)])
+    def test_step_calls_stay_under_the_ceiling(self, config_path, tmp_path,
+                                               monkeypatch, stage, ceiling):
+        calls = []
+        step = evolve.Propagator.step
+
+        def counted(self, u, columnwise=False):
+            calls.append(1)
+            return step(self, u, columnwise)
+
+        monkeypatch.setattr(evolve.Propagator, "step", counted)
+        assert main([stage, "--config", config_path, "--out", str(tmp_path)]) == 0
+        assert 0 < len(calls) <= ceiling
 
 
 class TestConfigErrors:
@@ -252,7 +282,7 @@ class TestConfigErrors:
 class TestFailureArtifact:
     def test_numerical_exit_writes_failure_json(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
-        path.write_text(CONFIG.replace("cg_maxit = 400", "cg_maxit = 2"))
+        path.write_text(FAILING_CONFIG)
         out = tmp_path / "out"
         assert main(["control", "--config", str(path), "--out", str(out)]) == 3
         message = capsys.readouterr().err.split("numerical failure: ", 1)[1].strip()
@@ -261,6 +291,26 @@ class TestFailureArtifact:
         assert (out / "failure.json").read_text() == canonical_json(
             {"stage": "control", "error": "NumericalError", "message": message,
              "diagnostics": {}})
+
+    def test_calibration_failure_diagnostics_are_kept(self, config_path, tmp_path,
+                                                      monkeypatch):
+        """A calibration that runs out of doublings (here a budget of 0 from
+        kappa = 1 at eps 0.01, where the cost certificate fails) records the
+        reduced model in failure.json."""
+        path = tmp_path / "tight.ini"
+        path.write_text(CONFIG.replace("eps = 0.2, 0.1", "eps = 0.01"))
+        monkeypatch.setattr(ctl, "calibrate_kappa",
+                            functools.partial(ctl.calibrate_kappa, budget=0))
+        out = tmp_path / "out"
+        assert main(["control", "--config", str(path), "--out", str(out)]) == 3
+        doc = json.loads((out / "failure.json").read_text())
+        assert doc["stage"] == "control" and doc["error"] == "CalibrationError"
+        diag = doc["diagnostics"]
+        assert diag["n_omega"] == 6 and diag["kappa_last"] == 1.0
+        assert 0.0 < diag["w_eigenvalue_max"] <= 1.0
+        assert diag["w_eigenvalue_min"] <= diag["w_eigenvalue_max"]
+        [ratio] = diag["predicted_ratio_last"]
+        assert 0.0 < ratio < 1.0
 
     def test_fit_failure_diagnostics_are_kept(self, config_path, tmp_path, monkeypatch):
         def fail(*args):
@@ -274,7 +324,7 @@ class TestFailureArtifact:
 
     def test_completed_stage_clears_its_failure(self, config_path, tmp_path):
         failing = tmp_path / "failing.ini"
-        failing.write_text(CONFIG.replace("cg_maxit = 400", "cg_maxit = 2"))
+        failing.write_text(FAILING_CONFIG)
         out = tmp_path / "out"
         assert main(["control", "--config", str(failing), "--out", str(out)]) == 3
         assert main(["control", "--config", config_path, "--out", str(out)]) == 0
@@ -285,7 +335,7 @@ class TestFailureArtifact:
 
     def test_report_fails_while_a_failure_is_present(self, config_path, tmp_path):
         failing = tmp_path / "failing.ini"
-        failing.write_text(CONFIG.replace("cg_maxit = 400", "cg_maxit = 2"))
+        failing.write_text(FAILING_CONFIG)
         out = tmp_path / "out"
         assert main(["control", "--config", str(failing), "--out", str(out)]) == 3
         assert main(["report", "--out", str(out)]) == 1

@@ -1,13 +1,17 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 import dynheat as dh
+from dynheat import control as ctl
 from dynheat import logconvexity as lc
 from dynheat.control import ControlOperator
+from dynheat.evolve import SCHEMES
 
 from conftest import unit_random_state
 
@@ -143,6 +147,16 @@ class TestSynthesize:
         # no independently found point beats the synthesized minimizer
         assert J(res.theta0) <= J(out.x) + 1e-12 * max(1.0, abs(J(out.x)))
 
+    def test_a_warm_start_worse_than_zero_is_dropped(self, iv_ops, ctrl_sched):
+        """At eps = 1e-100 theta0 = (b - Z y) / eps^2 is far past any useful
+        size; the CG starts from zero instead and names its stall, with no
+        float warning on the way."""
+        prob = dh.ControlProblem(tau=0.5, eps=1e-100, kappa=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(dh.NumericalError, match="did not reach tol"):
+                dh.synthesize(iv_ops, prob, ctrl_sched, unit_random_state(iv_ops, 5))
+
     def test_zero_data_needs_no_control(self, iv_ops, prob, ctrl_sched):
         res = dh.synthesize(iv_ops, prob, ctrl_sched, dh.State.zeros(iv_ops.grid))
         assert res.certified
@@ -185,6 +199,32 @@ class TestCalibration:
         with pytest.raises(dh.CalibrationError):
             dh.calibrate_kappa(iv_ops, prob, ctrl_sched, [st], kappa0=1e-6, budget=0)
 
+    def test_budget_exhaustion_names_the_reduced_model(self, iv_ops, ctrl_sched):
+        """The diagnostics hold n_omega, W's extreme eigenvalues and each
+        member's predicted ||Psi(T)|| / ||Psi0|| at the last rung, which a
+        propagated synthesis there confirms."""
+        prob = dh.ControlProblem(tau=0.5, eps=0.05)
+        states = [unit_random_state(iv_ops, 81), dh.State.zeros(iv_ops.grid)]
+        with pytest.raises(dh.CalibrationError) as info:
+            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=1e-6, budget=2)
+        diag = info.value.diagnostics
+        assert diag["n_omega"] == iv_ops.grid.omega_idx.size
+        assert diag["kappa_last"] == 4e-6
+        assert 0.0 <= diag["w_eigenvalue_max"] <= 1.0
+        assert diag["w_eigenvalue_min"] >= -1e-12 * diag["w_eigenvalue_max"]
+        ratio, zero = diag["predicted_ratio_last"]
+        res = dh.synthesize(iv_ops, replace(prob, kappa=4e-6), ctrl_sched, states[0])
+        assert ratio == pytest.approx(res.norm_PsiT / res.norm_Psi0, rel=1e-9)
+        assert ratio > prob.eps and zero == 0.0
+
+    def test_seed_beyond_the_float_range_is_a_numerical_error(self, iv_ops, ctrl_sched):
+        """Prediction stops where kappa^2 overflows; the propagated rung
+        then names the float range."""
+        prob = dh.ControlProblem(tau=0.5, eps=0.1)
+        st = unit_random_state(iv_ops, 81)
+        with pytest.raises(dh.NumericalError, match="float range"):
+            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, [st], kappa0=1e200, budget=40)
+
     def test_seed_priority_explicit_over_fitted(self, iv_ops, ctrl_sched):
         fit = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0,
                                   K1=2.0, K2=1.0, M1=2.0, M2=2.0, delta=1.0,
@@ -224,11 +264,21 @@ class TestBatchedCalibration:
         return prob, states, dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states,
                                                 kappa0=1.0)
 
-    def test_ensemble_exercises_the_block_solver(self, calibrated):
-        _, _, cal = calibrated
-        iters = [r.residuals["cg_iterations"] for r in cal.results]
+    def test_ensemble_exercises_the_block_solver(self, iv_ops, ctrl_sched, calibrated):
+        """From a zero start the block's columns stop at different
+        iterations; the warm start needs no more, and both solve G."""
+        prob, states, cal = calibrated
         assert cal.doublings > 0
+        co = ControlOperator(iv_ops, ctrl_sched, prob.tau)
+        rhs = -co.prop.flow(np.column_stack([s.values for s in states]), co.n_total)
+        theta, iters = ctl._cg_mass_inner(
+            lambda z: co.gramian_apply(z, cal.kappa, prob.eps), rhs, iv_ops.inner,
+            prob.cg_tol, prob.cg_maxit)
         assert len(set(iters)) >= 3 and iters[-1] == 0
+        warm = [r.residuals["cg_iterations"] for r in cal.results]
+        assert all(w <= c for w, c in zip(warm, iters))
+        for k, res in enumerate(cal.results[:-1]):
+            assert np.linalg.norm(res.theta0 - theta[:, k]) <= 1e-9 * np.linalg.norm(theta[:, k])
 
     def test_block_equals_one_member_synthesis_bit_for_bit(
             self, iv_ops, ctrl_sched, calibrated):
@@ -330,3 +380,109 @@ class TestCostStudy:
                               ctrl_sched, [0.2, 0.1], [st], constants=fit)
         assert study.delta_fitted == 1.0
         assert study.all_certified
+
+
+def _cold_operator(ops, sched, tau):
+    """A ControlOperator without a reduced Gramian: CG from zero and the
+    ladder from its seed, the solver as it is above the memory cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ctl, "REDUCED_GRAMIAN_MAX_ENTRIES", 0)
+        co = ControlOperator(ops, sched, tau)
+        assert co.reduced is None
+    return co
+
+
+def _dense_step(ops, dt, scheme):
+    M, K = np.diag(ops.mass), ops.K.toarray()
+    if scheme == "crank_nicolson":
+        return np.linalg.solve(M + 0.5 * dt * K, M - 0.5 * dt * K)
+    return np.linalg.solve(M + dt * K, M)
+
+
+@st.composite
+def reduced_cases(draw):
+    lo = draw(st.integers(1, 15))
+    hi = draw(st.integers(lo + 3, 19))
+    domain = dh.DomainSpec.interval(0.0, 1.0, (lo + hi) / 40, lo / 20, hi / 20)
+    ops = dh.assemble_operator(dh.build_grid(domain, n=draw(st.integers(8, 40))))
+    dt = draw(st.sampled_from([0.02, 0.05]))
+    sched = dh.Schedule(0.0, 0.5, dt, draw(st.sampled_from(SCHEMES)))
+    prob = dh.ControlProblem(tau=0.25, eps=draw(st.sampled_from([0.3, 0.1, 0.05])))
+    rng = np.random.default_rng(draw(st.integers(0, 9999)))
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = rng.standard_normal(ops.n_dofs)
+        states.append(dh.State(ops.grid, v / ops.norm(v)))
+    seed = draw(st.sampled_from([0.25, 2.0, 16.0]))
+    return ops, sched, prob, states, seed
+
+
+class TestReducedGramian:
+    @settings(max_examples=40, deadline=None)
+    @given(case=reduced_cases())
+    def test_reduced_model_against_dense_flow_and_propagation(self, case):
+        ops, sched, prob, states, seed = case
+        co = ControlOperator(ops, sched, prob.tau)
+        red = co.reduced
+        idx = ops.grid.omega_idx
+
+        # W = R_omega P^{2n} E_omega from a dense matrix power: symmetric in
+        # M_omega, positive semidefinite, and what the eigenbasis rebuilds
+        S = _dense_step(ops, sched.dt, sched.scheme)
+        W = np.linalg.matrix_power(S, 2 * co.n_obs)[np.ix_(idx, idx)]
+        MW = ops.mass[idx][:, None] * W
+        scale = np.abs(MW).max()
+        assert np.abs(MW - MW.T).max() <= 1e-12 * scale
+        rebuilt = (red.Q * red.eigenvalues) @ red.Q.T
+        rebuilt = rebuilt / red.sqrt_mass[:, None] * red.sqrt_mass[None, :]
+        assert np.abs(rebuilt - W).max() <= 1e-10 * np.abs(W).max()
+        assert red.eigenvalues.min() >= -1e-12 * red.eigenvalues.max()
+
+        # predictions against a propagated synthesis from a zero start, and
+        # the ladder against a test-local propagation-only ladder.  A
+        # synthesis is an oracle where its true residual is small.  Up to
+        # kappa / eps = 1e3 the prediction holds to 1e-9.  Beyond, kappa^2
+        # lam passes eps^2 for small eigenvalues lam, whose rounding is
+        # absolute (about 1e-16 of the largest), and the prediction divides
+        # by them; it must still stay inside the near-miss window
+        cold = _cold_operator(ops, sched, prob.tau)
+        cold_flows = ctl._free_flows(cold, states)
+        flows = ctl._free_flows(co, states)
+        budget, kappa, expected = 8, seed, None
+        for k in range(budget + 1):
+            results = ctl._synthesize_block(cold, replace(prob, kappa=kappa), cold_flows)
+            ratio, cost = ctl._predict(co, flows, kappa, prob.eps)
+            rel = 1e-9 if kappa <= 1e3 * prob.eps else ctl._NEAR_MISS
+            for r, pr, pc in zip(results, ratio, cost):
+                if r.residuals["cg_rel"] > 1e-10:
+                    continue
+                assert pr == pytest.approx(r.norm_PsiT / r.norm_Psi0, rel=rel)
+                prop_cost = (r.norm_h ** 2 / kappa ** 2
+                             + r.norm_PsiT ** 2 / prob.eps ** 2) / r.norm_Psi0 ** 2
+                assert pc == pytest.approx(prop_cost, rel=rel)
+            if all(r.certified for r in results):
+                expected = (kappa, k)
+                break
+            kappa *= 2.0
+        if expected is None:
+            with pytest.raises(dh.CalibrationError):
+                dh.calibrate_kappa(ops, prob, sched, states, kappa0=seed, budget=budget)
+        else:
+            cal = dh.calibrate_kappa(ops, prob, sched, states, kappa0=seed, budget=budget)
+            assert (cal.kappa, cal.doublings) == expected
+
+    def test_above_the_memory_cap_the_solver_starts_from_zero(
+            self, iv_ops, ctrl_sched, monkeypatch):
+        """Without the reduced Gramian the same CG runs from zero and the
+        ladder from its seed: the same kappa and doublings, h to 1e-9."""
+        prob = dh.ControlProblem(tau=0.5, eps=0.1)
+        states = _mixed_ensemble(iv_ops)
+        warm = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=1.0)
+        monkeypatch.setattr(ctl, "REDUCED_GRAMIAN_MAX_ENTRIES", iv_ops.n_dofs - 1)
+        cold = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=1.0)
+        assert (cold.kappa, cold.doublings) == (warm.kappa, warm.doublings)
+        for w, c in zip(warm.results[:-1], cold.results[:-1]):
+            assert w.flags == c.flags
+            assert np.linalg.norm(w.h - c.h) <= 1e-9 * np.linalg.norm(c.h)
+            assert c.residuals["cg_iterations"] > w.residuals["cg_iterations"]
+            assert c.residuals["cg_rel"] <= 1e-10
