@@ -52,13 +52,23 @@ The reduced solution is used twice, and never certifies anything:
 - predicted rung: the target and cost certificates are predicted for every
   rung of the doubling ladder, and propagation starts at the first rung
   that every member is predicted to certify or to miss by less than 1e-6
-  relative.  The rungs below it miss by more, so the ladder picks the
-  kappa and doubling count that propagating every rung would.  The ladder
-  then continues by propagation.  Prediction stops where kappa^2 leaves
-  the float range, and propagation decides from there.
+  relative.  The ladder then continues by propagation.  Prediction stops
+  where kappa^2 leaves the float range, and propagation decides from
+  there.  The skipped rungs are predicted to miss by more than 1e-6, so
+  the ladder picks the kappa and doubling count that propagating every
+  rung would wherever the prediction errs by less: the property tests hold
+  it to 1e-9 up to kappa / eps = 1e3 and to 1e-7 beyond, on rungs whose
+  propagated CG reaches a true residual of 1e-10.  Past that the
+  propagated rung is no oracle either (see ROADMAP item 6).
 
-Grids whose Z would exceed REDUCED_GRAMIAN_MAX_ENTRIES numbers skip the
-reduced Gramian: the CG starts from zero and the ladder from its seed.
+The reduced Gramian is built only where it pays.  Its flow costs the
+steps of n_omega Gramian applies to one column, and a calibration from a
+zero start spends about COLD_APPLIES_PER_MEMBER applies per member, so a
+calibration or cost study of m members with nonzero data uses it when
+n_omega <= m * COLD_APPLIES_PER_MEMBER, and when Z holds at most
+REDUCED_GRAMIAN_MAX_ENTRIES numbers.  Otherwise the CG starts from zero
+and the ladder from its seed, as a one-member control on the 816-dof
+disk does (n_omega = 240).
 
 The ensemble is solved as one block.  A ControlOperator depends only on
 (ops, sched, tau), so a calibration or a cost study factors the step
@@ -67,11 +77,14 @@ every member, and flows each member once.  Each propagated rung runs one
 block CG whose columns keep their own scalars and stopping tests, and
 inner products and the reduced products are taken on contiguous columns.
 A member's result is bit-identical to a one-member synthesis wherever the
-block step solve rounds each column as a one-state solve does.  That
-holds on disks above DIRECT_SOLVE_MAX_DOFS, whose structured solve treats
-each column alone, and is checked on the interval.  It is not guaranteed
-on SuperLU disks up to DIRECT_SOLVE_MAX_DOFS, whose multi-column solve can
-round a column differently (the 816-dof certify-disk grid).
+block step solve rounds each column as a one-state solve does and both
+take the same start: n_omega <= COLD_APPLIES_PER_MEMBER, where one member
+already uses the reduced Gramian, or a block too small to use it.  The
+rounding holds on disks above DIRECT_SOLVE_MAX_DOFS, whose structured
+solve treats each column alone, and is checked on the interval.  It is
+not guaranteed on SuperLU disks up to DIRECT_SOLVE_MAX_DOFS, whose
+multi-column solve can round a column differently (the 816-dof
+certify-disk grid).
 """
 
 from __future__ import annotations
@@ -95,6 +108,14 @@ DEFAULT_DOUBLING_BUDGET = 40
 # to 72 on 816- and 2624-node disks (Z, P^n E_omega, the flow's working
 # blocks and eigh), so the cap keeps the build under about 150 MB
 REDUCED_GRAMIAN_MAX_ENTRIES = 2_000_000
+# Gramian applies to one column that a calibration from a zero start
+# spends per member: CG iterations, the true residual and the final flows,
+# on every propagated rung.  Measured 10 to 39 for one member on the
+# benchmark interval (n = 32, one to three rungs) and 55 to 68 on disks of
+# 816 and 1600 dofs with omega radius 0.3 to 0.5 (one rung).  Below the
+# disks' counts, so a wide omega is flowed only for enough members to
+# repay it
+COLD_APPLIES_PER_MEMBER = 24
 # a rung predicted to miss by less than this, relative, is propagated too
 _NEAR_MISS = 1e-6
 
@@ -296,30 +317,38 @@ class _Flows:
     """The members' data, flowed once per calibration or cost study.
 
     norms are ||Psi0||; free_tau and free_T hold P^{n_tau} Psi0 and
-    a = P^{n_T} Psi0, one column per member; c holds the reduced
-    coordinates Q^T M_omega^{1/2} R_omega P^n a, or is None without a
-    reduced Gramian.
+    a = P^{n_T} Psi0, one column per member; red is the operator's reduced
+    Gramian where it pays for these members, else None, and c the reduced
+    coordinates Q^T M_omega^{1/2} R_omega P^n a (None without red).
     """
 
     norms: list
     free_tau: np.ndarray
     free_T: np.ndarray
+    red: _ReducedGramian | None
     c: np.ndarray | None
 
     def subset(self, idx):
         return _Flows(norms=[self.norms[j] for j in idx],
                       free_tau=self.free_tau[:, idx], free_T=self.free_T[:, idx],
-                      c=None if self.c is None else self.c[:, idx])
+                      red=self.red, c=None if self.c is None else self.c[:, idx])
 
 
 def _free_flows(co, psi0s):
-    """_Flows of the initial states psi0s."""
+    """_Flows of the initial states psi0s.
+
+    The reduced Gramian's flow costs the steps of n_omega Gramian applies
+    to one column, so it is used for at least n_omega /
+    COLD_APPLIES_PER_MEMBER members with nonzero data only.
+    """
     norms = [co.ops.norm(psi0) for psi0 in psi0s]
     free_tau = co.prop.flow(np.column_stack([p.values for p in psi0s]), co.n_tau)
     free_T = co.prop.flow(free_tau, co.n_obs)
-    red = co.reduced
+    members = sum(n0 != 0.0 for n0 in norms)
+    pays = co.ops.grid.omega_idx.size <= members * COLD_APPLIES_PER_MEMBER
+    red = co.reduced if pays else None
     c = None if red is None else red.coords(co.observe(free_T))
-    return _Flows(norms=norms, free_tau=free_tau, free_T=free_T, c=c)
+    return _Flows(norms=norms, free_tau=free_tau, free_T=free_T, red=red, c=c)
 
 
 def _warm_start(co, flows, rhs, kappa, eps):
@@ -331,7 +360,7 @@ def _warm_start(co, flows, rhs, kappa, eps):
     are 0 without a step.
     """
     zero = np.zeros(rhs.shape, order="F")
-    red = co.reduced
+    red = flows.red
     if red is None:
         return zero, zero.copy(), zero.copy(), rhs
     # a tiny eps can blow theta0 up past the float range; such columns fail
@@ -467,7 +496,7 @@ def _predict(co, flows, kappa, eps):
     """Reduced-model ||Psi(T)|| / ||Psi0|| and cost / ||Psi0||^2 per member
     at (kappa, eps), 0 for zero data; None without a reduced Gramian, when
     kappa^2 leaves the float range or when a prediction is not finite."""
-    red, k2 = co.reduced, kappa * kappa
+    red, k2 = flows.red, kappa * kappa
     if red is None or not 0.0 < k2 < np.inf:
         return None
     n0 = np.array(flows.norms)
@@ -498,7 +527,7 @@ def _predicted_miss(co, flows, kappa, eps):
 def _calibration_diagnostics(co, flows, kappa, eps):
     """n_omega, W's extreme eigenvalues and each member's predicted
     ||Psi(T)|| / ||Psi0|| at kappa, None where unknown."""
-    red = co.reduced
+    red = flows.red
     pred = _predict(co, flows, kappa, eps)
     return {
         "n_omega": int(co.ops.grid.omega_idx.size),

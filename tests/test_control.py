@@ -392,6 +392,20 @@ def _cold_operator(ops, sched, tau):
     return co
 
 
+def _propagated_ladder(ops, sched, prob, states, seed, budget):
+    """(kappa, doublings) of a test-local ladder that propagates every
+    rung from a zero start, or None when the budget runs out."""
+    cold = _cold_operator(ops, sched, prob.tau)
+    flows = ctl._free_flows(cold, states)
+    kappa = seed
+    for k in range(budget + 1):
+        results = ctl._synthesize_block(cold, replace(prob, kappa=kappa), flows)
+        if all(r.certified for r in results):
+            return kappa, k
+        kappa *= 2.0
+    return None
+
+
 def _dense_step(ops, dt, scheme):
     M, K = np.diag(ops.mass), ops.K.toarray()
     if scheme == "crank_nicolson":
@@ -422,6 +436,13 @@ class TestReducedGramian:
     @given(case=reduced_cases())
     def test_reduced_model_against_dense_flow_and_propagation(self, case):
         ops, sched, prob, states, seed = case
+        # one member on a wide omega would start from zero: build anyway
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctl, "COLD_APPLIES_PER_MEMBER", ops.n_dofs)
+            self._check_reduced_model(ops, sched, prob, states, seed)
+
+    @staticmethod
+    def _check_reduced_model(ops, sched, prob, states, seed):
         co = ControlOperator(ops, sched, prob.tau)
         red = co.reduced
         idx = ops.grid.omega_idx
@@ -444,7 +465,8 @@ class TestReducedGramian:
         # kappa / eps = 1e3 the prediction holds to 1e-9.  Beyond, kappa^2
         # lam passes eps^2 for small eigenvalues lam, whose rounding is
         # absolute (about 1e-16 of the largest), and the prediction divides
-        # by them; it must still stay inside the near-miss window
+        # by them; it must still stay tenfold inside the near-miss
+        # window, so that no rung a propagation would certify is skipped
         cold = _cold_operator(ops, sched, prob.tau)
         cold_flows = ctl._free_flows(cold, states)
         flows = ctl._free_flows(co, states)
@@ -452,7 +474,7 @@ class TestReducedGramian:
         for k in range(budget + 1):
             results = ctl._synthesize_block(cold, replace(prob, kappa=kappa), cold_flows)
             ratio, cost = ctl._predict(co, flows, kappa, prob.eps)
-            rel = 1e-9 if kappa <= 1e3 * prob.eps else ctl._NEAR_MISS
+            rel = 1e-9 if kappa <= 1e3 * prob.eps else 0.1 * ctl._NEAR_MISS
             for r, pr, pc in zip(results, ratio, cost):
                 if r.residuals["cg_rel"] > 1e-10:
                     continue
@@ -470,6 +492,47 @@ class TestReducedGramian:
         else:
             cal = dh.calibrate_kappa(ops, prob, sched, states, kappa0=seed, budget=budget)
             assert (cal.kappa, cal.doublings) == expected
+
+    def test_large_kappa_over_eps_keeps_the_propagated_ladder(self):
+        """Backward Euler reaches eps = 0.002 at kappa / eps = 3.2e4, where
+        the predictions divide by W's rounded small eigenvalues: the
+        predicted start still gives the kappa and doublings of propagating
+        every rung, and skips rungs on the way."""
+        ops = dh.assemble_operator(dh.build_grid(
+            dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7), n=24))
+        sched = dh.Schedule(0.0, 0.5, 0.05, "backward_euler")
+        prob = dh.ControlProblem(tau=0.25, eps=0.002)
+        states = [unit_random_state(ops, 95 + k) for k in range(2)]
+        expected = _propagated_ladder(ops, sched, prob, states, 1.0, 30)
+        assert expected is not None and expected[0] >= 1e4 * prob.eps
+        cal = dh.calibrate_kappa(ops, prob, sched, states, kappa0=1.0, budget=30)
+        assert (cal.kappa, cal.doublings) == expected
+        co = ControlOperator(ops, sched, prob.tau)
+        flows = ctl._free_flows(co, states)
+        assert ctl._predicted_miss(co, flows, cal.kappa / 2.0, prob.eps)
+
+    def test_one_member_on_a_wide_omega_starts_from_zero(self, disk_ops):
+        """On a disk whose omega holds more nodes than a calibration from
+        zero spends Gramian applies on one member, a one-member synthesis
+        runs the CG from zero without building the reduced Gramian, and a
+        block of enough members builds it."""
+        sched = dh.Schedule(0.0, 0.2, 0.02)
+        n_omega = disk_ops.grid.omega_idx.size
+        assert n_omega > ctl.COLD_APPLIES_PER_MEMBER
+        st = unit_random_state(disk_ops, 96)
+        co = ControlOperator(disk_ops, sched, 0.1)
+        flows = ctl._free_flows(co, [st])
+        assert flows.red is None and "reduced" not in vars(co)
+        prob = dh.ControlProblem(tau=0.1, eps=0.1, kappa=4.0)
+        one = ctl._synthesize_block(co, prob, flows)[0]
+        cold = _cold_operator(disk_ops, sched, 0.1)
+        zero_start = ctl._synthesize_block(cold, prob, ctl._free_flows(cold, [st]))[0]
+        assert one.summary() == zero_start.summary()
+        assert one.residuals["cg_iterations"] > 0
+
+        members = -(-n_omega // ctl.COLD_APPLIES_PER_MEMBER)
+        states = [unit_random_state(disk_ops, 96 + k) for k in range(members)]
+        assert ctl._free_flows(co, states).red is co.reduced is not None
 
     def test_above_the_memory_cap_the_solver_starts_from_zero(
             self, iv_ops, ctrl_sched, monkeypatch):
