@@ -62,9 +62,10 @@ The reduced solution is used twice, and never certifies anything:
   propagated rung is no oracle either (see ROADMAP item 6).
 
 The reduced Gramian is built only where it pays.  Its flow costs the
-steps of n_omega Gramian applies to one column, and a calibration from a
-zero start spends about COLD_APPLIES_PER_MEMBER applies per member, so a
-calibration or cost study of m members with nonzero data uses it when
+steps of n_omega Gramian applies to one column, in one wide block, and a
+calibration from a zero start costs about as much time as
+COLD_APPLIES_PER_MEMBER of them per member, so a calibration or cost
+study of m members with nonzero data uses it when
 n_omega <= m * COLD_APPLIES_PER_MEMBER, and when Z holds at most
 REDUCED_GRAMIAN_MAX_ENTRIES numbers.  Otherwise the CG starts from zero
 and the ladder from its seed, as a one-member control on the 816-dof
@@ -74,17 +75,12 @@ The ensemble is solved as one block.  A ControlOperator depends only on
 (ops, sched, tau), so a calibration or a cost study factors the step
 matrix once and reuses it for every kappa doubling, every eps level and
 every member, and flows each member once.  Each propagated rung runs one
-block CG whose columns keep their own scalars and stopping tests, and
-inner products and the reduced products are taken on contiguous columns.
-A member's result is bit-identical to a one-member synthesis wherever the
-block step solve rounds each column as a one-state solve does and both
-take the same start: n_omega <= COLD_APPLIES_PER_MEMBER, where one member
-already uses the reduced Gramian, or a block too small to use it.  The
-rounding holds on disks above DIRECT_SOLVE_MAX_DOFS, whose structured
-solve treats each column alone, and is checked on the interval.  It is
-not guaranteed on SuperLU disks up to DIRECT_SOLVE_MAX_DOFS, whose
-multi-column solve can round a column differently (the 816-dof
-certify-disk grid).
+block CG whose columns keep their own scalars and stopping tests.  The
+step solve and every inner product treat each column alone, and the
+reduced products are taken per column, so on every grid a member's result
+is bit-identical to a one-member synthesis wherever both take the same
+start: n_omega <= COLD_APPLIES_PER_MEMBER, where one member already uses
+the reduced Gramian, or a block too small to use it.
 """
 
 from __future__ import annotations
@@ -108,14 +104,13 @@ DEFAULT_DOUBLING_BUDGET = 40
 # to 72 on 816- and 2624-node disks (Z, P^n E_omega, the flow's working
 # blocks and eigh), so the cap keeps the build under about 150 MB
 REDUCED_GRAMIAN_MAX_ENTRIES = 2_000_000
-# Gramian applies to one column that a calibration from a zero start
-# spends per member: CG iterations, the true residual and the final flows,
-# on every propagated rung.  Measured 10 to 39 for one member on the
-# benchmark interval (n = 32, one to three rungs) and 55 to 68 on disks of
-# 816 and 1600 dofs with omega radius 0.3 to 0.5 (one rung).  Below the
-# disks' counts, so a wide omega is flowed only for enough members to
-# repay it
-COLD_APPLIES_PER_MEMBER = 24
+# the time of a calibration from a zero start per member, in Gramian
+# applies to one column within the reduced Gramian's wide block flow.  A
+# zero start spends 56 to 68 applies per member on disks of 816 and 1600
+# dofs (omega radius 0.3 and 0.5, one rung), on narrow blocks, which
+# price a column higher; timed against the reduced Gramian for 2 to 16
+# members, the two broke even at n_omega / m of 38 to 48
+COLD_APPLIES_PER_MEMBER = 40
 # a rung predicted to miss by less than this, relative, is propagated too
 _NEAR_MISS = 1e-6
 
@@ -337,9 +332,9 @@ class _Flows:
 def _free_flows(co, psi0s):
     """_Flows of the initial states psi0s.
 
-    The reduced Gramian's flow costs the steps of n_omega Gramian applies
-    to one column, so it is used for at least n_omega /
-    COLD_APPLIES_PER_MEMBER members with nonzero data only.
+    The reduced Gramian is used for at least n_omega /
+    COLD_APPLIES_PER_MEMBER members with nonzero data only (see the
+    module docstring).
     """
     norms = [co.ops.norm(psi0) for psi0 in psi0s]
     free_tau = co.prop.flow(np.column_stack([p.values for p in psi0s]), co.n_tau)
@@ -425,33 +420,32 @@ def _synthesize_block(co, prob, flows):
     # impulsive trajectory with the synthesized payloads
     psi_T = co.prop.flow(flows.free_tau + ops.embed_omega(H), co.n_obs)
 
+    norm_psi0 = np.array(flows.norms)
+    norm_h, norm_v = ops.norm_omega(H), ops.norm_omega(V)
+    norm_psiT, norm_theta = ops.norm(psi_T), ops.norm(theta)
+    terminal = ops.norm(psi_T + eps ** 2 * theta) / norm_psi0
+    lhs_apriori = kappa ** 2 * ops.inner_omega(V, V) + eps ** 2 * norm_theta ** 2
+    rhs_apriori = norm_psi0 * ops.norm(theta_T)
+    cost_lhs = norm_h ** 2 / kappa ** 2 + norm_psiT ** 2 / eps ** 2
+    slack = 1.0 + CERT_SLACK
     for k, j in enumerate(live):
-        h, v = np.ascontiguousarray(H[:, k]), np.ascontiguousarray(V[:, k])
-        th, pT = np.ascontiguousarray(theta[:, k]), np.ascontiguousarray(psi_T[:, k])
-        norm_psi0 = flows.norms[k]
-        norm_h = ops.norm_omega(h)
-        norm_psiT = ops.norm(pT)
-        norm_theta = ops.norm(th)
-        terminal = ops.norm(pT + eps ** 2 * th) / norm_psi0
-        lhs_apriori = kappa ** 2 * ops.inner_omega(v, v) + eps ** 2 * norm_theta ** 2
-        rhs_apriori = norm_psi0 * ops.norm(np.ascontiguousarray(theta_T[:, k]))
-        cost_lhs = norm_h ** 2 / kappa ** 2 + norm_psiT ** 2 / eps ** 2
         flags = {
-            "target": bool(norm_psiT <= eps * norm_psi0 * (1.0 + CERT_SLACK)),
-            "cost": bool(cost_lhs <= norm_psi0 ** 2 * (1.0 + CERT_SLACK)),
-            "apriori": bool(lhs_apriori <= rhs_apriori * (1.0 + CERT_SLACK)),
-            "observation": bool(ops.norm_omega(v) <= norm_psi0 * (1.0 + CERT_SLACK)),
+            "target": bool(norm_psiT[k] <= eps * norm_psi0[k] * slack),
+            "cost": bool(cost_lhs[k] <= norm_psi0[k] ** 2 * slack),
+            "apriori": bool(lhs_apriori[k] <= rhs_apriori[k] * slack),
+            "observation": bool(norm_v[k] <= norm_psi0[k] * slack),
         }
         residuals = {
             "cg_rel": float(cg_rel[k]),
             "cg_iterations": int(cg_iters[k]),
-            "terminal_identity": terminal,
+            "terminal_identity": float(terminal[k]),
         }
-        results[j] = ControlResult(kappa=kappa, eps=eps, norm_h=norm_h,
-                                   norm_PsiT=norm_psiT, norm_Psi0=norm_psi0,
+        results[j] = ControlResult(kappa=kappa, eps=eps, norm_h=float(norm_h[k]),
+                                   norm_PsiT=float(norm_psiT[k]),
+                                   norm_Psi0=flows.norms[k],
                                    flags=flags, residuals=residuals,
                                    tau_effective=co.tau_effective,
-                                   h=h, theta0=th, psi_T=pT)
+                                   h=H[:, k], theta0=theta[:, k], psi_T=psi_T[:, k])
     return results
 
 
@@ -475,13 +469,10 @@ def verify_duality(ops, prob, sched, psi0, result, zeta0s):
     Z0 = np.column_stack([z.values if isinstance(z, State) else z for z in zeta0s])
     Z_obs = co.prop.flow(Z0, co.n_obs)
     Z_T = co.prop.flow(Z_obs, co.n_tau)  # P^{n_total} = P^{n_tau} P^{n_obs}
-    out = []
-    for z0, z_obs, zT in zip(Z0.T, ops.restrict_omega(Z_obs).T, Z_T.T):
-        val = (ops.inner_omega(result.h, z_obs)
-               + ops.inner(psi0.values, zT)
-               - ops.inner(result.psi_T, z0))
-        out.append(abs(val) / (norm_psi0 * ops.norm(z0)))
-    return np.array(out)
+    val = (ops.inner_omega(result.h[:, None], ops.restrict_omega(Z_obs))
+           + ops.inner(psi0.values[:, None], Z_T)
+           - ops.inner(result.psi_T[:, None], Z0))
+    return np.abs(val) / (norm_psi0 * ops.norm(Z0))
 
 
 @dataclass(frozen=True)
@@ -628,10 +619,9 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
     positive cost hold at least two distinct eps.
 
     Every member is flowed once, and each eps level calibrates on the
-    columns of its active members.  On the interval a block's columns
-    equal per-column solves (the bit-for-bit test of a calibration against
-    one-member synthesis shows it), so this gives the bits of flowing the
-    active members alone.
+    columns of its active members.  A block's columns equal their
+    one-column steps, so this gives the bits of flowing the active members
+    alone.
     """
     if not eps_list:
         raise ConfigurationError("cost study needs a nonempty eps list")

@@ -200,13 +200,21 @@ def per_node(w, u):
 
 
 def column_dots(a, b):
-    """np.dot of two vectors, or of each column pair of two (n, m) blocks on
-    contiguous copies (np.dot over a strided column rounds differently)."""
-    if b.ndim == 1:
-        return float(np.dot(a, b))
-    a, b = np.broadcast_arrays(a, b)
-    return np.array([np.dot(x, y) for x, y in
-                     zip(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))])
+    """Sum of a * b over two states, or down each column of two blocks.
+
+    The product is formed in Fortran order, so np.sum takes numpy's
+    pairwise sum over each contiguous column as over one state: a block's
+    sums equal its one-column sums bit for bit."""
+    ab = np.multiply(a, b, order="F")
+    if ab.ndim == 1:
+        return float(np.sum(ab))
+    return np.sum(ab, axis=0)
+
+
+def _root(sq):
+    """sqrt(max(sq, 0)): a float for one state, an array per column."""
+    r = np.sqrt(np.maximum(sq, 0.0))
+    return float(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)
@@ -248,17 +256,21 @@ class OperatorSet:
         return column_dots(per_node(self.mass, u) * u, v)
 
     def norm(self, u):
-        return float(np.sqrt(max(self.inner(u, u), 0.0)))
+        """Mass norm of a state, or per column of a block."""
+        return _root(self.inner(u, u))
 
     def inner_omega(self, u, v):
+        """Mass inner product on omega, per column for blocks (n_omega, m)."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        if u.shape != self._mass_omega.shape or v.shape != self._mass_omega.shape:
-            raise UsageError(f"omega vectors need shape {self._mass_omega.shape}")
-        return float(np.dot(self._mass_omega * u, v))
+        n_omega = self._mass_omega.size
+        if (u.ndim not in (1, 2) or v.ndim != u.ndim
+                or u.shape[0] != n_omega or v.shape[0] != n_omega):
+            raise UsageError(f"omega vectors need shape ({n_omega},) or ({n_omega}, m)")
+        return column_dots(per_node(self._mass_omega, u) * u, v)
 
     def norm_omega(self, u):
-        return float(np.sqrt(max(self.inner_omega(u, u), 0.0)))
+        return _root(self.inner_omega(u, u))
 
     # -- operator action -------------------------------------------------
     def edge_flux(self, u):

@@ -18,16 +18,16 @@ boundary and the effective value is reported.
 Propagator is the one place where the flow advances, for single states and
 for blocks of states alike.
 
-Every step solve is exact up to rounding.  Interval grids and disk grids
-up to DIRECT_SOLVE_MAX_DOFS unknowns take a SuperLU factorization of the
-step matrix; a tridiagonal matrix has no fill, so the interval takes it at
-every size.  Larger disk grids take a structured solve: every ring carries
-ntheta nodes with ring-only weights, so the step matrix is block-circulant
-in theta.  A real FFT over theta splits it into ntheta/2 + 1 tridiagonal
-systems in r, one per Fourier mode, and one Thomas sweep over the rings
-solves them all (Hockney, J. ACM 12, 1965; Swarztrauber, SIAM J. Numer.
-Anal. 11, 1974).  On small disks SuperLU's factor and solve are the
-faster of the two.
+Every step solve is exact up to rounding and structured.  The interval's
+step matrix M + cK is SPD tridiagonal: LAPACK's L D L^T factorization
+(dpttrf) runs once and its solve (dpttrs) every step.  On a disk every ring carries ntheta
+nodes with ring-only weights, so the step matrix is block-circulant in
+theta.  A real FFT over theta splits it into ntheta/2 + 1 SPD tridiagonal
+systems in r, one per Fourier mode, which are stacked into one
+block-diagonal tridiagonal system and solved the same way (Hockney, J. ACM
+12, 1965; Swarztrauber, SIAM J. Numer. Anal. 11, 1974).  dpttrs sweeps
+every right-hand side alone and in the same order, so on every grid a
+block's columns equal their one-state steps bit for bit.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from .discretize import State
+from .discretize import State, per_node
 from .errors import ConfigurationError, NumericalError
 
 SCHEMES = ("crank_nicolson", "backward_euler")
+# a label only: the benchmark tracer counts steps on grids above it; no solve reads it
 DIRECT_SOLVE_MAX_DOFS = 20000
 _STRUCTURED_RESIDUAL_TOL = 1e-10
 _DT_DIVISION_RTOL = 1e-9
@@ -95,6 +95,23 @@ class ImpulseEvent:
         object.__setattr__(self, "payload", np.asarray(self.payload, dtype=float))
 
 
+class _Tridiagonal:
+    """SPD tridiagonal solve (diagonal d, off-diagonal e) by dpttrf once and
+    dpttrs per call, for a right-hand side (n,) or a block (n, m) that it
+    may overwrite; a block comes back in Fortran order.  A nonpositive
+    pivot raises NumericalError naming where."""
+
+    def __init__(self, d, e, where):
+        self._d, self._e, info = lapack.dpttrf(d, e)
+        if info != 0:
+            raise NumericalError(
+                f"factorization of the step matrix failed on the {where} "
+                f"(dpttrf info {info}: pivot not positive)")
+
+    def __call__(self, rhs):
+        return lapack.dpttrs(self._d, self._e, rhs, overwrite_b=True)[0]
+
+
 class _DiskSolver:
     """Exact solve of (diag(mass) + c K) x = b on a disk grid.
 
@@ -104,13 +121,12 @@ class _DiskSolver:
     the next node in theta and the radial coupling to the next ring.  A
     real FFT over theta turns the circulant angular coupling into the
     diagonal factor 2 cos(2 pi k / ntheta) per mode k; each mode leaves an
-    SPD, strictly diagonally dominant tridiagonal system in r, factorized
-    here once without pivoting.  The sweep acts on the real and imaginary
-    parts of every column alone with elementwise operations, so a block
-    equals its per-column solves bit for bit.  Construction solves one
-    fixed vector, checks it against K itself and raises NumericalError
-    when the relative residual exceeds 1e-10, as it does for a K that is
-    not theta-invariant.
+    SPD tridiagonal system in r.  The modes' systems, with zero couplings
+    between them, form one block-diagonal tridiagonal system, factorized
+    once; the real and the imaginary part of every column are two of its
+    right-hand sides.  Construction solves one fixed vector, checks it
+    against K itself and raises NumericalError when the relative residual
+    exceeds 1e-10, as it does for a K that is not theta-invariant.
     """
 
     def __init__(self, ops, c):
@@ -128,13 +144,10 @@ class _DiskSolver:
         half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
         d = (ops.mass[first] + c * (diag - 2.0 * angular))[:, None] \
             + (4.0 * c * angular)[:, None] * half
-        self._off = -c * radial
-        for i in range(1, nr + 1):
-            d[i] -= self._off[i - 1] ** 2 / d[i - 1]
-        # the pivots d and multipliers off / d, each repeated for the real
-        # and the imaginary part of a mode
-        self._pivot = np.repeat(d, 2, axis=1)
-        self._mult = np.repeat(self._off[:, None] / d[:-1], 2, axis=1)
+        # mode-major: the rings of mode k are unknowns k (nr + 1) + i
+        e = np.zeros((half.size, nr + 1))
+        e[:, :-1] = -c * radial
+        self._solve = _Tridiagonal(d.T.ravel(), e.ravel()[:-1], f"{nr}x{ntheta} disk")
 
         b = np.random.default_rng(0).standard_normal(ops.n_dofs)
         x = self(b)
@@ -151,14 +164,14 @@ class _DiskSolver:
         """x for a right-hand side (n,) or a block (n, m), same shape;
         a block comes back in Fortran order."""
         rings, ntheta = self._shape
-        F = np.fft.rfft(np.ascontiguousarray(rhs.T).reshape(-1, rings, ntheta), axis=-1)
-        Y = F.view(np.float64)
-        for i in range(1, rings):
-            Y[:, i] -= self._mult[i - 1] * Y[:, i - 1]
-        Y[:, -1] /= self._pivot[-1]
-        for i in range(rings - 2, -1, -1):
-            Y[:, i] -= self._off[i] * Y[:, i + 1]
-            Y[:, i] /= self._pivot[i]
+        m = rhs.size // (rings * ntheta)
+        F = np.fft.rfft(np.ascontiguousarray(rhs.T).reshape(m, rings, ntheta), axis=-1)
+        # (m, rings, modes, part) -> (m, part, modes, rings): one contiguous
+        # right-hand side per column and part
+        parts = F.view(np.float64).reshape(m, rings, -1, 2).transpose(0, 3, 2, 1)
+        X = self._solve(np.reshape(parts, (2 * m, -1)).T)
+        parts = X.T.reshape(m, 2, -1, rings).transpose(0, 3, 2, 1)
+        F = np.ascontiguousarray(parts).view(np.complex128)[..., 0]
         x = np.fft.irfft(F, n=ntheta, axis=-1)
         return x.reshape(rhs.shape[::-1]).T
 
@@ -167,9 +180,8 @@ class Propagator:
     """Prefactorized step solver for one (ops, dt, scheme) triple.
 
     step, trajectory and flow take a state (n,) or a block of states
-    (n, m), one per column, and return the same shape.  Disk grids above
-    DIRECT_SOLVE_MAX_DOFS unknowns take the structured FFT/Thomas solve,
-    every other grid SuperLU (see the module docstring).
+    (n, m), one per column, and return the same shape, a block's columns
+    with the bits of one-state steps (see the module docstring).
     """
 
     def __init__(self, ops, dt, scheme="crank_nicolson"):
@@ -180,51 +192,34 @@ class Propagator:
         self.scheme = scheme
         c = 0.5 * self.dt if scheme == "crank_nicolson" else self.dt
         self._rhs_c = 0.5 * self.dt if scheme == "crank_nicolson" else 0.0
-        self._structured = (ops.grid.domain.kind == "disk"
-                            and ops.n_dofs > DIRECT_SOLVE_MAX_DOFS)
-        if self._structured:
+        if ops.grid.domain.kind == "disk":
             self._solve = _DiskSolver(ops, c)
-            return
-        try:
-            self._solve = spla.splu((sp.diags(ops.mass) + c * ops.K).tocsc()).solve
-        except RuntimeError as exc:
-            raise NumericalError(f"factorization of the step matrix failed: {exc}") from exc
+        else:
+            self._solve = _Tridiagonal(ops.mass + c * ops.K.diagonal(),
+                                       c * ops.K.diagonal(1), f"{ops.n_dofs}-node interval")
 
-    def step(self, u, columnwise=False):
-        """Advance one step of a state (n,) or a block of states (n, m).
-
-        A block's SuperLU solve takes the multi-column path, whose level-3
-        BLAS kernels can round a column differently from a one-state solve;
-        columnwise=True solves each column alone, so every column carries
-        exactly the bits of a one-state step.  The structured solve treats
-        every column alone anyway, so there columnwise changes nothing.
-        """
-        mass = self.ops.mass if u.ndim == 1 else self.ops.mass[:, None]
-        rhs = mass * u
+    def step(self, u):
+        """Advance one step of a state (n,) or a block of states (n, m)."""
+        rhs = per_node(self.ops.mass, u) * u
         if self._rhs_c:
             rhs -= self._rhs_c * self.ops.apply_K(u)
-        if rhs.ndim == 1 or self._structured or not columnwise:
-            return self._solve(rhs)
-        # stacking rows and transposing keeps each column contiguous
-        # (Fortran order), as the block solve returns it
-        return np.array([self._solve(b) for b in rhs.T]).T
+        return self._solve(rhs)
 
-    def trajectory(self, u, steps, columnwise=False):
+    def trajectory(self, u, steps):
         """Yield U_0, ..., U_steps of the flow from u, (n,) or (n, m).
 
         Each yielded state is a new array; blocks are in Fortran order, so
-        every column is one contiguous state.  columnwise as in step.
+        every column is one contiguous state.
         """
         u = np.array(u, dtype=float, order="F")
         yield u
         for _ in range(steps):
-            u = self.step(u, columnwise)
+            u = self.step(u)
             yield u
 
-    def flow(self, u, steps, columnwise=False):
-        """P^steps u for a state (n,) or a block (n, m); never a view of u.
-        columnwise as in step."""
-        for u in self.trajectory(u, steps, columnwise):
+    def flow(self, u, steps):
+        """P^steps u for a state (n,) or a block (n, m); never a view of u."""
+        for u in self.trajectory(u, steps):
             pass
         return u
 

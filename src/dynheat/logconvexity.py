@@ -188,8 +188,8 @@ class FrequencyTrace:
 
 def run_traces(ops, params, states, sched, propagator=None):
     """Propagate the states as one block; one FrequencyTrace per state, bit
-    for bit its one-member trace (columnwise solves, and reductions on
-    contiguous columns); propagator, a Propagator for (ops, sched.dt,
+    for bit its one-member trace (the step solve and every reduction treat
+    each column alone); propagator, a Propagator for (ops, sched.dt,
     sched.scheme), is built when None.
 
     C is the smallest constant >= 0 with dN/dt <= (1 + C0) N / Upsilon +
@@ -211,7 +211,7 @@ def run_traces(ops, params, states, sched, propagator=None):
     normF2, N, Q, neg_S = (np.empty((len(states), times.size)) for _ in range(4))
     resid = np.empty((len(states), t_mid.size))
     block = np.column_stack([st.values for st in states])
-    for k, X in enumerate(prop.trajectory(block, sched.steps, columnwise=True)):
+    for k, X in enumerate(prop.trajectory(block, sched.steps)):
         w = _weighted_ops_unchecked(ops, params, times[k], s_phi)
         F = w.E[:, None] * X
         normF2[:, k] = ops.inner(F, F)
@@ -562,11 +562,8 @@ def ensemble_observation_data(ops, sched, states, final=None):
         raise DegenerateDataError("observability ensemble contains a zero state")
     if final is None:
         final = Propagator(ops, sched.dt, sched.scheme).flow(
-            np.column_stack([st.values for st in states]), sched.steps, columnwise=True)
-    cols = np.ascontiguousarray(np.transpose(final))
-    a = np.array([ops.norm(u) for u in cols])
-    b = np.array([ops.norm_omega(u[ops.grid.omega_idx]) for u in cols])
-    return a, b, c
+            np.column_stack([st.values for st in states]), sched.steps)
+    return ops.norm(final), ops.norm_omega(ops.restrict_omega(final)), c
 
 
 def fit_observability_constants(ops, sched, states, final=None):

@@ -32,9 +32,9 @@ def disk_ops(disk_domain):
 
 @pytest.fixture(scope="session")
 def wide_disk_ops():
-    """The certify-disk benchmark grid (816 dofs), large enough for SuperLU
-    supernodes: a multi-column step solve there can round a column
-    differently from a one-state solve, which the small grids never do."""
+    """The certify-disk benchmark grid (816 dofs), where a multi-column
+    sparse LU solve rounded columns differently from one-state solves; the
+    block-identity tests keep it."""
     dom = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), 0.3)
     return dh.assemble_operator(dh.build_grid(dom, nr=16, ntheta=48))
 

@@ -183,9 +183,9 @@ class TestWorkCounts:
         calls = []
         step = evolve.Propagator.step
 
-        def counted(self, u, columnwise=False):
+        def counted(self, u):
             calls.append(1)
-            return step(self, u, columnwise)
+            return step(self, u)
 
         monkeypatch.setattr(evolve.Propagator, "step", counted)
         assert main([stage, "--config", config_path, "--out", str(tmp_path)]) == 0
@@ -353,7 +353,6 @@ class TestFailureArtifact:
         construction check instead of flowing with the wrong matrix."""
         path = tmp_path / "disk.ini"
         path.write_text(DISK_CONFIG)
-        monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
         monkeypatch.setattr(cli, "assemble_operator",
                             lambda grid: theta_broken(assemble_operator(grid)))
         out = tmp_path / "out"

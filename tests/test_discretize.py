@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq
 from scipy.special import jv, jvp
+from hypothesis import given, settings, strategies as st
 
 import dynheat as dh
 from dynheat import discretize
@@ -218,6 +219,65 @@ class TestOmegaRestriction:
             iv_small_ops.norm_omega(np.ones(iv_small_ops.n_dofs))
         with pytest.raises(dh.UsageError):
             iv_small_ops.embed_omega(np.ones(3))
+
+
+def _spread(rng, shape):
+    """Normal entries scaled across 16 orders of magnitude."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
+def _pairwise_sum(x):
+    """numpy's pairwise summation of a contiguous float64 vector, written
+    out: under 8 terms a running sum; up to 128 eight accumulators, joined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail;
+    above that the two halves, split at a multiple of 8."""
+    n = x.size
+    if n < 8:
+        total = 0.0
+        for v in x:
+            total += v
+        return total
+    if n <= 128:
+        r = list(x[:8])
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            for j in range(8):
+                r[j] += x[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in x[stop:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+
+
+class TestColumnReduction:
+    """column_dots, the one reduction behind every inner product and form:
+    a block's column sums equal the one-state sums bit for bit, because
+    both are numpy's pairwise sum over one contiguous column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4097), m=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+           order=st.sampled_from("CF"), broadcast=st.booleans())
+    def test_block_sums_equal_one_column_sums(self, n, m, seed, order, broadcast):
+        rng = np.random.default_rng(seed)
+        a = np.asarray(_spread(rng, (n, 1) if broadcast else (n, m)), order=order)
+        b = np.asarray(_spread(rng, (n, m)), order=order)
+        got = discretize.column_dots(a, b)
+        assert got.shape == (m,)
+        for j in range(m):
+            x, y = a[:, 0 if broadcast else j].copy(), b[:, j].copy()
+            assert got[j] == float(np.sum(x * y)) == discretize.column_dots(x, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4097), seed=st.integers(0, 2**32 - 1))
+    def test_one_state_sum_is_numpys_pairwise_order(self, n, seed):
+        """Block identity rests on this order; a numpy that sums in another
+        fails here, before any artifact moves."""
+        x = _spread(np.random.default_rng(seed), n)
+        assert float(np.sum(x)) == _pairwise_sum(x), (
+            f"numpy's float64 sum of {n} terms no longer follows the pairwise order")
 
 
 class TestUnitRandomHelper:

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import dynheat as dh
-from dynheat import evolve
+from dynheat.discretize import OperatorSet
 
 from conftest import theta_broken, unit_random_state
 
@@ -39,12 +39,13 @@ class TestSchedule:
 
 
 # a single state (n,) or a block of three states (n, 3), per scheme, through
-# SuperLU on the interval or through the structured solve on a disk
+# the interval's tridiagonal solve or the disk's FFT/tridiagonal solve (the
+# "-structured" cases)
 STEP_CASES = [
-    pytest.param(scheme, columns, structured,
+    pytest.param(scheme, columns, disk,
                  id=scheme + ("-block" if columns else "")
-                 + ("-structured" if structured else ""))
-    for structured in (False, True)
+                 + ("-structured" if disk else ""))
+    for disk in (False, True)
     for scheme in ("crank_nicolson", "backward_euler")
     for columns in (None, 3)]
 
@@ -63,19 +64,14 @@ def dense_step(ops, dt, scheme, u0):
 class TestSingleStepOracle:
     """One step must equal the dense linear solve it abbreviates."""
 
-    @pytest.mark.parametrize("scheme, columns, structured", STEP_CASES)
-    def test_step_matches_dense_solve(self, iv_small_ops, disk_ops, monkeypatch,
-                                      scheme, columns, structured):
-        if structured:
-            # route the small disk onto the path of the large ones
-            monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
-        ops = disk_ops if structured else iv_small_ops
+    @pytest.mark.parametrize("scheme, columns, disk", STEP_CASES)
+    def test_step_matches_dense_solve(self, iv_small_ops, disk_ops, scheme, columns, disk):
+        ops = disk_ops if disk else iv_small_ops
         dt = 0.05
         rng = np.random.default_rng(21)
         u0 = rng.standard_normal((ops.n_dofs,) if columns is None
                                  else (ops.n_dofs, columns))
         prop = dh.Propagator(ops, dt, scheme)
-        assert prop._structured == structured
         got = prop.step(u0)
         assert got.shape == u0.shape
         assert got == pytest.approx(dense_step(ops, dt, scheme, u0), rel=1e-12, abs=1e-13)
@@ -90,19 +86,16 @@ class TestSingleStepOracle:
         assert ops.inner(prop.step(u), v) == pytest.approx(
             ops.inner(u, prop.step(v)), rel=1e-11)
 
-    def test_interval_above_the_disk_threshold_takes_superlu(self, iv_domain):
-        """A tridiagonal step matrix has no fill, so the interval keeps the
-        direct solve at every size."""
+    def test_large_interval_step_matches_banded_solve(self, iv_domain):
+        """The tridiagonal solve at about the large disk's size, against LAPACK's
+        banded LU solve of the same step."""
         ops = dh.assemble_operator(dh.build_grid(iv_domain, n=20010))
-        assert ops.n_dofs > evolve.DIRECT_SOLVE_MAX_DOFS
         # two backward-stable solves agree to about the condition number
         # times the rounding unit; in the mass norm that is 1 + c 4/dx^2,
-        # 8e3 at this dt (and 8e5 at dt = 1e-3, where they part at 2e-12)
+        # 8e3 at this dt (and 8e5 at dt = 1e-3, where they part at 1.4e-12)
         dt = 1e-5
         u0 = np.random.default_rng(34).standard_normal(ops.n_dofs)
-        prop = dh.Propagator(ops, dt)
-        assert not prop._structured
-        got = prop.step(u0)
+        got = dh.Propagator(ops, dt).step(u0)
 
         c = 0.5 * dt
         main, off = ops.K.diagonal(), ops.K.diagonal(1)
@@ -115,10 +108,19 @@ class TestSingleStepOracle:
         expect = sla.solve_banded((1, 1), bands, rhs)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
+    def test_indefinite_interval_step_matrix_is_a_numerical_error(self, iv_small_ops):
+        """A K with the wrong sign leaves M + c K with a nonpositive pivot,
+        which the factorization names instead of solving on."""
+        ops = iv_small_ops
+        flipped = OperatorSet(grid=ops.grid, mass=ops.mass.copy(), K=-ops.K,
+                              incidence=ops.incidence, edge_weights=ops.edge_weights.copy())
+        with pytest.raises(dh.NumericalError, match=r"12-node interval \(dpttrf info"):
+            dh.Propagator(flipped, 1.0, "backward_euler")
+
 
 class TestStructuredSolve:
-    """The FFT/Thomas disk solve against a dense solve of M + c K, on small
-    disks routed onto it by lowering the threshold."""
+    """The structured solves against a dense solve of M + c K, and a block
+    step against its one-state steps, bit for bit."""
 
     @settings(max_examples=30, deadline=None)
     @given(nr=st.integers(2, 12), ntheta=st.integers(4, 40),
@@ -127,9 +129,7 @@ class TestStructuredSolve:
     def test_block_equals_columns_and_dense_solve(self, disk_domain, nr, ntheta,
                                                   width, scheme):
         ops = dh.assemble_operator(dh.build_grid(disk_domain, nr=nr, ntheta=ntheta))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
-            prop = dh.Propagator(ops, 0.02, scheme)
+        prop = dh.Propagator(ops, 0.02, scheme)
         block = np.asfortranarray(
             np.random.default_rng(nr * 100 + ntheta).standard_normal((ops.n_dofs, width)))
         got = prop.step(block)
@@ -139,20 +139,26 @@ class TestStructuredSolve:
         expect = dense_step(ops, 0.02, scheme, block)
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
-    def test_columnwise_is_the_block_solve(self, disk_ops, monkeypatch):
-        monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
-        prop = dh.Propagator(disk_ops, 0.05)
-        block = np.random.default_rng(35).standard_normal((disk_ops.n_dofs, 4))
-        assert np.array_equal(prop.step(block, columnwise=True), prop.step(block))
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(4, 300), width=st.integers(1, 20),
+           scheme=st.sampled_from(["crank_nicolson", "backward_euler"]))
+    def test_block_step_equals_one_state_steps(self, iv_domain, n, width, scheme):
+        """The interval: a block step, C or Fortran order, is its one-state
+        steps bit for bit, and the dense solve to rounding."""
+        ops = dh.assemble_operator(dh.build_grid(iv_domain, n=n))
+        prop = dh.Propagator(ops, 0.02, scheme)
+        block = np.random.default_rng(n * 100 + width).standard_normal((n, width))
+        got = prop.step(block)
+        assert got.flags.f_contiguous
+        assert np.array_equal(prop.step(np.asfortranarray(block)), got)
+        for j in range(width):
+            assert np.array_equal(got[:, j], prop.step(block[:, j].copy()))
+        expect = dense_step(ops, 0.02, scheme, block)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
-    def test_k_off_theta_invariance_is_a_numerical_error(self, disk_ops, monkeypatch):
-        monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", 0)
-        broken = theta_broken(disk_ops)
+    def test_k_off_theta_invariance_is_a_numerical_error(self, disk_ops):
         with pytest.raises(dh.NumericalError, match=r"6x16 disk: relative residual"):
-            dh.Propagator(broken, 0.05)
-        # the same matrix is solved exactly through SuperLU
-        monkeypatch.setattr(evolve, "DIRECT_SOLVE_MAX_DOFS", broken.n_dofs)
-        dh.Propagator(broken, 0.05)
+            dh.Propagator(theta_broken(disk_ops), 0.05)
 
 
 class TestFlowProperties:
@@ -205,16 +211,16 @@ class TestFlowProperties:
                 u = prop.step(u)
             assert got[:, j] == pytest.approx(u, rel=1e-13, abs=1e-15)
 
-    def test_columnwise_steps_carry_one_state_bits(self, wide_disk_ops):
-        """On these members the multi-column solve rounds member 3
-        differently from a one-state solve in the first step; columnwise
-        solves give every column exactly its one-state steps."""
+    def test_block_steps_carry_one_state_bits(self, wide_disk_ops):
+        """On the 816-dof disk, where SuperLU's multi-column solve once
+        rounded member 3 differently in the first step, every column of a
+        block flow carries exactly its one-state steps."""
         ops = wide_disk_ops
         sched = dh.Schedule(0.0, 0.2, 0.01)
         members = [st.values for st in dh.diverse_ensemble(ops, 5, 51, sched)]
         prop = dh.Propagator(ops, sched.dt)
         flows = [prop.trajectory(u, 4) for u in members]
-        for X in prop.trajectory(np.column_stack(members), 4, columnwise=True):
+        for X in prop.trajectory(np.column_stack(members), 4):
             assert X.flags.f_contiguous
             for j, flow in enumerate(flows):
                 assert np.array_equal(X[:, j], next(flow))

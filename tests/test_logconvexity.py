@@ -290,8 +290,14 @@ class TestRunTrace:
 # The one-member trace loop as it stood before the ensemble was traced as one
 # block, frozen here as the bit-for-bit reference: per-sample weights from the
 # bundle, 1-D sparse products through the incidence factorization, and every
-# reduction an np.dot on one member's contiguous vector.  Q takes the closed
-# form <S' F, F> = <d' F, F> + 2 <d F, Aanti F> with d' = s phi / Upsilon^3.
+# reduction _dot, the one-state kernel, on one member's vectors.  Q takes the
+# closed form <S' F, F> = <d' F, F> + 2 <d F, Aanti F> with d' = s phi /
+# Upsilon^3.
+
+def _dot(a, b):
+    """numpy's pairwise sum of the 1-D product, as column_dots of one state."""
+    return float(np.sum(a * b))
+
 
 def _frozen_weights(ops, params, t):
     grid = ops.grid
@@ -307,8 +313,8 @@ def _frozen_A(ops, u):
 
 def _frozen_neg_S(ops, E, d, x):
     D, g = ops.incidence, ops.edge_weights
-    diag = float(np.dot(ops.mass * d, x * x))
-    return float(np.dot(g * (D @ (x / E)), D @ (E * x))) - diag
+    diag = _dot(ops.mass * d, x * x)
+    return _dot(g * (D @ (x / E)), D @ (E * x)) - diag
 
 
 def _frozen_d_prime(ops, params, t):
@@ -324,15 +330,15 @@ def _frozen_split(ops, E, d, x):
 def _frozen_s_prime(ops, params, t, F):
     E, d = _frozen_weights(ops, params, t)
     Aanti = _frozen_split(ops, E, d, F)[1]
-    return (float(np.dot(ops.mass * _frozen_d_prime(ops, params, t), F * F))
-            + 2.0 * float(np.dot(ops.mass * (d * F), Aanti)))
+    return (_dot(ops.mass * _frozen_d_prime(ops, params, t), F * F)
+            + 2.0 * _dot(ops.mass * (d * F), Aanti))
 
 
 def _frozen_Q(ops, params, t, F):
     E, d = _frozen_weights(ops, params, t)
     S, Aanti = _frozen_split(ops, E, d, F)
-    return (-float(np.dot(ops.mass * _frozen_d_prime(ops, params, t), F * F))
-            - 2.0 * float(np.dot(ops.mass * (d * F + S), Aanti)))
+    return (-_dot(ops.mass * _frozen_d_prime(ops, params, t), F * F)
+            - 2.0 * _dot(ops.mass * (d * F + S), Aanti))
 
 
 def _frozen_trace(ops, params, state0, sched):
@@ -343,7 +349,7 @@ def _frozen_trace(ops, params, state0, sched):
     for k, t in enumerate(times):
         E, d = _frozen_weights(ops, params, t)
         F = E * states[k]
-        normF2[k] = float(np.dot(ops.mass * F, F))
+        normF2[k] = _dot(ops.mass * F, F)
         neg_S[k] = _frozen_neg_S(ops, E, d, F)
         N[k] = neg_S[k] / normF2[k]
         Q[k] = _frozen_Q(ops, params, t, F)
@@ -379,8 +385,8 @@ def _mixed_members(ops, sched):
 class TestBlockTrace:
     @pytest.mark.parametrize("which, T, dt, seed", [
         ("iv_ops", 1.0, 0.01, None), ("disk_ops", 1.0, 0.05, None),
-        # members whose multi-column step solve rounds differently from a
-        # one-state solve (test_evolve's columnwise test)
+        # members that a multi-column sparse LU solve rounded differently
+        # from one-state solves (test_evolve's block-step test)
         ("wide_disk_ops", 0.2, 0.01, 51)])
     def test_block_equals_frozen_one_member_loop(self, request, which, T, dt, seed):
         ops = request.getfixturevalue(which)
@@ -584,32 +590,36 @@ class TestObservabilityFit:
         shrunk = dataclasses.replace(fit, log_G=fit.log_G - 1.0)
         assert lc.count_observability_violations(shrunk, iv_ops, sched, states) > 0
 
-    def test_observation_data_matches_dense_oracle(self, disk_domain):
+    def test_observation_data_matches_dense_oracle(self, disk_domain, iv_domain):
         """50 dense CN steps, each an np.linalg.solve with the dense step
-        matrix, give the final and omega norms to 1e-10 relative."""
-        ops = dh.assemble_operator(dh.build_grid(disk_domain, nr=8, ntheta=16))
-        assert ops.n_dofs <= 200
+        matrix, give the final and omega norms to 1e-10 relative, on a disk
+        (omega holds its first nodes, the inner rings) and on an interval
+        (omega in the middle)."""
         sched = dh.Schedule(0.0, 0.5, 0.01)
         assert sched.steps == 50
-        states = lc.diverse_ensemble(ops, 6, seed=17, sched=sched)
-        a, b, c = lc.ensemble_observation_data(ops, sched, states)
-        m, K = ops.mass, ops.K.toarray()
-        lhs = np.diag(m) + 0.5 * sched.dt * K
-        rhs = np.diag(m) - 0.5 * sched.dt * K
-        om = ops.grid.omega_idx
-        m_om = ops.grid.w_bulk[om]
-        for j, st0 in enumerate(states):
-            u = st0.values
-            for _ in range(sched.steps):
-                u = np.linalg.solve(lhs, rhs @ u)
-            assert a[j] == pytest.approx(np.sqrt(u @ (m * u)), rel=1e-10)
-            assert b[j] == pytest.approx(np.sqrt(u[om] @ (m_om * u[om])), rel=1e-10)
-            assert c[j] == pytest.approx(np.sqrt(st0.values @ (m * st0.values)), rel=1e-10)
+        for grid in (dh.build_grid(disk_domain, nr=8, ntheta=16),
+                     dh.build_grid(iv_domain, n=40)):
+            ops = dh.assemble_operator(grid)
+            assert ops.n_dofs <= 200
+            states = lc.diverse_ensemble(ops, 6, seed=17, sched=sched)
+            a, b, c = lc.ensemble_observation_data(ops, sched, states)
+            m, K = ops.mass, ops.K.toarray()
+            lhs = np.diag(m) + 0.5 * sched.dt * K
+            rhs = np.diag(m) - 0.5 * sched.dt * K
+            om = ops.grid.omega_idx
+            m_om = ops.grid.w_bulk[om]
+            for j, st0 in enumerate(states):
+                u = st0.values
+                for _ in range(sched.steps):
+                    u = np.linalg.solve(lhs, rhs @ u)
+                assert a[j] == pytest.approx(np.sqrt(u @ (m * u)), rel=1e-10)
+                assert b[j] == pytest.approx(np.sqrt(u[om] @ (m_om * u[om])), rel=1e-10)
+                assert c[j] == pytest.approx(np.sqrt(st0.values @ (m * st0.values)), rel=1e-10)
 
     def test_traced_final_block_gives_the_same_fit(self, wide_disk_ops):
-        """On members whose multi-column solve rounds differently from a
-        one-state solve, the fit from run_traces' final block and the fit
-        that propagates on its own agree bit for bit."""
+        """On the members of test_evolve's block-step test, the fit from
+        run_traces' final block and the fit that propagates on its own
+        agree bit for bit."""
         ops = wide_disk_ops
         sched = dh.Schedule(0.0, 0.2, 0.01)
         params = dh.WeightParams(s=0.5, h=0.5, T=0.2)
