@@ -27,6 +27,8 @@ exact discrete identity.  This module provides:
 * the frequency trace runner, which traces an ensemble as one
   block, bit for bit its one-member traces, and fits the drift constant C in
   Q <= (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2  with C0 = 1 - s^3,
+* the midpoint residual of the energy identity along the same block flow,
+  kept apart from the trace, which does not read it,
 * the commutator identity refinement study (interval, and disk with the
   anchor at the center so the weight is constant on the boundary),
 * the three-point logarithmic interpolation inequality with the explicit
@@ -155,9 +157,7 @@ class FrequencyTrace:
     drift bound (1 + C0)/Upsilon neg_S + C/h^2 normF2 with this trace's
     fitted C (the rate fit).  C_form is the quadratic-form variant, the
     smallest constant with Q <= (1 + C0)/Upsilon neg_S + C_form/h^2 normF2
-    along the trace.  energy_residuals sit at the step midpoints and
-    measure 1/2 d/dt ||F||^2 + <-S F, F>, which vanishes at order dt^2.
-    final is the state U(T) the trace ends at.
+    along the trace.  final is the state U(T) the trace ends at.
     """
 
     params: geometry.WeightParams
@@ -169,7 +169,6 @@ class FrequencyTrace:
     bound: np.ndarray
     C: float
     C_form: float
-    energy_residuals: np.ndarray
     final: np.ndarray
 
     @property
@@ -186,6 +185,29 @@ class FrequencyTrace:
         return np.column_stack([self.t, self.normF2, self.N, self.Q, self.bound])
 
 
+def _weighted_flow(ops, params, states, sched, propagator):
+    """Flow the states as one (n, m) block over the weight horizon and
+    yield (w, X, F, normF2) at every sample time: the weighted bundle, the
+    block, F = E X and ||F||^2 per column; propagator, a Propagator for
+    (ops, sched.dt, sched.scheme), is built when None."""
+    if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
+        raise UsageError(
+            f"schedule [{sched.t0}, {sched.t1}] must match the weight horizon [0, {params.T}]")
+    if any(ops.norm(st) == 0.0 for st in states):
+        raise DegenerateDataError("cannot trace a zero initial state")
+
+    s_phi = _s_phi(ops, params)
+    prop = propagator or Propagator(ops, sched.dt, sched.scheme)
+    block = np.column_stack([st.values for st in states])
+    for t, X in zip(sched.times(), prop.trajectory(block, sched.steps)):
+        w = _weighted_ops_unchecked(ops, params, t, s_phi)
+        F = w.E[:, None] * X
+        normF2 = ops.inner(F, F)
+        if np.any(normF2 <= 0.0):
+            raise DegenerateDataError(f"weighted state vanished at t={t}")
+        yield w, X, F, normF2
+
+
 def run_traces(ops, params, states, sched, propagator=None):
     """Propagate the states as one block; one FrequencyTrace per state, bit
     for bit its one-member trace (the step solve and every reduction treat
@@ -198,33 +220,13 @@ def run_traces(ops, params, states, sched, propagator=None):
     magnitude (the differenced N carries the time-discretization
     transient), which keeps the certified form bound conservative.
     """
-    if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
-        raise UsageError(
-            f"schedule [{sched.t0}, {sched.t1}] must match the weight horizon [0, {params.T}]")
-    if any(ops.norm(st) == 0.0 for st in states):
-        raise DegenerateDataError("cannot trace a zero initial state")
-
-    s_phi = _s_phi(ops, params)
-    prop = propagator or Propagator(ops, sched.dt, sched.scheme)
     times = sched.times()
-    t_mid = 0.5 * (times[:-1] + times[1:])
     normF2, N, Q, neg_S = (np.empty((len(states), times.size)) for _ in range(4))
-    resid = np.empty((len(states), t_mid.size))
-    block = np.column_stack([st.values for st in states])
-    for k, X in enumerate(prop.trajectory(block, sched.steps)):
-        w = _weighted_ops_unchecked(ops, params, times[k], s_phi)
-        F = w.E[:, None] * X
-        normF2[:, k] = ops.inner(F, F)
-        if np.any(normF2[:, k] <= 0.0):
-            raise DegenerateDataError(f"weighted state vanished at t={times[k]}")
+    for k, (w, X, F, norms) in enumerate(
+            _weighted_flow(ops, params, states, sched, propagator)):
+        normF2[:, k] = norms
         neg_S[:, k], Q[:, k] = _commutator_forms(w, F)
         N[:, k] = neg_S[:, k] / normF2[:, k]
-        if k:
-            # midpoint energy-identity residual, O(dt^2) by construction
-            w = _weighted_ops_unchecked(ops, params, t_mid[k - 1], s_phi)
-            resid[:, k - 1] = (0.5 * (normF2[:, k] - normF2[:, k - 1]) / sched.dt
-                               + w.neg_S_form(w.E[:, None] * (0.5 * (prev + X))))
-        prev = X
 
     C0, h2 = params.C0, params.h ** 2
     ups = params.T - times + params.h
@@ -235,9 +237,31 @@ def run_traces(ops, params, states, sched, propagator=None):
     bound = (1.0 + C0) / ups * neg_S + (C[:, None] / h2) * normF2
     return [FrequencyTrace(params=params, t=times, normF2=normF2[j], N=N[j], Q=Q[j],
                            neg_S=neg_S[j], bound=bound[j], C=float(C[j]),
-                           C_form=float(max(0.0, C_form[j])),
-                           energy_residuals=resid[j], final=X[:, j])
+                           C_form=float(max(0.0, C_form[j])), final=X[:, j])
             for j in range(len(states))]
+
+
+def energy_residuals(ops, params, states, sched, propagator=None):
+    """Midpoint residuals of the energy identity, one row per state.
+
+    Entry k is 1/2 (||F_{k+1}||^2 - ||F_k||^2)/dt + <-S F, F> at the step
+    midpoint, with F the weighted mean of the step's end states; it
+    vanishes at order dt^2.  The states flow as one block, through
+    propagator as in run_traces, and every row is bit for bit its
+    one-member residuals.
+    """
+    times = sched.times()
+    t_mid = 0.5 * (times[:-1] + times[1:])
+    s_phi = _s_phi(ops, params)
+    resid = np.empty((len(states), t_mid.size))
+    for k, (_, X, _, normF2) in enumerate(
+            _weighted_flow(ops, params, states, sched, propagator)):
+        if k:
+            w = _weighted_ops_unchecked(ops, params, t_mid[k - 1], s_phi)
+            resid[:, k - 1] = (0.5 * (normF2 - prev_normF2) / sched.dt
+                               + w.neg_S_form(w.E[:, None] * (0.5 * (prev + X))))
+        prev, prev_normF2 = X, normF2
+    return resid
 
 
 def run_trace(ops, params, state0, sched):

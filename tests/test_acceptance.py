@@ -115,10 +115,9 @@ def test_03_energy_identity_order(ops48):
     orders = []
     for seed in range(100, 105):
         st = smooth_random_state(ops48, seed)
-        coarse = lc.run_trace(ops48, PARAMS, st, dh.Schedule(0.0, 1.0, 0.02))
-        fine = lc.run_trace(ops48, PARAMS, st, dh.Schedule(0.0, 1.0, 0.01))
-        orders.append(np.log2(np.max(np.abs(coarse.energy_residuals))
-                              / np.max(np.abs(fine.energy_residuals))))
+        coarse = lc.energy_residuals(ops48, PARAMS, [st], dh.Schedule(0.0, 1.0, 0.02))
+        fine = lc.energy_residuals(ops48, PARAMS, [st], dh.Schedule(0.0, 1.0, 0.01))
+        orders.append(np.log2(np.max(np.abs(coarse)) / np.max(np.abs(fine))))
     elapsed = time.monotonic() - start
     assert all(abs(o - 2.0) <= 0.2 for o in orders)
     assert elapsed < 30.0

@@ -161,6 +161,59 @@ class TestStructuredSolve:
             dh.Propagator(theta_broken(disk_ops), 0.05)
 
 
+GRIDS = st.one_of(
+    st.builds(lambda n: ("interval", {"n": n}), st.integers(4, 64)),
+    st.builds(lambda nr, ntheta: ("disk", {"nr": nr, "ntheta": ntheta}),
+              st.integers(2, 8), st.integers(4, 24)))
+
+
+class TestStepOracle:
+    """The CN step is one solve and one subtraction, (M + cK)^{-1} (2 M u)
+    - u; both schemes against the dense step matrix and its powers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=GRIDS, dt=st.sampled_from([1e-3, 4e-3, 0.02, 0.05]),
+           scheme=st.sampled_from(["crank_nicolson", "backward_euler"]),
+           steps=st.integers(1, 25), width=st.integers(1, 4))
+    def test_step_and_flow_match_dense_powers(self, iv_domain, disk_domain, grid, dt,
+                                              scheme, steps, width):
+        kind, size = grid
+        ops = dh.assemble_operator(
+            dh.build_grid(iv_domain if kind == "interval" else disk_domain, **size))
+        prop = dh.Propagator(ops, dt, scheme)
+        rng = np.random.default_rng(steps * 100 + width)
+        U = rng.standard_normal((ops.n_dofs, width))
+        P = dense_step(ops, dt, scheme, np.eye(ops.n_dofs))
+
+        expect = dense_step(ops, dt, scheme, U)
+        assert np.abs(prop.step(U) - expect).max() <= 1e-13 * np.abs(expect).max()
+        got = prop.flow(U, steps)
+        expect = np.linalg.matrix_power(P, steps) @ U
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+        for j in range(width):
+            assert np.array_equal(got[:, j], prop.flow(U[:, j], steps))
+
+        u, v = rng.standard_normal((2, ops.n_dofs))
+        defect = ops.inner(prop.flow(u, steps), v) - ops.inner(u, prop.flow(v, steps))
+        assert abs(defect) <= 1e-14 * ops.norm(u) * ops.norm(v)
+
+    @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
+    @pytest.mark.parametrize("disk", [False, True], ids=["interval", "disk"])
+    def test_steps_never_apply_K(self, monkeypatch, iv_small_ops, disk_ops, scheme, disk):
+        ops = disk_ops if disk else iv_small_ops
+
+        def refuse(self, u):
+            raise AssertionError("a step applied K")
+
+        monkeypatch.setattr(OperatorSet, "apply_K", refuse)
+        u = np.random.default_rng(35).standard_normal(ops.n_dofs)
+        with pytest.raises(AssertionError, match="applied K"):
+            ops.apply_K(u)
+        prop = dh.Propagator(ops, 0.05, scheme)
+        prop.step(u)
+        prop.flow(np.column_stack([u, -u]), 3)
+
+
 class TestFlowProperties:
     def test_constants_are_steady(self, iv_ops):
         ones = dh.State(iv_ops.grid, np.ones(iv_ops.n_dofs))

@@ -240,10 +240,14 @@ class TestRunTrace:
         st = unit_random_state(iv_small_ops, 50)
         with pytest.raises(dh.UsageError):
             lc.run_trace(iv_small_ops, params, st, dh.Schedule(0.0, 0.5, 0.01))
+        with pytest.raises(dh.UsageError):
+            lc.energy_residuals(iv_small_ops, params, [st], dh.Schedule(0.0, 0.5, 0.01))
 
     def test_zero_state_is_degenerate(self, iv_small_ops, params, sched):
         with pytest.raises(dh.DegenerateDataError):
             lc.run_trace(iv_small_ops, params, dh.State.zeros(iv_small_ops.grid), sched)
+        with pytest.raises(dh.DegenerateDataError):
+            lc.energy_residuals(iv_small_ops, params, [dh.State.zeros(iv_small_ops.grid)], sched)
 
     def test_trace_fields_are_consistent(self, iv_small_ops, params, sched):
         st = unit_random_state(iv_small_ops, 51)
@@ -253,16 +257,15 @@ class TestRunTrace:
         assert tr.N == pytest.approx(tr.neg_S / tr.normF2)
         assert tr.bound == pytest.approx(tr.bound_with(tr.C))
         assert tr.rows().shape == (n, 5)
-        assert tr.energy_residuals.shape == (n - 1,)
         assert tr.C >= 0.0 and tr.C_form >= 0.0
 
     def test_energy_identity_residual_is_second_order(self, iv_ops, params):
         """Halving dt must cut the midpoint residual about fourfold."""
         st = smooth_random_state(iv_ops, 100)
-        coarse = lc.run_trace(iv_ops, params, st, dh.Schedule(0.0, 1.0, 0.02))
-        fine = lc.run_trace(iv_ops, params, st, dh.Schedule(0.0, 1.0, 0.01))
-        order = np.log2(np.max(np.abs(coarse.energy_residuals))
-                        / np.max(np.abs(fine.energy_residuals)))
+        coarse = lc.energy_residuals(iv_ops, params, [st], dh.Schedule(0.0, 1.0, 0.02))
+        fine = lc.energy_residuals(iv_ops, params, [st], dh.Schedule(0.0, 1.0, 0.01))
+        assert coarse.shape == (1, 50) and fine.shape == (1, 100)
+        order = np.log2(np.max(np.abs(coarse)) / np.max(np.abs(fine)))
         assert abs(order - 2.0) < 0.3
 
     def test_form_constant_certifies_own_trace(self, iv_small_ops, params, sched):
@@ -370,7 +373,7 @@ def _frozen_trace(ops, params, state0, sched):
 
 
 def assert_same_trace(tr, ref):
-    for name in ("normF2", "N", "Q", "neg_S", "bound", "energy_residuals"):
+    for name in ("normF2", "N", "Q", "neg_S", "bound"):
         assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
     assert (tr.C, tr.C_form) == (ref.C, ref.C_form)
 
@@ -395,9 +398,12 @@ class TestBlockTrace:
         members = (_mixed_members(ops, sched) if seed is None
                    else dh.diverse_ensemble(ops, 5, seed, sched))
         traces = lc.run_traces(ops, params, members, sched)
-        assert len(traces) == len(members)
-        for tr, st0 in zip(traces, members):
-            assert_same_trace(tr, _frozen_trace(ops, params, st0, sched))
+        resid = lc.energy_residuals(ops, params, members, sched)
+        assert len(traces) == len(members) == len(resid)
+        for tr, row, st0 in zip(traces, resid, members):
+            ref = _frozen_trace(ops, params, st0, sched)
+            assert_same_trace(tr, ref)
+            assert np.array_equal(row, ref.energy_residuals)
         assert_same_trace(lc.run_trace(ops, params, members[0], sched), traces[0])
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
