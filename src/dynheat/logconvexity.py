@@ -241,21 +241,20 @@ def run_traces(ops, params, states, sched, propagator=None):
             for j in range(len(states))]
 
 
-def energy_residuals(ops, params, states, sched, propagator=None):
+def energy_residuals(ops, params, states, sched):
     """Midpoint residuals of the energy identity, one row per state.
 
     Entry k is 1/2 (||F_{k+1}||^2 - ||F_k||^2)/dt + <-S F, F> at the step
     midpoint, with F the weighted mean of the step's end states; it
-    vanishes at order dt^2.  The states flow as one block, through
-    propagator as in run_traces, and every row is bit for bit its
-    one-member residuals.
+    vanishes at order dt^2.  The states flow as one block, as in
+    run_traces, and every row is bit for bit its one-member residuals.
     """
     times = sched.times()
     t_mid = 0.5 * (times[:-1] + times[1:])
     s_phi = _s_phi(ops, params)
     resid = np.empty((len(states), t_mid.size))
     for k, (_, X, _, normF2) in enumerate(
-            _weighted_flow(ops, params, states, sched, propagator)):
+            _weighted_flow(ops, params, states, sched, None)):
         if k:
             w = _weighted_ops_unchecked(ops, params, t_mid[k - 1], s_phi)
             resid[:, k - 1] = (0.5 * (normF2 - prev_normF2) / sched.dt

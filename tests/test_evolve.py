@@ -50,6 +50,9 @@ STEP_CASES = [
     for columns in (None, 3)]
 
 
+STEP_DTS = [1e-3, 4e-3, 0.02, 0.05]
+
+
 def dense_step(ops, dt, scheme, u0):
     """One step by a dense solve of the step matrix M + c K."""
     M = np.diag(ops.mass)
@@ -118,84 +121,73 @@ class TestSingleStepOracle:
             dh.Propagator(flipped, 1.0, "backward_euler")
 
 
+def assert_matches_dense_powers(ops, prop, dt, scheme, block, steps):
+    """step and flow of a block against the dense step matrix and its
+    power, each column bit for bit its one-state flow, and P^steps mass
+    self-adjoint to rounding."""
+    got = prop.step(block)
+    assert got.flags.f_contiguous
+    for j in range(block.shape[1]):
+        assert np.array_equal(got[:, j], prop.step(block[:, j].copy()))
+    expect = dense_step(ops, dt, scheme, block)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    got = prop.flow(block, steps)
+    for j in range(block.shape[1]):
+        assert np.array_equal(got[:, j], prop.flow(block[:, j].copy(), steps))
+    # two backward-stable computations part by about the step matrix's
+    # condition number, at most 1 + c max_i sum_j |K_ij| / m_i, times the
+    # rounding unit per step (1.4e-12 for 25 steps on a 261-node interval
+    # at dt = 0.05)
+    c = 0.5 * dt if scheme == "crank_nicolson" else dt
+    cond = 1.0 + c * np.max(np.asarray(abs(ops.K).sum(axis=1)).ravel() / ops.mass)
+    P = dense_step(ops, dt, scheme, np.eye(ops.n_dofs))
+    expect = np.linalg.matrix_power(P, steps) @ block
+    tol = 1e-13 + steps * cond * np.finfo(float).eps
+    assert np.abs(got - expect).max() <= tol * np.abs(expect).max()
+    # reversed, so a one-column block still gives two states
+    u, v = block[:, 0], block[::-1, -1]
+    defect = ops.inner(prop.flow(u, steps), v) - ops.inner(u, prop.flow(v, steps))
+    assert abs(defect) <= 1e-14 * ops.norm(u) * ops.norm(v)
+
+
 class TestStructuredSolve:
-    """The structured solves against a dense solve of M + c K, and a block
-    step against its one-state steps, bit for bit."""
+    """The structured solves against a dense solve of M + c K and its
+    powers, and a block step or flow against its one-state ones, bit for
+    bit; a Crank-Nicolson step is one solve and one subtraction,
+    (M + cK)^{-1} (2 M u) - u, so no step applies K."""
 
     @settings(max_examples=30, deadline=None)
     @given(nr=st.integers(2, 12), ntheta=st.integers(4, 40),
-           width=st.integers(1, 6),
+           width=st.integers(1, 6), dt=st.sampled_from(STEP_DTS),
+           steps=st.integers(1, 25),
            scheme=st.sampled_from(["crank_nicolson", "backward_euler"]))
     def test_block_equals_columns_and_dense_solve(self, disk_domain, nr, ntheta,
-                                                  width, scheme):
+                                                  width, dt, steps, scheme):
         ops = dh.assemble_operator(dh.build_grid(disk_domain, nr=nr, ntheta=ntheta))
-        prop = dh.Propagator(ops, 0.02, scheme)
+        prop = dh.Propagator(ops, dt, scheme)
         block = np.asfortranarray(
             np.random.default_rng(nr * 100 + ntheta).standard_normal((ops.n_dofs, width)))
-        got = prop.step(block)
-        assert got.flags.f_contiguous
-        for j in range(width):
-            assert np.array_equal(got[:, j], prop.step(block[:, j].copy()))
-        expect = dense_step(ops, 0.02, scheme, block)
-        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert_matches_dense_powers(ops, prop, dt, scheme, block, steps)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(4, 300), width=st.integers(1, 20),
+           dt=st.sampled_from(STEP_DTS), steps=st.integers(1, 25),
            scheme=st.sampled_from(["crank_nicolson", "backward_euler"]))
-    def test_block_step_equals_one_state_steps(self, iv_domain, n, width, scheme):
-        """The interval: a block step, C or Fortran order, is its one-state
-        steps bit for bit, and the dense solve to rounding."""
+    def test_block_step_equals_one_state_steps(self, iv_domain, n, width, dt, steps,
+                                               scheme):
+        """The interval: a block step, C or Fortran order, and a block flow
+        are their one-state ones bit for bit, and the dense solve and power
+        to rounding."""
         ops = dh.assemble_operator(dh.build_grid(iv_domain, n=n))
-        prop = dh.Propagator(ops, 0.02, scheme)
+        prop = dh.Propagator(ops, dt, scheme)
         block = np.random.default_rng(n * 100 + width).standard_normal((n, width))
-        got = prop.step(block)
-        assert got.flags.f_contiguous
-        assert np.array_equal(prop.step(np.asfortranarray(block)), got)
-        for j in range(width):
-            assert np.array_equal(got[:, j], prop.step(block[:, j].copy()))
-        expect = dense_step(ops, 0.02, scheme, block)
-        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert np.array_equal(prop.step(np.asfortranarray(block)), prop.step(block))
+        assert_matches_dense_powers(ops, prop, dt, scheme, block, steps)
 
     def test_k_off_theta_invariance_is_a_numerical_error(self, disk_ops):
         with pytest.raises(dh.NumericalError, match=r"6x16 disk: relative residual"):
             dh.Propagator(theta_broken(disk_ops), 0.05)
-
-
-GRIDS = st.one_of(
-    st.builds(lambda n: ("interval", {"n": n}), st.integers(4, 64)),
-    st.builds(lambda nr, ntheta: ("disk", {"nr": nr, "ntheta": ntheta}),
-              st.integers(2, 8), st.integers(4, 24)))
-
-
-class TestStepOracle:
-    """The CN step is one solve and one subtraction, (M + cK)^{-1} (2 M u)
-    - u; both schemes against the dense step matrix and its powers."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(grid=GRIDS, dt=st.sampled_from([1e-3, 4e-3, 0.02, 0.05]),
-           scheme=st.sampled_from(["crank_nicolson", "backward_euler"]),
-           steps=st.integers(1, 25), width=st.integers(1, 4))
-    def test_step_and_flow_match_dense_powers(self, iv_domain, disk_domain, grid, dt,
-                                              scheme, steps, width):
-        kind, size = grid
-        ops = dh.assemble_operator(
-            dh.build_grid(iv_domain if kind == "interval" else disk_domain, **size))
-        prop = dh.Propagator(ops, dt, scheme)
-        rng = np.random.default_rng(steps * 100 + width)
-        U = rng.standard_normal((ops.n_dofs, width))
-        P = dense_step(ops, dt, scheme, np.eye(ops.n_dofs))
-
-        expect = dense_step(ops, dt, scheme, U)
-        assert np.abs(prop.step(U) - expect).max() <= 1e-13 * np.abs(expect).max()
-        got = prop.flow(U, steps)
-        expect = np.linalg.matrix_power(P, steps) @ U
-        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
-        for j in range(width):
-            assert np.array_equal(got[:, j], prop.flow(U[:, j], steps))
-
-        u, v = rng.standard_normal((2, ops.n_dofs))
-        defect = ops.inner(prop.flow(u, steps), v) - ops.inner(u, prop.flow(v, steps))
-        assert abs(defect) <= 1e-14 * ops.norm(u) * ops.norm(v)
 
     @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
     @pytest.mark.parametrize("disk", [False, True], ids=["interval", "disk"])
