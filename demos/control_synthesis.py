@@ -29,9 +29,9 @@ def main():
 
     rng = np.random.default_rng(5)
     v = rng.standard_normal(ops.n_dofs)
-    psi0 = dh.State(ops.grid, v / ops.norm(v))
+    psi0 = v / ops.norm(v)
 
-    cal = co.calibrate_kappa(ops, prob, sched, [psi0], constants=fit)
+    cal = co.calibrate_kappa(ops, prob, sched, psi0[:, None], constants=fit)
     print(f"calibrated kappa = {cal.kappa:.4f} "
           f"(seed {cal.kappa0:.4f}, {cal.doublings} doublings)")
 
@@ -50,12 +50,11 @@ def main():
     print(f"terminal identity |Psi(T) + eps^2 theta| / ||Psi0|| = "
           f"{res.residuals['terminal_identity']:.3e}")
 
-    zrng = np.random.default_rng(99)
-    zeta0s = [dh.State(ops.grid, zrng.standard_normal(ops.n_dofs))
-              for _ in range(5)]
+    # five adjoint initial states, one per column
+    Z0 = np.random.default_rng(99).standard_normal((5, ops.n_dofs)).T
     dual = co.verify_duality(ops, replace(prob, kappa=cal.kappa), sched,
-                             psi0, res, zeta0s)
-    print(f"duality residuals over {len(zeta0s)} adjoint runs: "
+                             psi0, res, Z0)
+    print(f"duality residuals over {Z0.shape[1]} adjoint runs: "
           f"max {dual.max():.3e}")
 
 

@@ -22,11 +22,9 @@ def main():
     fit = lc.fit_observability_constants(
         ops, sched, lc.diverse_ensemble(ops, count=20, seed=11, sched=sched))
 
-    rng = np.random.default_rng(42)
-    psi0s = []
-    for _ in range(5):
-        v = rng.standard_normal(ops.n_dofs)
-        psi0s.append(dh.State(ops.grid, v / ops.norm(v)))
+    # five unit initial states, one per column
+    psi0s = np.random.default_rng(42).standard_normal((5, ops.n_dofs)).T
+    psi0s = psi0s / ops.norm(psi0s)
 
     eps_list = [0.2, 0.1, 0.05, 0.025, 0.0125]
     study = co.cost_study(ops, prob, sched, eps_list, psi0s, constants=fit)

@@ -17,7 +17,7 @@ def smooth_state(ops, seed, n_burn=20, dt_burn=5e-3):
     u = rng.standard_normal(ops.n_dofs)
     prop = dh.Propagator(ops, dt_burn, "backward_euler")
     u = prop.flow(u, n_burn)
-    return dh.State(ops.grid, u / ops.norm(u))
+    return u / ops.norm(u)
 
 
 def main():
@@ -37,7 +37,7 @@ def main():
     print(f"bound violations         : "
           f"{lc.count_bound_violations(trace, trace.C)}")
 
-    r2, r1 = (np.max(np.abs(lc.energy_residuals(ops, params, [state0],
+    r2, r1 = (np.max(np.abs(lc.energy_residuals(ops, params, state0[:, None],
                                                 dh.Schedule(0.0, 1.0, dt))))
               for dt in (0.02, 0.01))
     print(f"energy residual order    : {np.log2(r2 / r1):.3f} "

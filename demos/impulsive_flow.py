@@ -17,7 +17,7 @@ def main():
 
     rng = np.random.default_rng(3)
     v = rng.standard_normal(ops.n_dofs)
-    state0 = dh.State(ops.grid, v / ops.norm(v))
+    state0 = v / ops.norm(v)
 
     final, rec = dh.propagate(ops, state0, sched)
     print("free flow")
@@ -27,8 +27,7 @@ def main():
     print(f"  stepwise contraction: {bool(np.all(np.diff(rec.norms) <= 0))}")
 
     payload = np.sin(np.linspace(0.0, np.pi, ops.grid.omega_idx.size))
-    impulse = dh.ImpulseEvent(tau=0.5, payload=payload)
-    kicked, _, info = dh.propagate_impulsive(ops, state0, impulse, sched)
+    kicked, _, info = dh.propagate_impulsive(ops, state0, 0.5, payload, sched)
     print("\nimpulsive flow, tau = 0.5")
     print(f"  effective kick time : {info['tau_effective']}")
     print(f"  ||u|| before kick   : {info['norm_before_kick']:.6f}")

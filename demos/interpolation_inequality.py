@@ -26,8 +26,7 @@ def main():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(ops.n_dofs)
-        traces.append(lc.run_trace(ops, params,
-                                   dh.State(ops.grid, v / ops.norm(v)), sched))
+        traces.append(lc.run_trace(ops, params, v / ops.norm(v), sched))
     C = lc.fit_bound_constant(traces)
     print(f"fitted C over {len(traces)} members = {C:.6g} (C0 = {params.C0})")
 

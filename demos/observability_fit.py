@@ -29,8 +29,8 @@ def main():
     train_bad = lc.count_observability_violations(fit, ops, sched, train)
     holdout = lc.diverse_ensemble(ops, count=10, seed=21, sched=sched)
     hold_bad = lc.count_observability_violations(fit, ops, sched, holdout)
-    print(f"violations: {train_bad}/{len(train)} on training, "
-          f"{hold_bad}/{len(holdout)} on holdout (seed 21)")
+    print(f"violations: {train_bad}/{train.shape[1]} on training, "
+          f"{hold_bad}/{holdout.shape[1]} on holdout (seed 21)")
 
     for horizon, eps in [(0.5, 0.2), (0.5, 0.1), (0.25, 0.1)]:
         print(f"kappa0(horizon={horizon}, eps={eps}) = "

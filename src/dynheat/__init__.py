@@ -14,11 +14,11 @@ from its module, e.g. ``dynheat.control.ControlOperator``.
 from . import reporting  # noqa: F401  (import dynheat loads every module)
 from .config import load_config
 from .control import ControlProblem, calibrate_kappa, cost_study, synthesize, verify_duality
-from .discretize import State, assemble_operator, build_grid
+from .discretize import assemble_operator, build_grid
 from .errors import (CalibrationError, ConfigurationError, DegenerateDataError,
                      DynHeatError, FitFailureError, InvalidDomainError,
                      NumericalError, ParameterError, UsageError)
-from .evolve import ImpulseEvent, Propagator, Schedule, propagate, propagate_impulsive
+from .evolve import Propagator, Schedule, propagate, propagate_impulsive
 from .geometry import DomainSpec, WeightParams
 from .logconvexity import (InteriorBump, commutator_identity_check,
                            count_bound_violations, count_observability_violations,
@@ -29,9 +29,9 @@ from .logconvexity import (InteriorBump, commutator_identity_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainSpec", "WeightParams", "build_grid", "assemble_operator", "State",
+    "DomainSpec", "WeightParams", "build_grid", "assemble_operator",
     "load_config",
-    "Schedule", "Propagator", "ImpulseEvent", "propagate", "propagate_impulsive",
+    "Schedule", "Propagator", "propagate", "propagate_impulsive",
     "diverse_ensemble", "run_trace", "run_traces", "fit_bound_constant",
     "count_bound_violations", "interpolation_check", "step_constants",
     "InteriorBump", "commutator_identity_check", "fit_observability_constants",

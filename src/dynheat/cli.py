@@ -21,11 +21,11 @@ import numpy as np
 from . import control as ctl
 from . import logconvexity as lc
 from .config import load_config
-from .discretize import State, assemble_operator
+from .discretize import assemble_operator
 from .errors import (CalibrationError, ConfigurationError, DegenerateDataError,
                      DynHeatError, FitFailureError, NumericalError,
                      ParameterError, UsageError)
-from .evolve import ImpulseEvent, Propagator, propagate, propagate_impulsive
+from .evolve import Propagator, propagate, propagate_impulsive
 from .reporting import (canonical_json, csv_text, merge_report, read_json,
                         write_text)
 
@@ -35,23 +35,21 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _unit_random_states(grid, ops, count, seed, initial):
-    """Seeded unit-norm initial states; the zero mode returns zero states."""
+def _unit_random_states(ops, count, seed, initial):
+    """Seeded unit-norm initial states as an (n, count) block, one member per
+    column; the zero mode returns zero states."""
     if initial == "zero":
-        return [State.zeros(grid) for _ in range(count)]
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(count):
-        v = rng.standard_normal(grid.points.shape[0])
-        states.append(State(grid, v / ops.norm(v)))
-    return states
+        return np.zeros((ops.n_dofs, count))
+    # row k of one (count, n) draw is the k-th of count draws of n numbers
+    block = np.random.default_rng(seed).standard_normal((count, ops.n_dofs)).T
+    return block / ops.norm(block)
 
 
 def _cmd_simulate(cfg, out_dir):
     grid = cfg.grid()
     ops = assemble_operator(grid)
     sched = cfg.schedule()
-    state0 = _unit_random_states(grid, ops, 1, cfg.seed, cfg.initial)[0]
+    state0 = _unit_random_states(ops, 1, cfg.seed, cfg.initial)[:, 0]
 
     if cfg.tau is None:
         final, rec = propagate(ops, state0, sched)
@@ -59,8 +57,7 @@ def _cmd_simulate(cfg, out_dir):
     else:
         rng = np.random.default_rng((cfg.seed, 1))
         payload = rng.standard_normal(grid.omega_idx.size)
-        impulse = ImpulseEvent(tau=cfg.tau, payload=payload)
-        final, rec, info = propagate_impulsive(ops, state0, impulse, sched)
+        final, rec, info = propagate_impulsive(ops, state0, cfg.tau, payload, sched)
     # the kick is the one zero-length step: it is neither checked for
     # contraction nor written twice
     moved = np.diff(rec.times) > 0.0
@@ -188,13 +185,13 @@ def _cmd_control(cfg, out_dir):
     eps = cfg.eps_list[0]
     prob = ctl.ControlProblem(tau=cfg.tau, eps=eps, kappa=cfg.kappa,
                               cg_tol=cfg.cg_tol, cg_maxit=cfg.cg_maxit)
-    psi0 = _unit_random_states(grid, ops, 1, cfg.seed, cfg.initial)[0]
+    psi0s = _unit_random_states(ops, 1, cfg.seed, cfg.initial)
 
     if cfg.kappa is None:
-        cal = ctl.calibrate_kappa(ops, prob, sched, [psi0])
+        cal = ctl.calibrate_kappa(ops, prob, sched, psi0s)
         result = cal.results[0]
     else:
-        result = ctl.synthesize(ops, prob, sched, psi0)
+        result = ctl.synthesize(ops, prob, sched, psi0s[:, 0])
 
     write_text(os.path.join(out_dir, "control_result.json"),
                canonical_json(result.summary()))
@@ -209,8 +206,7 @@ def _cmd_cost_study(cfg, out_dir):
         raise ConfigurationError("missing config key: impulse.tau")
     prob = ctl.ControlProblem(tau=cfg.tau, eps=cfg.eps_list[0],
                               cg_tol=cfg.cg_tol, cg_maxit=cfg.cg_maxit)
-    psi0s = _unit_random_states(grid, ops, cfg.ensemble_count, cfg.seed,
-                                cfg.initial)
+    psi0s = _unit_random_states(ops, cfg.ensemble_count, cfg.seed, cfg.initial)
 
     constants = None
     constants_path = os.path.join(out_dir, "constants.json")

@@ -90,7 +90,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretize import State
 from .errors import (CalibrationError, ConfigurationError, NumericalError,
                      UsageError)
 from .evolve import Propagator
@@ -181,16 +180,12 @@ class ControlOperator:
     """
 
     def __init__(self, ops, sched, tau):
-        if not (sched.t0 < tau < sched.t1):
-            raise ConfigurationError(
-                f"tau={tau} must lie strictly inside ({sched.t0}, {sched.t1})")
+        self.n_tau = sched.kick_step(tau)
         self.ops = ops
         self.sched = sched
         self.tau = tau
         self.prop = Propagator(ops, sched.dt, sched.scheme)
         self.n_total = sched.steps
-        n_tau = round((tau - sched.t0) / sched.dt)
-        self.n_tau = min(max(n_tau, 1), self.n_total - 1)
         self.n_obs = self.n_total - self.n_tau
         self.tau_effective = sched.t0 + self.n_tau * sched.dt
 
@@ -311,35 +306,36 @@ class ControlResult:
 class _Flows:
     """The members' data, flowed once per calibration or cost study.
 
-    norms are ||Psi0||; free_tau and free_T hold P^{n_tau} Psi0 and
-    a = P^{n_T} Psi0, one column per member; red is the operator's reduced
-    Gramian where it pays for these members, else None, and c the reduced
-    coordinates Q^T M_omega^{1/2} R_omega P^n a (None without red).
+    norms holds ||Psi0|| per member; free_tau and free_T hold P^{n_tau}
+    Psi0 and a = P^{n_T} Psi0, one column per member; red is the
+    operator's reduced Gramian where it pays for these members, else None,
+    and c the reduced coordinates Q^T M_omega^{1/2} R_omega P^n a (None
+    without red).
     """
 
-    norms: list
+    norms: np.ndarray
     free_tau: np.ndarray
     free_T: np.ndarray
     red: _ReducedGramian | None
     c: np.ndarray | None
 
     def subset(self, idx):
-        return _Flows(norms=[self.norms[j] for j in idx],
+        return _Flows(norms=self.norms[idx],
                       free_tau=self.free_tau[:, idx], free_T=self.free_T[:, idx],
                       red=self.red, c=None if self.c is None else self.c[:, idx])
 
 
 def _free_flows(co, psi0s):
-    """_Flows of the initial states psi0s.
+    """_Flows of the initial states psi0s, an (n, m) block.
 
     The reduced Gramian is used for at least n_omega /
     COLD_APPLIES_PER_MEMBER members with nonzero data only (see the
     module docstring).
     """
-    norms = [co.ops.norm(psi0) for psi0 in psi0s]
-    free_tau = co.prop.flow(np.column_stack([p.values for p in psi0s]), co.n_tau)
+    norms = co.ops.norm(psi0s)
+    free_tau = co.prop.flow(psi0s, co.n_tau)
     free_T = co.prop.flow(free_tau, co.n_obs)
-    members = sum(n0 != 0.0 for n0 in norms)
+    members = np.count_nonzero(norms)
     pays = co.ops.grid.omega_idx.size <= members * COLD_APPLIES_PER_MEMBER
     red = co.reduced if pays else None
     c = None if red is None else red.coords(co.observe(free_T))
@@ -388,8 +384,8 @@ def _synthesize_block(co, prob, flows):
         tau_effective=co.tau_effective, h=np.zeros(n_omega),
         theta0=np.zeros(ops.n_dofs), psi_T=np.zeros(ops.n_dofs))
         for _ in flows.norms]
-    live = [j for j, n0 in enumerate(flows.norms) if n0 != 0.0]
-    if not live:
+    live = np.flatnonzero(flows.norms)
+    if live.size == 0:
         return results
     if not (0.0 < kappa * kappa < np.inf and 0.0 < eps * eps < np.inf):
         raise NumericalError(
@@ -420,7 +416,7 @@ def _synthesize_block(co, prob, flows):
     # impulsive trajectory with the synthesized payloads
     psi_T = co.prop.flow(flows.free_tau + ops.embed_omega(H), co.n_obs)
 
-    norm_psi0 = np.array(flows.norms)
+    norm_psi0 = flows.norms
     norm_h, norm_v = ops.norm_omega(H), ops.norm_omega(V)
     norm_psiT, norm_theta = ops.norm(psi_T), ops.norm(theta)
     terminal = ops.norm(psi_T + eps ** 2 * theta) / norm_psi0
@@ -442,7 +438,7 @@ def _synthesize_block(co, prob, flows):
         }
         results[j] = ControlResult(kappa=kappa, eps=eps, norm_h=float(norm_h[k]),
                                    norm_PsiT=float(norm_psiT[k]),
-                                   norm_Psi0=flows.norms[k],
+                                   norm_Psi0=float(norm_psi0[k]),
                                    flags=flags, residuals=residuals,
                                    tau_effective=co.tau_effective,
                                    h=H[:, k], theta0=theta[:, k], psi_T=psi_T[:, k])
@@ -450,15 +446,17 @@ def _synthesize_block(co, prob, flows):
 
 
 def synthesize(ops, prob, sched, psi0):
-    """Solve the dual Gramian system and build the certified impulse."""
+    """Solve the dual Gramian system for the state psi0 (n,) and build the
+    certified impulse."""
     if prob.kappa is None:
         raise UsageError("synthesize needs kappa; set it or run calibrate_kappa")
     co = ControlOperator(ops, sched, prob.tau)
-    return _synthesize_block(co, prob, _free_flows(co, [psi0]))[0]
+    return _synthesize_block(co, prob, _free_flows(co, psi0[:, None]))[0]
 
 
-def verify_duality(ops, prob, sched, psi0, result, zeta0s):
-    """Residuals of <h, z(T-tau)>_omega + <Psi0, zeta(T)> - <Psi(T), zeta0>.
+def verify_duality(ops, prob, sched, psi0, result, Z0):
+    """Residuals of <h, z(T-tau)>_omega + <Psi0, zeta(T)> - <Psi(T), zeta0>
+    for each column zeta0 of the block Z0 (n, m).
 
     Returns the per-member residuals normalized by ||Psi0|| ||zeta0||; the
     identity holds at solver precision because the discrete flow is
@@ -466,11 +464,10 @@ def verify_duality(ops, prob, sched, psi0, result, zeta0s):
     """
     co = ControlOperator(ops, sched, prob.tau)
     norm_psi0 = ops.norm(psi0)
-    Z0 = np.column_stack([z.values if isinstance(z, State) else z for z in zeta0s])
     Z_obs = co.prop.flow(Z0, co.n_obs)
     Z_T = co.prop.flow(Z_obs, co.n_tau)  # P^{n_total} = P^{n_tau} P^{n_obs}
     val = (ops.inner_omega(result.h[:, None], ops.restrict_omega(Z_obs))
-           + ops.inner(psi0.values[:, None], Z_T)
+           + ops.inner(psi0[:, None], Z_T)
            - ops.inner(result.psi_T[:, None], Z0))
     return np.abs(val) / (norm_psi0 * ops.norm(Z0))
 
@@ -560,7 +557,8 @@ def _calibrate(co, prob, flows, seed, budget):
 
 def calibrate_kappa(ops, prob, sched, psi0s, constants=None, kappa0=None,
                     budget=DEFAULT_DOUBLING_BUDGET):
-    """Double kappa from its seed until every member certifies target + cost.
+    """Double kappa from its seed until every member, one per column of the
+    block psi0s (n, m), certifies target + cost.
 
     Seed order: explicit kappa0, else the penalization formula from fitted
     constants at horizon T - tau, else 1.  Exhausting the budget raises
@@ -569,7 +567,7 @@ def calibrate_kappa(ops, prob, sched, psi0s, constants=None, kappa0=None,
     module docstring); each propagated rung synthesizes all members as one
     block.
     """
-    if not psi0s:
+    if psi0s.shape[1] == 0:
         raise ConfigurationError("calibration needs at least one initial state")
     if kappa0 is not None:
         seed = float(kappa0)
@@ -607,7 +605,8 @@ class CostStudy:
 
 def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
                budget=DEFAULT_DOUBLING_BUDGET):
-    """Calibrate and synthesize per eps; report sup ||h|| and the log-log slope.
+    """Calibrate and synthesize per eps for the members, one per column of
+    the block psi0s (n, m); report sup ||h|| and the log-log slope.
 
     eps_list is processed as given (descending for a cost sweep).  The
     kappa seed is continued monotonically across the sweep: each eps starts
@@ -625,13 +624,14 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
     """
     if not eps_list:
         raise ConfigurationError("cost study needs a nonempty eps list")
-    if not psi0s:
+    if psi0s.shape[1] == 0:
         raise ConfigurationError(
             "cost study needs at least one initial state (ensemble.count >= 1)")
     co = ControlOperator(ops, sched, prob_template.tau)
     flows = _free_flows(co, psi0s)
-    free_ratio = [np.inf if n0 == 0.0 else ops.norm(u) / n0
-                  for n0, u in zip(flows.norms, flows.free_T.T)]
+    # zero data stays at zero: its ratio 0/0 is nan, never above eps
+    with np.errstate(invalid="ignore"):
+        free_ratio = ops.norm(flows.free_T) / flows.norms
 
     rows = []
     kappa_floor = None
@@ -642,9 +642,8 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
             seed = float(constants.kappa0(sched.t1 - prob.tau, prob.eps))
         if kappa_floor is not None:
             seed = max(seed, kappa_floor)
-        active = [j for j, r in enumerate(free_ratio)
-                  if np.isfinite(r) and r > prob.eps]
-        if active:
+        active = np.flatnonzero(free_ratio > prob.eps)
+        if active.size:
             cal = _calibrate(co, prob, flows.subset(active), seed, budget)
             kappa_floor = cal.kappa
             sup_cost = max(r.norm_h for r in cal.results)

@@ -1,4 +1,4 @@
-"""Grids, coupled-state vectors, and the bulk/boundary operator.
+"""Grids, coupled states, and the bulk/boundary operator.
 
 The state space pairs a bulk field on Omega with a trace field on Gamma,
 with the trace sharing the unknowns of the bulk boundary nodes (one degree
@@ -25,7 +25,13 @@ masses on the two ends, and a polar disk grid with half-offset radii
 a node) plus a boundary ring at r = R.  Both quadratures reproduce the
 domain measures exactly.
 
-Grid, State, and OperatorSet instances are immutable after construction.
+States are plain float arrays with one value per grid node, (n,); boundary
+nodes carry both the bulk sample and the trace value (a single unknown), so
+the trace is u[grid.boundary_idx].  An ensemble is an (n, m) block with one
+member per column.  Every product, form and norm below takes either and
+works per column on a block.
+
+Grid and OperatorSet instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -166,34 +172,6 @@ def _disk_grid(domain, nr, ntheta):
                 shape=(nr, ntheta), spacing=(dr, dtheta))
 
 
-class State:
-    """Coupled bulk/trace state: one value per grid node.
-
-    Boundary nodes carry both the bulk sample and the trace value (a single
-    unknown), so the trace is values[grid.boundary_idx].
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_dofs,):
-            raise UsageError(f"state needs shape ({grid.n_dofs},), got {values.shape}")
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.n_dofs))
-
-    def copy(self):
-        return State(self.grid, self.values.copy())
-
-
-def _values(u):
-    return u.values if isinstance(u, State) else np.asarray(u, dtype=float)
-
-
 def per_node(w, u):
     """Node weights w shaped to scale a state (n,) or a block (n, m)."""
     return w if np.ndim(u) == 1 else w[:, None]
@@ -252,7 +230,6 @@ class OperatorSet:
     # -- inner products -------------------------------------------------
     def inner(self, u, v):
         """Mass inner product of two states, or per column of two blocks."""
-        u, v = _values(u), _values(v)
         return column_dots(per_node(self.mass, u) * u, v)
 
     def norm(self, u):
@@ -275,7 +252,7 @@ class OperatorSet:
     # -- operator action -------------------------------------------------
     def edge_flux(self, u):
         """g * (D u) for a state (n,) or a block (n, m): K u = D^T edge_flux(u)."""
-        w = self.incidence @ _values(u)
+        w = self.incidence @ u
         return per_node(self.edge_weights, w) * w
 
     def apply_K(self, u):
@@ -292,7 +269,7 @@ class OperatorSet:
 
     def dirichlet_form(self, u, v):
         """Energy E(u, v) = (D u) . (g * (D v)), per column for blocks; >= 0 for u = v."""
-        return column_dots(self.edge_flux(u), self.incidence @ _values(v))
+        return column_dots(self.edge_flux(u), self.incidence @ v)
 
     def dense_A(self):
         """Dense operator matrix for small-grid oracles."""
@@ -300,7 +277,8 @@ class OperatorSet:
 
     # -- observation region ----------------------------------------------
     def restrict_omega(self, u):
-        return _values(u)[self.grid.omega_idx].copy()
+        """The omega rows of a state (n,) or a block (n, m), as a new array."""
+        return u[self.grid.omega_idx]
 
     def embed_omega(self, v):
         """Zero extension of an omega vector (n_omega,) or block (n_omega, m)."""

@@ -20,7 +20,8 @@ the adjoint flow, so duality identities hold at solver precision.
 
 The impulsive solution is the mild formula: free flow to tau, add the
 localized payload, free flow to T.  tau is rounded to the nearest step
-boundary and the effective value is reported.
+boundary by Schedule.kick_step, which the control layer shares, and the
+effective value is reported.
 
 Propagator is the one place where the flow advances, for single states and
 for blocks of states alike.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .discretize import State, per_node
+from .discretize import per_node
 from .errors import ConfigurationError, NumericalError
 
 SCHEMES = ("crank_nicolson", "backward_euler")
@@ -85,21 +86,19 @@ class Schedule:
     def times(self):
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
+    def kick_step(self, tau):
+        """n_tau, the step that tau snaps to: round((tau - t0) / dt) kept in
+        [1, steps - 1], so the effective kick time is t0 + n_tau dt.  tau
+        outside (t0, t1) raises ConfigurationError."""
+        if not (self.t0 < tau < self.t1):
+            raise ConfigurationError(
+                f"impulse time tau={tau} must lie strictly inside ({self.t0}, {self.t1})")
+        return min(max(round((tau - self.t0) / self.dt), 1), self.steps - 1)
+
     def replace(self, **kw):
         data = {"t0": self.t0, "t1": self.t1, "dt": self.dt, "scheme": self.scheme}
         data.update(kw)
         return Schedule(**data)
-
-
-@dataclass(frozen=True)
-class ImpulseEvent:
-    """Impulse at time tau with a payload supported on the omega nodes."""
-
-    tau: float
-    payload: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "payload", np.asarray(self.payload, dtype=float))
 
 
 class _Tridiagonal:
@@ -245,38 +244,35 @@ class PropagationRecord:
     norms: np.ndarray
 
 
-def propagate(ops, state, sched, propagator=None):
-    """Run the free flow over the schedule; returns (final State, record)."""
+def propagate(ops, u0, sched, propagator=None):
+    """Run the free flow of the state u0 (n,) over the schedule; returns
+    (final state, record)."""
     prop = propagator or Propagator(ops, sched.dt, sched.scheme)
     norms = np.empty(sched.steps + 1)
-    for k, u in enumerate(prop.trajectory(state.values, sched.steps)):
+    for k, u in enumerate(prop.trajectory(u0, sched.steps)):
         norms[k] = ops.norm(u)
-    return State(ops.grid, u), PropagationRecord(times=sched.times(), norms=norms)
+    return u, PropagationRecord(times=sched.times(), norms=norms)
 
 
-def propagate_impulsive(ops, state0, impulse, sched, propagator=None):
-    """Mild impulsive solution: flow to tau, add embedded payload, flow to T.
+def propagate_impulsive(ops, u0, tau, payload, sched, propagator=None):
+    """Mild impulsive solution: flow to tau, add the omega payload embedded
+    in the full grid, flow to T.
 
-    Returns (final State, record, info).  The record holds the norms of
+    Returns (final state, record, info).  The record holds the norms of
     both legs (see PropagationRecord); info reports the effective tau
-    (snapped to the step grid) and the norms before/after the kick.
+    (Schedule.kick_step) and the norms before/after the kick.
     """
-    if not (sched.t0 < impulse.tau < sched.t1):
-        raise ConfigurationError(
-            f"impulse time tau={impulse.tau} must lie strictly inside "
-            f"({sched.t0}, {sched.t1})")
-    n_tau = round((impulse.tau - sched.t0) / sched.dt)
-    n_tau = min(max(n_tau, 1), sched.steps - 1)
+    n_tau = sched.kick_step(tau)
     tau_eff = sched.t0 + n_tau * sched.dt
 
     prop = propagator or Propagator(ops, sched.dt, sched.scheme)
-    mid, before = propagate(ops, state0, sched.replace(t1=tau_eff), propagator=prop)
-    kicked = State(ops.grid, mid.values + ops.embed_omega(impulse.payload))
-    final, after = propagate(ops, kicked, sched.replace(t0=tau_eff), propagator=prop)
+    mid, before = propagate(ops, u0, sched.replace(t1=tau_eff), propagator=prop)
+    final, after = propagate(ops, mid + ops.embed_omega(payload),
+                             sched.replace(t0=tau_eff), propagator=prop)
     rec = PropagationRecord(times=np.concatenate([before.times, after.times]),
                             norms=np.concatenate([before.norms, after.norms]))
     info = {
-        "tau_requested": impulse.tau,
+        "tau_requested": tau,
         "tau_effective": tau_eff,
         "steps_before": n_tau,
         "steps_after": sched.steps - n_tau,

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .discretize import State, assemble_operator, build_grid, column_dots, per_node
+from .discretize import assemble_operator, build_grid, column_dots, per_node
 from .errors import (ConfigurationError, DegenerateDataError, FitFailureError,
                      NumericalError, ParameterError, UsageError)
 from .evolve import Propagator
@@ -185,20 +185,19 @@ class FrequencyTrace:
         return np.column_stack([self.t, self.normF2, self.N, self.Q, self.bound])
 
 
-def _weighted_flow(ops, params, states, sched, propagator):
-    """Flow the states as one (n, m) block over the weight horizon and
+def _weighted_flow(ops, params, block, sched, propagator):
+    """Flow the (n, m) block of states over the weight horizon and
     yield (w, X, F, normF2) at every sample time: the weighted bundle, the
     block, F = E X and ||F||^2 per column; propagator, a Propagator for
     (ops, sched.dt, sched.scheme), is built when None."""
     if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
         raise UsageError(
             f"schedule [{sched.t0}, {sched.t1}] must match the weight horizon [0, {params.T}]")
-    if any(ops.norm(st) == 0.0 for st in states):
+    if np.any(ops.norm(block) == 0.0):
         raise DegenerateDataError("cannot trace a zero initial state")
 
     s_phi = _s_phi(ops, params)
     prop = propagator or Propagator(ops, sched.dt, sched.scheme)
-    block = np.column_stack([st.values for st in states])
     for t, X in zip(sched.times(), prop.trajectory(block, sched.steps)):
         w = _weighted_ops_unchecked(ops, params, t, s_phi)
         F = w.E[:, None] * X
@@ -208,9 +207,9 @@ def _weighted_flow(ops, params, states, sched, propagator):
         yield w, X, F, normF2
 
 
-def run_traces(ops, params, states, sched, propagator=None):
-    """Propagate the states as one block; one FrequencyTrace per state, bit
-    for bit its one-member trace (the step solve and every reduction treat
+def run_traces(ops, params, block, sched, propagator=None):
+    """Propagate the (n, m) block of states; one FrequencyTrace per column,
+    bit for bit its one-member trace (the step solve and every reduction treat
     each column alone); propagator, a Propagator for (ops, sched.dt,
     sched.scheme), is built when None.
 
@@ -221,9 +220,10 @@ def run_traces(ops, params, states, sched, propagator=None):
     transient), which keeps the certified form bound conservative.
     """
     times = sched.times()
-    normF2, N, Q, neg_S = (np.empty((len(states), times.size)) for _ in range(4))
+    m = block.shape[1]
+    normF2, N, Q, neg_S = (np.empty((m, times.size)) for _ in range(4))
     for k, (w, X, F, norms) in enumerate(
-            _weighted_flow(ops, params, states, sched, propagator)):
+            _weighted_flow(ops, params, block, sched, propagator)):
         normF2[:, k] = norms
         neg_S[:, k], Q[:, k] = _commutator_forms(w, F)
         N[:, k] = neg_S[:, k] / normF2[:, k]
@@ -238,11 +238,12 @@ def run_traces(ops, params, states, sched, propagator=None):
     return [FrequencyTrace(params=params, t=times, normF2=normF2[j], N=N[j], Q=Q[j],
                            neg_S=neg_S[j], bound=bound[j], C=float(C[j]),
                            C_form=float(max(0.0, C_form[j])), final=X[:, j])
-            for j in range(len(states))]
+            for j in range(m)]
 
 
-def energy_residuals(ops, params, states, sched):
-    """Midpoint residuals of the energy identity, one row per state.
+def energy_residuals(ops, params, block, sched):
+    """Midpoint residuals of the energy identity, one row per column of the
+    (n, m) block of states.
 
     Entry k is 1/2 (||F_{k+1}||^2 - ||F_k||^2)/dt + <-S F, F> at the step
     midpoint, with F the weighted mean of the step's end states; it
@@ -252,9 +253,9 @@ def energy_residuals(ops, params, states, sched):
     times = sched.times()
     t_mid = 0.5 * (times[:-1] + times[1:])
     s_phi = _s_phi(ops, params)
-    resid = np.empty((len(states), t_mid.size))
+    resid = np.empty((block.shape[1], t_mid.size))
     for k, (_, X, _, normF2) in enumerate(
-            _weighted_flow(ops, params, states, sched, None)):
+            _weighted_flow(ops, params, block, sched, None)):
         if k:
             w = _weighted_ops_unchecked(ops, params, t_mid[k - 1], s_phi)
             resid[:, k - 1] = (0.5 * (normF2 - prev_normF2) / sched.dt
@@ -263,9 +264,9 @@ def energy_residuals(ops, params, states, sched):
     return resid
 
 
-def run_trace(ops, params, state0, sched):
-    """The FrequencyTrace of one state: run_traces on a one-member block."""
-    return run_traces(ops, params, [state0], sched)[0]
+def run_trace(ops, params, u0, sched):
+    """The FrequencyTrace of one state (n,): run_traces on a one-member block."""
+    return run_traces(ops, params, u0[:, None], sched)[0]
 
 
 def fit_bound_constant(traces):
@@ -576,21 +577,22 @@ def derive_penalization_constants(beta, K1, K2):
     return float(M1), float(M2), float(delta)
 
 
-def ensemble_observation_data(ops, sched, states, final=None):
-    """Per-member (final norm, omega observation, initial norm) triples.
-    final is the (n, m) block of the members at T (FrequencyTrace.final);
-    when None they flow here as in run_traces, to the same bits."""
-    c = np.array([ops.norm(st) for st in states])
+def ensemble_observation_data(ops, sched, block, final=None):
+    """Per-member (final norm, omega observation, initial norm) triples of
+    the (n, m) block of states.  final is the (n, m) block of the members
+    at T (FrequencyTrace.final); when None they flow here as in run_traces,
+    to the same bits."""
+    c = ops.norm(block)
     if np.any(c == 0.0):
         raise DegenerateDataError("observability ensemble contains a zero state")
     if final is None:
-        final = Propagator(ops, sched.dt, sched.scheme).flow(
-            np.column_stack([st.values for st in states]), sched.steps)
+        final = Propagator(ops, sched.dt, sched.scheme).flow(block, sched.steps)
     return ops.norm(final), ops.norm_omega(ops.restrict_omega(final)), c
 
 
-def fit_observability_constants(ops, sched, states, final=None):
-    """Fit beta in (0, 1) and the smallest prefactor from an ensemble of runs.
+def fit_observability_constants(ops, sched, block, final=None):
+    """Fit beta in (0, 1) and the smallest prefactor from an ensemble of
+    runs, one per column of the (n, m) block of states.
 
     Least squares in log scale on log(a/c) = beta log(b/c) + beta log G,
     followed by a shift of log G so the inequality holds with equality for
@@ -598,9 +600,10 @@ def fit_observability_constants(ops, sched, states, final=None):
     slopes outside (0, 1) raise FitFailureError.  final as in
     ensemble_observation_data.
     """
-    if len(states) < 2:
-        raise ConfigurationError(f"observability fit needs >= 2 members, got {len(states)}")
-    a, b, c = ensemble_observation_data(ops, sched, states, final)
+    m = block.shape[1]
+    if m < 2:
+        raise ConfigurationError(f"observability fit needs >= 2 members, got {m}")
+    a, b, c = ensemble_observation_data(ops, sched, block, final)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise DegenerateDataError("observability fit needs nonvanishing final states "
                                   "and observations")
@@ -630,12 +633,13 @@ def fit_observability_constants(ops, sched, states, final=None):
     M1, M2, delta = derive_penalization_constants(beta, K1, K2)
     return ObservabilityFit(beta=beta, log_G=log_G, mu=mu, K=K, K1=K1, K2=K2,
                             M1=M1, M2=M2, delta=delta, T=float(T),
-                            n_members=len(states))
+                            n_members=m)
 
 
-def count_observability_violations(fit, ops, sched, states, slack=1e-12, final=None):
-    """Members violating the fitted estimate beyond a relative slack."""
-    a, b, c = ensemble_observation_data(ops, sched, states, final)
+def count_observability_violations(fit, ops, sched, block, slack=1e-12, final=None):
+    """Members (columns of block) violating the fitted estimate beyond a
+    relative slack."""
+    a, b, c = ensemble_observation_data(ops, sched, block, final)
     lhs = np.log(a)
     rhs = fit.beta * (fit.log_G + np.log(b)) + (1.0 - fit.beta) * np.log(c)
     tol = slack * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -643,7 +647,8 @@ def count_observability_violations(fit, ops, sched, states, slack=1e-12, final=N
 
 
 def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2, propagator=None):
-    """Seeded ensemble of unit states with varied spectral and spatial content.
+    """Seeded ensemble of unit states with varied spectral and spatial
+    content, as one Fortran-order (n, count) block.
 
     Cycles through raw noise, mean-free noise, smoothed noise (a few steps
     of the flow; modes 2 and 3, only when sched is given), and noise
@@ -659,7 +664,7 @@ def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2, prop
     ones_nrm2 = ops.inner(ones, ones)
     off_omega = np.setdiff1d(np.arange(n), grid.omega_idx)
 
-    raw = []
+    block = np.empty((n, count), order="F")
     for k in range(count):
         u = rng.standard_normal(n)
         mode = k % 5
@@ -669,14 +674,12 @@ def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2, prop
             v = np.zeros(n)
             v[off_omega] = rng.standard_normal(off_omega.size)
             u = v + omega_free_fraction * u
-        raw.append(u)
+        block[:, k] = u
 
     if sched is not None:
         prop = propagator or Propagator(ops, sched.dt, sched.scheme)
         for mode, steps in smoothing.items():
-            idx = range(mode, count, 5)
-            if idx:
-                block = prop.flow(np.column_stack([raw[i] for i in idx]), steps)
-                for i, u in zip(idx, block.T):
-                    raw[i] = u
-    return [State(grid, u / ops.norm(u)) for u in raw]
+            if mode < count:
+                block[:, mode::5] = prop.flow(block[:, mode::5], steps)
+    block /= ops.norm(block)
+    return block

@@ -52,7 +52,7 @@ def sched():
 def unit_random_state(ops, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(ops.n_dofs)
-    return dh.State(ops.grid, v / ops.norm(v))
+    return v / ops.norm(v)
 
 
 def smooth_random_state(ops, seed, n_burn=20, dt_burn=5e-3):
@@ -62,7 +62,7 @@ def smooth_random_state(ops, seed, n_burn=20, dt_burn=5e-3):
     prop = dh.Propagator(ops, dt_burn, "backward_euler")
     u = rng.standard_normal(ops.n_dofs)
     u = prop.flow(u, n_burn)
-    return dh.State(ops.grid, u / ops.norm(u))
+    return u / ops.norm(u)
 
 
 def theta_broken(ops):

@@ -84,9 +84,9 @@ def test_02_propagation_oracles():
     start = time.monotonic()
     ops = _ops(128)
     sched = dh.Schedule(0.0, 1.0, 0.01)
-    ones = dh.State(ops.grid, np.ones(ops.n_dofs))
+    ones = np.ones(ops.n_dofs)
     final, rec = dh.propagate(ops, ones, sched)
-    drift = float(np.max(np.abs(final.values - 1.0)))
+    drift = float(np.max(np.abs(final - 1.0)))
     assert drift <= 1e-10
 
     contraction_ok = True
@@ -99,8 +99,8 @@ def test_02_propagation_oracles():
     st = unit_random_state(small, 5)
     fine = dh.Schedule(0.0, 1.0, 1e-3)
     got, _ = dh.propagate(small, st, fine)
-    expect = sla.expm(1.0 * small.dense_A()) @ st.values
-    rel = small.norm(got.values - expect) / small.norm(expect)
+    expect = sla.expm(1.0 * small.dense_A()) @ st
+    rel = small.norm(got - expect) / small.norm(expect)
     assert rel <= 1e-3
 
     elapsed = time.monotonic() - start
@@ -115,8 +115,8 @@ def test_03_energy_identity_order(ops48):
     orders = []
     for seed in range(100, 105):
         st = smooth_random_state(ops48, seed)
-        coarse = lc.energy_residuals(ops48, PARAMS, [st], dh.Schedule(0.0, 1.0, 0.02))
-        fine = lc.energy_residuals(ops48, PARAMS, [st], dh.Schedule(0.0, 1.0, 0.01))
+        coarse = lc.energy_residuals(ops48, PARAMS, st[:, None], dh.Schedule(0.0, 1.0, 0.02))
+        fine = lc.energy_residuals(ops48, PARAMS, st[:, None], dh.Schedule(0.0, 1.0, 0.01))
         orders.append(np.log2(np.max(np.abs(coarse)) / np.max(np.abs(fine))))
     elapsed = time.monotonic() - start
     assert all(abs(o - 2.0) <= 0.2 for o in orders)
@@ -212,17 +212,16 @@ def test_08_control_certificates(ops48, trace_sched, observability_fit):
     psi0s = []
     for _ in range(5):
         v = rng.standard_normal(ops48.n_dofs)
-        psi0s.append(dh.State(ops48.grid, v / ops48.norm(v)))
+        psi0s.append(v / ops48.norm(v))
 
-    cal = dh.calibrate_kappa(ops48, prob, trace_sched, psi0s,
+    cal = dh.calibrate_kappa(ops48, prob, trace_sched, np.column_stack(psi0s),
                              constants=observability_fit)
     assert all(r.certified for r in cal.results)
     worst_cg = max(r.residuals["cg_rel"] for r in cal.results)
     assert worst_cg <= 1e-10
 
     zrng = np.random.default_rng(4242)
-    zetas = [dh.State(ops48.grid, zrng.standard_normal(ops48.n_dofs))
-             for _ in range(20)]
+    zetas = np.column_stack([zrng.standard_normal(ops48.n_dofs) for _ in range(20)])
     prob_cal = dh.ControlProblem(tau=0.5, eps=0.1, kappa=cal.kappa)
     worst_dual = 0.0
     for psi0, res in zip(psi0s, cal.results):
@@ -244,10 +243,10 @@ def test_09_cost_sweep(ops48, trace_sched, observability_fit):
     psi0s = []
     for _ in range(5):
         v = rng.standard_normal(ops48.n_dofs)
-        psi0s.append(dh.State(ops48.grid, v / ops48.norm(v)))
+        psi0s.append(v / ops48.norm(v))
     eps_list = [0.2, 0.1, 0.05, 0.025, 0.0125]
     study = dh.cost_study(ops48, dh.ControlProblem(tau=0.5, eps=0.1),
-                          trace_sched, eps_list, psi0s,
+                          trace_sched, eps_list, np.column_stack(psi0s),
                           constants=observability_fit)
     elapsed = time.monotonic() - start
     assert study.all_certified

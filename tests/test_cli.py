@@ -3,6 +3,7 @@ import functools
 import json
 import os
 
+import numpy as np
 import pytest
 
 from dynheat import FitFailureError, cli, control as ctl, evolve, logconvexity as lc
@@ -151,7 +152,31 @@ class TestPipeline:
         assert (out / "report.json").read_bytes() == first
 
 
+def _frozen_unit_random_states(ops, count, seed):
+    """The member-by-member draw as it stood before states were one block:
+    count draws of n normals, each scaled by its own mass norm."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        v = rng.standard_normal(ops.n_dofs)
+        states.append(v / ops.norm(v))
+    return states
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("which", ["iv_ops", "wide_disk_ops"])
+    @pytest.mark.parametrize("count", [1, 20])
+    def test_initial_block_equals_the_frozen_member_loop(self, request, which, count):
+        """One (count, n) draw normalized as a block carries the bits of the
+        member-by-member draw."""
+        ops = request.getfixturevalue(which)
+        block = cli._unit_random_states(ops, count, 4035, "random")
+        assert block.shape == (ops.n_dofs, count)
+        for got, want in zip(block.T, _frozen_unit_random_states(ops, count, 4035)):
+            assert np.array_equal(got, want)
+        zero = cli._unit_random_states(ops, count, 4035, "zero")
+        assert zero.shape == (ops.n_dofs, count) and not zero.any()
+
     def test_pipeline_is_byte_identical_across_runs(self, config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_pipeline(config_path, a)

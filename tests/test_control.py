@@ -115,7 +115,7 @@ class TestSynthesize:
     def test_duality_identity(self, iv_ops, prob, ctrl_sched):
         psi0 = unit_random_state(iv_ops, 74)
         res = dh.synthesize(iv_ops, prob, ctrl_sched, psi0)
-        zetas = [unit_random_state(iv_ops, 75 + k) for k in range(5)]
+        zetas = np.column_stack([unit_random_state(iv_ops, 75 + k) for k in range(5)])
         resid = dh.verify_duality(iv_ops, prob, ctrl_sched, psi0, res, zetas)
         assert np.all(resid <= 1e-12)
 
@@ -127,7 +127,7 @@ class TestSynthesize:
         co = ControlOperator(ops, ctrl_sched, prob.tau)
         psi0 = unit_random_state(ops, 76)
         res = dh.synthesize(ops, prob, ctrl_sched, psi0)
-        free_T = co.prop.flow(psi0.values, co.n_total)
+        free_T = co.prop.flow(psi0, co.n_total)
 
         def G(u):
             return co.gramian_apply(u, prob.kappa, prob.eps)
@@ -158,7 +158,7 @@ class TestSynthesize:
                 dh.synthesize(iv_ops, prob, ctrl_sched, unit_random_state(iv_ops, 5))
 
     def test_zero_data_needs_no_control(self, iv_ops, prob, ctrl_sched):
-        res = dh.synthesize(iv_ops, prob, ctrl_sched, dh.State.zeros(iv_ops.grid))
+        res = dh.synthesize(iv_ops, prob, ctrl_sched, np.zeros(iv_ops.n_dofs))
         assert res.certified
         assert res.norm_h == 0.0 and res.norm_Psi0 == 0.0
         assert np.all(res.h == 0.0) and np.all(res.psi_T == 0.0)
@@ -170,15 +170,15 @@ class TestCalibration:
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         st = unit_random_state(iv_small_ops, 77)
         with pytest.raises(dh.ConfigurationError):
-            dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, [st], budget=-1)
+            dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, st[:, None], budget=-1)
         with pytest.raises(dh.ConfigurationError):
-            dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, [])
+            dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, np.zeros((iv_small_ops.n_dofs, 0)))
         with pytest.raises(dh.ConfigurationError):
-            dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, [st], kappa0=-2.0)
+            dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, st[:, None], kappa0=-2.0)
 
     def test_adequate_seed_needs_no_doubling(self, iv_ops, ctrl_sched):
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
-        states = [unit_random_state(iv_ops, 78 + k) for k in range(2)]
+        states = np.column_stack([unit_random_state(iv_ops, 78 + k) for k in range(2)])
         cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=20.0)
         assert cal.doublings == 0
         assert cal.kappa == cal.kappa0 == 20.0
@@ -188,7 +188,7 @@ class TestCalibration:
     def test_small_seed_doubles_up(self, iv_ops, ctrl_sched):
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         st = unit_random_state(iv_ops, 80)
-        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, [st], kappa0=0.5)
+        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None], kappa0=0.5)
         assert cal.doublings > 0
         assert cal.kappa == 0.5 * 2 ** cal.doublings
         assert all(r.certified for r in cal.results)
@@ -197,14 +197,14 @@ class TestCalibration:
         prob = dh.ControlProblem(tau=0.5, eps=0.05)
         st = unit_random_state(iv_ops, 81)
         with pytest.raises(dh.CalibrationError):
-            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, [st], kappa0=1e-6, budget=0)
+            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None], kappa0=1e-6, budget=0)
 
     def test_budget_exhaustion_names_the_reduced_model(self, iv_ops, ctrl_sched):
         """The diagnostics hold n_omega, W's extreme eigenvalues and each
         member's predicted ||Psi(T)|| / ||Psi0|| at the last rung, which a
         propagated synthesis there confirms."""
         prob = dh.ControlProblem(tau=0.5, eps=0.05)
-        states = [unit_random_state(iv_ops, 81), dh.State.zeros(iv_ops.grid)]
+        states = np.column_stack([unit_random_state(iv_ops, 81), np.zeros(iv_ops.n_dofs)])
         with pytest.raises(dh.CalibrationError) as info:
             dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=1e-6, budget=2)
         diag = info.value.diagnostics
@@ -213,7 +213,7 @@ class TestCalibration:
         assert 0.0 <= diag["w_eigenvalue_max"] <= 1.0
         assert diag["w_eigenvalue_min"] >= -1e-12 * diag["w_eigenvalue_max"]
         ratio, zero = diag["predicted_ratio_last"]
-        res = dh.synthesize(iv_ops, replace(prob, kappa=4e-6), ctrl_sched, states[0])
+        res = dh.synthesize(iv_ops, replace(prob, kappa=4e-6), ctrl_sched, states[:, 0])
         assert ratio == pytest.approx(res.norm_PsiT / res.norm_Psi0, rel=1e-9)
         assert ratio > prob.eps and zero == 0.0
 
@@ -223,7 +223,7 @@ class TestCalibration:
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         st = unit_random_state(iv_ops, 81)
         with pytest.raises(dh.NumericalError, match="float range"):
-            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, [st], kappa0=1e200, budget=40)
+            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None], kappa0=1e200, budget=40)
 
     def test_seed_priority_explicit_over_fitted(self, iv_ops, ctrl_sched):
         fit = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0,
@@ -231,7 +231,7 @@ class TestCalibration:
                                   T=1.0, n_members=2)
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         st = unit_random_state(iv_ops, 82)
-        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, [st],
+        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None],
                                  constants=fit, kappa0=25.0)
         assert cal.kappa0 == 25.0
 
@@ -241,7 +241,7 @@ class TestCalibration:
                                   T=1.0, n_members=2)
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         st = unit_random_state(iv_ops, 83)
-        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, [st], constants=fit)
+        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None], constants=fit)
         assert cal.kappa0 == pytest.approx(20.0 * np.exp(4.0), rel=1e-12)
         assert cal.doublings == 0
 
@@ -251,9 +251,8 @@ def _mixed_ensemble(ops):
     and a zero state."""
     x = ops.grid.points[:, 0]
     smooth = np.cos(np.pi * x)
-    return ([unit_random_state(ops, 90 + k) for k in range(3)]
-            + [dh.State(ops.grid, smooth / ops.norm(smooth)),
-               dh.State.zeros(ops.grid)])
+    return np.column_stack([unit_random_state(ops, 90 + k) for k in range(3)]
+                           + [smooth / ops.norm(smooth), np.zeros(ops.n_dofs)])
 
 
 class TestBatchedCalibration:
@@ -270,7 +269,7 @@ class TestBatchedCalibration:
         prob, states, cal = calibrated
         assert cal.doublings > 0
         co = ControlOperator(iv_ops, ctrl_sched, prob.tau)
-        rhs = -co.prop.flow(np.column_stack([s.values for s in states]), co.n_total)
+        rhs = -co.prop.flow(states, co.n_total)
         theta, iters = ctl._cg_mass_inner(
             lambda z: co.gramian_apply(z, cal.kappa, prob.eps), rhs, iv_ops.inner,
             prob.cg_tol, prob.cg_maxit)
@@ -284,7 +283,7 @@ class TestBatchedCalibration:
             self, iv_ops, ctrl_sched, calibrated):
         prob, states, cal = calibrated
         prob_k = replace(prob, kappa=cal.kappa)
-        for st, res in zip(states, cal.results):
+        for st, res in zip(states.T, cal.results):
             one = dh.synthesize(iv_ops, prob_k, ctrl_sched, st)
             assert res.summary() == one.summary()
             for name in ("h", "theta0", "psi_T"):
@@ -304,8 +303,8 @@ class TestBatchedCalibration:
         G = (cal.kappa ** 2 * P_obs @ (on_omega[:, None] * P_obs)
              + prob.eps ** 2 * np.eye(ops.n_dofs))
         factor = sla.cho_factor(M @ G)
-        for st, res in zip(states, cal.results):
-            theta = sla.cho_solve(factor, -M @ (P_T @ st.values))
+        for st, res in zip(states.T, cal.results):
+            theta = sla.cho_solve(factor, -M @ (P_T @ st))
             assert np.linalg.norm(res.theta0 - theta) <= 1e-9 * np.linalg.norm(theta)
 
 
@@ -313,10 +312,10 @@ class TestCostStudy:
     def test_empty_eps_list_rejected(self, iv_small_ops, ctrl_sched):
         with pytest.raises(dh.ConfigurationError):
             dh.cost_study(iv_small_ops, dh.ControlProblem(tau=0.5, eps=0.1),
-                          ctrl_sched, [], [unit_random_state(iv_small_ops, 84)])
+                          ctrl_sched, [], unit_random_state(iv_small_ops, 84)[:, None])
 
     def test_sweep_costs_are_certified_and_nondecreasing(self, iv_ops, ctrl_sched):
-        states = [unit_random_state(iv_ops, 85 + k) for k in range(2)]
+        states = np.column_stack([unit_random_state(iv_ops, 85 + k) for k in range(2)])
         study = dh.cost_study(iv_ops, dh.ControlProblem(tau=0.5, eps=0.1),
                               ctrl_sched, [0.2, 0.1], states)
         assert study.all_certified
@@ -330,17 +329,17 @@ class TestCostStudy:
         """A member whose free flow already meets eps is excluded."""
         x = iv_ops.grid.points[:, 0]
         fast = np.cos(np.sqrt(13.492357146504844) * (x - 0.5))
-        fast_st = dh.State(iv_ops.grid, fast / iv_ops.norm(fast))
+        fast_st = fast / iv_ops.norm(fast)
         alone = dh.cost_study(iv_ops, dh.ControlProblem(tau=0.5, eps=0.1),
-                              ctrl_sched, [0.2], [fast_st])
+                              ctrl_sched, [0.2], fast_st[:, None])
         assert alone.rows[0].sup_cost == 0.0
         assert alone.rows[0].passes
 
         rand_st = unit_random_state(iv_ops, 87)
         mixed = dh.cost_study(iv_ops, dh.ControlProblem(tau=0.5, eps=0.1),
-                              ctrl_sched, [0.2], [rand_st, fast_st])
+                              ctrl_sched, [0.2], np.column_stack([rand_st, fast_st]))
         rand_only = dh.cost_study(iv_ops, dh.ControlProblem(tau=0.5, eps=0.1),
-                                  ctrl_sched, [0.2], [rand_st])
+                                  ctrl_sched, [0.2], rand_st[:, None])
         assert mixed.rows[0].sup_cost == pytest.approx(rand_only.rows[0].sup_cost)
 
     def test_slope_skips_zero_cost_rows(self, iv_ops, ctrl_sched):
@@ -348,13 +347,13 @@ class TestCostStudy:
         and a slope needs two distinct eps among the rest."""
         x = iv_ops.grid.points[:, 0]
         fast = np.cos(np.sqrt(13.492357146504844) * (x - 0.5))
-        fast_st = dh.State(iv_ops.grid, fast / iv_ops.norm(fast))
+        fast_st = fast / iv_ops.norm(fast)
         co = ControlOperator(iv_ops, ctrl_sched, 0.5)
-        ratio = iv_ops.norm(co.prop.flow(fast_st.values, co.n_total))
+        ratio = iv_ops.norm(co.prop.flow(fast_st, co.n_total))
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
 
         study = dh.cost_study(iv_ops, prob, ctrl_sched,
-                              [2.0 * ratio, 0.5 * ratio, 0.25 * ratio], [fast_st])
+                              [2.0 * ratio, 0.5 * ratio, 0.25 * ratio], fast_st[:, None])
         zero, r1, r2 = study.rows
         assert zero.sup_cost == 0.0 and r1.sup_cost > 0.0 and r2.sup_cost > 0.0
         two_point = (np.log(r2.sup_cost / r1.sup_cost)
@@ -362,12 +361,12 @@ class TestCostStudy:
         assert study.slope == pytest.approx(two_point, rel=1e-12)
 
         one_costly = dh.cost_study(iv_ops, prob, ctrl_sched,
-                                   [2.0 * ratio, 0.5 * ratio], [fast_st])
+                                   [2.0 * ratio, 0.5 * ratio], fast_st[:, None])
         assert one_costly.rows[0].sup_cost == 0.0
         assert one_costly.slope is None
 
         one_eps = dh.cost_study(iv_ops, prob, ctrl_sched,
-                                [0.5 * ratio, 0.5 * ratio], [fast_st])
+                                [0.5 * ratio, 0.5 * ratio], fast_st[:, None])
         assert all(r.sup_cost > 0.0 for r in one_eps.rows)
         assert one_eps.slope is None
 
@@ -377,7 +376,7 @@ class TestCostStudy:
                                   T=1.0, n_members=2)
         st = unit_random_state(iv_ops, 88)
         study = dh.cost_study(iv_ops, dh.ControlProblem(tau=0.5, eps=0.1),
-                              ctrl_sched, [0.2, 0.1], [st], constants=fit)
+                              ctrl_sched, [0.2, 0.1], st[:, None], constants=fit)
         assert study.delta_fitted == 1.0
         assert study.all_certified
 
@@ -426,9 +425,9 @@ def reduced_cases(draw):
     states = []
     for _ in range(draw(st.integers(1, 3))):
         v = rng.standard_normal(ops.n_dofs)
-        states.append(dh.State(ops.grid, v / ops.norm(v)))
+        states.append(v / ops.norm(v))
     seed = draw(st.sampled_from([0.25, 2.0, 16.0]))
-    return ops, sched, prob, states, seed
+    return ops, sched, prob, np.column_stack(states), seed
 
 
 class TestReducedGramian:
@@ -502,7 +501,7 @@ class TestReducedGramian:
             dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7), n=24))
         sched = dh.Schedule(0.0, 0.5, 0.05, "backward_euler")
         prob = dh.ControlProblem(tau=0.25, eps=0.002)
-        states = [unit_random_state(ops, 95 + k) for k in range(2)]
+        states = np.column_stack([unit_random_state(ops, 95 + k) for k in range(2)])
         expected = _propagated_ladder(ops, sched, prob, states, 1.0, 30)
         assert expected is not None and expected[0] >= 1e4 * prob.eps
         cal = dh.calibrate_kappa(ops, prob, sched, states, kappa0=1.0, budget=30)
@@ -521,17 +520,17 @@ class TestReducedGramian:
         assert n_omega > ctl.COLD_APPLIES_PER_MEMBER
         st = unit_random_state(disk_ops, 96)
         co = ControlOperator(disk_ops, sched, 0.1)
-        flows = ctl._free_flows(co, [st])
+        flows = ctl._free_flows(co, st[:, None])
         assert flows.red is None and "reduced" not in vars(co)
         prob = dh.ControlProblem(tau=0.1, eps=0.1, kappa=4.0)
         one = ctl._synthesize_block(co, prob, flows)[0]
         cold = _cold_operator(disk_ops, sched, 0.1)
-        zero_start = ctl._synthesize_block(cold, prob, ctl._free_flows(cold, [st]))[0]
+        zero_start = ctl._synthesize_block(cold, prob, ctl._free_flows(cold, st[:, None]))[0]
         assert one.summary() == zero_start.summary()
         assert one.residuals["cg_iterations"] > 0
 
         members = -(-n_omega // ctl.COLD_APPLIES_PER_MEMBER)
-        states = [unit_random_state(disk_ops, 96 + k) for k in range(members)]
+        states = np.column_stack([unit_random_state(disk_ops, 96 + k) for k in range(members)])
         assert ctl._free_flows(co, states).red is co.reduced is not None
 
     def test_above_the_memory_cap_the_solver_starts_from_zero(

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import dynheat as dh
+from dynheat.control import ControlOperator
 from dynheat.discretize import OperatorSet
 
 from conftest import theta_broken, unit_random_state
@@ -208,9 +209,9 @@ class TestStructuredSolve:
 
 class TestFlowProperties:
     def test_constants_are_steady(self, iv_ops):
-        ones = dh.State(iv_ops.grid, np.ones(iv_ops.n_dofs))
+        ones = np.ones(iv_ops.n_dofs)
         final, rec = dh.propagate(iv_ops, ones, dh.Schedule(0.0, 1.0, 0.01))
-        assert np.max(np.abs(final.values - 1.0)) < 1e-10
+        assert np.max(np.abs(final - 1.0)) < 1e-10
         assert abs(rec.norms[-1] - rec.norms[0]) < 1e-10
 
     def test_norms_contract_stepwise(self, iv_ops, sched):
@@ -224,8 +225,8 @@ class TestFlowProperties:
         st = unit_random_state(ops, 25)
         sched = dh.Schedule(0.0, 0.25, 1e-3)
         final, _ = dh.propagate(ops, st, sched)
-        expect = sla.expm(0.25 * ops.dense_A()) @ st.values
-        err = ops.norm(final.values - expect) / ops.norm(expect)
+        expect = sla.expm(0.25 * ops.dense_A()) @ st
+        err = ops.norm(final - expect) / ops.norm(expect)
         assert err < 1e-3
 
     def test_recorded_states_replay_norms(self, iv_small_ops):
@@ -235,7 +236,7 @@ class TestFlowProperties:
         sched = dh.Schedule(0.0, 0.2, 0.05)
         _, rec = dh.propagate(ops, st, sched)
         prop = dh.Propagator(ops, sched.dt, sched.scheme)
-        u = st.values
+        u = st
         replayed = [ops.norm(u)]
         for _ in range(sched.steps):
             u = prop.step(u)
@@ -262,7 +263,7 @@ class TestFlowProperties:
         block flow carries exactly its one-state steps."""
         ops = wide_disk_ops
         sched = dh.Schedule(0.0, 0.2, 0.01)
-        members = [st.values for st in dh.diverse_ensemble(ops, 5, 51, sched)]
+        members = list(dh.diverse_ensemble(ops, 5, 51, sched).T)
         prop = dh.Propagator(ops, sched.dt)
         flows = [prop.trajectory(u, 4) for u in members]
         for X in prop.trajectory(np.column_stack(members), 4):
@@ -272,7 +273,7 @@ class TestFlowProperties:
 
     def test_flow_returns_a_new_array(self, iv_small_ops):
         prop = dh.Propagator(iv_small_ops, 0.05)
-        u = unit_random_state(iv_small_ops, 33).values
+        u = unit_random_state(iv_small_ops, 33)
         out = prop.flow(u, 0)
         assert np.array_equal(out, u) and not np.shares_memory(out, u)
 
@@ -282,7 +283,7 @@ class TestFlowProperties:
         sched = dh.Schedule(0.0, 0.2, 0.05)
         a, _ = dh.propagate(iv_small_ops, st, sched, propagator=prop)
         b, _ = dh.propagate(iv_small_ops, st, sched)
-        assert a.values == pytest.approx(b.values)
+        assert a == pytest.approx(b)
 
 
 class TestImpulsiveFlow:
@@ -291,14 +292,12 @@ class TestImpulsiveFlow:
         sched = dh.Schedule(0.0, 1.0, 0.01)
         st = unit_random_state(iv_ops, 28)
         payload = np.sin(np.linspace(0.0, np.pi, iv_ops.grid.omega_idx.size))
-        imp = dh.ImpulseEvent(tau=0.5, payload=payload)
-        final, rec, info = dh.propagate_impulsive(iv_ops, st, imp, sched)
+        final, rec, info = dh.propagate_impulsive(iv_ops, st, 0.5, payload, sched)
 
         mid, leg1 = dh.propagate(iv_ops, st, dh.Schedule(0.0, 0.5, 0.01))
-        kicked = dh.State(iv_ops.grid,
-                          mid.values + iv_ops.embed_omega(payload))
+        kicked = mid + iv_ops.embed_omega(payload)
         expect, leg2 = dh.propagate(iv_ops, kicked, dh.Schedule(0.5, 1.0, 0.01))
-        assert final.values == pytest.approx(expect.values, rel=1e-12, abs=1e-14)
+        assert final == pytest.approx(expect, rel=1e-12, abs=1e-14)
         assert rec.norms == pytest.approx(
             np.concatenate([leg1.norms, leg2.norms]), rel=1e-12)
         assert rec.times == pytest.approx(
@@ -312,10 +311,10 @@ class TestImpulsiveFlow:
         st = unit_random_state(iv_small_ops, 29)
         payload = np.zeros(iv_small_ops.grid.omega_idx.size)
         _, _, info = dh.propagate_impulsive(
-            iv_small_ops, st, dh.ImpulseEvent(tau=0.512, payload=payload), sched)
+            iv_small_ops, st, 0.512, payload, sched)
         assert info["tau_effective"] == pytest.approx(0.5)
         _, _, info = dh.propagate_impulsive(
-            iv_small_ops, st, dh.ImpulseEvent(tau=0.03, payload=payload), sched)
+            iv_small_ops, st, 0.03, payload, sched)
         assert info["tau_effective"] == pytest.approx(0.1)
         assert info["steps_before"] == 1
 
@@ -325,5 +324,21 @@ class TestImpulsiveFlow:
         payload = np.zeros(iv_small_ops.grid.omega_idx.size)
         for bad in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(dh.ConfigurationError):
-                dh.propagate_impulsive(
-                    iv_small_ops, st, dh.ImpulseEvent(tau=bad, payload=payload), sched)
+                dh.propagate_impulsive(iv_small_ops, st, bad, payload, sched)
+
+    def test_control_snaps_tau_as_the_impulsive_flow_does(self, iv_small_ops):
+        """Schedule.kick_step is the one snap: the impulsive flow and the
+        control operator take the same step and the same effective tau,
+        and both reject a tau outside (t0, t1) by its message."""
+        sched = dh.Schedule(0.0, 1.0, 0.1)
+        st = unit_random_state(iv_small_ops, 31)
+        payload = np.zeros(iv_small_ops.grid.omega_idx.size)
+        for tau, n_tau in ((0.03, 1), (0.512, 5), (0.97, 9)):
+            assert sched.kick_step(tau) == n_tau
+            _, _, info = dh.propagate_impulsive(iv_small_ops, st, tau, payload, sched)
+            co = ControlOperator(iv_small_ops, sched, tau)
+            assert info["steps_before"] == co.n_tau == n_tau
+            assert info["tau_effective"] == co.tau_effective
+        for bad in (0.0, 1.0):
+            with pytest.raises(dh.ConfigurationError, match="strictly inside"):
+                ControlOperator(iv_small_ops, sched, bad)

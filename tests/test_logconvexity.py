@@ -56,7 +56,7 @@ class TestWeightedOperators:
         for ops in grids:
             w = lc.build_weighted_operators(ops, params, 0.3)
             dense = _dense_splitting(ops, params, 0.3)
-            x = unit_random_state(ops, 40).values
+            x = unit_random_state(ops, 40)
             got_S, got_Aanti = w.forms(x)[1]
             assert got_S == pytest.approx(dense.S @ x, rel=1e-12, abs=1e-12)
             assert got_Aanti == pytest.approx(dense.Aanti @ x, rel=1e-12, abs=1e-12)
@@ -89,7 +89,7 @@ class TestWeightedOperators:
             w = lc.build_weighted_operators(ops, params, 0.7)
             dense = _dense_splitting(ops, params, 0.7)
             P1 = np.diag(dense.d) + dense.E[:, None] * ops.dense_A() / dense.E[None, :]
-            x = unit_random_state(ops, 43).values
+            x = unit_random_state(ops, 43)
             S, Aanti = w.forms(x)[1]
             assert S + Aanti == pytest.approx(P1 @ x, rel=1e-12, abs=1e-12)
 
@@ -97,7 +97,7 @@ class TestWeightedOperators:
         for ops in grids:
             w = lc.build_weighted_operators(ops, params, 0.2)
             S = _dense_splitting(ops, params, 0.2).S
-            x = unit_random_state(ops, 44).values
+            x = unit_random_state(ops, 44)
             assert w.neg_S_form(x) == pytest.approx(-ops.inner(w.forms(x)[1][0], x), rel=1e-11)
             assert w.neg_S_form(x) == pytest.approx(-ops.inner(S @ x, x), rel=1e-11)
 
@@ -140,7 +140,7 @@ class TestSPrimeOracle:
     @pytest.mark.parametrize("t", [0.37, 0.9])
     def test_matches_exact_commutator_form(self, iv_ops, params, t):
         ops = iv_ops
-        F = unit_random_state(ops, 46).values
+        F = unit_random_state(ops, 46)
         S_prime = _dense_splitting(ops, params, t).S_prime
         assert lc.s_prime_form(ops, params, t, F) == pytest.approx(
             ops.inner(S_prime @ F, F), rel=1e-12)
@@ -241,13 +241,13 @@ class TestRunTrace:
         with pytest.raises(dh.UsageError):
             lc.run_trace(iv_small_ops, params, st, dh.Schedule(0.0, 0.5, 0.01))
         with pytest.raises(dh.UsageError):
-            lc.energy_residuals(iv_small_ops, params, [st], dh.Schedule(0.0, 0.5, 0.01))
+            lc.energy_residuals(iv_small_ops, params, st[:, None], dh.Schedule(0.0, 0.5, 0.01))
 
     def test_zero_state_is_degenerate(self, iv_small_ops, params, sched):
         with pytest.raises(dh.DegenerateDataError):
-            lc.run_trace(iv_small_ops, params, dh.State.zeros(iv_small_ops.grid), sched)
+            lc.run_trace(iv_small_ops, params, np.zeros(iv_small_ops.n_dofs), sched)
         with pytest.raises(dh.DegenerateDataError):
-            lc.energy_residuals(iv_small_ops, params, [dh.State.zeros(iv_small_ops.grid)], sched)
+            lc.energy_residuals(iv_small_ops, params, np.zeros((iv_small_ops.n_dofs, 1)), sched)
 
     def test_trace_fields_are_consistent(self, iv_small_ops, params, sched):
         st = unit_random_state(iv_small_ops, 51)
@@ -262,8 +262,8 @@ class TestRunTrace:
     def test_energy_identity_residual_is_second_order(self, iv_ops, params):
         """Halving dt must cut the midpoint residual about fourfold."""
         st = smooth_random_state(iv_ops, 100)
-        coarse = lc.energy_residuals(iv_ops, params, [st], dh.Schedule(0.0, 1.0, 0.02))
-        fine = lc.energy_residuals(iv_ops, params, [st], dh.Schedule(0.0, 1.0, 0.01))
+        coarse = lc.energy_residuals(iv_ops, params, st[:, None], dh.Schedule(0.0, 1.0, 0.02))
+        fine = lc.energy_residuals(iv_ops, params, st[:, None], dh.Schedule(0.0, 1.0, 0.01))
         assert coarse.shape == (1, 50) and fine.shape == (1, 100)
         order = np.log2(np.max(np.abs(coarse)) / np.max(np.abs(fine)))
         assert abs(order - 2.0) < 0.3
@@ -347,7 +347,7 @@ def _frozen_Q(ops, params, t, F):
 def _frozen_trace(ops, params, state0, sched):
     prop = dh.Propagator(ops, sched.dt, sched.scheme)
     times = sched.times()
-    states = np.array(list(prop.trajectory(state0.values, sched.steps)))
+    states = np.array(list(prop.trajectory(state0, sched.steps)))
     normF2, N, Q, neg_S = (np.empty(times.size) for _ in range(4))
     for k, t in enumerate(times):
         E, d = _frozen_weights(ops, params, t)
@@ -380,9 +380,9 @@ def assert_same_trace(tr, ref):
 
 def _mixed_members(ops, sched):
     """A smooth member, two rough ones and two of the observe ensemble."""
-    return ([smooth_random_state(ops, 100), unit_random_state(ops, 61),
-             unit_random_state(ops, 62)]
-            + lc.diverse_ensemble(ops, 5, seed=9, sched=sched)[2:4])
+    return np.column_stack([smooth_random_state(ops, 100), unit_random_state(ops, 61),
+                            unit_random_state(ops, 62),
+                            lc.diverse_ensemble(ops, 5, seed=9, sched=sched)[:, 2:4]])
 
 
 class TestBlockTrace:
@@ -399,16 +399,16 @@ class TestBlockTrace:
                    else dh.diverse_ensemble(ops, 5, seed, sched))
         traces = lc.run_traces(ops, params, members, sched)
         resid = lc.energy_residuals(ops, params, members, sched)
-        assert len(traces) == len(members) == len(resid)
-        for tr, row, st0 in zip(traces, resid, members):
+        assert len(traces) == members.shape[1] == len(resid)
+        for tr, row, st0 in zip(traces, resid, members.T):
             ref = _frozen_trace(ops, params, st0, sched)
             assert_same_trace(tr, ref)
             assert np.array_equal(row, ref.energy_residuals)
-        assert_same_trace(lc.run_trace(ops, params, members[0], sched), traces[0])
+        assert_same_trace(lc.run_trace(ops, params, members[:, 0], sched), traces[0])
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_one_state_forms_equal_frozen_forms(self, iv_ops, params, t):
-        F = unit_random_state(iv_ops, 63).values
+        F = unit_random_state(iv_ops, 63)
         assert lc.s_prime_form(iv_ops, params, t, F) == _frozen_s_prime(iv_ops, params, t, F)
         assert lc.commutator_form(iv_ops, params, t, F) == _frozen_Q(iv_ops, params, t, F)
         w = lc.build_weighted_operators(iv_ops, params, t)
@@ -431,8 +431,8 @@ class TestBlockTrace:
         K = -m[:, None] * ops.dense_A()
         step = np.linalg.solve(np.diag(m) + 0.5 * sched.dt * K,
                                np.diag(m) - 0.5 * sched.dt * K)
-        for tr, st0 in zip(traces, members):
-            u = st0.values
+        for tr, st0 in zip(traces, members.T):
+            u = st0
             for k, t in enumerate(sched.times()):
                 dense = _dense_splitting(ops, params, t)
                 F = dense.E * u
@@ -444,7 +444,8 @@ class TestBlockTrace:
                 u = step @ u
 
     def test_zero_member_is_degenerate(self, iv_small_ops, params, sched):
-        members = [unit_random_state(iv_small_ops, 64), dh.State.zeros(iv_small_ops.grid)]
+        members = np.column_stack([unit_random_state(iv_small_ops, 64),
+                                   np.zeros(iv_small_ops.n_dofs)])
         with pytest.raises(dh.DegenerateDataError):
             lc.run_traces(iv_small_ops, params, members, sched)
 
@@ -479,7 +480,7 @@ _ENSEMBLE_SCHED = dh.Schedule(0.0, 1.0, 0.05)
 def one_member_traces(iv_small_ops, params):
     members = _mixed_members(iv_small_ops, _ENSEMBLE_SCHED)
     return members, [lc.run_trace(iv_small_ops, params, st0, _ENSEMBLE_SCHED)
-                     for st0 in members]
+                     for st0 in members.T]
 
 
 @settings(max_examples=25, deadline=None)
@@ -488,7 +489,7 @@ def test_any_subset_in_any_order_traces_as_its_members(
         iv_small_ops, params, one_member_traces, order, size):
     members, singles = one_member_traces
     pick = order[:size]
-    traces = lc.run_traces(iv_small_ops, params, [members[i] for i in pick],
+    traces = lc.run_traces(iv_small_ops, params, members[:, pick],
                            _ENSEMBLE_SCHED)
     for tr, i in zip(traces, pick):
         assert_same_trace(tr, singles[i])
@@ -568,6 +569,37 @@ class TestStepConstants:
         assert sc.sign_lhs == pytest.approx(-0.0229, abs=1e-3)
 
 
+def _frozen_diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2):
+    """diverse_ensemble as it stood before an ensemble was one block: a
+    list of members, the smoothed modes flowed as blocks of their own and
+    every member normalized alone."""
+    rng = np.random.default_rng(seed)
+    n = ops.n_dofs
+    ones = np.ones(n)
+    ones_nrm2 = ops.inner(ones, ones)
+    off_omega = np.setdiff1d(np.arange(n), ops.grid.omega_idx)
+    raw = []
+    for k in range(count):
+        u = rng.standard_normal(n)
+        mode = k % 5
+        if mode == 1 or (mode == 3 and sched is not None):
+            u -= ops.inner(u, ones) / ones_nrm2 * ones
+        elif mode == 4:
+            v = np.zeros(n)
+            v[off_omega] = rng.standard_normal(off_omega.size)
+            u = v + omega_free_fraction * u
+        raw.append(u)
+    if sched is not None:
+        prop = dh.Propagator(ops, sched.dt, sched.scheme)
+        for mode, steps in {2: 2, 3: 4}.items():
+            idx = range(mode, count, 5)
+            if idx:
+                block = prop.flow(np.column_stack([raw[i] for i in idx]), steps)
+                for i, u in zip(idx, block.T):
+                    raw[i] = u
+    return [u / ops.norm(u) for u in raw]
+
+
 class TestObservabilityFit:
     def test_fit_invariants_and_training_consistency(self, iv_ops, sched):
         states = lc.diverse_ensemble(iv_ops, 12, seed=11, sched=sched)
@@ -614,13 +646,13 @@ class TestObservabilityFit:
             rhs = np.diag(m) - 0.5 * sched.dt * K
             om = ops.grid.omega_idx
             m_om = ops.grid.w_bulk[om]
-            for j, st0 in enumerate(states):
-                u = st0.values
+            for j, st0 in enumerate(states.T):
+                u = st0
                 for _ in range(sched.steps):
                     u = np.linalg.solve(lhs, rhs @ u)
                 assert a[j] == pytest.approx(np.sqrt(u @ (m * u)), rel=1e-10)
                 assert b[j] == pytest.approx(np.sqrt(u[om] @ (m_om * u[om])), rel=1e-10)
-                assert c[j] == pytest.approx(np.sqrt(st0.values @ (m * st0.values)), rel=1e-10)
+                assert c[j] == pytest.approx(np.sqrt(st0 @ (m * st0)), rel=1e-10)
 
     def test_traced_final_block_gives_the_same_fit(self, wide_disk_ops):
         """On the members of test_evolve's block-step test, the fit from
@@ -667,7 +699,7 @@ class TestObservabilityFit:
     def test_identical_ensemble_fails_fit(self, iv_small_ops, sched):
         st = unit_random_state(iv_small_ops, 60)
         with pytest.raises(dh.FitFailureError):
-            lc.fit_observability_constants(iv_small_ops, sched, [st, st.copy()])
+            lc.fit_observability_constants(iv_small_ops, sched, np.column_stack([st, st]))
 
     def test_slope_above_one_fails_fit(self, iv_ops, sched):
         """A slow mode sparse on omega paired with a fast mode concentrated
@@ -675,27 +707,41 @@ class TestObservabilityFit:
         x = iv_ops.grid.points[:, 0]
         slow = np.sin(np.sqrt(1.7070529755509227) * (x - 0.5))
         fast = np.cos(np.sqrt(13.492357146504844) * (x - 0.5))
-        states = [dh.State(iv_ops.grid, v / iv_ops.norm(v)) for v in (slow, fast)]
+        states = np.column_stack([v / iv_ops.norm(v) for v in (slow, fast)])
         with pytest.raises(dh.FitFailureError):
             lc.fit_observability_constants(iv_ops, sched, states)
 
     def test_needs_two_members(self, iv_small_ops, sched):
         with pytest.raises(dh.ConfigurationError):
             lc.fit_observability_constants(
-                iv_small_ops, sched, [unit_random_state(iv_small_ops, 61)])
+                iv_small_ops, sched, unit_random_state(iv_small_ops, 61)[:, None])
 
     def test_zero_member_is_degenerate(self, iv_small_ops, sched):
-        states = [unit_random_state(iv_small_ops, 62),
-                  dh.State.zeros(iv_small_ops.grid)]
+        states = np.column_stack([unit_random_state(iv_small_ops, 62),
+                                  np.zeros(iv_small_ops.n_dofs)])
         with pytest.raises(dh.DegenerateDataError):
             lc.fit_observability_constants(iv_small_ops, sched, states)
+
+    @pytest.mark.parametrize("which", ["iv_small_ops", "wide_disk_ops"])
+    @pytest.mark.parametrize("count", [1, 3, 12])
+    @pytest.mark.parametrize("smoothed", [True, False])
+    def test_diverse_ensemble_equals_the_frozen_member_loop(self, request, which, count,
+                                                            smoothed):
+        """The Fortran-order block carries the bits of the list-building
+        loop, with and without the smoothing flows."""
+        ops = request.getfixturevalue(which)
+        sched = dh.Schedule(0.0, 0.2, 0.01) if smoothed else None
+        block = lc.diverse_ensemble(ops, count, 23, sched)
+        assert block.shape == (ops.n_dofs, count) and block.flags.f_contiguous
+        for got, want in zip(block.T, _frozen_diverse_ensemble(ops, count, 23, sched)):
+            assert np.array_equal(got, want)
 
     def test_diverse_ensemble_is_seeded_and_normalized(self, iv_small_ops, sched):
         a = lc.diverse_ensemble(iv_small_ops, 7, seed=3, sched=sched)
         b = lc.diverse_ensemble(iv_small_ops, 7, seed=3, sched=sched)
         other = lc.diverse_ensemble(iv_small_ops, 7, seed=4, sched=sched)
-        assert len(a) == 7
-        for st_a, st_b in zip(a, b):
-            assert st_a.values == pytest.approx(st_b.values)
+        assert a.shape == (iv_small_ops.n_dofs, 7)
+        for st_a, st_b in zip(a.T, b.T):
+            assert st_a == pytest.approx(st_b)
             assert iv_small_ops.norm(st_a) == pytest.approx(1.0, rel=1e-13)
-        assert not np.allclose(a[0].values, other[0].values)
+        assert not np.allclose(a[:, 0], other[:, 0])
