@@ -22,8 +22,9 @@ def main():
     sched = dh.Schedule(0.0, 1.0, 0.01)
     prob = co.ControlProblem(tau=0.5, eps=0.1, kappa=None)
 
-    fit = lc.fit_observability_constants(
-        ops, sched, lc.diverse_ensemble(ops, count=20, seed=11, sched=sched))
+    train = lc.diverse_ensemble(ops, count=20, seed=11, sched=sched)
+    train_T = dh.Propagator(ops, sched.dt).flow(train, sched.steps)
+    fit = lc.fit_observability_constants(ops, sched, train, train_T)
     print(f"fitted constants: beta = {fit.beta:.4f}, M1 = {fit.M1:.4f}, "
           f"M2 = {fit.M2:.4f}, delta = {fit.delta:.4f}")
 

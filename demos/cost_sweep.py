@@ -19,8 +19,9 @@ def main():
     sched = dh.Schedule(0.0, 1.0, 0.01)
     prob = co.ControlProblem(tau=0.5, eps=0.2, kappa=None)
 
-    fit = lc.fit_observability_constants(
-        ops, sched, lc.diverse_ensemble(ops, count=20, seed=11, sched=sched))
+    train = lc.diverse_ensemble(ops, count=20, seed=11, sched=sched)
+    train_T = dh.Propagator(ops, sched.dt).flow(train, sched.steps)
+    fit = lc.fit_observability_constants(ops, sched, train, train_T)
 
     # five unit initial states, one per column
     psi0s = np.random.default_rng(42).standard_normal((5, ops.n_dofs)).T

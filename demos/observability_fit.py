@@ -18,17 +18,21 @@ def main():
     ops = dh.assemble_operator(dh.build_grid(domain, n=48))
     sched = dh.Schedule(0.0, 1.0, 0.01)
 
+    # the fit reads each member's final state U(T)
+    prop = dh.Propagator(ops, sched.dt)
     train = lc.diverse_ensemble(ops, count=20, seed=11, sched=sched)
-    fit = lc.fit_observability_constants(ops, sched, train)
+    train_T = prop.flow(train, sched.steps)
+    fit = lc.fit_observability_constants(ops, sched, train, train_T)
     print(f"training ensemble: {fit.n_members} members, horizon T = {fit.T}")
     print(f"beta = {fit.beta:.4f}, log G = {fit.log_G:.4f} "
           f"(mu = {fit.mu:.4f}, K = {fit.K:.4f})")
     print(f"penalization constants: M1 = {fit.M1:.4f}, M2 = {fit.M2:.4f}, "
           f"delta = {fit.delta:.4f}")
 
-    train_bad = lc.count_observability_violations(fit, ops, sched, train)
+    train_bad = lc.count_observability_violations(fit, ops, train, train_T)
     holdout = lc.diverse_ensemble(ops, count=10, seed=21, sched=sched)
-    hold_bad = lc.count_observability_violations(fit, ops, sched, holdout)
+    hold_bad = lc.count_observability_violations(
+        fit, ops, holdout, prop.flow(holdout, sched.steps))
     print(f"violations: {train_bad}/{train.shape[1]} on training, "
           f"{hold_bad}/{holdout.shape[1]} on holdout (seed 21)")
 

@@ -7,7 +7,8 @@ passed; 1 when a certification failed; 2 on configuration or usage errors;
 class, message, diagnostics) into the artifact directory.  That stage
 removes it when it next completes, and report fails while one is present.
 Every number written to an artifact comes from a module operation; the CLI
-only aggregates.
+only aggregates.  Artifact names and each stage's pass rule come from
+reporting.ARTIFACTS and reporting.SECTION_PASSED, which report reads too.
 """
 
 from __future__ import annotations
@@ -25,14 +26,27 @@ from .discretize import assemble_operator
 from .errors import (CalibrationError, ConfigurationError, DegenerateDataError,
                      DynHeatError, FitFailureError, NumericalError,
                      ParameterError, UsageError)
-from .evolve import Propagator, propagate, propagate_impulsive
-from .reporting import (canonical_json, csv_text, merge_report, read_json,
-                        write_text)
+from .evolve import propagate, propagate_impulsive
+from .reporting import (ARTIFACTS, REPORT, SECTION_PASSED, canonical_json,
+                        csv_text, merge_report, read_json, write_text)
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# the ObservabilityFit fields that observe writes and cost-study reads back
+_FIT_KEYS = ("beta", "mu", "K", "K1", "K2", "M1", "M2", "delta", "log_G", "n_members")
+
+
+def _emit(out_dir, section, doc, *tables):
+    """Write the section's tables and then its document under the names
+    reporting.ARTIFACTS gives; EXIT_OK exactly when the document passes
+    reporting.SECTION_PASSED."""
+    for name, text in zip(ARTIFACTS[section], tables + (canonical_json(doc),),
+                          strict=True):
+        write_text(os.path.join(out_dir, name), text)
+    return EXIT_OK if SECTION_PASSED[section](doc) else EXIT_CERT_FAILED
 
 
 def _unit_random_states(ops, count, seed, initial):
@@ -72,12 +86,8 @@ def _cmd_simulate(cfg, out_dir):
         "norm_after_kick": info.get("norm_after_kick"),
         "contraction": contraction,
     }
-
-    write_text(os.path.join(out_dir, "trajectory.csv"),
-               csv_text(["t", "norm"],
-                        np.column_stack([rec.times[keep], rec.norms[keep]])))
-    write_text(os.path.join(out_dir, "simulate.json"), canonical_json(doc))
-    return EXIT_OK if contraction else EXIT_CERT_FAILED
+    return _emit(out_dir, "simulate", doc, csv_text(
+        ["t", "norm"], np.column_stack([rec.times[keep], rec.norms[keep]])))
 
 
 def _cmd_observe(cfg, out_dir):
@@ -93,12 +103,11 @@ def _cmd_observe(cfg, out_dir):
         raise ConfigurationError(
             f"observe needs at least 3 time samples; time.dt = {sched.dt} "
             f"gives {sched.steps + 1} over [0, {sched.t1}]")
-    if cfg.ensemble_count < 1:
+    if cfg.ensemble_count < 2:
         raise ConfigurationError(
-            f"observe needs at least one member; ensemble.count = {cfg.ensemble_count}")
-    prop = Propagator(ops, sched.dt, sched.scheme)
-    states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched, propagator=prop)
-    traces = lc.run_traces(ops, params, states, sched, propagator=prop)
+            f"observe needs at least 2 members; ensemble.count = {cfg.ensemble_count}")
+    states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
+    traces = lc.run_traces(ops, params, states, sched)
 
     C = lc.fit_bound_constant(traces)
     bound_violations = sum(lc.count_bound_violations(tr, C) for tr in traces)
@@ -119,24 +128,18 @@ def _cmd_observe(cfg, out_dir):
         ops, sched, states, np.column_stack([tr.final for tr in traces]))
     steps = lc.step_constants(grid.domain, params, C, cfg.ell)
 
+    # the sign condition is reported, not certified: it is a property of the
+    # configured chain length, not of the run
     doc = {
         "C0": params.C0, "C": C, "ell": steps.ell,
         "M_ell": steps.M_ell, "D_ell": steps.D_ell,
         "sign_lhs": steps.sign_lhs, "sign_ok": steps.sign_ok,
-        "beta": fit.beta, "mu": fit.mu, "K": fit.K,
-        "K1": fit.K1, "K2": fit.K2,
-        "M1": fit.M1, "M2": fit.M2, "delta": fit.delta,
-        "log_G": fit.log_G, "n_members": fit.n_members,
         "bound_violations": int(bound_violations),
         "interpolation_violations": int(interp_violations),
+        **{key: getattr(fit, key) for key in _FIT_KEYS},
     }
-    write_text(os.path.join(out_dir, "frequency_trace.csv"),
-               csv_text(["t", "normF2", "N", "Q", "bound"], traces[0].rows()))
-    write_text(os.path.join(out_dir, "constants.json"), canonical_json(doc))
-    # the sign condition is reported, not certified: it is a property of the
-    # configured chain length, not of the run
-    passed = bound_violations == 0 and interp_violations == 0
-    return EXIT_OK if passed else EXIT_CERT_FAILED
+    return _emit(out_dir, "observe", doc, csv_text(
+        ["t", "normF2", "N", "Q", "bound"], traces[0].rows()))
 
 
 def _cmd_commutator_check(cfg, out_dir):
@@ -161,19 +164,15 @@ def _cmd_commutator_check(cfg, out_dir):
                   for r in rep.resolutions]
     rows = [[res_labels[i], rep.spacings[i], rep.lhs[i], rep.rhs[i],
              rep.rel_residual[i]] for i in range(len(res_labels))]
-    write_text(os.path.join(out_dir, "commutator_residuals.csv"),
-               csv_text(["resolution", "spacing", "lhs", "rhs", "rel_residual"],
-                        rows))
-    monotone = bool(np.all(np.diff(rep.rel_residual) < 0.0))
     doc = {
         "t": t_check, "family_width": family.width,
         "resolutions": res_labels,
         "rel_residuals": list(rep.rel_residual),
         "orders": list(rep.orders),
-        "monotone": monotone,
+        "monotone": bool(np.all(np.diff(rep.rel_residual) < 0.0)),
     }
-    write_text(os.path.join(out_dir, "commutator.json"), canonical_json(doc))
-    return EXIT_OK if monotone else EXIT_CERT_FAILED
+    return _emit(out_dir, "commutator", doc, csv_text(
+        ["resolution", "spacing", "lhs", "rhs", "rel_residual"], rows))
 
 
 def _cmd_control(cfg, out_dir):
@@ -193,9 +192,7 @@ def _cmd_control(cfg, out_dir):
     else:
         result = ctl.synthesize(ops, prob, sched, psi0s[:, 0])
 
-    write_text(os.path.join(out_dir, "control_result.json"),
-               canonical_json(result.summary()))
-    return EXIT_OK if result.certified else EXIT_CERT_FAILED
+    return _emit(out_dir, "control", result.summary())
 
 
 def _cmd_cost_study(cfg, out_dir):
@@ -209,19 +206,14 @@ def _cmd_cost_study(cfg, out_dir):
     psi0s = _unit_random_states(ops, cfg.ensemble_count, cfg.seed, cfg.initial)
 
     constants = None
-    constants_path = os.path.join(out_dir, "constants.json")
+    constants_path = os.path.join(out_dir, ARTIFACTS["observe"][-1])
     if os.path.exists(constants_path):
         doc = read_json(constants_path)
-        constants = lc.ObservabilityFit(
-            beta=doc["beta"], log_G=doc["log_G"], mu=doc["mu"], K=doc["K"],
-            K1=doc["K1"], K2=doc["K2"], M1=doc["M1"], M2=doc["M2"],
-            delta=doc["delta"], T=sched.t1, n_members=doc["n_members"])
+        constants = lc.ObservabilityFit(T=sched.t1, **{key: doc[key] for key in _FIT_KEYS})
 
     study = ctl.cost_study(ops, prob, sched, list(cfg.eps_list), psi0s,
                            constants=constants)
     rows = [[r.eps, r.sup_cost, r.kappa, r.passes] for r in study.rows]
-    write_text(os.path.join(out_dir, "cost_study.csv"),
-               csv_text(["eps", "sup_cost", "kappa", "passes"], rows))
     doc = {
         "rows": [{"eps": r.eps, "sup_cost": r.sup_cost, "kappa": r.kappa,
                   "passes": r.passes} for r in study.rows],
@@ -230,14 +222,13 @@ def _cmd_cost_study(cfg, out_dir):
         "all_certified": study.all_certified,
         "nondecreasing": study.nondecreasing,
     }
-    write_text(os.path.join(out_dir, "cost_study.json"), canonical_json(doc))
-    passed = study.all_certified and study.nondecreasing
-    return EXIT_OK if passed else EXIT_CERT_FAILED
+    return _emit(out_dir, "cost_study", doc,
+                 csv_text(["eps", "sup_cost", "kappa", "passes"], rows))
 
 
 def _cmd_report(cfg, out_dir):
     report = merge_report(out_dir)
-    write_text(os.path.join(out_dir, "report.json"), canonical_json(report))
+    write_text(os.path.join(out_dir, REPORT), canonical_json(report))
     return EXIT_OK if report["all_passed"] else EXIT_CERT_FAILED
 
 

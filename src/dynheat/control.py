@@ -222,21 +222,21 @@ class ControlOperator:
                                Z=(Z0 / sqrt_mass) @ Q)
 
 
-def _cg_mass_inner(apply_G, rhs, inner, tol, maxit, x0=None, r0=None):
+def _cg_mass_inner(apply_G, rhs, inner, tol, maxit, x0, r0):
     """Conjugate gradients for an operator self-adjoint in `inner`, which
     takes two blocks and returns one product per column pair.
 
     Solves every column of rhs (n, m) at once, from x0 with its residual
-    r0 = rhs - G x0 (zero and rhs when None).  Each column keeps its own
-    alpha, beta, residual and stopping test ||r|| <= tol ||rhs||, which is
-    checked before the first iteration too, and each iteration applies G
-    once to the block of columns still iterating, so every column's
-    arithmetic is that of a one-column solve.  Returns the solutions and
-    the iteration counts, one per column; a column whose start already
-    meets tol returns it with 0 iterations.
+    r0 = rhs - G x0.  Each column keeps its own alpha, beta, residual and
+    stopping test ||r|| <= tol ||rhs||, which is checked before the first
+    iteration too, and each iteration applies G once to the block of
+    columns still iterating, so every column's arithmetic is that of a
+    one-column solve.  Returns the solutions and the iteration counts, one
+    per column; a column whose start already meets tol returns it with 0
+    iterations.
     """
-    X = np.zeros(rhs.shape, order="F") if x0 is None else np.array(x0, order="F")
-    R = np.array(rhs if r0 is None else r0, dtype=float, order="F")
+    X = np.array(x0, order="F")
+    R = np.array(r0, dtype=float, order="F")
     P = R.copy(order="F")
     rr = inner(R, R)
     rhs_norm = np.sqrt(inner(rhs, rhs))
@@ -271,7 +271,8 @@ def _cg_mass_inner(apply_G, rhs, inner, tol, maxit, x0=None, r0=None):
 
 @dataclass
 class ControlResult:
-    """Synthesized impulse with certificates and solver residuals."""
+    """Synthesized impulse with certificates and solver residuals; theta
+    solves the Gramian system and psi_T is the controlled state at T."""
 
     kappa: float
     eps: float
@@ -282,7 +283,7 @@ class ControlResult:
     residuals: dict
     tau_effective: float
     h: np.ndarray
-    theta0: np.ndarray
+    theta: np.ndarray
     psi_T: np.ndarray
 
     @property
@@ -382,7 +383,7 @@ def _synthesize_block(co, prob, flows):
         flags={"target": True, "cost": True, "apriori": True, "observation": True},
         residuals={"cg_rel": 0.0, "cg_iterations": 0, "terminal_identity": 0.0},
         tau_effective=co.tau_effective, h=np.zeros(n_omega),
-        theta0=np.zeros(ops.n_dofs), psi_T=np.zeros(ops.n_dofs))
+        theta=np.zeros(ops.n_dofs), psi_T=np.zeros(ops.n_dofs))
         for _ in flows.norms]
     live = np.flatnonzero(flows.norms)
     if live.size == 0:
@@ -441,7 +442,7 @@ def _synthesize_block(co, prob, flows):
                                    norm_Psi0=float(norm_psi0[k]),
                                    flags=flags, residuals=residuals,
                                    tau_effective=co.tau_effective,
-                                   h=H[:, k], theta0=theta[:, k], psi_T=psi_T[:, k])
+                                   h=H[:, k], theta=theta[:, k], psi_T=psi_T[:, k])
     return results
 
 

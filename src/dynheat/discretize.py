@@ -62,7 +62,6 @@ class Grid:
     w_bulk: np.ndarray
     w_trace: np.ndarray
     boundary_idx: np.ndarray
-    interior_idx: np.ndarray
     normals: np.ndarray
     omega_idx: np.ndarray
     shape: tuple
@@ -70,7 +69,7 @@ class Grid:
 
     def __post_init__(self):
         for name in ("points", "w_bulk", "w_trace", "boundary_idx",
-                     "interior_idx", "normals", "omega_idx"):
+                     "normals", "omega_idx"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -118,7 +117,6 @@ def _interval_grid(domain, n):
     w_trace[0] = w_trace[-1] = 1.0
 
     boundary_idx = np.array([0, n - 1])
-    interior_idx = np.arange(1, n - 1)
     normals = np.array([[-1.0], [1.0]])
 
     lo, hi = domain.omega.lo, domain.omega.hi
@@ -127,7 +125,7 @@ def _interval_grid(domain, n):
         raise ConfigurationError(f"omega=({lo}, {hi}) contains no grid nodes at n={n}")
 
     return Grid(domain=domain, points=points, w_bulk=w_bulk, w_trace=w_trace,
-                boundary_idx=boundary_idx, interior_idx=interior_idx,
+                boundary_idx=boundary_idx,
                 normals=normals, omega_idx=omega_idx, shape=(n,), spacing=(dx,))
 
 
@@ -156,7 +154,6 @@ def _disk_grid(domain, nr, ntheta):
     w_trace[n_int:] = R * dtheta
 
     boundary_idx = np.arange(n_int, n)
-    interior_idx = np.arange(n_int)
     normals = np.column_stack([np.cos(theta), np.sin(theta)])
 
     oc = np.asarray(domain.omega.center)
@@ -167,7 +164,7 @@ def _disk_grid(domain, nr, ntheta):
             f"omega disk (r={domain.omega.radius}) contains no grid nodes at nr={nr}, ntheta={ntheta}")
 
     return Grid(domain=domain, points=points, w_bulk=w_bulk, w_trace=w_trace,
-                boundary_idx=boundary_idx, interior_idx=interior_idx,
+                boundary_idx=boundary_idx,
                 normals=normals, omega_idx=omega_idx,
                 shape=(nr, ntheta), spacing=(dr, dtheta))
 

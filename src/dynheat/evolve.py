@@ -40,7 +40,7 @@ block's columns equal their one-state steps bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -94,11 +94,6 @@ class Schedule:
             raise ConfigurationError(
                 f"impulse time tau={tau} must lie strictly inside ({self.t0}, {self.t1})")
         return min(max(round((tau - self.t0) / self.dt), 1), self.steps - 1)
-
-    def replace(self, **kw):
-        data = {"t0": self.t0, "t1": self.t1, "dt": self.dt, "scheme": self.scheme}
-        data.update(kw)
-        return Schedule(**data)
 
 
 class _Tridiagonal:
@@ -254,7 +249,7 @@ def propagate(ops, u0, sched, propagator=None):
     return u, PropagationRecord(times=sched.times(), norms=norms)
 
 
-def propagate_impulsive(ops, u0, tau, payload, sched, propagator=None):
+def propagate_impulsive(ops, u0, tau, payload, sched):
     """Mild impulsive solution: flow to tau, add the omega payload embedded
     in the full grid, flow to T.
 
@@ -265,10 +260,10 @@ def propagate_impulsive(ops, u0, tau, payload, sched, propagator=None):
     n_tau = sched.kick_step(tau)
     tau_eff = sched.t0 + n_tau * sched.dt
 
-    prop = propagator or Propagator(ops, sched.dt, sched.scheme)
-    mid, before = propagate(ops, u0, sched.replace(t1=tau_eff), propagator=prop)
+    prop = Propagator(ops, sched.dt, sched.scheme)
+    mid, before = propagate(ops, u0, replace(sched, t1=tau_eff), propagator=prop)
     final, after = propagate(ops, mid + ops.embed_omega(payload),
-                             sched.replace(t0=tau_eff), propagator=prop)
+                             replace(sched, t0=tau_eff), propagator=prop)
     rec = PropagationRecord(times=np.concatenate([before.times, after.times]),
                             norms=np.concatenate([before.norms, after.norms]))
     info = {

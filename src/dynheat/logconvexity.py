@@ -54,7 +54,10 @@ from .errors import (ConfigurationError, DegenerateDataError, FitFailureError,
 from .evolve import Propagator
 
 PHI_EXP_GUARD = 700.0
-DEFAULT_SLACK = 1e-8
+# relative slack of the drift bound and interpolation checks, and of the
+# observability estimate
+SLACK = 1e-8
+OBSERVABILITY_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +78,16 @@ class WeightedOperators:
     d: np.ndarray
     d_prime: np.ndarray
 
-    def forms(self, x, pair=True):
-        """<-S x, x> and, with pair, (S x, Aanti x): x / E, E x and their
-        edge differences are formed once for the Dirichlet edge form and
-        for B x, B* x."""
+    def forms(self, x):
+        """<-S x, x> and (S x, Aanti x): x / E, E x and their edge
+        differences are formed once for the Dirichlet edge form and for
+        B x, B* x."""
         x = np.asarray(x, dtype=float)
         ops, E, d = self.ops, per_node(self.E, x), per_node(self.d, x)
         flux, dv = ops.edge_flux(x / E), ops.incidence @ (E * x)
         neg_S = column_dots(flux, dv) - ops.inner(d, x * x)
-        if not pair:
-            return neg_S
         Bx, Bsx = E * ops.flux_to_A(flux), ops.flux_to_A(per_node(ops.edge_weights, dv) * dv) / E
         return neg_S, (d * x + 0.5 * (Bx + Bsx), 0.5 * (Bx - Bsx))
-
-    def neg_S_form(self, x):
-        """<-S x, x>, evaluated through the Dirichlet edge form."""
-        return self.forms(x, pair=False)
 
 
 def _s_phi(ops, params):
@@ -185,11 +182,10 @@ class FrequencyTrace:
         return np.column_stack([self.t, self.normF2, self.N, self.Q, self.bound])
 
 
-def _weighted_flow(ops, params, block, sched, propagator):
+def _weighted_flow(ops, params, block, sched):
     """Flow the (n, m) block of states over the weight horizon and
     yield (w, X, F, normF2) at every sample time: the weighted bundle, the
-    block, F = E X and ||F||^2 per column; propagator, a Propagator for
-    (ops, sched.dt, sched.scheme), is built when None."""
+    block, F = E X and ||F||^2 per column."""
     if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
         raise UsageError(
             f"schedule [{sched.t0}, {sched.t1}] must match the weight horizon [0, {params.T}]")
@@ -197,7 +193,7 @@ def _weighted_flow(ops, params, block, sched, propagator):
         raise DegenerateDataError("cannot trace a zero initial state")
 
     s_phi = _s_phi(ops, params)
-    prop = propagator or Propagator(ops, sched.dt, sched.scheme)
+    prop = Propagator(ops, sched.dt, sched.scheme)
     for t, X in zip(sched.times(), prop.trajectory(block, sched.steps)):
         w = _weighted_ops_unchecked(ops, params, t, s_phi)
         F = w.E[:, None] * X
@@ -207,23 +203,27 @@ def _weighted_flow(ops, params, block, sched, propagator):
         yield w, X, F, normF2
 
 
-def run_traces(ops, params, block, sched, propagator=None):
+def run_traces(ops, params, block, sched):
     """Propagate the (n, m) block of states; one FrequencyTrace per column,
     bit for bit its one-member trace (the step solve and every reduction treat
-    each column alone); propagator, a Propagator for (ops, sched.dt,
-    sched.scheme), is built when None.
+    each column alone).
 
-    C is the smallest constant >= 0 with dN/dt <= (1 + C0) N / Upsilon +
-    C / h^2 along the trace (centered differencing), C_form the same with
-    Q / ||F||^2 for dN/dt.  On rough data C can exceed C_form by orders of
-    magnitude (the differenced N carries the time-discretization
-    transient), which keeps the certified form bound conservative.
+    C, the rate fit, is the smallest constant >= 0 with dN/dt <= (1 + C0)
+    N / Upsilon + C / h^2 at the interior samples (centered differencing).
+    C_form, the form fit, is the smallest constant >= 0 with Q <= (1 + C0)
+    / Upsilon <-S F, F> + C_form / h^2 ||F||^2 at every sample: the bound
+    count_bound_violations checks with the C it is given, which observe
+    takes from the rate fit.  Neither bounds the other: on rough data
+    C can exceed C_form by orders of magnitude (the differenced N carries
+    CN's time-discretization transient), and on some inputs C falls below
+    C_form, so the bound with C fails (benchmark input 8020, a 32-node
+    interval: C = 0 against C_form = 0.0145, 18 violations; ROADMAP item 3).
     """
     times = sched.times()
     m = block.shape[1]
     normF2, N, Q, neg_S = (np.empty((m, times.size)) for _ in range(4))
     for k, (w, X, F, norms) in enumerate(
-            _weighted_flow(ops, params, block, sched, propagator)):
+            _weighted_flow(ops, params, block, sched)):
         normF2[:, k] = norms
         neg_S[:, k], Q[:, k] = _commutator_forms(w, F)
         N[:, k] = neg_S[:, k] / normF2[:, k]
@@ -255,11 +255,11 @@ def energy_residuals(ops, params, block, sched):
     s_phi = _s_phi(ops, params)
     resid = np.empty((block.shape[1], t_mid.size))
     for k, (_, X, _, normF2) in enumerate(
-            _weighted_flow(ops, params, block, sched, None)):
+            _weighted_flow(ops, params, block, sched)):
         if k:
             w = _weighted_ops_unchecked(ops, params, t_mid[k - 1], s_phi)
             resid[:, k - 1] = (0.5 * (normF2 - prev_normF2) / sched.dt
-                               + w.neg_S_form(w.E[:, None] * (0.5 * (prev + X))))
+                               + w.forms(w.E[:, None] * (0.5 * (prev + X)))[0])
         prev, prev_normF2 = X, normF2
     return resid
 
@@ -276,11 +276,11 @@ def fit_bound_constant(traces):
     return max(tr.C for tr in traces)
 
 
-def count_bound_violations(trace, C, slack=DEFAULT_SLACK):
+def count_bound_violations(trace, C):
     """Recorded times where Q exceeds the drift bound with constant C."""
     rhs = trace.bound_with(C)
     scale = np.maximum(1.0, np.maximum(np.abs(trace.Q), np.abs(rhs)))
-    return int(np.sum(trace.Q > rhs + slack * scale))
+    return int(np.sum(trace.Q > rhs + SLACK * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +459,12 @@ def interpolation_exponent(params, t1, t2, t3):
     return (anti(t3) - anti(t2)) / denom
 
 
-def interpolation_check(times, normF2, params, C, triples, slack=DEFAULT_SLACK):
+def interpolation_check(times, normF2, params, C, triples):
     """Check (||F(t2)||^2)^{1+M} <= (||F(t1)||^2)^M ||F(t3)||^2 e^D
     on index triples of the trace, with D = 2 (1+M) (t3-t1)^2 C / h^2.
 
-    Comparison happens in log space; slack is relative.  Returns the list
-    of per-triple records.
+    Comparison happens in log space with the relative SLACK.  Returns the
+    list of per-triple records.
     """
     times = np.asarray(times, dtype=float)
     normF2 = np.asarray(normF2, dtype=float)
@@ -479,7 +479,7 @@ def interpolation_check(times, normF2, params, C, triples, slack=DEFAULT_SLACK):
         D = 2.0 * (1.0 + M) * (t3 - t1) ** 2 * C / params.h ** 2
         lhs = (1.0 + M) * np.log(normF2[i2])
         rhs = M * np.log(normF2[i1]) + np.log(normF2[i3]) + D
-        tol = slack * max(1.0, abs(lhs), abs(rhs))
+        tol = SLACK * max(1.0, abs(lhs), abs(rhs))
         records.append(InterpolationRecord(times=(t1, t2, t3), M=float(M), D=float(D),
                                            lhs_log=float(lhs), rhs_log=float(rhs),
                                            passed=bool(lhs <= rhs + tol)))
@@ -577,20 +577,17 @@ def derive_penalization_constants(beta, K1, K2):
     return float(M1), float(M2), float(delta)
 
 
-def ensemble_observation_data(ops, sched, block, final=None):
+def ensemble_observation_data(ops, block, final):
     """Per-member (final norm, omega observation, initial norm) triples of
-    the (n, m) block of states.  final is the (n, m) block of the members
-    at T (FrequencyTrace.final); when None they flow here as in run_traces,
-    to the same bits."""
+    the (n, m) block of states and final, the (n, m) block of the members
+    at T (FrequencyTrace.final, or Propagator.flow over the schedule)."""
     c = ops.norm(block)
     if np.any(c == 0.0):
         raise DegenerateDataError("observability ensemble contains a zero state")
-    if final is None:
-        final = Propagator(ops, sched.dt, sched.scheme).flow(block, sched.steps)
     return ops.norm(final), ops.norm_omega(ops.restrict_omega(final)), c
 
 
-def fit_observability_constants(ops, sched, block, final=None):
+def fit_observability_constants(ops, sched, block, final):
     """Fit beta in (0, 1) and the smallest prefactor from an ensemble of
     runs, one per column of the (n, m) block of states.
 
@@ -598,12 +595,12 @@ def fit_observability_constants(ops, sched, block, final=None):
     followed by a shift of log G so the inequality holds with equality for
     at least one member.  Degenerate ensembles (identical observations) and
     slopes outside (0, 1) raise FitFailureError.  final as in
-    ensemble_observation_data.
+    ensemble_observation_data; sched gives the horizon T.
     """
     m = block.shape[1]
     if m < 2:
         raise ConfigurationError(f"observability fit needs >= 2 members, got {m}")
-    a, b, c = ensemble_observation_data(ops, sched, block, final)
+    a, b, c = ensemble_observation_data(ops, block, final)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise DegenerateDataError("observability fit needs nonvanishing final states "
                                   "and observations")
@@ -636,30 +633,30 @@ def fit_observability_constants(ops, sched, block, final=None):
                             n_members=m)
 
 
-def count_observability_violations(fit, ops, sched, block, slack=1e-12, final=None):
-    """Members (columns of block) violating the fitted estimate beyond a
-    relative slack."""
-    a, b, c = ensemble_observation_data(ops, sched, block, final)
+def count_observability_violations(fit, ops, block, final):
+    """Members (columns of block, at T the columns of final) violating the
+    fitted estimate beyond the relative OBSERVABILITY_SLACK."""
+    a, b, c = ensemble_observation_data(ops, block, final)
     lhs = np.log(a)
     rhs = fit.beta * (fit.log_G + np.log(b)) + (1.0 - fit.beta) * np.log(c)
-    tol = slack * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    tol = OBSERVABILITY_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return int(np.sum(lhs > rhs + tol))
 
 
-def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2, propagator=None):
+def diverse_ensemble(ops, count, seed, sched):
     """Seeded ensemble of unit states with varied spectral and spatial
     content, as one Fortran-order (n, count) block.
 
     Cycles through raw noise, mean-free noise, smoothed noise (a few steps
-    of the flow; modes 2 and 3, only when sched is given), and noise
-    concentrated away from omega.  The mix spreads the observation-to-norm
-    ratios, which an informative observability fit needs; identical-member
-    ensembles are degenerate by design.  propagator as in run_traces.
+    of the flow over sched; mode 3 mean-free), and noise concentrated away
+    from omega with a fifth of the raw noise on top.  The mix spreads the observation-to-norm ratios, which an
+    informative observability fit needs; identical-member ensembles are
+    degenerate by design.
     """
     rng = np.random.default_rng(seed)
     grid = ops.grid
     n = grid.n_dofs
-    smoothing = {2: 2, 3: 4}   # mode -> flow steps, when sched is given
+    smoothing = {2: 2, 3: 4}   # mode -> flow steps
     ones = np.ones(n)
     ones_nrm2 = ops.inner(ones, ones)
     off_omega = np.setdiff1d(np.arange(n), grid.omega_idx)
@@ -668,18 +665,17 @@ def diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0.2, prop
     for k in range(count):
         u = rng.standard_normal(n)
         mode = k % 5
-        if mode == 1 or (mode == 3 and sched is not None):
+        if mode in (1, 3):
             u -= ops.inner(u, ones) / ones_nrm2 * ones
         elif mode == 4:
             v = np.zeros(n)
             v[off_omega] = rng.standard_normal(off_omega.size)
-            u = v + omega_free_fraction * u
+            u = v + 0.2 * u
         block[:, k] = u
 
-    if sched is not None:
-        prop = propagator or Propagator(ops, sched.dt, sched.scheme)
-        for mode, steps in smoothing.items():
-            if mode < count:
-                block[:, mode::5] = prop.flow(block[:, mode::5], steps)
+    prop = Propagator(ops, sched.dt, sched.scheme)
+    for mode, steps in smoothing.items():
+        if mode < count:
+            block[:, mode::5] = prop.flow(block[:, mode::5], steps)
     block /= ops.norm(block)
     return block

@@ -84,7 +84,8 @@ def read_json(path):
 
 
 # artifact names each subcommand emits, its JSON document last;
-# report() merges whichever sections are complete
+# report() merges whichever sections are complete into REPORT
+REPORT = "report.json"
 ARTIFACTS = {
     "simulate": ("trajectory.csv", "simulate.json"),
     "observe": ("frequency_trace.csv", "constants.json"),

@@ -65,6 +65,11 @@ def smooth_random_state(ops, seed, n_burn=20, dt_burn=5e-3):
     return u / ops.norm(u)
 
 
+def final_states(ops, sched, block):
+    """The (n, m) block of states flowed over the schedule: U(T) per column."""
+    return dh.Propagator(ops, sched.dt, sched.scheme).flow(block, sched.steps)
+
+
 def theta_broken(ops):
     """Disk ops with one diagonal entry of K doubled, off ring 2's theta = 0
     node: K is no longer invariant under rotation in theta."""

@@ -18,7 +18,7 @@ import dynheat as dh
 from dynheat import logconvexity as lc
 from dynheat.cli import main as cli_main
 
-from conftest import smooth_random_state, unit_random_state
+from conftest import final_states, smooth_random_state, unit_random_state
 
 INTERVAL = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
 DISK = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), 0.5)
@@ -49,7 +49,8 @@ def fitted_C(ops48, trace_sched):
 @pytest.fixture(scope="module")
 def observability_fit(ops48, trace_sched):
     train = lc.diverse_ensemble(ops48, 20, seed=11, sched=trace_sched)
-    return lc.fit_observability_constants(ops48, trace_sched, train)
+    return lc.fit_observability_constants(ops48, trace_sched, train,
+                                          final_states(ops48, trace_sched, train))
 
 
 def test_01_operator_structure():
@@ -154,7 +155,7 @@ def test_05_drift_bound_holdout(ops48, trace_sched, fitted_C):
     for seed in range(1000, 1050):
         tr = lc.run_trace(ops48, PARAMS, unit_random_state(ops48, seed),
                           trace_sched)
-        violations += lc.count_bound_violations(tr, C, slack=1e-8)
+        violations += lc.count_bound_violations(tr, C)
     elapsed = time.monotonic() - start
     assert violations == 0
     assert elapsed < 60.0
@@ -191,8 +192,8 @@ def test_07_observability_fit(ops48, trace_sched, observability_fit):
     fit = observability_fit
     assert 0.0 < fit.beta < 1.0
     holdout = lc.diverse_ensemble(ops48, 10, seed=21, sched=trace_sched)
-    violations = lc.count_observability_violations(fit, ops48, trace_sched,
-                                                   holdout)
+    violations = lc.count_observability_violations(
+        fit, ops48, holdout, final_states(ops48, trace_sched, holdout))
     elapsed = time.monotonic() - start
     assert violations <= 1
     assert np.isfinite(fit.M1) and fit.M1 > 0.0

@@ -268,7 +268,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("stage, count", [
         ("simulate", -1), ("control", -1), ("observe", -1), ("cost-study", -1),
-        ("observe", 0),
+        ("observe", 0), ("observe", 1),
     ])
     def test_ensemble_count_is_checked(self, tmp_path, capsys, stage, count):
         bad = self.write(tmp_path, CONFIG.replace("count = 6", f"count = {count}"))

@@ -109,7 +109,7 @@ class TestSynthesize:
     def test_terminal_state_is_scaled_dual_minimizer(self, iv_ops, prob, ctrl_sched):
         psi0 = unit_random_state(iv_ops, 73)
         res = dh.synthesize(iv_ops, prob, ctrl_sched, psi0)
-        gap = iv_ops.norm(res.psi_T + prob.eps ** 2 * res.theta0)
+        gap = iv_ops.norm(res.psi_T + prob.eps ** 2 * res.theta)
         assert gap <= 1e-10 * res.norm_Psi0
 
     def test_duality_identity(self, iv_ops, prob, ctrl_sched):
@@ -143,9 +143,9 @@ class TestSynthesize:
 
         out = minimize(J, np.zeros(ops.n_dofs), jac=grad, hessp=hessp,
                        method="Newton-CG", options={"xtol": 1e-12, "maxiter": 200})
-        assert res.theta0 == pytest.approx(out.x, rel=1e-4, abs=1e-6)
+        assert res.theta == pytest.approx(out.x, rel=1e-4, abs=1e-6)
         # no independently found point beats the synthesized minimizer
-        assert J(res.theta0) <= J(out.x) + 1e-12 * max(1.0, abs(J(out.x)))
+        assert J(res.theta) <= J(out.x) + 1e-12 * max(1.0, abs(J(out.x)))
 
     def test_a_warm_start_worse_than_zero_is_dropped(self, iv_ops, ctrl_sched):
         """At eps = 1e-100 theta0 = (b - Z y) / eps^2 is far past any useful
@@ -272,12 +272,12 @@ class TestBatchedCalibration:
         rhs = -co.prop.flow(states, co.n_total)
         theta, iters = ctl._cg_mass_inner(
             lambda z: co.gramian_apply(z, cal.kappa, prob.eps), rhs, iv_ops.inner,
-            prob.cg_tol, prob.cg_maxit)
+            prob.cg_tol, prob.cg_maxit, np.zeros(rhs.shape), rhs)
         assert len(set(iters)) >= 3 and iters[-1] == 0
         warm = [r.residuals["cg_iterations"] for r in cal.results]
         assert all(w <= c for w, c in zip(warm, iters))
         for k, res in enumerate(cal.results[:-1]):
-            assert np.linalg.norm(res.theta0 - theta[:, k]) <= 1e-9 * np.linalg.norm(theta[:, k])
+            assert np.linalg.norm(res.theta - theta[:, k]) <= 1e-9 * np.linalg.norm(theta[:, k])
 
     def test_block_equals_one_member_synthesis_bit_for_bit(
             self, iv_ops, ctrl_sched, calibrated):
@@ -286,7 +286,7 @@ class TestBatchedCalibration:
         for st, res in zip(states.T, cal.results):
             one = dh.synthesize(iv_ops, prob_k, ctrl_sched, st)
             assert res.summary() == one.summary()
-            for name in ("h", "theta0", "psi_T"):
+            for name in ("h", "theta", "psi_T"):
                 assert np.array_equal(getattr(res, name), getattr(one, name)), name
 
     def test_theta_matches_dense_cholesky_oracle(self, iv_ops, ctrl_sched, calibrated):
@@ -305,7 +305,7 @@ class TestBatchedCalibration:
         factor = sla.cho_factor(M @ G)
         for st, res in zip(states.T, cal.results):
             theta = sla.cho_solve(factor, -M @ (P_T @ st))
-            assert np.linalg.norm(res.theta0 - theta) <= 1e-9 * np.linalg.norm(theta)
+            assert np.linalg.norm(res.theta - theta) <= 1e-9 * np.linalg.norm(theta)
 
 
 class TestCostStudy:

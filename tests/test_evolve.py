@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -34,9 +36,11 @@ class TestSchedule:
 
     def test_replace_keeps_other_fields(self):
         sched = dh.Schedule(0.0, 1.0, 0.1)
-        halved = sched.replace(dt=0.05)
+        halved = dataclasses.replace(sched, dt=0.05)
         assert halved.dt == 0.05
         assert (halved.t0, halved.t1, halved.scheme) == (0.0, 1.0, sched.scheme)
+        with pytest.raises(dh.ConfigurationError, match="does not divide"):
+            dataclasses.replace(sched, dt=0.3)
 
 
 # a single state (n,) or a block of three states (n, 3), per scheme, through

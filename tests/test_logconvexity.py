@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import dynheat as dh
 from dynheat import geometry, logconvexity as lc
 
-from conftest import smooth_random_state, unit_random_state
+from conftest import final_states, smooth_random_state, unit_random_state
 
 
 def _nodal_s_phi(ops, params):
@@ -98,8 +98,9 @@ class TestWeightedOperators:
             w = lc.build_weighted_operators(ops, params, 0.2)
             S = _dense_splitting(ops, params, 0.2).S
             x = unit_random_state(ops, 44)
-            assert w.neg_S_form(x) == pytest.approx(-ops.inner(w.forms(x)[1][0], x), rel=1e-11)
-            assert w.neg_S_form(x) == pytest.approx(-ops.inner(S @ x, x), rel=1e-11)
+            neg_S, (S_x, _) = w.forms(x)
+            assert neg_S == pytest.approx(-ops.inner(S_x, x), rel=1e-11)
+            assert neg_S == pytest.approx(-ops.inner(S @ x, x), rel=1e-11)
 
     def test_time_window_enforced(self, iv_small_ops, params):
         for bad_t in (-0.1, params.T + 0.1):
@@ -412,7 +413,7 @@ class TestBlockTrace:
         assert lc.s_prime_form(iv_ops, params, t, F) == _frozen_s_prime(iv_ops, params, t, F)
         assert lc.commutator_form(iv_ops, params, t, F) == _frozen_Q(iv_ops, params, t, F)
         w = lc.build_weighted_operators(iv_ops, params, t)
-        assert w.neg_S_form(F) == _frozen_neg_S(iv_ops, *_frozen_weights(iv_ops, params, t), F)
+        assert w.forms(F)[0] == _frozen_neg_S(iv_ops, *_frozen_weights(iv_ops, params, t), F)
 
     @pytest.mark.parametrize("which", ["iv", "disk"])
     def test_matches_dense_oracle(self, iv_domain, disk_domain, params, which):
@@ -452,8 +453,7 @@ class TestBlockTrace:
 
 class TestSharedFormKernel:
     """forms(F) gives <-S F, F> and (S F, Aanti F) from one set of edge
-    differences, per column exactly the one-member forms frozen above, and
-    neg_S_form reads it."""
+    differences, per column exactly the one-member forms frozen above."""
 
     @pytest.mark.parametrize("which", ["iv_ops", "disk_ops", "wide_disk_ops"])
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
@@ -465,8 +465,7 @@ class TestSharedFormKernel:
         neg_S = np.array([_frozen_neg_S(ops, E, d, f) for f in F.T])
         S, Aanti = (np.column_stack(p) for p in zip(*(_frozen_split(ops, E, d, f) for f in F.T)))
         got_neg_S, (got_S, got_Aanti) = w.forms(F)
-        for got, want in ((got_neg_S, neg_S), (w.neg_S_form(F), neg_S), (got_S, S),
-                          (got_Aanti, Aanti)):
+        for got, want in ((got_neg_S, neg_S), (got_S, S), (got_Aanti, Aanti)):
             assert np.array_equal(got, want)
         for j, f in enumerate(F.T):
             assert w.forms(f)[0] == neg_S[j]
@@ -603,7 +602,8 @@ def _frozen_diverse_ensemble(ops, count, seed, sched=None, omega_free_fraction=0
 class TestObservabilityFit:
     def test_fit_invariants_and_training_consistency(self, iv_ops, sched):
         states = lc.diverse_ensemble(iv_ops, 12, seed=11, sched=sched)
-        fit = lc.fit_observability_constants(iv_ops, sched, states)
+        final = final_states(iv_ops, sched, states)
+        fit = lc.fit_observability_constants(iv_ops, sched, states, final)
         assert 0.0 < fit.beta < 1.0
         assert np.log(fit.mu) + fit.K / fit.T == pytest.approx(fit.log_G, rel=1e-12)
         assert fit.K1 == pytest.approx(fit.mu ** fit.beta, rel=1e-12)
@@ -611,22 +611,24 @@ class TestObservabilityFit:
         expect = lc.derive_penalization_constants(fit.beta, fit.K1, fit.K2)
         assert (fit.M1, fit.M2, fit.delta) == pytest.approx(expect)
         assert fit.n_members == 12
-        assert lc.count_observability_violations(fit, iv_ops, sched, states) == 0
+        assert lc.count_observability_violations(fit, iv_ops, states, final) == 0
 
     def test_prefactor_shift_is_tight(self, iv_ops, sched):
         """Some training member must meet the fitted estimate with equality."""
         states = lc.diverse_ensemble(iv_ops, 10, seed=13, sched=sched)
-        fit = lc.fit_observability_constants(iv_ops, sched, states)
-        a, b, c = lc.ensemble_observation_data(iv_ops, sched, states)
+        final = final_states(iv_ops, sched, states)
+        fit = lc.fit_observability_constants(iv_ops, sched, states, final)
+        a, b, c = lc.ensemble_observation_data(iv_ops, states, final)
         y = np.log(a) - np.log(c)
         x = np.log(b) - np.log(c)
         assert np.max((y - fit.beta * x) / fit.beta) == pytest.approx(fit.log_G)
 
     def test_violation_counter_detects_shrunk_prefactor(self, iv_ops, sched):
         states = lc.diverse_ensemble(iv_ops, 8, seed=15, sched=sched)
-        fit = lc.fit_observability_constants(iv_ops, sched, states)
+        final = final_states(iv_ops, sched, states)
+        fit = lc.fit_observability_constants(iv_ops, sched, states, final)
         shrunk = dataclasses.replace(fit, log_G=fit.log_G - 1.0)
-        assert lc.count_observability_violations(shrunk, iv_ops, sched, states) > 0
+        assert lc.count_observability_violations(shrunk, iv_ops, states, final) > 0
 
     def test_observation_data_matches_dense_oracle(self, disk_domain, iv_domain):
         """50 dense CN steps, each an np.linalg.solve with the dense step
@@ -640,7 +642,8 @@ class TestObservabilityFit:
             ops = dh.assemble_operator(grid)
             assert ops.n_dofs <= 200
             states = lc.diverse_ensemble(ops, 6, seed=17, sched=sched)
-            a, b, c = lc.ensemble_observation_data(ops, sched, states)
+            a, b, c = lc.ensemble_observation_data(ops, states,
+                                                   final_states(ops, sched, states))
             m, K = ops.mass, ops.K.toarray()
             lhs = np.diag(m) + 0.5 * sched.dt * K
             rhs = np.diag(m) - 0.5 * sched.dt * K
@@ -653,24 +656,6 @@ class TestObservabilityFit:
                 assert a[j] == pytest.approx(np.sqrt(u @ (m * u)), rel=1e-10)
                 assert b[j] == pytest.approx(np.sqrt(u[om] @ (m_om * u[om])), rel=1e-10)
                 assert c[j] == pytest.approx(np.sqrt(st0 @ (m * st0)), rel=1e-10)
-
-    def test_traced_final_block_gives_the_same_fit(self, wide_disk_ops):
-        """On the members of test_evolve's block-step test, the fit from
-        run_traces' final block and the fit that propagates on its own
-        agree bit for bit."""
-        ops = wide_disk_ops
-        sched = dh.Schedule(0.0, 0.2, 0.01)
-        params = dh.WeightParams(s=0.5, h=0.5, T=0.2)
-        states = dh.diverse_ensemble(ops, 5, 51, sched)
-        final = np.column_stack([tr.final for tr in lc.run_traces(ops, params, states, sched)])
-        traced = lc.ensemble_observation_data(ops, sched, states, final)
-        for got, want in zip(traced, lc.ensemble_observation_data(ops, sched, states)):
-            assert np.array_equal(got, want)
-        fit = lc.fit_observability_constants(ops, sched, states, final)
-        assert fit == lc.fit_observability_constants(ops, sched, states)
-        shrunk = dataclasses.replace(fit, log_G=fit.log_G - 0.05)
-        assert (lc.count_observability_violations(shrunk, ops, sched, states, final=final)
-                == lc.count_observability_violations(shrunk, ops, sched, states) > 0)
 
     def test_penalization_constants_worked_example(self):
         M1, M2, delta = lc.derive_penalization_constants(0.5, 2.0, 1.0)
@@ -699,7 +684,9 @@ class TestObservabilityFit:
     def test_identical_ensemble_fails_fit(self, iv_small_ops, sched):
         st = unit_random_state(iv_small_ops, 60)
         with pytest.raises(dh.FitFailureError):
-            lc.fit_observability_constants(iv_small_ops, sched, np.column_stack([st, st]))
+            states = np.column_stack([st, st])
+            lc.fit_observability_constants(iv_small_ops, sched, states,
+                                           final_states(iv_small_ops, sched, states))
 
     def test_slope_above_one_fails_fit(self, iv_ops, sched):
         """A slow mode sparse on omega paired with a fast mode concentrated
@@ -709,28 +696,29 @@ class TestObservabilityFit:
         fast = np.cos(np.sqrt(13.492357146504844) * (x - 0.5))
         states = np.column_stack([v / iv_ops.norm(v) for v in (slow, fast)])
         with pytest.raises(dh.FitFailureError):
-            lc.fit_observability_constants(iv_ops, sched, states)
+            lc.fit_observability_constants(iv_ops, sched, states,
+                                           final_states(iv_ops, sched, states))
 
     def test_needs_two_members(self, iv_small_ops, sched):
+        states = unit_random_state(iv_small_ops, 61)[:, None]
         with pytest.raises(dh.ConfigurationError):
-            lc.fit_observability_constants(
-                iv_small_ops, sched, unit_random_state(iv_small_ops, 61)[:, None])
+            lc.fit_observability_constants(iv_small_ops, sched, states,
+                                           final_states(iv_small_ops, sched, states))
 
     def test_zero_member_is_degenerate(self, iv_small_ops, sched):
         states = np.column_stack([unit_random_state(iv_small_ops, 62),
                                   np.zeros(iv_small_ops.n_dofs)])
         with pytest.raises(dh.DegenerateDataError):
-            lc.fit_observability_constants(iv_small_ops, sched, states)
+            lc.fit_observability_constants(iv_small_ops, sched, states,
+                                           final_states(iv_small_ops, sched, states))
 
     @pytest.mark.parametrize("which", ["iv_small_ops", "wide_disk_ops"])
     @pytest.mark.parametrize("count", [1, 3, 12])
-    @pytest.mark.parametrize("smoothed", [True, False])
-    def test_diverse_ensemble_equals_the_frozen_member_loop(self, request, which, count,
-                                                            smoothed):
+    def test_diverse_ensemble_equals_the_frozen_member_loop(self, request, which, count):
         """The Fortran-order block carries the bits of the list-building
-        loop, with and without the smoothing flows."""
+        loop with its smoothing flows."""
         ops = request.getfixturevalue(which)
-        sched = dh.Schedule(0.0, 0.2, 0.01) if smoothed else None
+        sched = dh.Schedule(0.0, 0.2, 0.01)
         block = lc.diverse_ensemble(ops, count, 23, sched)
         assert block.shape == (ops.n_dofs, count) and block.flags.f_contiguous
         for got, want in zip(block.T, _frozen_diverse_ensemble(ops, count, 23, sched)):

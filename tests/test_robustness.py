@@ -1,7 +1,7 @@
 """Every stage on generated tiny interval and disk configs either runs or
 exits with a named reason: exit codes stay in {0, 1, 2, 3}, no stage ends
-in a traceback or raises a RuntimeWarning, and exit 1 always comes with a
-failed flag in its artifact."""
+in a traceback or raises a RuntimeWarning, exit 1 always comes with a
+failed flag in its artifact and exit 0 never does."""
 
 import contextlib
 import io
@@ -127,8 +127,8 @@ def _check_stages(config, stages):
                 raise AssertionError(f"{stage} raised:\n{traceback.format_exc()}\n{config}")
             assert code in (0, 1, 2, 3), (stage, code, config)
             assert "Traceback" not in err.getvalue(), (stage, err.getvalue(), config)
-            if code == 1:
-                assert _failed_flag(stage, out), (stage, config)
+            if code in (0, 1):
+                assert _failed_flag(stage, out) == (code == 1), (stage, code, config)
 
 
 @settings(max_examples=25, deadline=None)
