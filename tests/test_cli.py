@@ -9,7 +9,7 @@ import pytest
 from dynheat import FitFailureError, cli, control as ctl, evolve, logconvexity as lc
 from dynheat.cli import main
 from dynheat.discretize import assemble_operator
-from dynheat.reporting import canonical_json
+from dynheat.reporting import ARTIFACTS, SECTION_PASSED, canonical_json
 
 from conftest import theta_broken
 
@@ -150,6 +150,40 @@ class TestPipeline:
         first = (out / "report.json").read_bytes()
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "report.json").read_bytes() == first
+
+
+    @pytest.mark.parametrize("stage, section", [
+        ("simulate", "simulate"), ("observe", "observe"),
+        ("commutator-check", "commutator"), ("control", "control"),
+        ("cost-study", "cost_study"),
+    ])
+    def test_a_stage_alone_writes_its_artifacts_and_exits_by_its_rule(
+            self, config_path, tmp_path, stage, section):
+        code = main([stage, "--config", config_path, "--out", str(tmp_path)])
+        assert sorted(os.listdir(tmp_path)) == sorted(ARTIFACTS[section])
+        doc = json.loads((tmp_path / ARTIFACTS[section][-1]).read_text())
+        assert code == (0 if SECTION_PASSED[section](doc) else 1)
+
+    def test_cost_study_reads_back_the_fit_observe_made(self, config_path, tmp_path,
+                                                        monkeypatch):
+        """constants.json carries every fitted constant, and cost-study
+        rebuilds the very ObservabilityFit that observe computed."""
+        fits, read = [], []
+        fit_constants, cost_study = lc.fit_observability_constants, ctl.cost_study
+
+        def fitted(*args):
+            fits.append(fit_constants(*args))
+            return fits[-1]
+
+        def studied(*args, constants):
+            read.append(constants)
+            return cost_study(*args, constants=constants)
+
+        monkeypatch.setattr(lc, "fit_observability_constants", fitted)
+        monkeypatch.setattr(ctl, "cost_study", studied)
+        for stage in ("observe", "cost-study"):
+            assert main([stage, "--config", config_path, "--out", str(tmp_path)]) == 0
+        assert len(fits) == 1 and read == fits
 
 
 def _frozen_unit_random_states(ops, count, seed):

@@ -657,6 +657,23 @@ class TestObservabilityFit:
                 assert b[j] == pytest.approx(np.sqrt(u[om] @ (m_om * u[om])), rel=1e-10)
                 assert c[j] == pytest.approx(np.sqrt(st0 @ (m * st0)), rel=1e-10)
 
+    def test_traced_final_block_gives_the_same_fit(self, wide_disk_ops):
+        """On the members of test_evolve's block-step test, run_traces' final
+        block, which observe fits on, carries the bits of Propagator.flow's
+        block, which the demos fit on: one fit and one violation count."""
+        ops = wide_disk_ops
+        sched = dh.Schedule(0.0, 0.2, 0.01)
+        params = dh.WeightParams(s=0.5, h=0.5, T=0.2)
+        states = dh.diverse_ensemble(ops, 5, 51, sched)
+        traced = np.column_stack([tr.final for tr in lc.run_traces(ops, params, states, sched)])
+        flowed = final_states(ops, sched, states)
+        assert np.array_equal(traced, flowed)
+        fit = lc.fit_observability_constants(ops, sched, states, traced)
+        assert fit == lc.fit_observability_constants(ops, sched, states, flowed)
+        shrunk = dataclasses.replace(fit, log_G=fit.log_G - 0.05)
+        assert (lc.count_observability_violations(shrunk, ops, states, traced)
+                == lc.count_observability_violations(shrunk, ops, states, flowed) > 0)
+
     def test_penalization_constants_worked_example(self):
         M1, M2, delta = lc.derive_penalization_constants(0.5, 2.0, 1.0)
         assert M1 == pytest.approx(2.0, rel=1e-14)
