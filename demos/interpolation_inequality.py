@@ -33,12 +33,12 @@ def main():
     tr = traces[0]
     triples = [(0, 25, 50), (0, 50, 100), (20, 60, 100), (10, 30, 90),
                (40, 70, 100)]
-    recs = lc.interpolation_check(tr.t, tr.normF2, params, C, triples)
+    rec = lc.interpolation_check(tr.t, tr.normF2, params, C, triples)
     print("t1     t2     t3     M         log lhs     log rhs     passed")
-    for r in recs:
-        t1, t2, t3 = r.times
-        print(f"{t1:.2f}   {t2:.2f}   {t3:.2f}   {r.M:7.4f}   "
-              f"{r.lhs_log:9.4f}   {r.rhs_log:9.4f}   {r.passed}")
+    for (t1, t2, t3), M, lhs, rhs, passed in zip(rec.times, rec.M, rec.lhs_log,
+                                                 rec.rhs_log, rec.passed):
+        print(f"{t1:.2f}   {t2:.2f}   {t3:.2f}   {M:7.4f}   "
+              f"{lhs:9.4f}   {rhs:9.4f}   {passed}")
 
     steps = lc.step_constants(domain, params, C, ell=2.0)
     print(f"\ntelescoping constants at ell = 2: M_ell = {steps.M_ell:.4f}, "

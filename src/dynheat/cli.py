@@ -112,17 +112,14 @@ def _cmd_observe(cfg, out_dir):
     C = lc.fit_bound_constant(traces)
     bound_violations = sum(lc.count_bound_violations(tr, C) for tr in traces)
 
+    # ten sorted triples of distinct samples per member, member by member
     rng = np.random.default_rng((cfg.seed, 2))
-    interp_violations = 0
     n_times = traces[0].t.size
-    for tr in traces:
-        triples = []
-        while len(triples) < 10:
-            i1, i2, i3 = sorted(rng.choice(n_times, size=3, replace=False))
-            if i1 < i2 <= i3:
-                triples.append((int(i1), int(i2), int(i3)))
-        recs = lc.interpolation_check(tr.t, tr.normF2, params, C, triples)
-        interp_violations += sum(1 for r in recs if not r.passed)
+    triples = np.array([np.sort(rng.choice(n_times, size=3, replace=False))
+                        for _ in range(10 * len(traces))]).reshape(len(traces), 10, 3)
+    interp = lc.interpolation_check(traces[0].t, np.array([tr.normF2 for tr in traces]),
+                                    params, C, triples)
+    interp_violations = np.count_nonzero(~interp.passed)
 
     fit = lc.fit_observability_constants(
         ops, sched, states, np.column_stack([tr.final for tr in traces]))

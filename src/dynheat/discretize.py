@@ -197,8 +197,8 @@ class OperatorSet:
     """Assembled mass and stiffness with the action A = -M^{-1} K.
 
     K is kept in two forms: an incidence factorization (D, g) used for
-    operator application (exact on constants) and a CSR matrix used to
-    build time-stepping systems and dense oracles.  D^T is stored once as
+    apply_K (exact on constants) and a CSR matrix for time-stepping
+    systems, the frequency trace and dense oracles.  D^T is stored once as
     CSR with sorted indices, which sums each row in the same order as the
     on-the-fly transpose, so K u is unchanged to the last bit.
     """
@@ -256,13 +256,9 @@ class OperatorSet:
         """K u for a state (n,) or a block of states (n, m)."""
         return self._incidence_T @ self.edge_flux(u)
 
-    def flux_to_A(self, f):
-        """A u = -M^{-1} D^T f from the edge flux f = edge_flux(u)."""
-        return -(self._incidence_T @ f) / per_node(self.mass, f)
-
     def apply_A(self, u):
-        """A u for a state (n,) or a block of states (n, m)."""
-        return self.flux_to_A(self.edge_flux(u))
+        """A u = -M^{-1} K u for a state (n,) or a block of states (n, m)."""
+        return -self.apply_K(u) / per_node(self.mass, u)
 
     def dirichlet_form(self, u, v):
         """Energy E(u, v) = (D u) . (g * (D v)), per column for blocks; >= 0 for u = v."""

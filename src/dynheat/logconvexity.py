@@ -17,10 +17,11 @@ holds up to time discretization only, and the commutator identity for
 becomes a statement about convergence to the closed-form integrals, not an
 exact discrete identity.  This module provides:
 
-* the weighted operator bundle at a given time (with an overflow guard on
-  the exponent), acting on a state or a block of states; one kernel gives
-  <-S F, F> and the pair (S F, Aanti F) from shared edge differences,
-* Q in closed form from that one kernel call: dE/dt = d E gives
+* the weights at every sample time in one pass (with an overflow guard on
+  the exponent), and one kernel that reads a block of states X, never
+  forms F, and gives ||F||^2, <-S F, F>, Q and <S' F, F> per column from
+  one product of K with X and a weighted copy of X,
+* Q in closed form from that one product: dE/dt = d E gives
   S' = diag(d') + [diag(d), Aanti] exactly, and the skewness of Aanti
   turns <S' F, F> into <d' F, F> + 2 <d F, Aanti F>, so no derivative in t
   is differenced,
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .discretize import assemble_operator, build_grid, column_dots, per_node
+from .discretize import assemble_operator, build_grid, column_dots
 from .errors import (ConfigurationError, DegenerateDataError, FitFailureError,
                      NumericalError, ParameterError, UsageError)
 from .evolve import Propagator
@@ -58,37 +59,13 @@ PHI_EXP_GUARD = 700.0
 # observability estimate
 SLACK = 1e-8
 OBSERVABILITY_SLACK = 1e-12
+# values of _weights formed at once (1 MiB)
+WEIGHT_CHUNK = 2 ** 17
 
 
 # ---------------------------------------------------------------------------
-# weighted operator bundle
+# weights and the weighted forms
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightedOperators:
-    """Weighted generator pieces frozen at one time t.
-
-    E is the nodal weight exp(Phi/2); d = dPhi/dt / 2 is the diagonal part
-    of P1 and d_prime = dd/dt.  Every form takes a state (n,) or a block of
-    states (n, m); forms of a block come out per column.
-    """
-
-    ops: object
-    E: np.ndarray
-    d: np.ndarray
-    d_prime: np.ndarray
-
-    def forms(self, x):
-        """<-S x, x> and (S x, Aanti x): x / E, E x and their edge
-        differences are formed once for the Dirichlet edge form and for
-        B x, B* x."""
-        x = np.asarray(x, dtype=float)
-        ops, E, d = self.ops, per_node(self.E, x), per_node(self.d, x)
-        flux, dv = ops.edge_flux(x / E), ops.incidence @ (E * x)
-        neg_S = column_dots(flux, dv) - ops.inner(d, x * x)
-        Bx, Bsx = E * ops.flux_to_A(flux), ops.flux_to_A(per_node(ops.edge_weights, dv) * dv) / E
-        return neg_S, (d * x + 0.5 * (Bx + Bsx), 0.5 * (Bx - Bsx))
-
 
 def _s_phi(ops, params):
     """s phi at the grid nodes: Phi(t) = s phi / Upsilon(t) for every t."""
@@ -96,50 +73,73 @@ def _s_phi(ops, params):
     return params.s * geometry.weight_phi_bundle(grid.domain, grid.points).phi
 
 
-def _weighted_ops_unchecked(ops, params, t, s_phi):
-    ups = params.T - t + params.h
-    Phi = s_phi / ups
-    bad = np.abs(Phi) > PHI_EXP_GUARD
-    if np.any(bad):
-        raise ParameterError(
-            f"|Phi| exceeds {PHI_EXP_GUARD} at {int(bad.sum())} nodes "
-            f"(max {np.abs(Phi).max():.3g}); increase the pad h")
-    return WeightedOperators(ops=ops, E=np.exp(0.5 * Phi), d=0.5 * (s_phi / ups ** 2),
-                             d_prime=s_phi / ups ** 3)
+def _weights(ops, params, times):
+    """Yield the weights at each time as an array (7, n, 1) of columns:
+    E^2 = exp(Phi); G = E^2 - c with c the midrange of E^2; d = dPhi/dt / 2,
+    the diagonal part of P1; M E^2, M d E^2 and M d' E^2 with d' = dd/dt;
+    and 1 / (2 M E^2).  Up to WEIGHT_CHUNK values are formed at once, so a
+    long trace on a fine grid never holds every sample's weights.
+    ParameterError names the first time where |Phi| passes PHI_EXP_GUARD."""
+    s_phi, times = _s_phi(ops, params), np.asarray(times, dtype=float)
+    step = max(1, WEIGHT_CHUNK // (7 * s_phi.size))
+    for k in range(0, times.size, step):
+        ups = (params.T - times[k:k + step] + params.h)[:, None]
+        Phi = s_phi / ups
+        bad = np.abs(Phi) > PHI_EXP_GUARD
+        if np.any(bad):
+            j = int(np.argmax(np.any(bad, axis=1)))
+            raise ParameterError(
+                f"|Phi| exceeds {PHI_EXP_GUARD} at {int(bad[j].sum())} nodes "
+                f"(max {np.abs(Phi[j]).max():.3g}); increase the pad h")
+        E2, d = np.exp(Phi), 0.5 * (s_phi / ups ** 2)
+        G, ME2 = E2 - 0.5 * (E2.max(axis=1) + E2.min(axis=1))[:, None], ops.mass * E2
+        yield from np.stack([E2, G, d, ME2, d * ME2, s_phi / ups ** 3 * ME2, 0.5 / ME2],
+                            axis=1)[..., None]
 
 
-def build_weighted_operators(ops, params, t):
-    """Weighted operator bundle at time t in [0, T]."""
-    t = float(t)
-    if t < 0.0 or t > params.T:
-        raise UsageError(f"t={t} outside [0, {params.T}]")
-    return _weighted_ops_unchecked(ops, params, t, _s_phi(ops, params))
+def _forms(ops, w, X):
+    """(||F||^2, <-S F, F>, Q, <S' F, F>) per column of F = E X, from the
+    (n, m) block X and one time's weights w (see _weights), with one
+    product by K.
 
-
-def _commutator_forms(w, F):
-    """<-S F, F> and Q per column of the block F, from one forms call.
-
-    dE/dt = d E gives S' = diag(d') + [diag(d), Aanti]; Aanti is skew in
-    the mass product, so <S' F, F> = <d' F, F> + 2 <d F, Aanti F> and
-    Q = -<d' F, F> - 2 <d F + S F, Aanti F>.
+    B = E A E^{-1} and B* = E^{-1} A E give B F = -E K X / M and
+    B* F = -K Y / (E M) with Y = E^2 X.  Aanti F and the forms rest on
+    Z = E^2 K X - K Y = G K X - K (G X), formed from G, so its cancellation
+    costs digits of G's size, not of E^2's: ||F||^2 = <E^2 X, X>,
+    <-S F, F> = Y.KX - <d E^2 X, X> and Aanti F = -Z / (2 E M).
+    dE/dt = d E gives S' = diag(d') + [diag(d), Aanti], and Aanti is skew
+    in the mass product, so <S' F, F> = <d' E^2 X, X> - d X.Z and
+    Q = -<S' F, F> - 2 <S F, Aanti F> = 2 d X.Z - <d' E^2 X, X>
+    - Z.(K X / M - Z / (2 M E^2)), with no difference quotient in t.
+    Every sum is a column_dots sum, so each column is its one-column
+    forms bit for bit.
     """
-    neg_S, (S, Aanti) = w.forms(F)
-    inner, dF = w.ops.inner, per_node(w.d, F) * F
-    return neg_S, -inner(per_node(w.d_prime, F), F * F) - 2.0 * inner(dF + S, Aanti)
+    E2, G, d, ME2, MdE2, MdpE2, half = w
+    m = X.shape[1]
+    R = np.asfortranarray(ops.K @ np.concatenate([X, G * X], axis=1))
+    KX, Z = R[:, :m], G * R[:, :m] - R[:, m:]
+    X2 = X * X
+    twist, dp = column_dots(d * X, Z), column_dots(MdpE2, X2)
+    return (column_dots(ME2, X2), column_dots(E2 * X, KX) - column_dots(MdE2, X2),
+            2.0 * twist - dp - column_dots(Z, KX / ops.mass[:, None] - half * Z), dp - twist)
+
+
+def _state_forms(ops, params, t, F):
+    """_forms of one weighted state F (n,) at a time t in [0, T], as floats."""
+    if not 0.0 <= t <= params.T:
+        raise UsageError(f"t={t} outside [0, {params.T}]")
+    w = next(_weights(ops, params, [t]))
+    return [float(f[0]) for f in _forms(ops, w, np.asarray(F, dtype=float)[:, None] / np.sqrt(w[0]))]
 
 
 def s_prime_form(ops, params, t, F):
     """<S'(t) F, F> = <d' F, F> + 2 <d F, Aanti F>, exact."""
-    w = _weighted_ops_unchecked(ops, params, t, _s_phi(ops, params))
-    F = np.asarray(F, dtype=float)
-    Aanti = w.forms(F)[1][1]
-    return ops.inner(w.d_prime, F * F) + 2.0 * ops.inner(w.d * F, Aanti)
+    return _state_forms(ops, params, t, F)[3]
 
 
 def commutator_form(ops, params, t, F):
     """Q(F) = <-S' F, F> - 2 <S F, Aanti F> at time t."""
-    w = _weighted_ops_unchecked(ops, params, t, _s_phi(ops, params))
-    return float(_commutator_forms(w, np.asarray(F, dtype=float)[:, None])[1][0])
+    return _state_forms(ops, params, t, F)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +184,27 @@ class FrequencyTrace:
 
 def _weighted_flow(ops, params, block, sched):
     """Flow the (n, m) block of states over the weight horizon and
-    yield (w, X, F, normF2) at every sample time: the weighted bundle, the
-    block, F = E X and ||F||^2 per column."""
+    yield (X, forms) at every sample time: the block and its _forms."""
     if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
         raise UsageError(
             f"schedule [{sched.t0}, {sched.t1}] must match the weight horizon [0, {params.T}]")
     if np.any(ops.norm(block) == 0.0):
         raise DegenerateDataError("cannot trace a zero initial state")
 
-    s_phi = _s_phi(ops, params)
+    times = sched.times()
     prop = Propagator(ops, sched.dt, sched.scheme)
-    for t, X in zip(sched.times(), prop.trajectory(block, sched.steps)):
-        w = _weighted_ops_unchecked(ops, params, t, s_phi)
-        F = w.E[:, None] * X
-        normF2 = ops.inner(F, F)
-        if np.any(normF2 <= 0.0):
+    for t, w, X in zip(times, _weights(ops, params, times),
+                       prop.trajectory(block, sched.steps)):
+        forms = _forms(ops, w, X)
+        if np.any(forms[0] <= 0.0):
             raise DegenerateDataError(f"weighted state vanished at t={t}")
-        yield w, X, F, normF2
+        yield X, forms
 
 
 def run_traces(ops, params, block, sched):
     """Propagate the (n, m) block of states; one FrequencyTrace per column,
     bit for bit its one-member trace (the step solve and every reduction treat
-    each column alone).
+    each column alone).  Each sample costs one product by K (see _forms).
 
     C, the rate fit, is the smallest constant >= 0 with dN/dt <= (1 + C0)
     N / Upsilon + C / h^2 at the interior samples (centered differencing).
@@ -217,16 +215,14 @@ def run_traces(ops, params, block, sched):
     C can exceed C_form by orders of magnitude (the differenced N carries
     CN's time-discretization transient), and on some inputs C falls below
     C_form, so the bound with C fails (benchmark input 8020, a 32-node
-    interval: C = 0 against C_form = 0.0145, 18 violations; ROADMAP item 3).
+    interval: C = 0 against C_form = 0.0145, 18 violations; ROADMAP item 1).
     """
     times = sched.times()
     m = block.shape[1]
-    normF2, N, Q, neg_S = (np.empty((m, times.size)) for _ in range(4))
-    for k, (w, X, F, norms) in enumerate(
-            _weighted_flow(ops, params, block, sched)):
-        normF2[:, k] = norms
-        neg_S[:, k], Q[:, k] = _commutator_forms(w, F)
-        N[:, k] = neg_S[:, k] / normF2[:, k]
+    normF2, neg_S, Q = (np.empty((m, times.size)) for _ in range(3))
+    for k, (X, forms) in enumerate(_weighted_flow(ops, params, block, sched)):
+        normF2[:, k], neg_S[:, k], Q[:, k] = forms[:3]
+    N = neg_S / normF2
 
     C0, h2 = params.C0, params.h ** 2
     ups = params.T - times + params.h
@@ -251,15 +247,12 @@ def energy_residuals(ops, params, block, sched):
     run_traces, and every row is bit for bit its one-member residuals.
     """
     times = sched.times()
-    t_mid = 0.5 * (times[:-1] + times[1:])
-    s_phi = _s_phi(ops, params)
-    resid = np.empty((block.shape[1], t_mid.size))
-    for k, (_, X, _, normF2) in enumerate(
-            _weighted_flow(ops, params, block, sched)):
+    mid = _weights(ops, params, 0.5 * (times[:-1] + times[1:]))
+    resid = np.empty((block.shape[1], times.size - 1))
+    for k, (X, (normF2, *_)) in enumerate(_weighted_flow(ops, params, block, sched)):
         if k:
-            w = _weighted_ops_unchecked(ops, params, t_mid[k - 1], s_phi)
             resid[:, k - 1] = (0.5 * (normF2 - prev_normF2) / sched.dt
-                               + w.forms(w.E[:, None] * (0.5 * (prev + X)))[0])
+                               + _forms(ops, next(mid), 0.5 * (prev + X))[1])
         prev, prev_normF2 = X, normF2
     return resid
 
@@ -436,54 +429,68 @@ def commutator_identity_check(domain, params, t, family, resolutions):
 
 @dataclass(frozen=True)
 class InterpolationRecord:
-    times: tuple
-    M: float
-    D: float
-    lhs_log: float
-    rhs_log: float
-    passed: bool
+    """Per-triple arrays of one interpolation_check, shaped like the
+    triples without their last axis; times adds that axis, (t1, t2, t3)."""
+
+    times: np.ndarray
+    M: np.ndarray
+    D: np.ndarray
+    lhs_log: np.ndarray
+    rhs_log: np.ndarray
+    passed: np.ndarray
+
+
+def _weight_antiderivative(params, t):
+    """(T - t + h)^{-C0} / C0 at a scalar t: an antiderivative of the
+    weight (T - t + h)^{-(1+C0)}."""
+    return (params.T - t + params.h) ** (-params.C0) / params.C0
 
 
 def interpolation_exponent(params, t1, t2, t3):
     """Closed-form exponent M = I(t2,t3)/I(t1,t2) for the weight
     (T - t + h)^{-(1+C0)}, via the explicit antiderivative."""
-    C0 = params.C0
-    T, h = params.T, params.h
-
-    def anti(t):
-        return (T - t + h) ** (-C0) / C0
-
-    denom = anti(t2) - anti(t1)
+    anti = [_weight_antiderivative(params, t) for t in (t1, t2, t3)]
+    denom = anti[1] - anti[0]
     if denom <= 0.0:
         raise UsageError(f"need t1 < t2, got t1={t1}, t2={t2}")
-    return (anti(t3) - anti(t2)) / denom
+    return (anti[2] - anti[1]) / denom
 
 
 def interpolation_check(times, normF2, params, C, triples):
     """Check (||F(t2)||^2)^{1+M} <= (||F(t1)||^2)^M ||F(t3)||^2 e^D
-    on index triples of the trace, with D = 2 (1+M) (t3-t1)^2 C / h^2.
+    on index triples (i1, i2, i3) of traces, with D = 2 (1+M) (t3-t1)^2 C / h^2.
 
-    Comparison happens in log space with the relative SLACK.  Returns the
-    list of per-triple records.
+    normF2 is one trace (s,) over times with triples (k, 3), or one trace
+    per row (m, s) with triples (m, k, 3), row j's on trace j.  Comparison
+    happens in log space with the relative SLACK.  Returns one
+    InterpolationRecord of arrays.
     """
     times = np.asarray(times, dtype=float)
     normF2 = np.asarray(normF2, dtype=float)
+    triples = np.asarray(triples)
     if np.any(normF2 <= 0.0):
         raise DegenerateDataError("interpolation needs strictly positive ||F||^2")
-    records = []
-    for (i1, i2, i3) in triples:
-        if not (0 <= i1 < i2 <= i3 < times.size):
-            raise UsageError(f"triple ({i1}, {i2}, {i3}) must satisfy i1 < i2 <= i3 in range")
-        t1, t2, t3 = times[i1], times[i2], times[i3]
-        M = interpolation_exponent(params, t1, t2, t3)
-        D = 2.0 * (1.0 + M) * (t3 - t1) ** 2 * C / params.h ** 2
-        lhs = (1.0 + M) * np.log(normF2[i2])
-        rhs = M * np.log(normF2[i1]) + np.log(normF2[i3]) + D
-        tol = SLACK * max(1.0, abs(lhs), abs(rhs))
-        records.append(InterpolationRecord(times=(t1, t2, t3), M=float(M), D=float(D),
-                                           lhs_log=float(lhs), rhs_log=float(rhs),
-                                           passed=bool(lhs <= rhs + tol)))
-    return records
+    i1, i2, i3 = np.moveaxis(triples, -1, 0)
+    bad = ~((0 <= i1) & (i1 < i2) & (i2 <= i3) & (i3 < times.size))
+    if np.any(bad):
+        raise UsageError(f"triple {tuple(triples[bad][0].tolist())} must satisfy "
+                         "i1 < i2 <= i3 in range")
+    t1, t2, t3 = times[i1], times[i2], times[i3]
+    # one scalar power per sample time, as interpolation_exponent takes
+    # them: numpy's array power may round differently
+    anti = np.array([_weight_antiderivative(params, t) for t in times])
+    denom = anti[i2] - anti[i1]
+    if np.any(denom <= 0.0):
+        raise UsageError("need t1 < t2 in every triple")
+    M = (anti[i3] - anti[i2]) / denom
+    D = 2.0 * (1.0 + M) * (t3 - t1) ** 2 * C / params.h ** 2
+    log_n = np.log(np.atleast_2d(normF2))
+    rows = np.arange(log_n.shape[0]).reshape((-1,) + (1,) * (triples.ndim - 2))
+    lhs = (1.0 + M) * log_n[rows, i2]
+    rhs = M * log_n[rows, i1] + log_n[rows, i3] + D
+    tol = SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return InterpolationRecord(times=np.stack([t1, t2, t3], axis=-1), M=M, D=D,
+                               lhs_log=lhs, rhs_log=rhs, passed=lhs <= rhs + tol)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import dynheat as dh
-from dynheat import geometry, logconvexity as lc
+from dynheat import logconvexity as lc
+from dynheat.discretize import OperatorSet
 
 from conftest import final_states, smooth_random_state, unit_random_state
 
@@ -43,76 +44,101 @@ def _complex_step_s_prime(ops, params, t, F, step=1e-30):
     return -neg_S.imag / step
 
 
+def _kernel_forms(ops, params, t, F):
+    """The kernel's (||F||^2, <-S F, F>, Q, <S' F, F>) per column of the
+    (n, m) block F of weighted states at time t."""
+    w = next(lc._weights(ops, params, [t]))
+    return lc._forms(ops, w, F / np.sqrt(w[0]))
+
+
+def _dense_forms(ops, dense, F):
+    """(||F||^2, <-S F, F>, Q, <S' F, F>) of one weighted state F from the
+    dense splitting's matrices."""
+    m = ops.mass
+    S_F, S_prime_F = dense.S @ F, dense.S_prime @ F
+    return (F @ (m * F), -(S_F @ (m * F)),
+            -(S_prime_F @ (m * F)) - 2.0 * (S_F @ (m * (dense.Aanti @ F))),
+            S_prime_F @ (m * F))
+
+
 class TestWeightedOperators:
-    """forms(x) against the dense splitting, on the small interval and on
-    the disk: (S x, Aanti x) and <-S x, x>."""
+    """The kernel's quadratic forms against dense matrices, on the small
+    interval and on the disk: each test holds one piece of the splitting
+    P1 = diag(d) + B = S + Aanti to the forms."""
 
     @pytest.fixture
     def grids(self, iv_small_ops, disk_ops):
         return iv_small_ops, disk_ops
 
     def test_B_is_similarity_transform_of_A(self, grids, params):
-        """Dense oracle: B = diag(E) A diag(1/E), B* = M^{-1} B^T M."""
+        """Dense B = diag(E) A diag(1/E) alone: B* is B's mass adjoint, so
+        ||F||^2 = <F, F> and <-S F, F> = -<(diag(d) + B) F, F>."""
         for ops in grids:
-            w = lc.build_weighted_operators(ops, params, 0.3)
             dense = _dense_splitting(ops, params, 0.3)
-            x = unit_random_state(ops, 40)
-            got_S, got_Aanti = w.forms(x)[1]
-            assert got_S == pytest.approx(dense.S @ x, rel=1e-12, abs=1e-12)
-            assert got_Aanti == pytest.approx(dense.Aanti @ x, rel=1e-12, abs=1e-12)
+            B = dense.E[:, None] * ops.dense_A() / dense.E[None, :]
+            F = unit_random_state(ops, 40)
+            normF2, neg_S = _kernel_forms(ops, params, 0.3, F[:, None])[:2]
+            assert normF2[0] == pytest.approx(ops.inner(F, F), rel=1e-13)
+            assert neg_S[0] == pytest.approx(-ops.inner(dense.d * F + B @ F, F), rel=1e-12)
 
     def test_B_star_is_mass_adjoint_of_B(self, grids, params):
-        """B = S + Aanti - diag(d) and B* = S - Aanti - diag(d) from forms."""
+        """Q against -<S' F, F> - 2 <S F, Aanti F> with S and Aanti built
+        from B and B* = M^{-1} B^T M."""
         for ops in grids:
-            w = lc.build_weighted_operators(ops, params, 0.3)
-            u, v = np.random.default_rng(41).standard_normal((2, ops.n_dofs))
-            S_u, Aanti_u = w.forms(u)[1]
-            S_v, Aanti_v = w.forms(v)[1]
-            assert ops.inner(S_u + Aanti_u - w.d * u, v) == pytest.approx(
-                ops.inner(u, S_v - Aanti_v - w.d * v), rel=1e-12)
+            dense = _dense_splitting(ops, params, 0.3)
+            F = np.random.default_rng(41).standard_normal((ops.n_dofs, 2))
+            Q = _kernel_forms(ops, params, 0.3, F)[2]
+            for j, f in enumerate(F.T):
+                assert Q[j] == pytest.approx(_dense_forms(ops, dense, f)[2], rel=1e-11)
 
     def test_splitting_symmetry_classes(self, grids, params):
-        """S is symmetric and Aanti skew in the mass product; the closed
-        form of <S' F, F> rests on the skewness."""
+        """S is symmetric in the mass product: polarizing <-S F, F> gives
+        the dense <-S u, v> and <u, -S v>.  Aanti is skew: the kernel's
+        <S' F, F>, which rests on the skewness, equals the dense form of
+        S' = diag(d') + [diag(d), Aanti]."""
         for ops in grids:
-            w = lc.build_weighted_operators(ops, params, 0.7)
+            dense = _dense_splitting(ops, params, 0.7)
             u, v = np.random.default_rng(42).standard_normal((2, ops.n_dofs))
-            S_u, Aanti_u = w.forms(u)[1]
-            S_v, Aanti_v = w.forms(v)[1]
-            assert ops.inner(S_u, v) == pytest.approx(ops.inner(u, S_v), rel=1e-12, abs=1e-13)
-            assert ops.inner(Aanti_u, v) == pytest.approx(-ops.inner(u, Aanti_v),
-                                                          rel=1e-12, abs=1e-13)
-            assert abs(ops.inner(Aanti_u, u)) <= 1e-12 * ops.inner(u, u)
+            neg_S = _kernel_forms(ops, params, 0.7, np.column_stack([u + v, u - v]))[1]
+            polar = 0.25 * (neg_S[0] - neg_S[1])
+            assert polar == pytest.approx(-ops.inner(dense.S @ u, v), rel=1e-11, abs=1e-13)
+            assert polar == pytest.approx(-ops.inner(u, dense.S @ v), rel=1e-11, abs=1e-13)
+            s_prime = _kernel_forms(ops, params, 0.7, u[:, None])[3]
+            assert s_prime[0] == pytest.approx(_dense_forms(ops, dense, u)[3], rel=1e-11)
 
     def test_splitting_recomposes_P1(self, grids, params):
+        """S + Aanti = P1: Q + <S' F, F> = -2 <S F, (P1 - S) F> with the
+        dense P1 = diag(d) + E A E^{-1}."""
         for ops in grids:
-            w = lc.build_weighted_operators(ops, params, 0.7)
             dense = _dense_splitting(ops, params, 0.7)
             P1 = np.diag(dense.d) + dense.E[:, None] * ops.dense_A() / dense.E[None, :]
-            x = unit_random_state(ops, 43)
-            S, Aanti = w.forms(x)[1]
-            assert S + Aanti == pytest.approx(P1 @ x, rel=1e-12, abs=1e-12)
+            F = unit_random_state(ops, 43)
+            _, _, Q, s_prime = (f[0] for f in _kernel_forms(ops, params, 0.7, F[:, None]))
+            S_F = dense.S @ F
+            assert Q + s_prime == pytest.approx(-2.0 * ops.inner(S_F, P1 @ F - S_F), rel=1e-11)
 
     def test_neg_S_form_matches_operator_action(self, grids, params):
         for ops in grids:
-            w = lc.build_weighted_operators(ops, params, 0.2)
             S = _dense_splitting(ops, params, 0.2).S
-            x = unit_random_state(ops, 44)
-            neg_S, (S_x, _) = w.forms(x)
-            assert neg_S == pytest.approx(-ops.inner(S_x, x), rel=1e-11)
-            assert neg_S == pytest.approx(-ops.inner(S @ x, x), rel=1e-11)
+            F = unit_random_state(ops, 44)
+            assert _kernel_forms(ops, params, 0.2, F[:, None])[1][0] == pytest.approx(
+                -ops.inner(S @ F, F), rel=1e-11)
 
     def test_time_window_enforced(self, iv_small_ops, params):
+        F = unit_random_state(iv_small_ops, 45)
         for bad_t in (-0.1, params.T + 0.1):
-            with pytest.raises(dh.UsageError):
-                lc.build_weighted_operators(iv_small_ops, params, bad_t)
+            for form in (lc.commutator_form, lc.s_prime_form):
+                with pytest.raises(dh.UsageError):
+                    form(iv_small_ops, params, bad_t, F)
 
     def test_exponent_overflow_guard(self):
         dom = dh.DomainSpec.interval(0.0, 100.0, 50.0, 40.0, 60.0)
         ops = dh.assemble_operator(dh.build_grid(dom, n=8))
         tight = dh.WeightParams(s=0.5, h=1e-4, T=1.0)
         with pytest.raises(dh.ParameterError):
-            lc.build_weighted_operators(ops, tight, tight.T)
+            lc.commutator_form(ops, tight, tight.T, np.ones(ops.n_dofs))
+        with pytest.raises(dh.ParameterError):
+            lc.run_trace(ops, tight, np.ones(ops.n_dofs), dh.Schedule(0.0, 1.0, 0.1))
 
 
 @st.composite
@@ -153,6 +179,74 @@ class TestSPrimeOracle:
         F = np.random.default_rng(seed).standard_normal(ops.n_dofs)
         assert lc.s_prime_form(ops, params, t, F) == pytest.approx(
             _complex_step_s_prime(ops, params, t, F), rel=1e-10)
+
+
+class TestFormsOracle:
+    """The kernel's four forms against independent evaluations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_anchored_grids(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_forms_match_dense_splitting_and_complex_step(self, case, seed):
+        """||F||^2, <-S F, F>, <S' F, F> and Q of a two-member block against
+        the dense splitting, and <S' F, F> against -d/dt <-S F, F> by
+        complex step.  Over 400 drawn cases Q was off the dense value by
+        at most 3.4e-11 relative and <S' F, F> off the complex step by
+        2.7e-13; the tolerances leave a factor of about 30."""
+        ops, params, t = case
+        F = np.random.default_rng(seed).standard_normal((ops.n_dofs, 2))
+        got = _kernel_forms(ops, params, t, F)
+        dense = _dense_splitting(ops, params, t)
+        for j, f in enumerate(F.T):
+            normF2, neg_S, Q, s_prime = _dense_forms(ops, dense, f)
+            assert got[0][j] == pytest.approx(normF2, rel=1e-13)
+            assert got[1][j] == pytest.approx(neg_S, rel=1e-13)
+            assert got[2][j] == pytest.approx(Q, rel=1e-9)
+            assert got[3][j] == pytest.approx(s_prime, rel=1e-12)
+            assert got[3][j] == pytest.approx(_complex_step_s_prime(ops, params, t, f), rel=1e-10)
+
+    @staticmethod
+    def _longdouble_Q(ops, params, t, X):
+        """Q per column of F = E X in np.longdouble with dense K and the
+        dense splitting applied as matrix products: S' F = d' F
+        + d Aanti F - Aanti (d F), no skewness assumed."""
+        L = np.longdouble
+        m = ops.mass.astype(L)
+        A = -ops.K.toarray().astype(L) / m[:, None]
+        s_phi, ups = _nodal_s_phi(ops, params).astype(L), L(params.T) - L(t) + L(params.h)
+        E, d = np.exp(s_phi / (2 * ups))[:, None], (s_phi / (2 * ups ** 2))[:, None]
+        F = E * X.astype(L)
+
+        def split(V):
+            B, B_star = E * (A @ (V / E)), (A @ (E * V)) / E
+            return d * V + 0.5 * (B + B_star), 0.5 * (B - B_star)
+
+        S_F, Aanti_F = split(F)
+        S_prime_F = (s_phi / ups ** 3)[:, None] * F + d * Aanti_F - split(d * F)[1]
+        return np.sum(m[:, None] * (-S_prime_F * F - 2 * S_F * Aanti_F), axis=0).astype(float)
+
+    @pytest.mark.parametrize("which, edge_err", [("interval", 4.6e-12), ("disk", 4.0e-11)])
+    def test_Q_accuracy_against_longdouble(self, which, edge_err):
+        """Q along a trace against _longdouble_Q, as a fraction of each
+        member's largest |Q|: the benchmark's 32-node interval and its
+        816-node disk with the anchor moved off the centre.  Measured on
+        these data: the earlier kernel, which took edge differences
+        through the incidence, was off by edge_err (4.6e-12 on the
+        interval, 4.0e-11 on the disk); this kernel by 4.3e-13 and
+        4.5e-12.  It may be at most twice as far off as the earlier one."""
+        if which == "interval":
+            dom = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
+            ops = dh.assemble_operator(dh.build_grid(dom, n=32))
+        else:
+            dom = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.2, -0.1), (0.0, 0.0), 0.3)
+            ops = dh.assemble_operator(dh.build_grid(dom, nr=16, ntheta=48))
+        params, sched = dh.WeightParams(s=0.5, h=0.5, T=0.5), dh.Schedule(0.0, 0.5, 0.05)
+        members = lc.diverse_ensemble(ops, 5, 7, sched)
+        Q = np.array([tr.Q for tr in lc.run_traces(ops, params, members, sched)]).T
+        prop = dh.Propagator(ops, sched.dt, sched.scheme)
+        ref = np.array([self._longdouble_Q(ops, params, t, X) for t, X in
+                        zip(sched.times(), prop.trajectory(members, sched.steps))])
+        err = np.max(np.max(np.abs(Q - ref), axis=0) / np.max(np.abs(ref), axis=0))
+        assert err <= 2.0 * edge_err
 
 
 class TestInteriorBump:
@@ -291,90 +385,8 @@ class TestRunTrace:
             lc.fit_bound_constant([])
 
 
-# The one-member trace loop as it stood before the ensemble was traced as one
-# block, frozen here as the bit-for-bit reference: per-sample weights from the
-# bundle, 1-D sparse products through the incidence factorization, and every
-# reduction _dot, the one-state kernel, on one member's vectors.  Q takes the
-# closed form <S' F, F> = <d' F, F> + 2 <d F, Aanti F> with d' = s phi /
-# Upsilon^3.
-
-def _dot(a, b):
-    """numpy's pairwise sum of the 1-D product, as column_dots of one state."""
-    return float(np.sum(a * b))
-
-
-def _frozen_weights(ops, params, t):
-    grid = ops.grid
-    phi = geometry.weight_phi_bundle(grid.domain, grid.points).phi
-    ups = params.T - t + params.h
-    return np.exp(0.5 * (params.s * phi / ups)), 0.5 * (params.s * phi / ups ** 2)
-
-
-def _frozen_A(ops, u):
-    D, g = ops.incidence, ops.edge_weights
-    return -(D.T @ (g * (D @ u))) / ops.mass
-
-
-def _frozen_neg_S(ops, E, d, x):
-    D, g = ops.incidence, ops.edge_weights
-    diag = _dot(ops.mass * d, x * x)
-    return _dot(g * (D @ (x / E)), D @ (E * x)) - diag
-
-
-def _frozen_d_prime(ops, params, t):
-    phi = geometry.weight_phi_bundle(ops.grid.domain, ops.grid.points).phi
-    return params.s * phi / (params.T - t + params.h) ** 3
-
-
-def _frozen_split(ops, E, d, x):
-    B, Bs = E * _frozen_A(ops, x / E), _frozen_A(ops, E * x) / E
-    return d * x + 0.5 * (B + Bs), 0.5 * (B - Bs)
-
-
-def _frozen_s_prime(ops, params, t, F):
-    E, d = _frozen_weights(ops, params, t)
-    Aanti = _frozen_split(ops, E, d, F)[1]
-    return (_dot(ops.mass * _frozen_d_prime(ops, params, t), F * F)
-            + 2.0 * _dot(ops.mass * (d * F), Aanti))
-
-
-def _frozen_Q(ops, params, t, F):
-    E, d = _frozen_weights(ops, params, t)
-    S, Aanti = _frozen_split(ops, E, d, F)
-    return (-_dot(ops.mass * _frozen_d_prime(ops, params, t), F * F)
-            - 2.0 * _dot(ops.mass * (d * F + S), Aanti))
-
-
-def _frozen_trace(ops, params, state0, sched):
-    prop = dh.Propagator(ops, sched.dt, sched.scheme)
-    times = sched.times()
-    states = np.array(list(prop.trajectory(state0, sched.steps)))
-    normF2, N, Q, neg_S = (np.empty(times.size) for _ in range(4))
-    for k, t in enumerate(times):
-        E, d = _frozen_weights(ops, params, t)
-        F = E * states[k]
-        normF2[k] = _dot(ops.mass * F, F)
-        neg_S[k] = _frozen_neg_S(ops, E, d, F)
-        N[k] = neg_S[k] / normF2[k]
-        Q[k] = _frozen_Q(ops, params, t, F)
-    t_mid = 0.5 * (times[:-1] + times[1:])
-    resid = np.empty(t_mid.size)
-    for k, tm in enumerate(t_mid):
-        E, d = _frozen_weights(ops, params, tm)
-        Fm = E * (0.5 * (states[k] + states[k + 1]))
-        resid[k] = 0.5 * (normF2[k + 1] - normF2[k]) / sched.dt + _frozen_neg_S(ops, E, d, Fm)
-    C0, h2 = params.C0, params.h ** 2
-    ups = params.T - times + params.h
-    C_form = float(max(0.0, np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2)))
-    dN = (N[2:] - N[:-2]) / (times[2:] - times[:-2])
-    C = float(max(0.0, np.max(h2 * (dN - (1.0 + C0) / ups[1:-1] * N[1:-1]))))
-    bound = (1.0 + C0) / ups * neg_S + (C / h2) * normF2
-    return types.SimpleNamespace(normF2=normF2, N=N, Q=Q, neg_S=neg_S, bound=bound,
-                                 energy_residuals=resid, C=C, C_form=C_form)
-
-
 def assert_same_trace(tr, ref):
-    for name in ("normF2", "N", "Q", "neg_S", "bound"):
+    for name in ("normF2", "N", "Q", "neg_S", "bound", "final"):
         assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
     assert (tr.C, tr.C_form) == (ref.C, ref.C_form)
 
@@ -392,7 +404,10 @@ class TestBlockTrace:
         # members that a multi-column sparse LU solve rounded differently
         # from one-state solves (test_evolve's block-step test)
         ("wide_disk_ops", 0.2, 0.01, 51)])
-    def test_block_equals_frozen_one_member_loop(self, request, which, T, dt, seed):
+    def test_block_equals_one_member_traces(self, request, which, T, dt, seed):
+        """Each column of a block trace and of its energy residuals carries
+        the bits of its one-member trace, and its final state those of the
+        one-state flow."""
         ops = request.getfixturevalue(which)
         params = dh.WeightParams(s=0.5, h=0.5, T=T)
         sched = dh.Schedule(0.0, T, dt)
@@ -401,19 +416,11 @@ class TestBlockTrace:
         traces = lc.run_traces(ops, params, members, sched)
         resid = lc.energy_residuals(ops, params, members, sched)
         assert len(traces) == members.shape[1] == len(resid)
+        prop = dh.Propagator(ops, sched.dt, sched.scheme)
         for tr, row, st0 in zip(traces, resid, members.T):
-            ref = _frozen_trace(ops, params, st0, sched)
-            assert_same_trace(tr, ref)
-            assert np.array_equal(row, ref.energy_residuals)
-        assert_same_trace(lc.run_trace(ops, params, members[:, 0], sched), traces[0])
-
-    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
-    def test_one_state_forms_equal_frozen_forms(self, iv_ops, params, t):
-        F = unit_random_state(iv_ops, 63)
-        assert lc.s_prime_form(iv_ops, params, t, F) == _frozen_s_prime(iv_ops, params, t, F)
-        assert lc.commutator_form(iv_ops, params, t, F) == _frozen_Q(iv_ops, params, t, F)
-        w = lc.build_weighted_operators(iv_ops, params, t)
-        assert w.forms(F)[0] == _frozen_neg_S(iv_ops, *_frozen_weights(iv_ops, params, t), F)
+            assert_same_trace(tr, lc.run_trace(ops, params, st0, sched))
+            assert np.array_equal(tr.final, prop.flow(st0, sched.steps))
+            assert np.array_equal(row, lc.energy_residuals(ops, params, st0[:, None], sched)[0])
 
     @pytest.mark.parametrize("which", ["iv", "disk"])
     def test_matches_dense_oracle(self, iv_domain, disk_domain, params, which):
@@ -444,32 +451,76 @@ class TestBlockTrace:
                 assert tr.Q[k] == pytest.approx(Q, rel=1e-9)
                 u = step @ u
 
+    def test_weights_in_chunks_change_no_bit(self, monkeypatch, disk_ops, params, sched):
+        """Weights formed three samples at a time give the traces of one
+        pass, and the guard still names the first time past it."""
+        members = _mixed_members(disk_ops, sched)
+        whole = lc.run_traces(disk_ops, params, members, sched)
+        monkeypatch.setattr(lc, "WEIGHT_CHUNK", 3 * 7 * disk_ops.n_dofs)
+        for tr, ref in zip(lc.run_traces(disk_ops, params, members, sched), whole):
+            assert_same_trace(tr, ref)
+        dom = dh.DomainSpec.interval(0.0, 100.0, 50.0, 40.0, 60.0)
+        ops = dh.assemble_operator(dh.build_grid(dom, n=8))
+        monkeypatch.setattr(lc, "WEIGHT_CHUNK", 2 * 7 * ops.n_dofs)
+        # |Phi| = 0.5 (dist^2 / 4) / (1.05 - t) passes 700 first at the two
+        # end nodes (dist 50) at t = 0.61, with 710; at t = 1 it is 6250
+        with pytest.raises(dh.ParameterError, match=r"at 2 nodes \(max 710\)"):
+            lc.run_trace(ops, dh.WeightParams(s=0.5, h=0.05, T=1.0), np.ones(8),
+                         dh.Schedule(0.0, 1.0, 0.01))
+
     def test_zero_member_is_degenerate(self, iv_small_ops, params, sched):
         members = np.column_stack([unit_random_state(iv_small_ops, 64),
                                    np.zeros(iv_small_ops.n_dofs)])
         with pytest.raises(dh.DegenerateDataError):
             lc.run_traces(iv_small_ops, params, members, sched)
 
+    @pytest.mark.parametrize("which", ["iv_small_ops", "disk_ops"])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_one_product_by_K_per_sample(self, request, monkeypatch, params, sched,
+                                         which, m):
+        """A trace over s samples takes s products by K, each of the block
+        and its weighted copy, whatever the number of members; the disk's
+        step solver adds its one construction check.  No edge differences
+        are taken."""
+        ops = request.getfixturevalue(which)
+        products = []
+
+        class CountingK(type(ops.K)):
+            def __matmul__(self, other):
+                products.append(np.shape(other))
+                return super().__matmul__(other)
+
+        class RefusingD(type(ops.incidence)):
+            def __matmul__(self, other):
+                raise AssertionError("a trace took edge differences")
+
+        def refuse(self, u):
+            raise AssertionError("a trace formed an edge flux")
+
+        counted = OperatorSet(grid=ops.grid, mass=ops.mass.copy(), K=CountingK(ops.K),
+                              incidence=RefusingD(ops.incidence),
+                              edge_weights=ops.edge_weights.copy())
+        monkeypatch.setattr(OperatorSet, "edge_flux", refuse)
+        members = np.column_stack([unit_random_state(ops, 70 + j) for j in range(m)])
+        traces = lc.run_traces(counted, params, members, sched)
+        checks = 1 if ops.grid.domain.kind == "disk" else 0
+        assert products.count((ops.n_dofs, 2 * m)) == traces[0].t.size == sched.steps + 1
+        assert len(products) == sched.steps + 1 + checks
+
 
 class TestSharedFormKernel:
-    """forms(F) gives <-S F, F> and (S F, Aanti F) from one set of edge
-    differences, per column exactly the one-member forms frozen above."""
+    """_forms of a block gives each column the bits of that column alone."""
 
     @pytest.mark.parametrize("which", ["iv_ops", "disk_ops", "wide_disk_ops"])
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
-    def test_block_forms_equal_frozen_forms(self, request, params, which, t):
+    def test_block_forms_equal_one_column_forms(self, request, params, which, t):
         ops = request.getfixturevalue(which)
-        w = lc.build_weighted_operators(ops, params, t)
-        E, d = _frozen_weights(ops, params, t)
-        F = np.asfortranarray(np.random.default_rng(66).standard_normal((ops.n_dofs, 4)))
-        neg_S = np.array([_frozen_neg_S(ops, E, d, f) for f in F.T])
-        S, Aanti = (np.column_stack(p) for p in zip(*(_frozen_split(ops, E, d, f) for f in F.T)))
-        got_neg_S, (got_S, got_Aanti) = w.forms(F)
-        for got, want in ((got_neg_S, neg_S), (got_S, S), (got_Aanti, Aanti)):
-            assert np.array_equal(got, want)
-        for j, f in enumerate(F.T):
-            assert w.forms(f)[0] == neg_S[j]
-            assert np.array_equal(w.forms(f)[1][1], Aanti[:, j])
+        w = next(lc._weights(ops, params, [t]))
+        X = np.asfortranarray(np.random.default_rng(66).standard_normal((ops.n_dofs, 4)))
+        block = lc._forms(ops, w, X)
+        for j in range(X.shape[1]):
+            for got, want in zip(block, lc._forms(ops, w, X[:, [j]])):
+                assert got[j] == want[0]
 
 
 _ENSEMBLE_SCHED = dh.Schedule(0.0, 1.0, 0.05)
@@ -508,10 +559,10 @@ class TestInterpolation:
             lc.interpolation_exponent(params, 0.5, 0.5, 0.9)
 
     def test_degenerate_middle_time_passes_trivially(self, params):
-        recs = lc.interpolation_check([0.0, 0.5, 1.0], [1.0, 0.5, 0.25],
-                                      params, 0.0, [(0, 2, 2)])
-        assert recs[0].M == pytest.approx(0.0)
-        assert recs[0].passed
+        rec = lc.interpolation_check([0.0, 0.5, 1.0], [1.0, 0.5, 0.25],
+                                     params, 0.0, [(0, 2, 2)])
+        assert rec.M[0] == pytest.approx(0.0)
+        assert rec.passed[0]
 
     def test_unordered_triple_rejected(self, params):
         with pytest.raises(dh.UsageError):
@@ -524,17 +575,40 @@ class TestInterpolation:
                                    params, 0.0, [(0, 1, 2)])
 
     def test_engineered_violation_detected(self, params):
-        recs = lc.interpolation_check([0.0, 0.5, 1.0], [1.0, np.exp(10.0), 1.0],
-                                      params, 0.0, [(0, 1, 2)])
-        assert not recs[0].passed
+        rec = lc.interpolation_check([0.0, 0.5, 1.0], [1.0, np.exp(10.0), 1.0],
+                                     params, 0.0, [(0, 1, 2)])
+        assert not rec.passed[0]
 
     def test_trace_satisfies_inequality_with_fitted_constant(
             self, iv_small_ops, params, sched):
         st = unit_random_state(iv_small_ops, 56)
         tr = lc.run_trace(iv_small_ops, params, st, sched)
         triples = [(0, 30, 60), (10, 50, 90), (0, 50, 100), (20, 40, 80)]
-        recs = lc.interpolation_check(tr.t, tr.normF2, params, tr.C, triples)
-        assert all(r.passed for r in recs)
+        rec = lc.interpolation_check(tr.t, tr.normF2, params, tr.C, triples)
+        assert rec.passed.shape == (4,) and rec.passed.all()
+
+    def test_block_check_equals_the_per_triple_loop(self, iv_small_ops, params, sched):
+        """Traces as rows, ten triples each, in one call: every field is
+        the scalar per-triple computation's, bit for bit."""
+        traces = lc.run_traces(iv_small_ops, params, _mixed_members(iv_small_ops, sched), sched)
+        rng = np.random.default_rng(57)
+        triples = np.sort([[rng.choice(101, size=3, replace=False) for _ in range(10)]
+                           for _ in traces], axis=-1)
+        C = lc.fit_bound_constant(traces)
+        rec = lc.interpolation_check(sched.times(), [tr.normF2 for tr in traces],
+                                     params, C, triples)
+        assert rec.passed.shape == (len(traces), 10)
+        for j, tr in enumerate(traces):
+            for k, (i1, i2, i3) in enumerate(triples[j]):
+                t1, t2, t3 = tr.t[i1], tr.t[i2], tr.t[i3]
+                M = lc.interpolation_exponent(params, t1, t2, t3)
+                D = 2.0 * (1.0 + M) * (t3 - t1) ** 2 * C / params.h ** 2
+                lhs = (1.0 + M) * np.log(tr.normF2[i2])
+                rhs = M * np.log(tr.normF2[i1]) + np.log(tr.normF2[i3]) + D
+                passed = lhs <= rhs + lc.SLACK * max(1.0, abs(lhs), abs(rhs))
+                assert (tuple(rec.times[j, k]), rec.M[j, k], rec.D[j, k], rec.lhs_log[j, k],
+                        rec.rhs_log[j, k], rec.passed[j, k]) == ((t1, t2, t3), M, D, lhs,
+                                                                rhs, passed)
 
 
 class TestStepConstants:
