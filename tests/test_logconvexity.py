@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import dynheat as dh
-from dynheat import logconvexity as lc
+from dynheat import geometry, logconvexity as lc
 from dynheat.discretize import OperatorSet
 
 from conftest import final_states, smooth_random_state, unit_random_state
@@ -385,6 +385,67 @@ class TestRunTrace:
             lc.fit_bound_constant([])
 
 
+# The one-member trace loop, frozen here as the bit-for-bit reference of the
+# block trace: one state flowed alone, the weights of one time at a time,
+# _forms' closed forms transcribed for one 1-D state with every reduction
+# _dot, the one-state kernel, and the fits taken member by member in
+# scalars.  It pins only that a block changes no bit; the accuracy of the
+# forms is held to independent oracles in TestFormsOracle and
+# TestWeightedOperators.
+
+def _dot(a, b):
+    """numpy's pairwise sum of the 1-D product, as column_dots of one state."""
+    return float(np.sum(a * b))
+
+
+def _frozen_weights(ops, params, t):
+    """E^2, G = E^2 - (midrange of E^2), d and d' at one time t."""
+    grid = ops.grid
+    s_phi = params.s * geometry.weight_phi_bundle(grid.domain, grid.points).phi
+    ups = np.array([params.T - t + params.h])
+    E2 = np.exp(s_phi / ups)
+    return (E2, E2 - 0.5 * (E2.max() + E2.min()), 0.5 * (s_phi / ups ** 2),
+            s_phi / ups ** 3)
+
+
+def _frozen_forms(ops, params, t, x):
+    """(||F||^2, <-S F, F>, Q, <S' F, F>) of F = E x for one state x (n,)."""
+    E2, G, d, d_prime = _frozen_weights(ops, params, t)
+    m = ops.mass
+    ME2 = m * E2
+    KX = ops.K @ x
+    Z = G * KX - ops.K @ (G * x)
+    X2 = x * x
+    twist, dp = _dot(d * x, Z), _dot(d_prime * ME2, X2)
+    return (_dot(ME2, X2), _dot(E2 * x, KX) - _dot(d * ME2, X2),
+            2.0 * twist - dp - _dot(Z, KX / m - 0.5 / ME2 * Z), dp - twist)
+
+
+def _frozen_trace(ops, params, state0, sched):
+    prop = dh.Propagator(ops, sched.dt, sched.scheme)
+    times = sched.times()
+    states = np.array(list(prop.trajectory(state0, sched.steps)))
+    normF2, N, Q, neg_S = (np.empty(times.size) for _ in range(4))
+    for k, t in enumerate(times):
+        normF2[k], neg_S[k], Q[k], _ = _frozen_forms(ops, params, t, states[k])
+        N[k] = neg_S[k] / normF2[k]
+    t_mid = 0.5 * (times[:-1] + times[1:])
+    resid = np.empty(t_mid.size)
+    for k, tm in enumerate(t_mid):
+        x_mid = 0.5 * (states[k] + states[k + 1])
+        resid[k] = (0.5 * (normF2[k + 1] - normF2[k]) / sched.dt
+                    + _frozen_forms(ops, params, tm, x_mid)[1])
+    C0, h2 = params.C0, params.h ** 2
+    ups = params.T - times + params.h
+    C_form = float(max(0.0, np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2)))
+    dN = (N[2:] - N[:-2]) / (times[2:] - times[:-2])
+    C = float(max(0.0, np.max(h2 * (dN - (1.0 + C0) / ups[1:-1] * N[1:-1]))))
+    bound = (1.0 + C0) / ups * neg_S + (C / h2) * normF2
+    return types.SimpleNamespace(normF2=normF2, N=N, Q=Q, neg_S=neg_S, bound=bound,
+                                 final=states[-1], energy_residuals=resid, C=C,
+                                 C_form=C_form)
+
+
 def assert_same_trace(tr, ref):
     for name in ("normF2", "N", "Q", "neg_S", "bound", "final"):
         assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
@@ -404,10 +465,10 @@ class TestBlockTrace:
         # members that a multi-column sparse LU solve rounded differently
         # from one-state solves (test_evolve's block-step test)
         ("wide_disk_ops", 0.2, 0.01, 51)])
-    def test_block_equals_one_member_traces(self, request, which, T, dt, seed):
+    def test_block_equals_frozen_one_member_loop(self, request, which, T, dt, seed):
         """Each column of a block trace and of its energy residuals carries
-        the bits of its one-member trace, and its final state those of the
-        one-state flow."""
+        the bits of the frozen one-member loop and of its one-member
+        run_trace, and its final state those of the one-state flow."""
         ops = request.getfixturevalue(which)
         params = dh.WeightParams(s=0.5, h=0.5, T=T)
         sched = dh.Schedule(0.0, T, dt)
@@ -418,9 +479,21 @@ class TestBlockTrace:
         assert len(traces) == members.shape[1] == len(resid)
         prop = dh.Propagator(ops, sched.dt, sched.scheme)
         for tr, row, st0 in zip(traces, resid, members.T):
+            ref = _frozen_trace(ops, params, st0, sched)
+            assert_same_trace(tr, ref)
+            assert np.array_equal(row, ref.energy_residuals)
             assert_same_trace(tr, lc.run_trace(ops, params, st0, sched))
             assert np.array_equal(tr.final, prop.flow(st0, sched.steps))
             assert np.array_equal(row, lc.energy_residuals(ops, params, st0[:, None], sched)[0])
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_one_state_forms_equal_frozen_forms(self, iv_ops, params, t):
+        """The one-state forms of a weighted state F take x = F / E and give
+        the frozen one-state forms bit for bit."""
+        F = unit_random_state(iv_ops, 63)
+        want = _frozen_forms(iv_ops, params, t, F / np.sqrt(_frozen_weights(iv_ops, params, t)[0]))
+        assert lc.s_prime_form(iv_ops, params, t, F) == want[3]
+        assert lc.commutator_form(iv_ops, params, t, F) == want[2]
 
     @pytest.mark.parametrize("which", ["iv", "disk"])
     def test_matches_dense_oracle(self, iv_domain, disk_domain, params, which):
@@ -509,18 +582,20 @@ class TestBlockTrace:
 
 
 class TestSharedFormKernel:
-    """_forms of a block gives each column the bits of that column alone."""
+    """_forms of a block gives each column the bits of that column alone,
+    and of the frozen one-state forms."""
 
     @pytest.mark.parametrize("which", ["iv_ops", "disk_ops", "wide_disk_ops"])
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
-    def test_block_forms_equal_one_column_forms(self, request, params, which, t):
+    def test_block_forms_equal_frozen_forms(self, request, params, which, t):
         ops = request.getfixturevalue(which)
         w = next(lc._weights(ops, params, [t]))
         X = np.asfortranarray(np.random.default_rng(66).standard_normal((ops.n_dofs, 4)))
         block = lc._forms(ops, w, X)
         for j in range(X.shape[1]):
-            for got, want in zip(block, lc._forms(ops, w, X[:, [j]])):
-                assert got[j] == want[0]
+            frozen = _frozen_forms(ops, params, t, X[:, j])
+            for got, want, ref in zip(block, lc._forms(ops, w, X[:, [j]]), frozen):
+                assert got[j] == want[0] == ref
 
 
 _ENSEMBLE_SCHED = dh.Schedule(0.0, 1.0, 0.05)
