@@ -17,7 +17,12 @@ A = -M^{-1} K with K = D^T diag(g) D, which makes A self-adjoint and
 dissipative in the mass inner product by construction, annihilates
 constants exactly (edge differences of a constant vanish in floating
 point), and couples each boundary node to its interior neighbour through
-the flux term that realizes the dynamic boundary condition.
+the flux term that realizes the dynamic boundary condition.  K is written
+entry by entry, never multiplied out: each diagonal entry sums its node's
+edge weights in ascending edge order, the order the product D^T diag(g) D
+summed them in, and each edge puts -g at (a, b) and (b, a); the boundary
+ring's doubled edges meet there as two terms, whose sum does not depend
+on order.  So K equals the product to the last bit.
 
 Grids: a uniform interval with trapezoid bulk weights and unit point
 masses on the two ends, and a polar disk grid with half-offset radii
@@ -198,9 +203,8 @@ class OperatorSet:
 
     K is kept in two forms: an incidence factorization (D, g) used for
     apply_K (exact on constants) and a CSR matrix for time-stepping
-    systems, the frequency trace and dense oracles.  D^T is stored once as
-    CSR with sorted indices, which sums each row in the same order as the
-    on-the-fly transpose, so K u is unchanged to the last bit.
+    systems, the frequency trace and dense oracles.  apply_K multiplies by
+    D.T, a CSC view of D that copies nothing.
     """
 
     grid: Grid
@@ -209,16 +213,12 @@ class OperatorSet:
     incidence: sp.csr_matrix
     edge_weights: np.ndarray
     _mass_omega: np.ndarray = field(repr=False, default=None)
-    _incidence_T: sp.csr_matrix = field(repr=False, default=None)
 
     def __post_init__(self):
         self.mass.setflags(write=False)
         self.edge_weights.setflags(write=False)
         object.__setattr__(self, "_mass_omega", self.grid.w_bulk[self.grid.omega_idx].copy())
         self._mass_omega.setflags(write=False)
-        DT = self.incidence.T.tocsr()
-        DT.sort_indices()
-        object.__setattr__(self, "_incidence_T", DT)
 
     @property
     def n_dofs(self):
@@ -254,15 +254,11 @@ class OperatorSet:
 
     def apply_K(self, u):
         """K u for a state (n,) or a block of states (n, m)."""
-        return self._incidence_T @ self.edge_flux(u)
+        return self.incidence.T @ self.edge_flux(u)
 
     def apply_A(self, u):
         """A u = -M^{-1} K u for a state (n,) or a block of states (n, m)."""
         return -self.apply_K(u) / per_node(self.mass, u)
-
-    def dirichlet_form(self, u, v):
-        """Energy E(u, v) = (D u) . (g * (D v)), per column for blocks; >= 0 for u = v."""
-        return column_dots(self.edge_flux(u), self.incidence @ v)
 
     def dense_A(self):
         """Dense operator matrix for small-grid oracles."""
@@ -324,14 +320,17 @@ def assemble_operator(grid):
     else:
         edges, g = _edges_disk(grid)
 
-    n_edges = edges.shape[0]
-    rows = np.repeat(np.arange(n_edges), 2)
-    cols = edges.ravel()
-    vals = np.tile([1.0, -1.0], n_edges)
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(n_edges, grid.n_dofs))
-
-    K = (D.T @ sp.diags(g) @ D).tocsr()
-    K.sum_duplicates()
-
-    return OperatorSet(grid=grid, mass=grid.mass.copy(), K=K,
-                       incidence=D, edge_weights=g.copy())
+    # D and K entry by entry; the module docstring says why K's bits equal
+    # those of the product D^T diag(g) D
+    n, n_edges = grid.n_dofs, edges.shape[0]
+    a, b = edges.astype(np.int32).T
+    sign = np.where(a < b, 1.0, -1.0)
+    D = sp.csr_matrix((np.column_stack([sign, -sign]).ravel(),
+                       np.column_stack([np.minimum(a, b), np.maximum(a, b)]).ravel(),
+                       np.arange(0, 2 * n_edges + 1, 2, dtype=np.int32)), shape=(n_edges, n))
+    nodes = np.arange(n, dtype=np.int32)
+    diagonal = np.bincount(edges.ravel(), weights=np.repeat(g, 2), minlength=n)
+    K = sp.csr_matrix((np.concatenate([diagonal, -g, -g]),
+                       (np.concatenate([nodes, a, b]), np.concatenate([nodes, b, a]))),
+                      shape=(n, n))
+    return OperatorSet(grid=grid, mass=grid.mass, K=K, incidence=D, edge_weights=g)

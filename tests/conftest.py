@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dynheat as dh
+from dynheat import discretize
 from dynheat.discretize import OperatorSet
 
 
@@ -78,3 +80,24 @@ def theta_broken(ops):
     K[node, node] *= 2.0
     return OperatorSet(grid=ops.grid, mass=ops.mass.copy(), K=K,
                        incidence=ops.incidence, edge_weights=ops.edge_weights.copy())
+
+
+def frozen_assembly(grid):
+    """K and D as the sparse product formed them, K = D^T diag(g) D: the
+    frozen reference that assemble_operator matches bit for bit."""
+    if grid.domain.kind == "interval":
+        edges, g = discretize._edges_interval(grid)
+    else:
+        edges, g = discretize._edges_disk(grid)
+    n_edges = edges.shape[0]
+    D = sp.csr_matrix((np.tile([1.0, -1.0], n_edges),
+                       (np.repeat(np.arange(n_edges), 2), edges.ravel())),
+                      shape=(n_edges, grid.n_dofs))
+    K = (D.T @ sp.diags(g) @ D).tocsr()
+    K.sum_duplicates()
+    return K, D
+
+
+def dirichlet_form(ops, u, v):
+    """Energy E(u, v) = (D u) . (g * (D v)), per column for blocks; >= 0 for u = v."""
+    return discretize.column_dots(ops.edge_flux(u), ops.incidence @ v)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq
+from scipy.sparse._compressed import _cs_matrix
 from scipy.special import jv, jvp
 from hypothesis import given, settings, strategies as st
 
 import dynheat as dh
 from dynheat import discretize
 
-from conftest import unit_random_state
+from conftest import dirichlet_form, frozen_assembly, unit_random_state
 
 
 class TestGridWeights:
@@ -88,12 +89,12 @@ class TestOperatorStructure:
         for ops in (iv_ops, disk_ops):
             u = rng.standard_normal(ops.n_dofs)
             lhs = float(u @ ops.apply_K(u))
-            assert lhs == pytest.approx(ops.dirichlet_form(u, u), rel=1e-12)
+            assert lhs == pytest.approx(dirichlet_form(ops, u, u), rel=1e-12)
 
     @pytest.mark.parametrize("name", ["iv_ops", "disk_ops"])
     @pytest.mark.parametrize("cols", [None, 3])
     def test_apply_K_matches_on_the_fly_transpose(self, request, name, cols):
-        """The stored D^T sums in the order of D.T, so K u is bit-identical."""
+        """apply_K is D.T (g * D u) to the bit, for a state and a block."""
         ops = request.getfixturevalue(name)
         shape = (ops.n_dofs,) if cols is None else (ops.n_dofs, cols)
         u = np.random.default_rng(12).standard_normal(shape)
@@ -128,6 +129,53 @@ class TestOperatorStructure:
             assert ku[i] == pytest.approx(expect, rel=1e-13, abs=1e-13)
         assert ku[0] == pytest.approx((u[0] - u[1]) / dx, rel=1e-13)
         assert ku[-1] == pytest.approx((u[-1] - u[-2]) / dx, rel=1e-13)
+
+
+def assert_same_csr(got, ref):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_assembly_equals_frozen_product(grid):
+    ops = dh.assemble_operator(grid)
+    K, D = frozen_assembly(grid)
+    assert_same_csr(ops.K, K)
+    assert_same_csr(ops.incidence, D)
+
+
+class TestAssemblyAgainstProduct:
+    """assemble_operator writes K and D from the edge list; both equal the
+    sparse product D^T diag(g) D and its incidence D bit for bit, index
+    dtypes included."""
+
+    @pytest.mark.parametrize("n", [4, 5, 32, 1000, 16384])
+    def test_interval(self, iv_domain, n):
+        assert_assembly_equals_frozen_product(dh.build_grid(iv_domain, n=n))
+
+    @pytest.mark.parametrize("nr, ntheta", [(2, 4), (3, 5), (7, 13), (16, 48), (32, 96),
+                                            (64, 192), (128, 160)])
+    def test_disk(self, disk_domain, nr, ntheta):
+        assert_assembly_equals_frozen_product(dh.build_grid(disk_domain, nr=nr, ntheta=ntheta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(disk=st.booleans(), n=st.integers(4, 300), nr=st.integers(2, 24),
+           ntheta=st.integers(4, 40))
+    def test_small_grids(self, iv_domain, disk_domain, disk, n, nr, ntheta):
+        grid = (dh.build_grid(disk_domain, nr=nr, ntheta=ntheta) if disk
+                else dh.build_grid(iv_domain, n=n))
+        assert_assembly_equals_frozen_product(grid)
+
+    def test_no_sparse_product(self, monkeypatch, iv_domain, disk_domain):
+        def refuse(self, other):
+            raise AssertionError("a sparse matrix product")
+
+        monkeypatch.setattr(_cs_matrix, "_matmul_sparse", refuse)
+        grids = [dh.build_grid(iv_domain, n=12), dh.build_grid(disk_domain, nr=6, ntheta=16)]
+        for grid in grids:
+            with pytest.raises(AssertionError, match="sparse matrix product"):
+                frozen_assembly(grid)
+            dh.assemble_operator(grid)
 
 
 def ring_loop_edges(grid):
