@@ -241,4 +241,6 @@ def load_config(path):
         raise
     except Exception as exc:
         raise ConfigurationError(f"invalid [domain]/[omega] block: {exc}") from exc
+    # and on a [time] block that makes no schedule, whichever stage runs
+    cfg.schedule()
     return cfg

@@ -17,12 +17,16 @@ A = -M^{-1} K with K = D^T diag(g) D, which makes A self-adjoint and
 dissipative in the mass inner product by construction, annihilates
 constants exactly (edge differences of a constant vanish in floating
 point), and couples each boundary node to its interior neighbour through
-the flux term that realizes the dynamic boundary condition.  K is written
-entry by entry, never multiplied out: each diagonal entry sums its node's
-edge weights in ascending edge order, the order the product D^T diag(g) D
-summed them in, and each edge puts -g at (a, b) and (b, a); the boundary
-ring's doubled edges meet there as two terms, whose sum does not depend
-on order.  So K equals the product to the last bit.
+the flux term that realizes the dynamic boundary condition.  An
+OperatorSet keeps the edge list, g and K's diagonal, the sum of each
+node's edge weights in ascending edge order (the order the product
+D^T diag(g) D summed them in).  The time-step solvers read their
+coefficients from these.  The CSR matrices K and D are formed on first
+use, by the log-convexity forms (K), apply_K (D) and dense oracles.  K
+is written entry by entry, never multiplied out: that diagonal, and -g
+at (a, b) and (b, a) for each edge; the boundary ring's doubled edges
+meet there as two terms, whose sum does not depend on order.  So K
+equals the product to the last bit.
 
 Grids: a uniform interval with trapezoid bulk weights and unit point
 masses on the two ends, and a polar disk grid with half-offset radii
@@ -42,6 +46,7 @@ Grid and OperatorSet instances are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -199,26 +204,51 @@ def _root(sq):
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Assembled mass and stiffness with the action A = -M^{-1} K.
+    """Mass and stiffness of the coupled generator, with the action A = -M^{-1} K.
 
-    K is kept in two forms: an incidence factorization (D, g) used for
-    apply_K (exact on constants) and a CSR matrix for time-stepping
-    systems, the frequency trace and dense oracles.  apply_K multiplies by
-    D.T, a CSC view of D that copies nothing.
+    K = D^T diag(g) D is kept as its edge list (n_edges, 2), the edge
+    weights g and its diagonal, computed here from the two.  The signed
+    incidence D and the CSR matrix K are formed from them on first access
+    and kept: apply_K multiplies by D.T, a CSC view of D that copies
+    nothing, and K serves the log-convexity forms and dense oracles.
     """
 
     grid: Grid
     mass: np.ndarray
-    K: sp.csr_matrix
-    incidence: sp.csr_matrix
+    edges: np.ndarray
     edge_weights: np.ndarray
-    _mass_omega: np.ndarray = field(repr=False, default=None)
+    diagonal: np.ndarray = field(init=False, repr=False)
+    _mass_omega: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.mass.setflags(write=False)
-        self.edge_weights.setflags(write=False)
+        object.__setattr__(self, "diagonal", np.bincount(
+            self.edges.ravel(), weights=np.repeat(self.edge_weights, 2), minlength=self.n_dofs))
         object.__setattr__(self, "_mass_omega", self.grid.w_bulk[self.grid.omega_idx].copy())
-        self._mass_omega.setflags(write=False)
+        for name in ("mass", "edges", "edge_weights", "diagonal", "_mass_omega"):
+            getattr(self, name).setflags(write=False)
+
+    @cached_property
+    def incidence(self):
+        """D as sorted CSR: row e holds the edge's two ends in ascending
+        column order, +1 and -1 by its orientation."""
+        n_edges = self.edges.shape[0]
+        a, b = self.edges.astype(np.int32).T
+        sign = np.where(a < b, 1.0, -1.0)
+        return sp.csr_matrix((np.column_stack([sign, -sign]).ravel(),
+                              np.column_stack([np.minimum(a, b), np.maximum(a, b)]).ravel(),
+                              np.arange(0, 2 * n_edges + 1, 2, dtype=np.int32)),
+                             shape=(n_edges, self.n_dofs))
+
+    @cached_property
+    def K(self):
+        """K as CSR, written entry by entry (see the module docstring)."""
+        n = self.n_dofs
+        a, b = self.edges.astype(np.int32).T
+        nodes = np.arange(n, dtype=np.int32)
+        g = self.edge_weights
+        return sp.csr_matrix((np.concatenate([self.diagonal, -g, -g]),
+                              (np.concatenate([nodes, a, b]), np.concatenate([nodes, b, a]))),
+                             shape=(n, n))
 
     @property
     def n_dofs(self):
@@ -319,18 +349,4 @@ def assemble_operator(grid):
         edges, g = _edges_interval(grid)
     else:
         edges, g = _edges_disk(grid)
-
-    # D and K entry by entry; the module docstring says why K's bits equal
-    # those of the product D^T diag(g) D
-    n, n_edges = grid.n_dofs, edges.shape[0]
-    a, b = edges.astype(np.int32).T
-    sign = np.where(a < b, 1.0, -1.0)
-    D = sp.csr_matrix((np.column_stack([sign, -sign]).ravel(),
-                       np.column_stack([np.minimum(a, b), np.maximum(a, b)]).ravel(),
-                       np.arange(0, 2 * n_edges + 1, 2, dtype=np.int32)), shape=(n_edges, n))
-    nodes = np.arange(n, dtype=np.int32)
-    diagonal = np.bincount(edges.ravel(), weights=np.repeat(g, 2), minlength=n)
-    K = sp.csr_matrix((np.concatenate([diagonal, -g, -g]),
-                       (np.concatenate([nodes, a, b]), np.concatenate([nodes, b, a]))),
-                      shape=(n, n))
-    return OperatorSet(grid=grid, mass=grid.mass, K=K, incidence=D, edge_weights=g)
+    return OperatorSet(grid=grid, mass=grid.mass, edges=edges, edge_weights=g)

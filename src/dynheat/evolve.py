@@ -53,6 +53,9 @@ SCHEMES = ("crank_nicolson", "backward_euler")
 DIRECT_SOLVE_MAX_DOFS = 20000
 _STRUCTURED_RESIDUAL_TOL = 1e-10
 _DT_DIVISION_RTOL = 1e-9
+# numpy caps an array's size in bytes at the largest np.intp, so a float
+# array holds at most this many samples
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,12 @@ class Schedule:
         if self.t1 < self.t0:
             raise ConfigurationError(f"needs t1 >= t0, got [{self.t0}, {self.t1}]")
         span = self.t1 - self.t0
+        # steps + 1 samples, checked before round(), which fails on inf
+        if span / self.dt >= _MAX_SAMPLES:
+            raise ConfigurationError(
+                f"time.dt = {self.dt} gives {span / self.dt:.3g} steps over "
+                f"[{self.t0}, {self.t1}], more than the {_MAX_SAMPLES} samples "
+                f"a numpy array can hold")
         steps = round(span / self.dt)
         if steps == 0 and span > 0:
             steps = 1
@@ -113,37 +122,50 @@ class _Tridiagonal:
         return lapack.dpttrs(self._d, self._e, rhs, overwrite_b=True)[0]
 
 
+def _ring_coefficients(ops):
+    """Each disk ring's diagonal, angular coupling to the next node in theta
+    and radial coupling to the next ring, at its theta = 0 node: K's
+    diagonal there and the weights of the edges that leave that node for
+    node + 1 and node + ntheta.  The boundary ring has two angular edges
+    there, whose weights are summed; two terms, so the order does not
+    matter."""
+    nr, ntheta = ops.grid.shape
+    a, b = ops.edges.T
+    at_first = np.flatnonzero(a % ntheta == 0)
+    ring, hop = a[at_first] // ntheta, b[at_first] - a[at_first]
+    g = ops.edge_weights[at_first]
+    angular = np.bincount(ring[hop == 1], g[hop == 1], nr + 1)
+    radial = np.bincount(ring[hop == ntheta], g[hop == ntheta], nr)
+    return ops.diagonal[::ntheta], angular, radial
+
+
 class _DiskSolver:
     """Exact solve of (diag(mass) + c K) x = b on a disk grid.
 
     Nodes are ring-major, the boundary ring last, so a state reshapes to
-    (nr + 1, ntheta).  The ring coefficients are read from the assembled K
-    at each ring's theta = 0 node: the diagonal, the angular coupling to
-    the next node in theta and the radial coupling to the next ring.  A
-    real FFT over theta turns the circulant angular coupling into the
-    diagonal factor 2 cos(2 pi k / ntheta) per mode k; each mode leaves an
-    SPD tridiagonal system in r.  The modes' systems, with zero couplings
+    (nr + 1, ntheta).  The ring coefficients are read at each ring's
+    theta = 0 node from K's diagonal and edge weights
+    (_ring_coefficients).  A real FFT over theta turns the circulant
+    angular coupling into the diagonal factor 2 cos(2 pi k / ntheta) per
+    mode k; each mode leaves an SPD tridiagonal system in r.  The modes' systems, with zero couplings
     between them, form one block-diagonal tridiagonal system, factorized
     once; the real and the imaginary part of every column are two of its
     right-hand sides.  Construction solves one fixed vector, checks it
-    against K itself and raises NumericalError when the relative residual
-    exceeds 1e-10, as it does for a K that is not theta-invariant.
+    against K applied from the whole edge list and raises NumericalError
+    when the relative residual exceeds 1e-10, as it does for a K that is
+    not theta-invariant.
     """
 
     def __init__(self, ops, c):
         nr, ntheta = ops.grid.shape
         self._shape = (nr + 1, ntheta)
-        first = np.arange(nr + 1) * ntheta
-        K = ops.K
-        diag = np.asarray(K[first, first]).ravel()
-        angular = -np.asarray(K[first, first + 1]).ravel()
-        radial = -np.asarray(K[first[:-1], first[1:]]).ravel()
+        diag, angular, radial = _ring_coefficients(ops)
         # diag - 2 angular cos(phi) as (diag - 2 angular) + 4 angular
         # sin^2(phi / 2): on the inner rings the angular weights dwarf the
         # radial ones, and there the first difference is exact (Sterbenz),
         # so the low modes keep their small radial part
         half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
-        d = (ops.mass[first] + c * (diag - 2.0 * angular))[:, None] \
+        d = (ops.mass[::ntheta] + c * (diag - 2.0 * angular))[:, None] \
             + (4.0 * c * angular)[:, None] * half
         # mode-major: the rings of mode k are unknowns k (nr + 1) + i
         e = np.zeros((half.size, nr + 1))
@@ -152,9 +174,13 @@ class _DiskSolver:
 
         b = np.random.default_rng(0).standard_normal(ops.n_dofs)
         x = self(b)
+        # K x = D^T (g * D x) over every edge, without forming D or K
+        i, j = ops.edges.T
+        flux = ops.edge_weights * (x[i] - x[j])
+        Kx = np.bincount(i, flux, ops.n_dofs) - np.bincount(j, flux, ops.n_dofs)
         # sums of squares, not np.linalg.norm: BLAS may start its thread
         # pool for a vector this long, which costs more than the solve
-        r = ops.mass * x + c * (K @ x) - b
+        r = ops.mass * x + c * Kx - b
         residual = np.sqrt(np.sum(r * r) / np.sum(b * b))
         if not residual <= _STRUCTURED_RESIDUAL_TOL:
             raise NumericalError(
@@ -198,8 +224,9 @@ class Propagator:
         if ops.grid.domain.kind == "disk":
             self._solve = _DiskSolver(ops, c)
         else:
-            self._solve = _Tridiagonal(ops.mass + c * ops.K.diagonal(),
-                                       c * ops.K.diagonal(1), f"{ops.n_dofs}-node interval")
+            # interval edge i joins nodes i and i + 1: K's off-diagonal is -g
+            self._solve = _Tridiagonal(ops.mass + c * ops.diagonal, -c * ops.edge_weights,
+                                       f"{ops.n_dofs}-node interval")
 
     def step(self, u):
         """Advance one step of a state (n,) or a block of states (n, m)."""

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import dynheat as dh
-from dynheat import discretize
+from dynheat import discretize, evolve
 from dynheat.discretize import OperatorSet
 
 
@@ -73,13 +75,36 @@ def final_states(ops, sched, block):
 
 
 def theta_broken(ops):
-    """Disk ops with one diagonal entry of K doubled, off ring 2's theta = 0
-    node: K is no longer invariant under rotation in theta."""
-    K = ops.K.copy()
+    """Disk ops with one edge weight doubled, that of the angular edge from
+    ring 2's theta index 3 to 4, off the ring's theta = 0 node: K is no
+    longer invariant under rotation in theta."""
     node = 2 * ops.grid.shape[1] + 3
-    K[node, node] *= 2.0
-    return OperatorSet(grid=ops.grid, mass=ops.mass.copy(), K=K,
-                       incidence=ops.incidence, edge_weights=ops.edge_weights.copy())
+    (edge,) = np.flatnonzero((ops.edges[:, 0] == node) & (ops.edges[:, 1] == node + 1))
+    g = ops.edge_weights.copy()
+    g[edge] *= 2.0
+    return OperatorSet(grid=ops.grid, mass=ops.mass.copy(), edges=ops.edges, edge_weights=g)
+
+
+def frozen_ring_coefficients(ops):
+    """Each disk ring's diagonal, angular and radial coupling at its
+    theta = 0 node, as the disk solver read them from the assembled K."""
+    nr, ntheta = ops.grid.shape
+    first = np.arange(nr + 1) * ntheta
+    K = ops.K
+    diag = np.asarray(K[first, first]).ravel()
+    angular = -np.asarray(K[first, first + 1]).ravel()
+    radial = -np.asarray(K[first[:-1], first[1:]]).ravel()
+    return diag, angular, radial
+
+
+def frozen_step_solver(ops, c):
+    """The solve of M + c K with its coefficients read from the assembled
+    K: the interval's two diagonals, the disk's frozen_ring_coefficients."""
+    if ops.grid.domain.kind == "interval":
+        return evolve._Tridiagonal(ops.mass + c * ops.K.diagonal(), c * ops.K.diagonal(1),
+                                   "frozen interval")
+    with mock.patch.object(evolve, "_ring_coefficients", frozen_ring_coefficients):
+        return evolve._DiskSolver(ops, c)
 
 
 def frozen_assembly(grid):

@@ -2,13 +2,14 @@ import filecmp
 import functools
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from dynheat import FitFailureError, cli, control as ctl, evolve, logconvexity as lc
 from dynheat.cli import main
-from dynheat.discretize import assemble_operator
+from dynheat.discretize import OperatorSet, assemble_operator
 from dynheat.reporting import ARTIFACTS, SECTION_PASSED, canonical_json
 
 from conftest import theta_broken
@@ -336,6 +337,69 @@ class TestConfigErrors:
                      "--seed", "-3"]) == 2
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
+    @pytest.mark.parametrize("stage", PIPELINE)
+    def test_unallocatable_step_count_is_named(self, tmp_path, capsys, stage, dt):
+        """A dt whose step count no numpy array can hold exits 2 naming
+        time.dt, before any stage starts, instead of a traceback or an
+        endless control run."""
+        bad = self.write(tmp_path, CONFIG.replace("dt = 0.02", f"dt = {dt}"))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main([stage, "--config", bad, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "time.dt" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestStiffnessFormedWhereRead:
+    """The step solvers read K's diagonal and edge weights, so simulate,
+    control and cost-study never form K as a matrix; observe and
+    commutator-check form it once per grid for the log-convexity forms."""
+
+    @pytest.mark.parametrize("stage, text", [
+        pytest.param("simulate", CONFIG, id="simulate-interval"),
+        pytest.param("simulate", DISK_CONFIG, id="simulate-disk"),
+        pytest.param("control", CONFIG, id="control-interval"),
+        pytest.param("cost-study", CONFIG, id="cost-study-interval")])
+    def test_stages_that_never_read_K_never_form_it(self, tmp_path, monkeypatch, stage, text):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        plain, refused = tmp_path / "plain", tmp_path / "refused"
+        assert main([stage, "--config", str(path), "--out", str(plain)]) == 0
+
+        def refuse(self):
+            raise AssertionError("formed a matrix of K")
+
+        monkeypatch.setattr(OperatorSet, "K", property(refuse))
+        monkeypatch.setattr(OperatorSet, "incidence", property(refuse))
+        assert main([stage, "--config", str(path), "--out", str(refused)]) == 0
+        names = sorted(os.listdir(plain))
+        assert names == sorted(os.listdir(refused)) and names
+        match, mismatch, errors = filecmp.cmpfiles(plain, refused, names, shallow=False)
+        assert mismatch == [] and errors == []
+
+    @pytest.mark.parametrize("stage, text, grids", [
+        pytest.param("observe", CONFIG, 1, id="observe-interval"),
+        pytest.param("commutator-check", CONFIG, 3, id="commutator-check-interval"),
+        pytest.param("commutator-check", DISK_CONFIG, 3, id="commutator-check-disk")])
+    def test_observe_and_commutator_check_form_K_once_per_grid(
+            self, tmp_path, monkeypatch, stage, text, grids):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        formed = []
+        form = OperatorSet.K.func
+
+        def counted(self):
+            formed.append(self.grid.shape)
+            return form(self)
+
+        K = functools.cached_property(counted)
+        K.__set_name__(OperatorSet, "K")
+        monkeypatch.setattr(OperatorSet, "K", K)
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(formed) == len(set(formed)) == grids
 
 
 class TestFailureArtifact:

@@ -9,7 +9,7 @@ import dynheat as dh
 from dynheat.control import ControlOperator
 from dynheat.discretize import OperatorSet
 
-from conftest import theta_broken, unit_random_state
+from conftest import frozen_step_solver, theta_broken, unit_random_state
 
 
 class TestSchedule:
@@ -117,11 +117,12 @@ class TestSingleStepOracle:
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_indefinite_interval_step_matrix_is_a_numerical_error(self, iv_small_ops):
-        """A K with the wrong sign leaves M + c K with a nonpositive pivot,
-        which the factorization names instead of solving on."""
+        """A K with the wrong sign, every edge weight negated, leaves M + c K
+        with a nonpositive pivot, which the factorization names instead of
+        solving on."""
         ops = iv_small_ops
-        flipped = OperatorSet(grid=ops.grid, mass=ops.mass.copy(), K=-ops.K,
-                              incidence=ops.incidence, edge_weights=ops.edge_weights.copy())
+        flipped = OperatorSet(grid=ops.grid, mass=ops.mass.copy(), edges=ops.edges,
+                              edge_weights=-ops.edge_weights)
         with pytest.raises(dh.NumericalError, match=r"12-node interval \(dpttrf info"):
             dh.Propagator(flipped, 1.0, "backward_euler")
 
@@ -190,6 +191,25 @@ class TestStructuredSolve:
         assert np.array_equal(prop.step(np.asfortranarray(block)), prop.step(block))
         assert_matches_dense_powers(ops, prop, dt, scheme, block, steps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(disk=st.booleans(), n=st.integers(4, 200), nr=st.integers(2, 12),
+           ntheta=st.integers(4, 40), width=st.integers(1, 6),
+           dt=st.sampled_from(STEP_DTS), steps=st.integers(1, 10),
+           scheme=st.sampled_from(["crank_nicolson", "backward_euler"]))
+    def test_flow_equals_the_frozen_K_read(self, iv_domain, disk_domain, disk, n, nr,
+                                           ntheta, width, dt, steps, scheme):
+        """The solvers read K's diagonal and edge weights; their flow equals,
+        bit for bit, that of a solver whose coefficients are read from the
+        assembled K (conftest.frozen_step_solver)."""
+        grid = (dh.build_grid(disk_domain, nr=nr, ntheta=ntheta) if disk
+                else dh.build_grid(iv_domain, n=n))
+        ops = dh.assemble_operator(grid)
+        prop = dh.Propagator(ops, dt, scheme)
+        frozen = dh.Propagator(ops, dt, scheme)
+        frozen._solve = frozen_step_solver(ops, 0.5 * dt if scheme == "crank_nicolson" else dt)
+        block = np.random.default_rng(n + nr * ntheta).standard_normal((ops.n_dofs, width))
+        assert np.array_equal(prop.flow(block, steps), frozen.flow(block, steps))
+
     def test_k_off_theta_invariance_is_a_numerical_error(self, disk_ops):
         with pytest.raises(dh.NumericalError, match=r"6x16 disk: relative residual"):
             dh.Propagator(theta_broken(disk_ops), 0.05)
@@ -197,15 +217,25 @@ class TestStructuredSolve:
     @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
     @pytest.mark.parametrize("disk", [False, True], ids=["interval", "disk"])
     def test_steps_never_apply_K(self, monkeypatch, iv_small_ops, disk_ops, scheme, disk):
+        """Neither the solvers nor a step apply K or form it as a matrix:
+        apply_K, the CSR K and D all refuse."""
         ops = disk_ops if disk else iv_small_ops
 
         def refuse(self, u):
             raise AssertionError("a step applied K")
 
+        def refuse_matrix(self):
+            raise AssertionError("a step formed a matrix of K")
+
         monkeypatch.setattr(OperatorSet, "apply_K", refuse)
+        monkeypatch.setattr(OperatorSet, "K", property(refuse_matrix))
+        monkeypatch.setattr(OperatorSet, "incidence", property(refuse_matrix))
         u = np.random.default_rng(35).standard_normal(ops.n_dofs)
         with pytest.raises(AssertionError, match="applied K"):
             ops.apply_K(u)
+        for name in ("K", "incidence"):
+            with pytest.raises(AssertionError, match="formed a matrix"):
+                getattr(ops, name)
         prop = dh.Propagator(ops, 0.05, scheme)
         prop.step(u)
         prop.flow(np.column_stack([u, -u]), 3)
