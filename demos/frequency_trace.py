@@ -1,9 +1,7 @@
 """Record the weighted frequency function along one trajectory.
 
-The weighted state F = exp(Phi/2) u obeys an exact energy identity whose
-midpoint residual shrinks at second order in dt, and the drift of the
-frequency N(t) is bounded by (1 + C0) N / Upsilon + C / h^2 with a fitted
-constant C.
+The weighted state is F = exp(Phi/2) u, and the drift of the frequency
+N(t) is bounded by (1 + C0) N / Upsilon + C / h^2 with a fitted constant C.
 """
 
 import numpy as np
@@ -36,12 +34,6 @@ def main():
     print(f"fitted C (form variant)  : {trace.C_form:.6g}")
     print(f"bound violations         : "
           f"{lc.count_bound_violations(trace, trace.C)}")
-
-    r2, r1 = (np.max(np.abs(lc.energy_residuals(ops, params, state0[:, None],
-                                                dh.Schedule(0.0, 1.0, dt))))
-              for dt in (0.02, 0.01))
-    print(f"energy residual order    : {np.log2(r2 / r1):.3f} "
-          f"(dt 0.02 -> 0.01, residuals {r2:.2e} -> {r1:.2e})")
 
 
 if __name__ == "__main__":

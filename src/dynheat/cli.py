@@ -9,6 +9,10 @@ removes it when it next completes, and report fails while one is present.
 Every number written to an artifact comes from a module operation; the CLI
 only aggregates.  Artifact names and each stage's pass rule come from
 reporting.ARTIFACTS and reporting.SECTION_PASSED, which report reads too.
+
+control calibrates kappa by doubling from 1 and never reads constants.json;
+cost-study seeds each eps level from the fit that observe wrote there, when
+it is present.
 """
 
 from __future__ import annotations

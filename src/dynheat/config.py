@@ -11,6 +11,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+from .control import DEFAULT_CG_MAXIT, DEFAULT_CG_TOL
 from .discretize import build_grid
 from .errors import ConfigurationError
 from .evolve import SCHEMES, Schedule
@@ -223,8 +224,8 @@ def load_config(path):
         tau=_get(sections, "impulse", "tau"),
         eps_list=_get(sections, "control", "eps", (0.1,)),
         kappa=_get(sections, "control", "kappa"),
-        cg_tol=_get(sections, "control", "cg_tol", 1e-12),
-        cg_maxit=_get(sections, "control", "cg_maxit", 400),
+        cg_tol=_get(sections, "control", "cg_tol", DEFAULT_CG_TOL),
+        cg_maxit=_get(sections, "control", "cg_maxit", DEFAULT_CG_MAXIT),
         ensemble_count=_get(sections, "ensemble", "count", 20),
         seed=_get(sections, "ensemble", "seed", 0),
         initial=_get(sections, "ensemble", "initial", "random"),

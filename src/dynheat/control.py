@@ -23,9 +23,10 @@ forward and backward.  The certificates checked after each synthesis:
                       <= ||Psi0|| ||theta(T)||
     observation:  ||v||_omega <= ||Psi0||
 
-with v = R_omega P^n theta.  kappa is calibrated by doubling from the
-penalization seed M1 e^{M2/(T-tau)} / eps^delta when fitted constants are
-available (else from 1) until target and cost both certify.
+with v = R_omega P^n theta.  kappa is calibrated by doubling until target
+and cost both certify: calibrate_kappa starts from 1, and cost_study starts
+each eps level from the penalization seed M1 e^{M2/(T-tau)} / eps^delta
+when fitted constants are given (else from 1).
 
 omega is small, so the Gramian is also solved in omega-coordinates, the
 penalized HUM of Boyer (ESAIM Proc. 41, 2013) and Glowinski, Lions & He
@@ -476,7 +477,6 @@ def verify_duality(ops, prob, sched, psi0, result, Z0):
 @dataclass(frozen=True)
 class CalibrationResult:
     kappa: float
-    kappa0: float
     doublings: int
     results: tuple
 
@@ -527,19 +527,17 @@ def _calibration_diagnostics(co, flows, kappa, eps):
     }
 
 
-def _calibrate(co, prob, flows, seed, budget):
+def _calibrate(co, prob, flows, seed):
     """Double kappa from seed until every member of flows certifies target
     and cost; the ladder of calibrate_kappa and cost_study.
 
     The rungs that the reduced model predicts to miss by more than
     _NEAR_MISS are skipped without a flow; from the first other rung on,
-    each rung synthesizes all members as one block.  Exhausting the budget
-    raises CalibrationError with diagnostics at the last rung.
+    each rung synthesizes all members as one block.  Exhausting
+    DEFAULT_DOUBLING_BUDGET doublings raises CalibrationError with
+    diagnostics at the last rung.
     """
-    if budget < 0:
-        raise ConfigurationError(f"doubling budget must be >= 0, got {budget}")
-    if seed <= 0.0:
-        raise ConfigurationError(f"kappa seed must be positive, got {seed}")
+    budget = DEFAULT_DOUBLING_BUDGET
     kappa, start = seed, 0
     while start < budget and _predicted_miss(co, flows, kappa, prob.eps):
         kappa *= 2.0
@@ -547,8 +545,7 @@ def _calibrate(co, prob, flows, seed, budget):
     for k in range(start, budget + 1):
         results = _synthesize_block(co, replace(prob, kappa=kappa), flows)
         if all(r.certified for r in results):
-            return CalibrationResult(kappa=kappa, kappa0=seed, doublings=k,
-                                     results=tuple(results))
+            return CalibrationResult(kappa=kappa, doublings=k, results=tuple(results))
         last, kappa = kappa, kappa * 2.0
     raise CalibrationError(
         f"no certifying kappa within {budget} doublings from {seed:.6g} "
@@ -556,28 +553,18 @@ def _calibrate(co, prob, flows, seed, budget):
         diagnostics=_calibration_diagnostics(co, flows, last, prob.eps))
 
 
-def calibrate_kappa(ops, prob, sched, psi0s, constants=None, kappa0=None,
-                    budget=DEFAULT_DOUBLING_BUDGET):
-    """Double kappa from its seed until every member, one per column of the
-    block psi0s (n, m), certifies target + cost.
+def calibrate_kappa(ops, prob, sched, psi0s):
+    """Double kappa from 1 until every member, one per column of the block
+    psi0s (n, m), certifies target + cost.
 
-    Seed order: explicit kappa0, else the penalization formula from fitted
-    constants at horizon T - tau, else 1.  Exhausting the budget raises
-    CalibrationError (budget counts doublings; budget=0 tests the seed
-    only).  The reduced model picks the first rung to propagate (see the
-    module docstring); each propagated rung synthesizes all members as one
-    block.
+    Exhausting DEFAULT_DOUBLING_BUDGET doublings raises CalibrationError.
+    The reduced model picks the first rung to propagate (see the module
+    docstring); each propagated rung synthesizes all members as one block.
     """
     if psi0s.shape[1] == 0:
         raise ConfigurationError("calibration needs at least one initial state")
-    if kappa0 is not None:
-        seed = float(kappa0)
-    elif constants is not None:
-        seed = float(constants.kappa0(sched.t1 - prob.tau, prob.eps))
-    else:
-        seed = 1.0
     co = ControlOperator(ops, sched, prob.tau)
-    return _calibrate(co, prob, _free_flows(co, psi0s), seed, budget)
+    return _calibrate(co, prob, _free_flows(co, psi0s), 1.0)
 
 
 @dataclass(frozen=True)
@@ -604,16 +591,16 @@ class CostStudy:
         return all(b >= a for a, b in zip(costs, costs[1:]))
 
 
-def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
-               budget=DEFAULT_DOUBLING_BUDGET):
+def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None):
     """Calibrate and synthesize per eps for the members, one per column of
     the block psi0s (n, m); report sup ||h|| and the log-log slope.
 
     eps_list is processed as given (descending for a cost sweep).  The
     kappa seed is continued monotonically across the sweep: each eps starts
-    from the larger of its formula seed and the previous calibrated kappa,
-    which together with the monotonicity of the minimizer in kappa and eps
-    keeps the reported cost nondecreasing as eps shrinks.  Members whose
+    from the larger of its seed (constants.kappa0 at horizon T - tau, or 1
+    without constants) and the previous calibrated kappa, which together
+    with the monotonicity of the minimizer in kappa and eps keeps the
+    reported cost nondecreasing as eps shrinks.  Members whose
     free decay already meets the eps target contribute zero cost and are
     left out of the calibration.  The slope is None unless the rows with
     positive cost hold at least two distinct eps.
@@ -645,7 +632,7 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None,
             seed = max(seed, kappa_floor)
         active = np.flatnonzero(free_ratio > prob.eps)
         if active.size:
-            cal = _calibrate(co, prob, flows.subset(active), seed, budget)
+            cal = _calibrate(co, prob, flows.subset(active), seed)
             kappa_floor = cal.kappa
             sup_cost = max(r.norm_h for r in cal.results)
             passes = all(r.certified for r in cal.results)

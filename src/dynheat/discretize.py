@@ -204,7 +204,7 @@ def _root(sq):
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Mass and stiffness of the coupled generator, with the action A = -M^{-1} K.
+    """Mass and stiffness of the coupled generator A = -M^{-1} K.
 
     K = D^T diag(g) D is kept as its edge list (n_edges, 2), the edge
     weights g and its diagonal, computed here from the two.  The signed
@@ -285,14 +285,6 @@ class OperatorSet:
     def apply_K(self, u):
         """K u for a state (n,) or a block of states (n, m)."""
         return self.incidence.T @ self.edge_flux(u)
-
-    def apply_A(self, u):
-        """A u = -M^{-1} K u for a state (n,) or a block of states (n, m)."""
-        return -self.apply_K(u) / per_node(self.mass, u)
-
-    def dense_A(self):
-        """Dense operator matrix for small-grid oracles."""
-        return -self.K.toarray() / self.mass[:, None]
 
     # -- observation region ----------------------------------------------
     def restrict_omega(self, u):

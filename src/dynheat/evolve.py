@@ -98,10 +98,14 @@ class Schedule:
     def kick_step(self, tau):
         """n_tau, the step that tau snaps to: round((tau - t0) / dt) kept in
         [1, steps - 1], so the effective kick time is t0 + n_tau dt.  tau
-        outside (t0, t1) raises ConfigurationError."""
+        outside (t0, t1), or fewer than 2 steps, raises ConfigurationError."""
         if not (self.t0 < tau < self.t1):
             raise ConfigurationError(
                 f"impulse time tau={tau} must lie strictly inside ({self.t0}, {self.t1})")
+        if self.steps < 2:
+            raise ConfigurationError(
+                f"impulse.tau = {tau} needs a step before and after the kick; "
+                f"time.dt = {self.dt} gives {self.steps} step over [{self.t0}, {self.t1}]")
         return min(max(round((tau - self.t0) / self.dt), 1), self.steps - 1)
 
 
@@ -294,10 +298,7 @@ def propagate_impulsive(ops, u0, tau, payload, sched):
     rec = PropagationRecord(times=np.concatenate([before.times, after.times]),
                             norms=np.concatenate([before.norms, after.norms]))
     info = {
-        "tau_requested": tau,
         "tau_effective": tau_eff,
-        "steps_before": n_tau,
-        "steps_after": sched.steps - n_tau,
         "norm_before_kick": float(before.norms[-1]),
         "norm_after_kick": float(after.norms[0]),
     }

@@ -129,13 +129,6 @@ class DomainSpec:
     def interval_center(self):
         return 0.5 * (self.a + self.b)
 
-    @property
-    def measures(self):
-        """(|Omega|, |Gamma|): length and point count, or area and perimeter."""
-        if self.kind == "interval":
-            return self.b - self.a, 2.0
-        return np.pi * self.radius ** 2, 2.0 * np.pi * self.radius
-
 
 @dataclass(frozen=True)
 class WeightParams:

@@ -28,8 +28,6 @@ exact discrete identity.  This module provides:
 * the frequency trace runner, which traces an ensemble as one
   block, bit for bit its one-member traces, and fits the drift constant C in
   Q <= (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2  with C0 = 1 - s^3,
-* the midpoint residual of the energy identity along the same block flow,
-  kept apart from the trace, which does not read it,
 * the commutator identity refinement study (interval, and disk with the
   anchor at the center so the weight is constant on the boundary),
 * the three-point logarithmic interpolation inequality with the explicit
@@ -237,26 +235,6 @@ def run_traces(ops, params, block, sched):
             for j in range(m)]
 
 
-def energy_residuals(ops, params, block, sched):
-    """Midpoint residuals of the energy identity, one row per column of the
-    (n, m) block of states.
-
-    Entry k is 1/2 (||F_{k+1}||^2 - ||F_k||^2)/dt + <-S F, F> at the step
-    midpoint, with F the weighted mean of the step's end states; it
-    vanishes at order dt^2.  The states flow as one block, as in
-    run_traces, and every row is bit for bit its one-member residuals.
-    """
-    times = sched.times()
-    mid = _weights(ops, params, 0.5 * (times[:-1] + times[1:]))
-    resid = np.empty((block.shape[1], times.size - 1))
-    for k, (X, (normF2, *_)) in enumerate(_weighted_flow(ops, params, block, sched)):
-        if k:
-            resid[:, k - 1] = (0.5 * (normF2 - prev_normF2) / sched.dt
-                               + _forms(ops, next(mid), 0.5 * (prev + X))[1])
-        prev, prev_normF2 = X, normF2
-    return resid
-
-
 def run_trace(ops, params, u0, sched):
     """The FrequencyTrace of one state (n,): run_traces on a one-member block."""
     return run_traces(ops, params, u0[:, None], sched)[0]
@@ -288,7 +266,6 @@ class CommutatorReport:
     spacings: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    residual: np.ndarray
     rel_residual: np.ndarray
     orders: np.ndarray
 
@@ -412,15 +389,12 @@ def commutator_identity_check(domain, params, t, family, resolutions):
 
     lhs = np.array(lhs_list)
     rhs = np.array(rhs_list)
-    resid = np.abs(lhs - rhs)
-    scale = np.maximum(np.abs(rhs), 1e-300)
-    rel = resid / scale
+    rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     spacing = np.array(spacing)
     with np.errstate(divide="ignore", invalid="ignore"):
         orders = np.log(rel[:-1] / rel[1:]) / np.log(spacing[:-1] / spacing[1:])
     return CommutatorReport(resolutions=tuple(resolutions), spacings=spacing,
-                            lhs=lhs, rhs=rhs, residual=resid,
-                            rel_residual=rel, orders=orders)
+                            lhs=lhs, rhs=rhs, rel_residual=rel, orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +420,6 @@ def _weight_antiderivative(params, t):
     return (params.T - t + params.h) ** (-params.C0) / params.C0
 
 
-def interpolation_exponent(params, t1, t2, t3):
-    """Closed-form exponent M = I(t2,t3)/I(t1,t2) for the weight
-    (T - t + h)^{-(1+C0)}, via the explicit antiderivative."""
-    anti = [_weight_antiderivative(params, t) for t in (t1, t2, t3)]
-    denom = anti[1] - anti[0]
-    if denom <= 0.0:
-        raise UsageError(f"need t1 < t2, got t1={t1}, t2={t2}")
-    return (anti[2] - anti[1]) / denom
-
-
 def interpolation_check(times, normF2, params, C, triples):
     """Check (||F(t2)||^2)^{1+M} <= (||F(t1)||^2)^M ||F(t3)||^2 e^D
     on index triples (i1, i2, i3) of traces, with D = 2 (1+M) (t3-t1)^2 C / h^2.
@@ -476,8 +440,8 @@ def interpolation_check(times, normF2, params, C, triples):
         raise UsageError(f"triple {tuple(triples[bad][0].tolist())} must satisfy "
                          "i1 < i2 <= i3 in range")
     t1, t2, t3 = times[i1], times[i2], times[i3]
-    # one scalar power per sample time, as interpolation_exponent takes
-    # them: numpy's array power may round differently
+    # one scalar power per sample time: numpy's array power may round
+    # differently
     anti = np.array([_weight_antiderivative(params, t) for t in times])
     denom = anti[i2] - anti[i1]
     if np.any(denom <= 0.0):
@@ -499,8 +463,6 @@ def interpolation_check(times, normF2, params, C, triples):
 
 @dataclass(frozen=True)
 class StepConstants:
-    C0: float
-    C: float
     ell: float
     M_ell: float
     D_ell: float
@@ -523,9 +485,8 @@ def step_constants(domain, params, C, ell):
     D_ell = 2.0 * C * ell ** 2 * (1.0 + M_ell)
     phi_min, phi_max_out = geometry.phi_extremes(domain)
     sign_lhs = -(1.0 + M_ell) / (1.0 + ell) * phi_min + phi_max_out
-    return StepConstants(C0=C0, C=C, ell=float(ell), M_ell=float(M_ell),
-                         D_ell=float(D_ell), sign_lhs=float(sign_lhs),
-                         sign_ok=bool(sign_lhs < 0.0))
+    return StepConstants(ell=float(ell), M_ell=float(M_ell), D_ell=float(D_ell),
+                         sign_lhs=float(sign_lhs), sign_ok=bool(sign_lhs < 0.0))
 
 
 # ---------------------------------------------------------------------------

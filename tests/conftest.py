@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import dynheat as dh
-from dynheat import discretize, evolve
+from dynheat import discretize, evolve, logconvexity as lc
 from dynheat.discretize import OperatorSet
 
 
@@ -126,3 +126,50 @@ def frozen_assembly(grid):
 def dirichlet_form(ops, u, v):
     """Energy E(u, v) = (D u) . (g * (D v)), per column for blocks; >= 0 for u = v."""
     return discretize.column_dots(ops.edge_flux(u), ops.incidence @ v)
+
+
+def apply_A(ops, u):
+    """A u = -M^{-1} K u for a state (n,) or a block of states (n, m)."""
+    return -ops.apply_K(u) / discretize.per_node(ops.mass, u)
+
+
+def dense_A(ops):
+    """Dense operator matrix A = -M^{-1} K for small-grid oracles."""
+    return -ops.K.toarray() / ops.mass[:, None]
+
+
+def measures(domain):
+    """(|Omega|, |Gamma|): length and point count, or area and perimeter."""
+    if domain.kind == "interval":
+        return domain.b - domain.a, 2.0
+    return np.pi * domain.radius ** 2, 2.0 * np.pi * domain.radius
+
+
+def energy_residuals(ops, params, block, sched):
+    """Midpoint residuals of the energy identity, one row per column of the
+    (n, m) block of states.
+
+    Entry k is 1/2 (||F_{k+1}||^2 - ||F_k||^2)/dt + <-S F, F> at the step
+    midpoint, with F the weighted mean of the step's end states; it
+    vanishes at order dt^2.  The states flow as one block, as in
+    run_traces, and every row is bit for bit its one-member residuals.
+    """
+    times = sched.times()
+    mid = lc._weights(ops, params, 0.5 * (times[:-1] + times[1:]))
+    resid = np.empty((block.shape[1], times.size - 1))
+    for k, (X, (normF2, *_)) in enumerate(lc._weighted_flow(ops, params, block, sched)):
+        if k:
+            resid[:, k - 1] = (0.5 * (normF2 - prev_normF2) / sched.dt
+                               + lc._forms(ops, next(mid), 0.5 * (prev + X))[1])
+        prev, prev_normF2 = X, normF2
+    return resid
+
+
+def interpolation_exponent(params, t1, t2, t3):
+    """Closed-form exponent M = I(t2,t3)/I(t1,t2) for the weight
+    (T - t + h)^{-(1+C0)}, via the explicit antiderivative."""
+    anti = [lc._weight_antiderivative(params, t) for t in (t1, t2, t3)]
+    denom = anti[1] - anti[0]
+    if denom <= 0.0:
+        raise dh.UsageError(f"need t1 < t2, got t1={t1}, t2={t2}")
+    return (anti[2] - anti[1]) / denom

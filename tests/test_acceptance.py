@@ -18,7 +18,8 @@ import dynheat as dh
 from dynheat import logconvexity as lc
 from dynheat.cli import main as cli_main
 
-from conftest import final_states, smooth_random_state, unit_random_state
+from conftest import (apply_A, dense_A, energy_residuals, final_states,
+                      smooth_random_state, unit_random_state)
 
 INTERVAL = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
 DISK = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), 0.5)
@@ -61,15 +62,15 @@ def test_01_operator_structure():
     worst_asym = worst_diss = worst_const = 0.0
     rng = np.random.default_rng(1)
     for ops in builds:
-        MA = ops.mass[:, None] * ops.dense_A()
+        MA = ops.mass[:, None] * dense_A(ops)
         worst_asym = max(worst_asym, float(np.max(np.abs(MA - MA.T))))
         ones = np.ones(ops.n_dofs)
         worst_const = max(worst_const,
-                          ops.norm(ops.apply_A(ones)) / ops.norm(ones))
+                          ops.norm(apply_A(ops, ones)) / ops.norm(ones))
         for _ in range(100):
             u = rng.standard_normal(ops.n_dofs)
             worst_diss = max(worst_diss,
-                             ops.inner(ops.apply_A(u), u) / ops.inner(u, u))
+                             ops.inner(apply_A(ops, u), u) / ops.inner(u, u))
     elapsed = time.monotonic() - start
     assert worst_asym <= 1e-12
     assert worst_diss <= 1e-12
@@ -100,7 +101,7 @@ def test_02_propagation_oracles():
     st = unit_random_state(small, 5)
     fine = dh.Schedule(0.0, 1.0, 1e-3)
     got, _ = dh.propagate(small, st, fine)
-    expect = sla.expm(1.0 * small.dense_A()) @ st
+    expect = sla.expm(1.0 * dense_A(small)) @ st
     rel = small.norm(got - expect) / small.norm(expect)
     assert rel <= 1e-3
 
@@ -116,8 +117,8 @@ def test_03_energy_identity_order(ops48):
     orders = []
     for seed in range(100, 105):
         st = smooth_random_state(ops48, seed)
-        coarse = lc.energy_residuals(ops48, PARAMS, st[:, None], dh.Schedule(0.0, 1.0, 0.02))
-        fine = lc.energy_residuals(ops48, PARAMS, st[:, None], dh.Schedule(0.0, 1.0, 0.01))
+        coarse = energy_residuals(ops48, PARAMS, st[:, None], dh.Schedule(0.0, 1.0, 0.02))
+        fine = energy_residuals(ops48, PARAMS, st[:, None], dh.Schedule(0.0, 1.0, 0.01))
         orders.append(np.log2(np.max(np.abs(coarse)) / np.max(np.abs(fine))))
     elapsed = time.monotonic() - start
     assert all(abs(o - 2.0) <= 0.2 for o in orders)
@@ -205,8 +206,9 @@ def test_07_observability_fit(ops48, trace_sched, observability_fit):
           f"{fit.delta:.4g}, {elapsed:.2f}s")
 
 
-def test_08_control_certificates(ops48, trace_sched, observability_fit):
-    """Calibrated impulses certify target and cost for every member."""
+def test_08_control_certificates(ops48, trace_sched):
+    """Impulses calibrated from kappa = 1, as control calibrates them,
+    certify target and cost for every member."""
     start = time.monotonic()
     prob = dh.ControlProblem(tau=0.5, eps=0.1)
     rng = np.random.default_rng(42)
@@ -215,8 +217,7 @@ def test_08_control_certificates(ops48, trace_sched, observability_fit):
         v = rng.standard_normal(ops48.n_dofs)
         psi0s.append(v / ops48.norm(v))
 
-    cal = dh.calibrate_kappa(ops48, prob, trace_sched, np.column_stack(psi0s),
-                             constants=observability_fit)
+    cal = dh.calibrate_kappa(ops48, prob, trace_sched, np.column_stack(psi0s))
     assert all(r.certified for r in cal.results)
     worst_cg = max(r.residuals["cg_rel"] for r in cal.results)
     assert worst_cg <= 1e-10

@@ -316,6 +316,19 @@ class TestConfigErrors:
         assert main(["observe", "--config", bad, "--out", str(tmp_path)]) == 2
         assert "time.dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["simulate", "control", "cost-study"])
+    def test_a_kick_needs_two_steps(self, tmp_path, capsys, stage):
+        """With one step over [0, T] no step is left for the kick inside
+        it: the stage exits 2 naming impulse.tau and time.dt, instead of
+        kicking at t = 0 or running the whole doubling ladder."""
+        bad = self.write(tmp_path, CONFIG.replace("dt = 0.02", "dt = 1.0"))
+        out = tmp_path / "out"
+        assert main([stage, "--config", bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: impulse.tau = 0.5 needs a step before and after")
+        assert "time.dt = 1.0" in err and "Traceback" not in err
+        assert os.listdir(out) == []
+
     def test_cost_study_needs_a_member(self, tmp_path, capsys):
         bad = self.write(tmp_path, CONFIG.replace("count = 6", "count = 0"))
         assert main(["cost-study", "--config", bad, "--out", str(tmp_path)]) == 2
@@ -422,8 +435,7 @@ class TestFailureArtifact:
         reduced model in failure.json."""
         path = tmp_path / "tight.ini"
         path.write_text(CONFIG.replace("eps = 0.2, 0.1", "eps = 0.01"))
-        monkeypatch.setattr(ctl, "calibrate_kappa",
-                            functools.partial(ctl.calibrate_kappa, budget=0))
+        monkeypatch.setattr(ctl, "DEFAULT_DOUBLING_BUDGET", 0)
         out = tmp_path / "out"
         assert main(["control", "--config", str(path), "--out", str(out)]) == 3
         doc = json.loads((out / "failure.json").read_text())

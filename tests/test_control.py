@@ -26,6 +26,15 @@ def ctrl_sched():
     return dh.Schedule(0.0, 1.0, 0.01)
 
 
+def _ladder(ops, sched, prob, states, seed, budget=ctl.DEFAULT_DOUBLING_BUDGET):
+    """control._calibrate of the block states from a kappa seed, with the
+    doubling budget set through DEFAULT_DOUBLING_BUDGET."""
+    co = ControlOperator(ops, sched, prob.tau)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ctl, "DEFAULT_DOUBLING_BUDGET", budget)
+        return ctl._calibrate(co, prob, ctl._free_flows(co, states), seed)
+
+
 class TestControlProblem:
     def test_validation(self):
         with pytest.raises(dh.ConfigurationError):
@@ -168,27 +177,22 @@ class TestSynthesize:
 class TestCalibration:
     def test_input_validation(self, iv_small_ops, ctrl_sched):
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
-        st = unit_random_state(iv_small_ops, 77)
-        with pytest.raises(dh.ConfigurationError):
-            dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, st[:, None], budget=-1)
         with pytest.raises(dh.ConfigurationError):
             dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, np.zeros((iv_small_ops.n_dofs, 0)))
-        with pytest.raises(dh.ConfigurationError):
-            dh.calibrate_kappa(iv_small_ops, prob, ctrl_sched, st[:, None], kappa0=-2.0)
 
     def test_adequate_seed_needs_no_doubling(self, iv_ops, ctrl_sched):
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         states = np.column_stack([unit_random_state(iv_ops, 78 + k) for k in range(2)])
-        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=20.0)
+        cal = _ladder(iv_ops, ctrl_sched, prob, states, 20.0)
         assert cal.doublings == 0
-        assert cal.kappa == cal.kappa0 == 20.0
+        assert cal.kappa == 20.0
         assert all(r.certified for r in cal.results)
         assert len(cal.results) == 2
 
     def test_small_seed_doubles_up(self, iv_ops, ctrl_sched):
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         st = unit_random_state(iv_ops, 80)
-        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None], kappa0=0.5)
+        cal = _ladder(iv_ops, ctrl_sched, prob, st[:, None], 0.5)
         assert cal.doublings > 0
         assert cal.kappa == 0.5 * 2 ** cal.doublings
         assert all(r.certified for r in cal.results)
@@ -197,7 +201,7 @@ class TestCalibration:
         prob = dh.ControlProblem(tau=0.5, eps=0.05)
         st = unit_random_state(iv_ops, 81)
         with pytest.raises(dh.CalibrationError):
-            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None], kappa0=1e-6, budget=0)
+            _ladder(iv_ops, ctrl_sched, prob, st[:, None], 1e-6, budget=0)
 
     def test_budget_exhaustion_names_the_reduced_model(self, iv_ops, ctrl_sched):
         """The diagnostics hold n_omega, W's extreme eigenvalues and each
@@ -206,7 +210,7 @@ class TestCalibration:
         prob = dh.ControlProblem(tau=0.5, eps=0.05)
         states = np.column_stack([unit_random_state(iv_ops, 81), np.zeros(iv_ops.n_dofs)])
         with pytest.raises(dh.CalibrationError) as info:
-            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=1e-6, budget=2)
+            _ladder(iv_ops, ctrl_sched, prob, states, 1e-6, budget=2)
         diag = info.value.diagnostics
         assert diag["n_omega"] == iv_ops.grid.omega_idx.size
         assert diag["kappa_last"] == 4e-6
@@ -223,27 +227,7 @@ class TestCalibration:
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         st = unit_random_state(iv_ops, 81)
         with pytest.raises(dh.NumericalError, match="float range"):
-            dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None], kappa0=1e200, budget=40)
-
-    def test_seed_priority_explicit_over_fitted(self, iv_ops, ctrl_sched):
-        fit = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0,
-                                  K1=2.0, K2=1.0, M1=2.0, M2=2.0, delta=1.0,
-                                  T=1.0, n_members=2)
-        prob = dh.ControlProblem(tau=0.5, eps=0.1)
-        st = unit_random_state(iv_ops, 82)
-        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None],
-                                 constants=fit, kappa0=25.0)
-        assert cal.kappa0 == 25.0
-
-    def test_fitted_constants_supply_seed(self, iv_ops, ctrl_sched):
-        fit = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0,
-                                  K1=2.0, K2=1.0, M1=2.0, M2=2.0, delta=1.0,
-                                  T=1.0, n_members=2)
-        prob = dh.ControlProblem(tau=0.5, eps=0.1)
-        st = unit_random_state(iv_ops, 83)
-        cal = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, st[:, None], constants=fit)
-        assert cal.kappa0 == pytest.approx(20.0 * np.exp(4.0), rel=1e-12)
-        assert cal.doublings == 0
+            _ladder(iv_ops, ctrl_sched, prob, st[:, None], 1e200)
 
 
 def _mixed_ensemble(ops):
@@ -260,8 +244,7 @@ class TestBatchedCalibration:
     def calibrated(self, iv_ops, ctrl_sched):
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         states = _mixed_ensemble(iv_ops)
-        return prob, states, dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states,
-                                                kappa0=1.0)
+        return prob, states, dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states)
 
     def test_ensemble_exercises_the_block_solver(self, iv_ops, ctrl_sched, calibrated):
         """From a zero start the block's columns stop at different
@@ -306,6 +289,12 @@ class TestBatchedCalibration:
         for st, res in zip(states.T, cal.results):
             theta = sla.cho_solve(factor, -M @ (P_T @ st))
             assert np.linalg.norm(res.theta - theta) <= 1e-9 * np.linalg.norm(theta)
+
+
+# seeds kappa at M1 e^{M2/(T - tau)} / eps^delta = 20 e^4 for T - tau = 0.5
+# and eps = 0.1
+_FIT = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0, K1=2.0, K2=1.0,
+                           M1=2.0, M2=2.0, delta=1.0, T=1.0, n_members=2)
 
 
 class TestCostStudy:
@@ -371,13 +360,21 @@ class TestCostStudy:
         assert one_eps.slope is None
 
     def test_fitted_delta_is_reported(self, iv_ops, ctrl_sched):
-        fit = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0,
-                                  K1=2.0, K2=1.0, M1=2.0, M2=2.0, delta=1.0,
-                                  T=1.0, n_members=2)
         st = unit_random_state(iv_ops, 88)
         study = dh.cost_study(iv_ops, dh.ControlProblem(tau=0.5, eps=0.1),
-                              ctrl_sched, [0.2, 0.1], st[:, None], constants=fit)
+                              ctrl_sched, [0.2, 0.1], st[:, None], constants=_FIT)
         assert study.delta_fitted == 1.0
+        assert study.all_certified
+
+    def test_fitted_seed_starts_the_first_level(self, iv_ops, ctrl_sched):
+        """The first eps level starts from M1 e^{M2/(T - tau)} / eps^delta;
+        where that seed certifies, the level's kappa is the seed itself,
+        with no doubling."""
+        st = unit_random_state(iv_ops, 83)
+        study = dh.cost_study(iv_ops, dh.ControlProblem(tau=0.5, eps=0.1),
+                              ctrl_sched, [0.1], st[:, None], constants=_FIT)
+        assert study.rows[0].kappa == _FIT.kappa0(ctrl_sched.t1 - 0.5, 0.1)
+        assert study.rows[0].kappa == pytest.approx(20.0 * np.exp(4.0), rel=1e-12)
         assert study.all_certified
 
 
@@ -487,9 +484,9 @@ class TestReducedGramian:
             kappa *= 2.0
         if expected is None:
             with pytest.raises(dh.CalibrationError):
-                dh.calibrate_kappa(ops, prob, sched, states, kappa0=seed, budget=budget)
+                _ladder(ops, sched, prob, states, seed, budget)
         else:
-            cal = dh.calibrate_kappa(ops, prob, sched, states, kappa0=seed, budget=budget)
+            cal = _ladder(ops, sched, prob, states, seed, budget)
             assert (cal.kappa, cal.doublings) == expected
 
     def test_large_kappa_over_eps_keeps_the_propagated_ladder(self):
@@ -504,7 +501,7 @@ class TestReducedGramian:
         states = np.column_stack([unit_random_state(ops, 95 + k) for k in range(2)])
         expected = _propagated_ladder(ops, sched, prob, states, 1.0, 30)
         assert expected is not None and expected[0] >= 1e4 * prob.eps
-        cal = dh.calibrate_kappa(ops, prob, sched, states, kappa0=1.0, budget=30)
+        cal = _ladder(ops, sched, prob, states, 1.0, 30)
         assert (cal.kappa, cal.doublings) == expected
         co = ControlOperator(ops, sched, prob.tau)
         flows = ctl._free_flows(co, states)
@@ -539,9 +536,9 @@ class TestReducedGramian:
         ladder from its seed: the same kappa and doublings, h to 1e-9."""
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
         states = _mixed_ensemble(iv_ops)
-        warm = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=1.0)
+        warm = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states)
         monkeypatch.setattr(ctl, "REDUCED_GRAMIAN_MAX_ENTRIES", iv_ops.n_dofs - 1)
-        cold = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states, kappa0=1.0)
+        cold = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states)
         assert (cold.kappa, cold.doublings) == (warm.kappa, warm.doublings)
         for w, c in zip(warm.results[:-1], cold.results[:-1]):
             assert w.flags == c.flags

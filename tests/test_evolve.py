@@ -9,7 +9,7 @@ import dynheat as dh
 from dynheat.control import ControlOperator
 from dynheat.discretize import OperatorSet
 
-from conftest import frozen_step_solver, theta_broken, unit_random_state
+from conftest import dense_A, frozen_step_solver, theta_broken, unit_random_state
 
 
 class TestSchedule:
@@ -259,7 +259,7 @@ class TestFlowProperties:
         st = unit_random_state(ops, 25)
         sched = dh.Schedule(0.0, 0.25, 1e-3)
         final, _ = dh.propagate(ops, st, sched)
-        expect = sla.expm(0.25 * ops.dense_A()) @ st
+        expect = sla.expm(0.25 * dense_A(ops)) @ st
         err = ops.norm(final - expect) / ops.norm(expect)
         assert err < 1e-3
 
@@ -337,7 +337,7 @@ class TestImpulsiveFlow:
         assert rec.times == pytest.approx(
             np.concatenate([leg1.times, leg2.times]))
         assert info["tau_effective"] == pytest.approx(0.5)
-        assert info["steps_before"] == 50
+        assert sched.kick_step(0.5) == 50
         assert info["norm_after_kick"] == pytest.approx(iv_ops.norm(kicked))
 
     def test_tau_snaps_to_step_grid(self, iv_small_ops):
@@ -350,7 +350,7 @@ class TestImpulsiveFlow:
         _, _, info = dh.propagate_impulsive(
             iv_small_ops, st, 0.03, payload, sched)
         assert info["tau_effective"] == pytest.approx(0.1)
-        assert info["steps_before"] == 1
+        assert sched.kick_step(0.03) == 1
 
     def test_tau_outside_window_rejected(self, iv_small_ops):
         sched = dh.Schedule(0.0, 1.0, 0.1)
@@ -359,6 +359,18 @@ class TestImpulsiveFlow:
         for bad in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(dh.ConfigurationError):
                 dh.propagate_impulsive(iv_small_ops, st, bad, payload, sched)
+
+    def test_one_step_schedule_has_no_kick_step(self, iv_small_ops):
+        """A kick needs a step before it and one after: with one step over
+        [t0, t1] no step in [1, steps - 1] exists, and the error names the
+        two config keys that set it."""
+        sched = dh.Schedule(0.0, 1.0, 1.0)
+        with pytest.raises(dh.ConfigurationError, match=r"impulse\.tau.*time\.dt"):
+            sched.kick_step(0.5)
+        with pytest.raises(dh.ConfigurationError, match="before and after the kick"):
+            dh.propagate_impulsive(iv_small_ops, unit_random_state(iv_small_ops, 30), 0.5,
+                                   np.zeros(iv_small_ops.grid.omega_idx.size), sched)
+        assert dh.Schedule(0.0, 1.0, 0.5).kick_step(0.9) == 1
 
     def test_control_snaps_tau_as_the_impulsive_flow_does(self, iv_small_ops):
         """Schedule.kick_step is the one snap: the impulsive flow and the
@@ -371,7 +383,7 @@ class TestImpulsiveFlow:
             assert sched.kick_step(tau) == n_tau
             _, _, info = dh.propagate_impulsive(iv_small_ops, st, tau, payload, sched)
             co = ControlOperator(iv_small_ops, sched, tau)
-            assert info["steps_before"] == co.n_tau == n_tau
+            assert co.n_tau == n_tau
             assert info["tau_effective"] == co.tau_effective
         for bad in (0.0, 1.0):
             with pytest.raises(dh.ConfigurationError, match="strictly inside"):

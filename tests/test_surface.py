@@ -71,3 +71,40 @@ def test_benchmark_tracer_target_resolves(module, name):
 def test_benchmark_reads_the_direct_solve_threshold():
     from dynheat import evolve
     assert isinstance(evolve.DIRECT_SOLVE_MAX_DOFS, int)
+
+
+# library names that wait for the production caller a ROADMAP item gives them
+_AWAITING_CALLER = {
+    ("control", "verify_duality"),  # item 3: control writes its duality residual
+    ("logconvexity", "count_observability_violations"),  # item 2: held-out check
+}
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    """A public function, class or method that nothing else under
+    src/dynheat references is library code without a production caller:
+    tests, demos, the README and the re-exports in __init__ do not count.
+    The benchmark's tracer targets and _AWAITING_CALLER are exempt."""
+    package = ROOT / "src" / "dynheat"
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.stem != "__init__"}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    defined = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.update((module, f"{node.name}.{item.name}", item.name)
+                               for item in node.body if isinstance(item, ast.FunctionDef))
+    exempt = set(_tracer_targets()) | _AWAITING_CALLER
+    unused = sorted(f"{module}.{qualname}" for module, qualname, name in defined
+                    if not name.startswith("_") and name not in referenced
+                    and (module, qualname) not in exempt)
+    assert unused == []
