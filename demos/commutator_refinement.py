@@ -11,8 +11,9 @@ import dynheat as dh
 from dynheat import logconvexity as lc
 
 
-def show(report, labels):
+def show(report):
     print("  resolution   spacing     relative residual   order")
+    labels = ["x".join(map(str, r.values())) for r in report.resolutions]
     orders = ["    -"] + [f"{o:.3f}" for o in report.orders]
     for lab, sp, rel, order in zip(labels, report.spacings,
                                    report.rel_residual, orders):
@@ -25,16 +26,16 @@ def main():
     interval = dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 0.7)
     bump = lc.InteriorBump([0.45], 0.3)
     rep = lc.commutator_identity_check(interval, params, 0.5, bump,
-                                       [64, 128, 256, 512])
+                                       [{"n": n} for n in (64, 128, 256, 512)])
     print("interval, bump at 0.45 with width 0.3")
-    show(rep, [str(r) for r in rep.resolutions])
+    show(rep)
 
     disk = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), 0.5)
     dbump = lc.InteriorBump((0.0, 0.0), 0.55)
-    drep = lc.commutator_identity_check(disk, params, 0.5, dbump,
-                                        [(4, 12), (8, 24), (16, 48), (32, 96)])
+    drep = lc.commutator_identity_check(
+        disk, params, 0.5, dbump, [{"nr": nr, "ntheta": 3 * nr} for nr in (4, 8, 16, 32)])
     print("\ncentered disk, radial bump with width 0.55")
-    show(drep, [f"{nr}x{nt}" for nr, nt in drep.resolutions])
+    show(drep)
     print(f"\nmonotone decrease: {bool(np.all(np.diff(drep.rel_residual) < 0))}")
 
 

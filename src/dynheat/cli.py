@@ -148,21 +148,18 @@ def _cmd_commutator_check(cfg, out_dir):
     params = cfg.weight_params()
     t_check = 0.5 * params.T
     if domain.kind == "interval":
-        n0 = cfg.grid_args["n"]
-        resolutions = [n0, 2 * n0, 4 * n0]
         center = [domain.interval_center]
-        width = 0.3 * abs(cfg.domain_args["b"] - cfg.domain_args["a"])
+        width = 0.3 * (domain.b - domain.a)
     else:
-        nr0, nt0 = cfg.grid_args["nr"], cfg.grid_args["ntheta"]
-        resolutions = [(nr0, nt0), (2 * nr0, 2 * nt0), (4 * nr0, 4 * nt0)]
         center = list(domain.center)
         width = 0.55 * domain.radius
     family = lc.InteriorBump(center=center, width=width)
+    resolutions = [{key: level * value for key, value in cfg.grid_args.items()}
+                   for level in (1, 2, 4)]
     rep = lc.commutator_identity_check(domain, params, t_check, family,
                                        resolutions)
 
-    res_labels = [str(r) if domain.kind == "interval" else f"{r[0]}x{r[1]}"
-                  for r in rep.resolutions]
+    res_labels = ["x".join(map(str, r.values())) for r in rep.resolutions]
     rows = [[res_labels[i], rep.spacings[i], rep.lhs[i], rep.rhs[i],
              rep.rel_residual[i]] for i in range(len(res_labels))]
     doc = {

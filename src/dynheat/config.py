@@ -3,13 +3,18 @@
 The file format is INI-style sections.  Every key is checked against the
 schema for its section and unknown keys are rejected by name, so a typo in
 a tolerance key fails the run instead of silently using a default.
+
+domain.kind picks the [domain], [omega] and [grid] keys (see _KINDS):
+interval takes a, b, x0; lo, hi; n.  disk takes center, radius, x0 (a
+pair); center, radius; nr, ntheta.  A key of the other kind is rejected
+by name as well.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .control import DEFAULT_CG_MAXIT, DEFAULT_CG_TOL
 from .discretize import build_grid
@@ -17,7 +22,8 @@ from .errors import ConfigurationError
 from .evolve import SCHEMES, Schedule
 from .geometry import DomainSpec, WeightParams
 
-# section -> {key: (parser, required)}; parsers raise ValueError on bad text
+# parsers turn the text of one value into its value and raise ValueError on
+# bad text
 _INT = int
 
 
@@ -49,11 +55,13 @@ def _count(text):
     return value
 
 
-def _scheme(text):
-    name = text.strip()
-    if name not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {name!r}")
-    return name
+def _one_of(*names):
+    def parse(text):
+        name = text.strip()
+        if name not in names:
+            raise ValueError(f"expected {' or '.join(names)}, got {name!r}")
+        return name
+    return parse
 
 
 def _kappa_mode(text):
@@ -63,17 +71,28 @@ def _kappa_mode(text):
     return _FLOAT(name)
 
 
+# domain.kind -> (DomainSpec constructor, x0 parser, the [domain] and [omega]
+# keys in the order the constructor takes them, the [grid] keys)
+_KINDS = {
+    "interval": (DomainSpec.interval, _FLOAT,
+                 {"domain": ("a", "b", "x0"), "omega": ("lo", "hi")}, ("n",)),
+    "disk": (DomainSpec.disk, _pair,
+             {"domain": ("center", "radius", "x0"), "omega": ("center", "radius")},
+             ("nr", "ntheta")),
+}
+
+# section -> {key: parser}; domain.x0 is parsed by its kind's parser
 _SCHEMA = {
-    "domain": {"kind": str, "a": _FLOAT, "b": _FLOAT, "center": _pair,
+    "domain": {"kind": _one_of(*_KINDS), "a": _FLOAT, "b": _FLOAT, "center": _pair,
                "radius": _FLOAT, "x0": str},
     "omega": {"lo": _FLOAT, "hi": _FLOAT, "center": _pair, "radius": _FLOAT},
     "grid": {"n": _INT, "nr": _INT, "ntheta": _INT},
     "weight": {"s": _FLOAT, "h_weight": _FLOAT, "ell": _FLOAT},
-    "time": {"T": _FLOAT, "dt": _FLOAT, "scheme": _scheme},
+    "time": {"T": _FLOAT, "dt": _FLOAT, "scheme": _one_of(*SCHEMES)},
     "impulse": {"tau": _FLOAT},
     "control": {"eps": _float_list, "kappa": _kappa_mode, "cg_tol": _FLOAT,
                 "cg_maxit": _INT},
-    "ensemble": {"count": _count, "seed": _count, "initial": str},
+    "ensemble": {"count": _count, "seed": _count, "initial": _one_of("random", "zero")},
     "output": {"dir": str},
 }
 
@@ -82,9 +101,7 @@ _SCHEMA = {
 class RunConfig:
     """Validated run parameters, one attribute per config block."""
 
-    domain_kind: str
-    domain_args: dict
-    omega_args: dict
+    domain_spec: DomainSpec
     grid_args: dict
     s: float
     h_weight: float
@@ -101,22 +118,9 @@ class RunConfig:
     seed: int
     initial: str = "random"
     out_dir: str | None = None
-    _domain: DomainSpec = field(default=None, repr=False, compare=False)
 
     def domain(self):
-        if self._domain is None:
-            if self.domain_kind == "interval":
-                spec = DomainSpec.interval(
-                    self.domain_args["a"], self.domain_args["b"],
-                    self.domain_args["x0"],
-                    self.omega_args["lo"], self.omega_args["hi"])
-            else:
-                spec = DomainSpec.disk(
-                    self.domain_args["center"], self.domain_args["radius"],
-                    self.domain_args["x0"],
-                    self.omega_args["center"], self.omega_args["radius"])
-            object.__setattr__(self, "_domain", spec)
-        return self._domain
+        return self.domain_spec
 
     def grid(self):
         return build_grid(self.domain(), **self.grid_args)
@@ -168,53 +172,31 @@ def load_config(path):
         raise ConfigurationError(f"config file not found: {path}")
     sections = _parse_sections(parser)
 
-    kind = _get(sections, "domain", "kind", required=True).strip()
-    if kind == "interval":
-        x0_raw = _get(sections, "domain", "x0", required=True)
-        try:
-            x0 = _FLOAT(x0_raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"invalid value for domain.x0: {exc}") from exc
-        domain_args = {
-            "a": _get(sections, "domain", "a", required=True),
-            "b": _get(sections, "domain", "b", required=True),
-            "x0": x0,
-        }
-        omega_args = {
-            "lo": _get(sections, "omega", "lo", required=True),
-            "hi": _get(sections, "omega", "hi", required=True),
-        }
-        grid_args = {"n": _get(sections, "grid", "n", required=True)}
-    elif kind == "disk":
-        x0_raw = _get(sections, "domain", "x0", required=True)
-        try:
-            x0 = _pair(x0_raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"invalid value for domain.x0: {exc}") from exc
-        domain_args = {
-            "center": _get(sections, "domain", "center", required=True),
-            "radius": _get(sections, "domain", "radius", required=True),
-            "x0": x0,
-        }
-        omega_args = {
-            "center": _get(sections, "omega", "center", required=True),
-            "radius": _get(sections, "omega", "radius", required=True),
-        }
-        grid_args = {
-            "nr": _get(sections, "grid", "nr", required=True),
-            "ntheta": _get(sections, "grid", "ntheta", required=True),
-        }
-    else:
-        raise ConfigurationError(
-            f"invalid value for domain.kind: expected interval or disk, got {kind!r}")
+    kind = _get(sections, "domain", "kind", required=True)
+    construct, x0_parser, domain_keys, grid_keys = _KINDS[kind]
+    for section, keys in {**domain_keys, "grid": grid_keys}.items():
+        for key in sections.get(section, {}):
+            if key != "kind" and key not in keys:
+                raise ConfigurationError(
+                    f"config key {section}.{key} does not apply to domain.kind = {kind}")
+    try:
+        sections["domain"]["x0"] = x0_parser(
+            _get(sections, "domain", "x0", required=True))
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid value for domain.x0: {exc}") from exc
+    args = [_get(sections, section, key, required=True)
+            for section, keys in domain_keys.items() for key in keys]
+    # fail fast on geometric inconsistencies so the error names the block
+    try:
+        domain = construct(*args)
+    except ConfigurationError:
+        raise
+    except Exception as exc:
+        raise ConfigurationError(f"invalid [domain]/[omega] block: {exc}") from exc
 
     cfg = RunConfig(
-        domain_kind=kind,
-        domain_args=domain_args,
-        omega_args=omega_args,
-        grid_args=grid_args,
+        domain_spec=domain,
+        grid_args={key: _get(sections, "grid", key, required=True) for key in grid_keys},
         s=_get(sections, "weight", "s", 0.5),
         h_weight=_get(sections, "weight", "h_weight", 0.5),
         ell=_get(sections, "weight", "ell", 4.0),
@@ -231,17 +213,6 @@ def load_config(path):
         initial=_get(sections, "ensemble", "initial", "random"),
         out_dir=_get(sections, "output", "dir"),
     )
-    if cfg.initial not in ("random", "zero"):
-        raise ConfigurationError(
-            f"invalid value for ensemble.initial: expected random or zero, "
-            f"got {cfg.initial!r}")
-    # fail fast on geometric inconsistencies so the error names the block
-    try:
-        cfg.domain()
-    except ConfigurationError:
-        raise
-    except Exception as exc:
-        raise ConfigurationError(f"invalid [domain]/[omega] block: {exc}") from exc
-    # and on a [time] block that makes no schedule, whichever stage runs
+    # fail fast on a [time] block that makes no schedule, whichever stage runs
     cfg.schedule()
     return cfg

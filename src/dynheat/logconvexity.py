@@ -367,21 +367,17 @@ def commutator_rhs(ops, params, t, family):
 def commutator_identity_check(domain, params, t, family, resolutions):
     """Refinement study of LHS = Q(F) against the closed-form right side.
 
-    resolutions: list of n (interval) or (nr, ntheta) pairs (disk).  The
-    family is sampled on each grid; zero families yield zero residuals.
+    resolutions: list of build_grid keyword dicts, e.g. {"n": 64} on the
+    interval or {"nr": 8, "ntheta": 24} on the disk.  The family is sampled
+    on each grid; zero families yield zero residuals.
     """
     _require_constant_boundary_weight(domain)
     if len(resolutions) < 1:
         raise ConfigurationError("need at least one resolution")
     lhs_list, rhs_list, spacing = [], [], []
     for res in resolutions:
-        if domain.kind == "interval":
-            grid = build_grid(domain, n=res)
-            spacing.append(grid.spacing[0])
-        else:
-            nr, ntheta = res
-            grid = build_grid(domain, nr=nr, ntheta=ntheta)
-            spacing.append(grid.spacing[0])
+        grid = build_grid(domain, **res)
+        spacing.append(grid.spacing[0])
         ops = assemble_operator(grid)
         F = np.asarray(family.value(grid.points), dtype=float)
         lhs_list.append(commutator_form(ops, params, t, F))

@@ -131,13 +131,15 @@ def test_04_commutator_refinement():
     """Identity residuals vanish under refinement; interval at order two."""
     start = time.monotonic()
     iv = lc.commutator_identity_check(
-        INTERVAL, PARAMS, 0.5, lc.InteriorBump([0.45], 0.3), [64, 128, 256])
+        INTERVAL, PARAMS, 0.5, lc.InteriorBump([0.45], 0.3),
+        [{"n": 64}, {"n": 128}, {"n": 256}])
     assert np.all(np.diff(iv.rel_residual) < 0.0)
     assert np.all(iv.orders >= 1.9)
 
     dk = lc.commutator_identity_check(
         DISK, PARAMS, 0.5, lc.InteriorBump((0.0, 0.0), 0.55),
-        [(4, 12), (8, 24), (16, 48), (32, 96)])
+        [{"nr": 4, "ntheta": 12}, {"nr": 8, "ntheta": 24},
+         {"nr": 16, "ntheta": 48}, {"nr": 32, "ntheta": 96}])
     assert np.all(np.diff(dk.rel_residual) < 0.0)
 
     elapsed = time.monotonic() - start

@@ -187,6 +187,20 @@ class TestPipeline:
         assert len(fits) == 1 and read == fits
 
 
+@pytest.mark.parametrize("text, labels", [
+    pytest.param(CONFIG, ["16", "32", "64"], id="interval"),
+    pytest.param(DISK_CONFIG, ["6x16", "12x32", "24x64"], id="disk")])
+def test_commutator_check_refines_the_configured_grid(tmp_path, text, labels):
+    """commutator-check refines [grid] by 1, 2 and 4 and labels each level
+    by its grid counts joined with x."""
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert main(["commutator-check", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "commutator.json").read_text())["resolutions"] == labels
+    rows = (tmp_path / "commutator_residuals.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == labels
+
+
 def _frozen_unit_random_states(ops, count, seed):
     """The member-by-member draw as it stood before states were one block:
     count draws of n normals, each scaled by its own mass norm."""
@@ -273,6 +287,24 @@ class TestConfigErrors:
         bad = self.write(tmp_path, CONFIG.replace("x0 = 0.5\n", ""))
         assert main(["simulate", "--config", bad, "--out", str(tmp_path)]) == 2
         assert "domain.x0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, kind, section, line", [
+        pytest.param(CONFIG, "interval", "domain", "radius = -7", id="interval-domain.radius"),
+        pytest.param(CONFIG, "interval", "domain", "center = 9, 9", id="interval-domain.center"),
+        pytest.param(CONFIG, "interval", "omega", "radius = 0.1", id="interval-omega.radius"),
+        pytest.param(CONFIG, "interval", "grid", "nr = 3", id="interval-grid.nr"),
+        pytest.param(CONFIG, "interval", "grid", "ntheta = 2", id="interval-grid.ntheta"),
+        pytest.param(DISK_CONFIG, "disk", "grid", "n = 5", id="disk-grid.n"),
+        pytest.param(DISK_CONFIG, "disk", "domain", "a = 3", id="disk-domain.a"),
+        pytest.param(DISK_CONFIG, "disk", "domain", "b = -1", id="disk-domain.b")])
+    def test_key_of_the_other_kind_is_named(self, tmp_path, capsys, text, kind, section,
+                                            line):
+        bad = self.write(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{line.split()[0]}" in err and kind in err
+        assert not out.exists()
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = self.write(tmp_path, "kind = interval\nno section header\n")

@@ -303,7 +303,7 @@ class TestCommutatorIdentity:
     def test_interval_refinement_is_second_order(self, iv_domain, params):
         bump = lc.InteriorBump([0.45], 0.3)
         rep = lc.commutator_identity_check(iv_domain, params, 0.5, bump,
-                                           [64, 128, 256])
+                                           [{"n": 64}, {"n": 128}, {"n": 256}])
         assert np.all(np.diff(rep.rel_residual) < 0.0)
         assert np.all(rep.orders > 1.85)
 
@@ -311,18 +311,20 @@ class TestCommutatorIdentity:
         dom = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), 0.5)
         bump = lc.InteriorBump((0.0, 0.0), 0.55)
         rep = lc.commutator_identity_check(dom, params, 0.5, bump,
-                                           [(4, 12), (8, 24), (16, 48)])
+                                           [{"nr": 4, "ntheta": 12}, {"nr": 8, "ntheta": 24},
+                                            {"nr": 16, "ntheta": 48}])
         assert np.all(np.diff(rep.rel_residual) < 0.0)
 
     def test_off_center_disk_anchor_rejected(self, params):
         dom = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.2, 0.0), (0.0, 0.0), 0.5)
         bump = lc.InteriorBump((0.0, 0.0), 0.5)
         with pytest.raises(dh.ConfigurationError):
-            lc.commutator_identity_check(dom, params, 0.5, bump, [(4, 12)])
+            lc.commutator_identity_check(dom, params, 0.5, bump, [{"nr": 4, "ntheta": 12}])
 
     def test_zero_family_gives_zero_residual(self, iv_domain, params):
         outside = lc.InteriorBump([5.0], 0.2)
-        rep = lc.commutator_identity_check(iv_domain, params, 0.5, outside, [32, 64])
+        rep = lc.commutator_identity_check(iv_domain, params, 0.5, outside,
+                                           [{"n": 32}, {"n": 64}])
         assert np.all(rep.lhs == rep.rhs)
 
     def test_empty_resolutions_rejected(self, iv_domain, params):

@@ -68,6 +68,26 @@ def test_benchmark_tracer_target_resolves(module, name):
     assert callable(owner)
 
 
+def _workload_configs():
+    """The config text of every perfbench/workloads.py template at its
+    benchmark and its test size, one param per workload and size."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    return [pytest.param(w.config_text(w.input_seeds(0)[0], tiny), id=f"{name}-{size}")
+            for name, w in workloads.items()
+            for size, tiny in (("params", False), ("tiny", True))]
+
+
+@pytest.mark.parametrize("text", _workload_configs())
+def test_benchmark_setup_probe_runs(text, tmp_path, capsys):
+    """perfbench/setup_probe.py reads load_config, RunConfig.domain(),
+    grid_args, dt and scheme; a RunConfig that loses one would fail only
+    the benchmark's setup_s run."""
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    runpy.run_path(str(ROOT / "perfbench" / "setup_probe.py"))["main"](str(path))
+    assert float(capsys.readouterr().out) > 0.0
+
+
 def test_benchmark_reads_the_direct_solve_threshold():
     from dynheat import evolve
     assert isinstance(evolve.DIRECT_SOLVE_MAX_DOFS, int)
