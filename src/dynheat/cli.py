@@ -63,6 +63,16 @@ def _unit_random_states(ops, count, seed, initial):
     return block / ops.norm(block)
 
 
+def _interpolation_triples(seed, members, n_times):
+    """Ten triples of distinct sample indices per member, each sorted, as
+    an integer array (members, 10, 3), drawn in one call from
+    default_rng((seed, 2)): the indices of the three smallest of n_times
+    uniform numbers.  Those numbers come in a uniformly random order, so
+    every sorted triple is equally likely."""
+    draws = np.random.default_rng((seed, 2)).random((members, 10, n_times))
+    return np.sort(np.argsort(draws, axis=-1)[..., :3], axis=-1)
+
+
 def _cmd_simulate(cfg, out_dir):
     grid = cfg.grid()
     ops = assemble_operator(grid)
@@ -116,11 +126,8 @@ def _cmd_observe(cfg, out_dir):
     C = lc.fit_bound_constant(traces)
     bound_violations = sum(lc.count_bound_violations(tr, C) for tr in traces)
 
-    # ten sorted triples of distinct samples per member, member by member
-    rng = np.random.default_rng((cfg.seed, 2))
-    n_times = traces[0].t.size
-    triples = np.array([np.sort(rng.choice(n_times, size=3, replace=False))
-                        for _ in range(10 * len(traces))]).reshape(len(traces), 10, 3)
+    # ten sorted triples of distinct samples per member, all in one draw
+    triples = _interpolation_triples(cfg.seed, len(traces), traces[0].t.size)
     interp = lc.interpolation_check(traces[0].t, np.array([tr.normF2 for tr in traces]),
                                     params, C, triples)
     interp_violations = np.count_nonzero(~interp.passed)

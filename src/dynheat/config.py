@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .control import DEFAULT_CG_MAXIT, DEFAULT_CG_TOL
-from .discretize import build_grid
+from .discretize import build_grid, check_grid_size
 from .errors import ConfigurationError
 from .evolve import SCHEMES, Schedule
 from .geometry import DomainSpec, WeightParams
@@ -213,6 +213,8 @@ def load_config(path):
         initial=_get(sections, "ensemble", "initial", "random"),
         out_dir=_get(sections, "output", "dir"),
     )
-    # fail fast on a [time] block that makes no schedule, whichever stage runs
+    # fail fast on a [grid] block that makes no grid, or a [time] block that
+    # makes no schedule, whichever stage runs
+    check_grid_size(kind, **cfg.grid_args)
     cfg.schedule()
     return cfg

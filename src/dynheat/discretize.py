@@ -56,6 +56,9 @@ from .errors import ConfigurationError, UsageError
 MIN_INTERVAL_NODES = 4
 MIN_RADIAL_CELLS = 2
 MIN_ANGULAR_CELLS = 4
+# D's row pointers count its two entries per edge in int32, and a disk grid
+# has two edges per node, so no grid may have more nodes
+MAX_NODES = np.iinfo(np.int32).max // 4
 
 
 @dataclass(frozen=True)
@@ -91,28 +94,44 @@ class Grid:
         return self.w_bulk + self.w_trace
 
 
-def build_grid(domain, n=None, nr=None, ntheta=None):
-    """Build the grid matching the domain kind.
-
-    Interval: n equally spaced nodes including both endpoints.
-    Disk: nr interior rings at radii (i + 1/2) dr plus a boundary ring of
-    ntheta nodes at r = R, with dr = R / (nr + 1/2).
-    """
-    if domain.kind == "interval":
+def check_grid_size(kind, n=None, nr=None, ntheta=None):
+    """Check build_grid's sizes for a domain kind without allocating:
+    ConfigurationError for a missing size, one below its minimum, or a
+    grid of more than MAX_NODES nodes, naming the [grid] keys."""
+    if kind == "interval":
         if n is None:
             raise ConfigurationError("interval grid needs n")
         n = int(n)
         if n < MIN_INTERVAL_NODES:
             raise ConfigurationError(f"interval grid needs n >= {MIN_INTERVAL_NODES}, got {n}")
-        return _interval_grid(domain, n)
-    if nr is None or ntheta is None:
-        raise ConfigurationError("disk grid needs nr and ntheta")
-    nr, ntheta = int(nr), int(ntheta)
-    if nr < MIN_RADIAL_CELLS or ntheta < MIN_ANGULAR_CELLS:
+        nodes, keys = n, f"grid.n = {n}"
+    else:
+        if nr is None or ntheta is None:
+            raise ConfigurationError("disk grid needs nr and ntheta")
+        nr, ntheta = int(nr), int(ntheta)
+        if nr < MIN_RADIAL_CELLS or ntheta < MIN_ANGULAR_CELLS:
+            raise ConfigurationError(
+                f"disk grid needs nr >= {MIN_RADIAL_CELLS} and ntheta >= {MIN_ANGULAR_CELLS}, "
+                f"got nr={nr}, ntheta={ntheta}")
+        nodes, keys = (nr + 1) * ntheta, f"grid.nr = {nr} and grid.ntheta = {ntheta}"
+    if nodes > MAX_NODES:
         raise ConfigurationError(
-            f"disk grid needs nr >= {MIN_RADIAL_CELLS} and ntheta >= {MIN_ANGULAR_CELLS}, "
-            f"got nr={nr}, ntheta={ntheta}")
-    return _disk_grid(domain, nr, ntheta)
+            f"a grid of {nodes} nodes ({keys}) is larger than the {MAX_NODES} "
+            f"nodes that the int32 indices of K and D can address")
+
+
+def build_grid(domain, n=None, nr=None, ntheta=None):
+    """Build the grid matching the domain kind, its sizes checked first
+    (check_grid_size).
+
+    Interval: n equally spaced nodes including both endpoints.
+    Disk: nr interior rings at radii (i + 1/2) dr plus a boundary ring of
+    ntheta nodes at r = R, with dr = R / (nr + 1/2).
+    """
+    check_grid_size(domain.kind, n, nr, ntheta)
+    if domain.kind == "interval":
+        return _interval_grid(domain, int(n))
+    return _disk_grid(domain, int(nr), int(ntheta))
 
 
 def _interval_grid(domain, n):
@@ -185,7 +204,8 @@ def per_node(w, u):
 
 
 def column_dots(a, b):
-    """Sum of a * b over two states, or down each column of two blocks.
+    """Sum of a * b over two states, or down each column (axis 0) of two
+    blocks, (n, m) or (n, S, m).
 
     The product is formed in Fortran order, so np.sum takes numpy's
     pairwise sum over each contiguous column as over one state: a block's

@@ -10,7 +10,8 @@ import pytest
 from dynheat import FitFailureError, cli, control as ctl, evolve, logconvexity as lc
 from dynheat.cli import main
 from dynheat.discretize import OperatorSet, assemble_operator
-from dynheat.reporting import ARTIFACTS, SECTION_PASSED, canonical_json
+from dynheat.errors import UsageError
+from dynheat.reporting import ARTIFACTS, SECTION_PASSED, canonical_json, csv_text
 
 from conftest import theta_broken
 
@@ -396,6 +397,62 @@ class TestConfigErrors:
         assert time.perf_counter() - start < 1.0
         assert "time.dt" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, old, new, key", [
+        (CONFIG, "n = 16", "n = 1000000000000", "grid.n = 1000000000000"),
+        (DISK_CONFIG, "ntheta = 16", "ntheta = 1000000000000",
+         "grid.ntheta = 1000000000000")], ids=["interval", "disk"])
+    @pytest.mark.parametrize("stage", PIPELINE)
+    def test_unallocatable_grid_size_is_named(self, tmp_path, capsys, stage, text, old,
+                                              new, key):
+        """A grid of 10^12 nodes, which numpy would refuse to allocate,
+        exits 2 naming its [grid] key before any stage starts, instead of
+        a MemoryError traceback."""
+        bad = self.write(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        assert main([stage, "--config", bad, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestInterpolationTriples:
+    def test_sorted_distinct_in_range_and_seeded(self):
+        triples = cli._interpolation_triples(7, 5, 51)
+        assert triples.shape == (5, 10, 3)
+        assert np.all(np.diff(triples, axis=-1) > 0)
+        assert triples.min() >= 0 and triples.max() < 51
+        assert np.array_equal(triples, cli._interpolation_triples(7, 5, 51))
+        assert not np.array_equal(triples, cli._interpolation_triples(8, 5, 51))
+        assert np.array_equal(cli._interpolation_triples(7, 2, 3),
+                              np.broadcast_to([0, 1, 2], (2, 10, 3)))
+
+    def test_every_sorted_triple_is_equally_likely(self):
+        """20,000 triples of 6 samples hit each of the 20 sorted triples;
+        their counts pass a chi-square test at the 0.001 level (19 degrees
+        of freedom)."""
+        triples = cli._interpolation_triples(7, 2000, 6).reshape(-1, 3)
+        counts = np.unique(triples @ [36, 6, 1], return_counts=True)[1]
+        assert counts.size == 20
+        assert np.sum((counts - 1000.0) ** 2 / 1000.0) < 43.82
+
+
+def test_csv_of_a_float_array_is_the_cell_by_cell_text():
+    """A float64 array of rows renders the bytes of its rows as lists,
+    and a non-finite value raises the same UsageError on both paths."""
+    header = ["a", "b", "c", "d"]
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((9, 4)) * 10.0 ** rng.integers(-300, 300, (9, 4))
+    rows[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
+    assert csv_text(header, rows) == csv_text(header, rows.tolist())
+    assert csv_text(header, rows[:0]) == csv_text(header, []) == "a,b,c,d\n"
+    for value in (np.nan, np.inf, -np.inf):
+        bad = rows.copy()
+        bad[4, 1], bad[6, 0] = value, np.nan
+        with pytest.raises(UsageError) as fast:
+            csv_text(header, bad)
+        with pytest.raises(UsageError) as slow:
+            csv_text(header, bad.tolist())
+        assert str(fast.value) == str(slow.value)
 
 
 class TestStiffnessFormedWhereRead:

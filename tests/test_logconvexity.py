@@ -462,6 +462,58 @@ def _mixed_members(ops, sched):
                             lc.diverse_ensemble(ops, 5, seed=9, sched=sched)[:, 2:4]])
 
 
+def _traced_products(monkeypatch, ops, params, members, sched):
+    """Copies of every block that run_traces multiplies by K, in order;
+    a product by D or an edge flux fails the trace."""
+    products = []
+
+    class CountingK(type(ops.K)):
+        def __matmul__(self, other):
+            products.append(np.array(other))
+            return super().__matmul__(other)
+
+    counting = CountingK(ops.K)
+
+    def refuse_incidence(self):
+        raise AssertionError("a trace took edge differences")
+
+    def refuse(self, u):
+        raise AssertionError("a trace formed an edge flux")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(OperatorSet, "K", property(lambda self: counting))
+        mp.setattr(OperatorSet, "incidence", property(refuse_incidence))
+        mp.setattr(OperatorSet, "edge_flux", refuse)
+        lc.run_traces(ops, params, members, sched)
+    return products
+
+
+def _assert_one_product_per_chunk(monkeypatch, ops, params, sched, m, chunk):
+    """A trace of m members takes one product by K per chunk of samples,
+    and each sample's block and its weighted copy G X enter exactly one
+    product, in order: 2 m (steps + 1) columns in all, whatever the chunk.
+    The step solvers, the disk's construction check included, take none,
+    and no edge differences are taken through D or edge_flux."""
+    n = ops.n_dofs
+    members = np.column_stack([unit_random_state(ops, 70 + j) for j in range(m)])
+    products = _traced_products(monkeypatch, ops, params, members, sched)
+    samples = list(dh.Propagator(ops, sched.dt, sched.scheme).trajectory(
+        members, sched.steps))
+    weights = list(lc._weights(ops, params, sched.times()))
+    assert len(products) == -(-len(samples) // chunk)
+    assert sum(P.shape[1] for P in products) == 2 * m * (sched.steps + 1)
+    k = 0
+    for P in products:
+        S = P.shape[1] // (2 * m)
+        assert P.shape == (n, 2 * m * S) and S <= chunk
+        X, GX = (half.reshape(n, S, m, order="F") for half in np.split(P, 2, axis=1))
+        for s in range(S):
+            assert np.array_equal(X[:, s], samples[k])
+            assert np.array_equal(GX[:, s], weights[k][1] * samples[k])
+            k += 1
+    assert k == len(samples)
+
+
 class TestBlockTrace:
     @pytest.mark.parametrize("which, T, dt, seed", [
         ("iv_ops", 1.0, 0.01, None), ("disk_ops", 1.0, 0.05, None),
@@ -554,33 +606,65 @@ class TestBlockTrace:
     @pytest.mark.parametrize("m", [1, 4])
     def test_one_product_by_K_per_sample(self, request, monkeypatch, params, sched,
                                          which, m):
-        """A trace over s samples takes s products by K, each of the block
-        and its weighted copy, whatever the number of members; the step
-        solvers, the disk's construction check included, take none.  No
-        edge differences are taken through D or edge_flux."""
+        """With TRACE_CHUNK at one sample of the block, a trace over s
+        samples takes s products by K, each of one sample's block and its
+        weighted copy, whatever the number of members (see
+        _assert_one_product_per_chunk)."""
         ops = request.getfixturevalue(which)
-        products = []
+        monkeypatch.setattr(lc, "TRACE_CHUNK", ops.n_dofs * m)
+        _assert_one_product_per_chunk(monkeypatch, ops, params, sched, m, 1)
 
-        class CountingK(type(ops.K)):
-            def __matmul__(self, other):
-                products.append(np.shape(other))
-                return super().__matmul__(other)
+    @pytest.mark.parametrize("which", ["iv_small_ops", "disk_ops"])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("per", [None, 7])
+    def test_one_product_by_K_per_chunk(self, request, monkeypatch, params, sched,
+                                        which, m, per):
+        """A trace takes one product by K per chunk of
+        max(1, TRACE_CHUNK // (n m)) samples, at the default TRACE_CHUNK
+        or with it set to give per samples (see
+        _assert_one_product_per_chunk)."""
+        ops = request.getfixturevalue(which)
+        if per is not None:
+            monkeypatch.setattr(lc, "TRACE_CHUNK", per * ops.n_dofs * m)
+        _assert_one_product_per_chunk(monkeypatch, ops, params, sched, m,
+                                      max(1, lc.TRACE_CHUNK // (ops.n_dofs * m)))
 
-        counting = CountingK(ops.K)
+    def test_chunk_rule_at_benchmark_sizes(self, monkeypatch, iv_domain, wide_disk_ops):
+        """The observe ensembles of the benchmark: 20 members on the
+        32-node interval trace 12 samples per product by K, and 15
+        members on the 816-dof disk one sample per product, where larger
+        chunks were slower."""
+        ops = dh.assemble_operator(dh.build_grid(iv_domain, n=32))
+        sched = dh.Schedule(0.0, 0.5, 0.01)
+        members = lc.diverse_ensemble(ops, 20, 1, sched)
+        products = _traced_products(monkeypatch, ops, dh.WeightParams(s=0.5, h=0.5, T=0.5),
+                                    members, sched)
+        assert [P.shape[1] for P in products] == [2 * 20 * 12] * 4 + [2 * 20 * 3]
 
-        def refuse_incidence(self):
-            raise AssertionError("a trace took edge differences")
+        sched = dh.Schedule(0.0, 0.03, 0.01)
+        members = lc.diverse_ensemble(wide_disk_ops, 15, 1, sched)
+        products = _traced_products(monkeypatch, wide_disk_ops,
+                                    dh.WeightParams(s=0.5, h=0.5, T=0.03), members, sched)
+        assert [P.shape[1] for P in products] == [2 * 15] * 4
 
-        def refuse(self, u):
-            raise AssertionError("a trace formed an edge flux")
 
-        monkeypatch.setattr(OperatorSet, "K", property(lambda self: counting))
-        monkeypatch.setattr(OperatorSet, "incidence", property(refuse_incidence))
-        monkeypatch.setattr(OperatorSet, "edge_flux", refuse)
-        members = np.column_stack([unit_random_state(ops, 70 + j) for j in range(m)])
-        traces = lc.run_traces(ops, params, members, sched)
-        assert products.count((ops.n_dofs, 2 * m)) == traces[0].t.size == sched.steps + 1
-        assert len(products) == sched.steps + 1
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 40), m=st.integers(1, 6), steps=st.integers(2, 30),
+       chunk=st.integers(1, 4096))
+def test_chunked_traces_equal_per_sample_traces(iv_domain, n, m, steps, chunk):
+    """Traces whose forms are taken over chunks of samples, at any
+    TRACE_CHUNK, carry the bits of traces taken one sample at a time."""
+    ops = dh.assemble_operator(dh.build_grid(iv_domain, n=n))
+    params = dh.WeightParams(s=0.5, h=0.5, T=0.02 * steps)
+    sched = dh.Schedule(0.0, params.T, 0.02)
+    members = np.column_stack([unit_random_state(ops, 80 + j) for j in range(m)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lc, "TRACE_CHUNK", 1)
+        one_by_one = lc.run_traces(ops, params, members, sched)
+        mp.setattr(lc, "TRACE_CHUNK", chunk)
+        chunked = lc.run_traces(ops, params, members, sched)
+    for tr, ref in zip(chunked, one_by_one, strict=True):
+        assert_same_trace(tr, ref)
 
 
 class TestSharedFormKernel:
