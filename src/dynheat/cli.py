@@ -65,12 +65,17 @@ def _unit_random_states(ops, count, seed, initial):
 
 def _interpolation_triples(seed, members, n_times):
     """Ten triples of distinct sample indices per member, each sorted, as
-    an integer array (members, 10, 3), drawn in one call from
-    default_rng((seed, 2)): the indices of the three smallest of n_times
-    uniform numbers.  Those numbers come in a uniformly random order, so
-    every sorted triple is equally likely."""
-    draws = np.random.default_rng((seed, 2)).random((members, 10, n_times))
-    return np.sort(np.argsort(draws, axis=-1)[..., :3], axis=-1)
+    an integer array (members, 10, 3), drawn from default_rng((seed, 2)):
+    the indices of the three smallest of n_times uniform numbers.  Those
+    numbers come in a uniformly random order, so every sorted triple is
+    equally likely.  One call per member holds 10 n_times numbers and
+    draws the numbers of one (members, 10, n_times) call."""
+    rng = np.random.default_rng((seed, 2))
+    triples = np.empty((members, 10, 3), dtype=np.intp)
+    for j in range(members):
+        draws = rng.random((10, n_times))
+        triples[j] = np.sort(np.argpartition(draws, 2, axis=-1)[:, :3], axis=-1)
+    return triples
 
 
 def _cmd_simulate(cfg, out_dir):
@@ -126,7 +131,7 @@ def _cmd_observe(cfg, out_dir):
     C = lc.fit_bound_constant(traces)
     bound_violations = sum(lc.count_bound_violations(tr, C) for tr in traces)
 
-    # ten sorted triples of distinct samples per member, all in one draw
+    # ten sorted triples of distinct samples per member, one draw per member
     triples = _interpolation_triples(cfg.seed, len(traces), traces[0].t.size)
     interp = lc.interpolation_check(traces[0].t, np.array([tr.normF2 for tr in traces]),
                                     params, C, triples)

@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lapack
 
+from .discretize import per_node
 from .errors import ConfigurationError, NumericalError
 
 SCHEMES = ("crank_nicolson", "backward_euler")
@@ -224,10 +225,8 @@ class Propagator:
         self.scheme = scheme
         self._cn = scheme == "crank_nicolson"
         c = 0.5 * self.dt if self._cn else self.dt
-        # 2 M is exact, so the CN solve is 2 solve(M u) bit for bit; the
-        # column view scales a block
+        # 2 M is exact, so the CN solve is 2 solve(M u) bit for bit
         self._rhs_mass = 2.0 * ops.mass if self._cn else ops.mass
-        self._rhs_mass_col = self._rhs_mass[:, None]
         if ops.grid.domain.kind == "disk":
             self._solve = _DiskSolver(ops, c)
         else:
@@ -237,7 +236,7 @@ class Propagator:
 
     def step(self, u):
         """Advance one step of a state (n,) or a block of states (n, m)."""
-        x = self._solve((self._rhs_mass if u.ndim == 1 else self._rhs_mass_col) * u)
+        x = self._solve(per_node(self._rhs_mass, u) * u)
         if self._cn:
             x -= u
         return x

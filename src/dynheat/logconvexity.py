@@ -220,14 +220,9 @@ def _weighted_flow(ops, params, block, sched):
     for k in range(0, times.size, per):
         t = times[k:k + per]
         ws, Xs = zip(*[(next(weights), next(states)) for _ in t])
-        # one sample's weights and block are viewed as a chunk of one;
-        # several are copied into one, the blocks as (m, S, n) in C order,
-        # which is (n, S, m) in Fortran order
-        if t.size == 1:
-            w, X = ws[0][:, :, None], Xs[0][:, None]
-        else:
-            w, X = np.stack(ws, axis=2), np.stack([x.T for x in Xs], axis=1).T
-        forms = _forms(ops, w, X)
+        # the blocks are copied in as (m, S, n) in C order, which is
+        # (n, S, m) in Fortran order
+        forms = _forms(ops, np.stack(ws, axis=2), np.stack([x.T for x in Xs], axis=1).T)
         vanished = np.any(forms[0] <= 0.0, axis=1)
         if np.any(vanished):
             raise DegenerateDataError(f"weighted state vanished at t={t[np.argmax(vanished)]}")

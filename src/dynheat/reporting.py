@@ -56,15 +56,7 @@ def canonical_json(obj):
 
 
 def csv_text(header, rows):
-    """Render a table as deterministic CSV text.  A float64 array of rows
-    is formatted one row at a time, with the bytes of the cell-by-cell
-    path and its UsageError on the first non-finite value."""
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
-        bad = rows[~np.isfinite(rows)]
-        if bad.size:
-            format_float(bad[0])  # raises the UsageError naming it
-        row_fmt = ",".join([FLOAT_FMT] * rows.shape[1])
-        return "\n".join([",".join(header)] + [row_fmt % tuple(row) for row in rows.tolist()]) + "\n"
+    """Render a table as deterministic CSV text."""
     lines = [",".join(header)]
     for row in rows:
         cells = []

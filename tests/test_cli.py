@@ -10,8 +10,7 @@ import pytest
 from dynheat import FitFailureError, cli, control as ctl, evolve, logconvexity as lc
 from dynheat.cli import main
 from dynheat.discretize import OperatorSet, assemble_operator
-from dynheat.errors import UsageError
-from dynheat.reporting import ARTIFACTS, SECTION_PASSED, canonical_json, csv_text
+from dynheat.reporting import ARTIFACTS, SECTION_PASSED, canonical_json
 
 from conftest import theta_broken
 
@@ -426,6 +425,15 @@ class TestInterpolationTriples:
         assert np.array_equal(cli._interpolation_triples(7, 2, 3),
                               np.broadcast_to([0, 1, 2], (2, 10, 3)))
 
+    @pytest.mark.parametrize("seed, members, n_times", [(1, 20, 51), (4, 15, 21), (9, 3, 3)])
+    def test_member_draws_are_the_one_call_draw(self, seed, members, n_times):
+        """Drawing member by member takes the numbers of one (members, 10,
+        n_times) call, and the three smallest by partition are the first
+        three of a full sort."""
+        draws = np.random.default_rng((seed, 2)).random((members, 10, n_times))
+        one_call = np.sort(np.argsort(draws, axis=-1)[..., :3], axis=-1)
+        assert np.array_equal(cli._interpolation_triples(seed, members, n_times), one_call)
+
     def test_every_sorted_triple_is_equally_likely(self):
         """20,000 triples of 6 samples hit each of the 20 sorted triples;
         their counts pass a chi-square test at the 0.001 level (19 degrees
@@ -434,25 +442,6 @@ class TestInterpolationTriples:
         counts = np.unique(triples @ [36, 6, 1], return_counts=True)[1]
         assert counts.size == 20
         assert np.sum((counts - 1000.0) ** 2 / 1000.0) < 43.82
-
-
-def test_csv_of_a_float_array_is_the_cell_by_cell_text():
-    """A float64 array of rows renders the bytes of its rows as lists,
-    and a non-finite value raises the same UsageError on both paths."""
-    header = ["a", "b", "c", "d"]
-    rng = np.random.default_rng(5)
-    rows = rng.standard_normal((9, 4)) * 10.0 ** rng.integers(-300, 300, (9, 4))
-    rows[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
-    assert csv_text(header, rows) == csv_text(header, rows.tolist())
-    assert csv_text(header, rows[:0]) == csv_text(header, []) == "a,b,c,d\n"
-    for value in (np.nan, np.inf, -np.inf):
-        bad = rows.copy()
-        bad[4, 1], bad[6, 0] = value, np.nan
-        with pytest.raises(UsageError) as fast:
-            csv_text(header, bad)
-        with pytest.raises(UsageError) as slow:
-            csv_text(header, bad.tolist())
-        assert str(fast.value) == str(slow.value)
 
 
 class TestStiffnessFormedWhereRead:
