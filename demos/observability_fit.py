@@ -23,7 +23,7 @@ def main():
     train = lc.diverse_ensemble(ops, count=20, seed=11, sched=sched)
     train_T = prop.flow(train, sched.steps)
     fit = lc.fit_observability_constants(ops, sched, train, train_T)
-    print(f"training ensemble: {fit.n_members} members, horizon T = {fit.T}")
+    print(f"training ensemble: {fit.n_members} members, horizon T = {sched.t1 - sched.t0}")
     print(f"beta = {fit.beta:.4f}, log G = {fit.log_G:.4f} "
           f"(mu = {fit.mu:.4f}, K = {fit.K:.4f})")
     print(f"penalization constants: M1 = {fit.M1:.4f}, M2 = {fit.M2:.4f}, "

@@ -16,8 +16,8 @@ from .config import load_config
 from .control import ControlProblem, calibrate_kappa, cost_study, synthesize, verify_duality
 from .discretize import assemble_operator, build_grid
 from .errors import (CalibrationError, ConfigurationError, DegenerateDataError,
-                     DynHeatError, FitFailureError, InvalidDomainError,
-                     NumericalError, ParameterError, UsageError)
+                     DynHeatError, FitFailureError, NumericalError,
+                     ParameterError, UsageError)
 from .evolve import Propagator, Schedule, propagate, propagate_impulsive
 from .geometry import DomainSpec, WeightParams
 from .logconvexity import (InteriorBump, commutator_identity_check,
@@ -39,6 +39,6 @@ __all__ = [
     "ControlProblem", "calibrate_kappa", "synthesize", "cost_study",
     "verify_duality",
     "CalibrationError", "ConfigurationError", "DegenerateDataError",
-    "DynHeatError", "FitFailureError", "InvalidDomainError", "NumericalError",
-    "ParameterError", "UsageError",
+    "DynHeatError", "FitFailureError", "NumericalError", "ParameterError",
+    "UsageError",
 ]

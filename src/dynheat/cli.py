@@ -219,7 +219,7 @@ def _cmd_cost_study(cfg, out_dir):
     constants_path = os.path.join(out_dir, ARTIFACTS["observe"][-1])
     if os.path.exists(constants_path):
         doc = read_json(constants_path)
-        constants = lc.ObservabilityFit(T=sched.t1, **{key: doc[key] for key in _FIT_KEYS})
+        constants = lc.ObservabilityFit(**{key: doc[key] for key in _FIT_KEYS})
 
     study = ctl.cost_study(ops, prob, sched, list(cfg.eps_list), psi0s,
                            constants=constants)

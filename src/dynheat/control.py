@@ -37,19 +37,25 @@ matrix symmetric in the omega mass M_omega (omega's nodes are interior, so
 they carry bulk mass only).  Each ControlOperator builds it once, on first
 use, from one block flow of the n_omega unit payloads, and one eigh of
 M_omega^{1/2} W M_omega^{-1/2} = Q diag(lam) Q^T turns every (kappa, eps)
-pair into a diagonal scaling.  With c = Q^T M_omega^{1/2} R_omega P^n a,
-a = P^{n_T} Psi0, the payload has coordinates y = -kappa^2 c / (eps^2 +
-kappa^2 lam), and
+pair into a diagonal scaling.  Z = P^n E_omega M_omega^{-1/2} Q maps
+payload coordinates to the state they add at T.  With a = P^{n_T} Psi0,
+the coordinates of R_omega P^n a are read off Z without a flow:
+
+    c = Q^T M_omega^{1/2} R_omega P^n a = Z^T M a,
+
+because P is self-adjoint in the mass product (M P = P^T M) and M is
+diagonal with M_omega its omega part, so E_omega^T M P^n = M_omega R_omega
+P^n.  The payload has coordinates y = -kappa^2 c / (eps^2 + kappa^2 lam),
+and
 
     ||Psi(T)||^2 = ||a||^2 + 2 y.c + sum lam y^2,    ||h||_omega^2 = sum y^2.
 
 The reduced solution is used twice, and never certifies anything:
 
-- warm start: theta0 = (b - Z y) / eps^2, Z = P^n E_omega M_omega^{-1/2} Q,
-  starts the CG.  cg_tol keeps its meaning: a column stops once its
-  full-space residual ||b - G theta|| is at most cg_tol ||b||, checked at
-  theta0 too, so a column can stop with 0 iterations; cg_rel is that
-  residual, recomputed from the final theta.
+- warm start: theta0 = (b - Z y) / eps^2 starts the CG.  cg_tol keeps its
+  meaning: a column stops once its full-space residual ||b - G theta|| is
+  at most cg_tol ||b||, checked at theta0 too, so a column can stop with 0
+  iterations; cg_rel is that residual, recomputed from the final theta.
 - predicted rung: the target and cost certificates are predicted for every
   rung of the doubling ladder, and propagation starts at the first rung
   that every member is predicted to certify or to miss by less than 1e-6
@@ -154,20 +160,14 @@ class _ReducedGramian:
     diag(lam).
     """
 
-    sqrt_mass: np.ndarray
     eigenvalues: np.ndarray
     lam: np.ndarray
-    Q: np.ndarray
     Z: np.ndarray
-
-    def coords(self, V):
-        """Q^T M_omega^{1/2} v for every column v of an omega block V."""
-        return _per_column(self.Q.T, self.sqrt_mass[:, None] * V)
 
     def payload(self, c, kappa, eps):
         """Coordinates y of the payload kappa^2 (eps^2 + kappa^2 W)^{-1}
-        R_omega P^n (-a) for free states a with coordinates c (coords of
-        R_omega P^n a); the payload itself is M_omega^{-1/2} Q y."""
+        R_omega P^n (-a) for free states a with coordinates c = Z^T M a;
+        the payload adds Z y at T."""
         k2 = kappa * kappa
         return -(k2 * c) / (eps * eps + k2 * self.lam[:, None])
 
@@ -177,22 +177,16 @@ class ControlOperator:
 
     Depends only on (ops, sched, tau), so one Propagator, hence one
     factorization, serves every kappa, every eps and every member.
-    observe and gramian_apply take a state (n,) or a block (n, m).
+    gramian_apply takes a state (n,) or a block (n, m).
     """
 
     def __init__(self, ops, sched, tau):
         self.n_tau = sched.kick_step(tau)
         self.ops = ops
-        self.sched = sched
-        self.tau = tau
         self.prop = Propagator(ops, sched.dt, sched.scheme)
         self.n_total = sched.steps
         self.n_obs = self.n_total - self.n_tau
         self.tau_effective = sched.t0 + self.n_tau * sched.dt
-
-    def observe(self, zeta):
-        """R_omega P^{n_obs} zeta: the dual observation at time T - tau."""
-        return self.ops.restrict_omega(self.prop.flow(zeta, self.n_obs))
 
     def gramian_apply(self, zeta, kappa, eps):
         """kappa^2 P^n E_omega R_omega P^n zeta + eps^2 zeta."""
@@ -218,8 +212,8 @@ class ControlOperator:
         sqrt_mass = np.sqrt(ops.mass[idx])
         S = sqrt_mass[:, None] * W / sqrt_mass[None, :]
         eigenvalues, Q = np.linalg.eigh(0.5 * (S + S.T))
-        return _ReducedGramian(sqrt_mass=sqrt_mass, eigenvalues=eigenvalues,
-                               lam=np.maximum(eigenvalues, 0.0), Q=Q,
+        return _ReducedGramian(eigenvalues=eigenvalues,
+                               lam=np.maximum(eigenvalues, 0.0),
                                Z=(Z0 / sqrt_mass) @ Q)
 
 
@@ -311,8 +305,7 @@ class _Flows:
     norms holds ||Psi0|| per member; free_tau and free_T hold P^{n_tau}
     Psi0 and a = P^{n_T} Psi0, one column per member; red is the
     operator's reduced Gramian where it pays for these members, else None,
-    and c the reduced coordinates Q^T M_omega^{1/2} R_omega P^n a (None
-    without red).
+    and c = Z^T M a the reduced coordinates of a (None without red).
     """
 
     norms: np.ndarray
@@ -332,7 +325,8 @@ def _free_flows(co, psi0s):
 
     The reduced Gramian is used for at least n_omega /
     COLD_APPLIES_PER_MEMBER members with nonzero data only (see the
-    module docstring).
+    module docstring).  c is read off Z, column by column, so a member's
+    bits do not depend on the block.
     """
     norms = co.ops.norm(psi0s)
     free_tau = co.prop.flow(psi0s, co.n_tau)
@@ -340,7 +334,7 @@ def _free_flows(co, psi0s):
     members = np.count_nonzero(norms)
     pays = co.ops.grid.omega_idx.size <= members * COLD_APPLIES_PER_MEMBER
     red = co.reduced if pays else None
-    c = None if red is None else red.coords(co.observe(free_T))
+    c = None if red is None else _per_column(red.Z.T, co.ops.mass[:, None] * free_T)
     return _Flows(norms=norms, free_tau=free_tau, free_T=free_T, red=red, c=c)
 
 

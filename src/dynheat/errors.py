@@ -15,10 +15,6 @@ class ConfigurationError(DynHeatError):
     """A run configuration value is missing, unknown, or out of range."""
 
 
-class InvalidDomainError(ConfigurationError):
-    """Domain geometry is inconsistent (e.g. anchor point on the boundary)."""
-
-
 class UsageError(DynHeatError):
     """An operation was called with arguments outside its contract."""
 

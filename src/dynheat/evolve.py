@@ -82,8 +82,6 @@ class Schedule:
                 f"[{self.t0}, {self.t1}], more than the {_MAX_SAMPLES} samples "
                 f"a numpy array can hold")
         steps = round(span / self.dt)
-        if steps == 0 and span > 0:
-            steps = 1
         if abs(steps * self.dt - span) > _DT_DIVISION_RTOL * max(span, self.dt):
             raise ConfigurationError(
                 f"dt={self.dt} does not divide the span {span} (closest: {steps} steps)")

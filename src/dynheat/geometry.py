@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidDomainError, UsageError
+from .errors import ConfigurationError, UsageError
 
 
 def _as_points(domain, x):
@@ -55,8 +55,7 @@ class DomainSpec:
 
     Use the ``interval`` / ``disk`` classmethods; they run all geometric
     consistency checks (anchor strictly interior, omega compactly contained,
-    anchor inside omega) and raise InvalidDomainError / ConfigurationError
-    on violation.
+    anchor inside omega) and raise ConfigurationError on violation.
     """
 
     kind: str
@@ -71,11 +70,11 @@ class DomainSpec:
     def interval(cls, a, b, x0, omega_lo, omega_hi):
         a, b, x0, omega_lo, omega_hi = map(float, (a, b, x0, omega_lo, omega_hi))
         if not b > a:
-            raise InvalidDomainError(f"interval needs a < b, got a={a}, b={b}")
+            raise ConfigurationError(f"interval needs a < b, got a={a}, b={b}")
         if x0 == a or x0 == b:
-            raise InvalidDomainError(f"anchor x0={x0} lies on the boundary")
+            raise ConfigurationError(f"anchor x0={x0} lies on the boundary")
         if not (a < x0 < b):
-            raise InvalidDomainError(f"anchor x0={x0} is outside ({a}, {b})")
+            raise ConfigurationError(f"anchor x0={x0} is outside ({a}, {b})")
         if not (a < omega_lo < omega_hi < b):
             raise ConfigurationError(
                 f"omega=({omega_lo}, {omega_hi}) must satisfy a < lo < hi < b with a={a}, b={b}"
@@ -95,10 +94,10 @@ class DomainSpec:
         if len(center) != 2 or len(x0) != 2 or len(omega_center) != 2:
             raise ConfigurationError("disk points need exactly 2 coordinates")
         if radius <= 0:
-            raise InvalidDomainError(f"disk radius must be positive, got {radius}")
+            raise ConfigurationError(f"disk radius must be positive, got {radius}")
         d0 = float(np.hypot(x0[0] - center[0], x0[1] - center[1]))
         if d0 >= radius:
-            raise InvalidDomainError(
+            raise ConfigurationError(
                 f"anchor x0={x0} is not strictly inside the disk (|x0-c|={d0}, R={radius})"
             )
         if omega_radius <= 0:

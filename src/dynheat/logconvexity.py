@@ -542,7 +542,6 @@ class ObservabilityFit:
     M1: float
     M2: float
     delta: float
-    T: float
     n_members: int
 
     def kappa0(self, horizon, eps):
@@ -625,8 +624,7 @@ def fit_observability_constants(ops, sched, block, final):
     K2 = beta * K
     M1, M2, delta = derive_penalization_constants(beta, K1, K2)
     return ObservabilityFit(beta=beta, log_G=log_G, mu=mu, K=K, K1=K1, K2=K2,
-                            M1=M1, M2=M2, delta=delta, T=float(T),
-                            n_members=m)
+                            M1=M1, M2=M2, delta=delta, n_members=m)
 
 
 def count_observability_violations(fit, ops, block, final):

@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 
 import dynheat as dh
 from dynheat import control as ctl
+from dynheat import evolve
 from dynheat import logconvexity as lc
 from dynheat.control import ControlOperator
 from dynheat.evolve import SCHEMES
@@ -294,7 +295,7 @@ class TestBatchedCalibration:
 # seeds kappa at M1 e^{M2/(T - tau)} / eps^delta = 20 e^4 for T - tau = 0.5
 # and eps = 0.1
 _FIT = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0, K1=2.0, K2=1.0,
-                           M1=2.0, M2=2.0, delta=1.0, T=1.0, n_members=2)
+                           M1=2.0, M2=2.0, delta=1.0, n_members=2)
 
 
 class TestCostStudy:
@@ -443,17 +444,26 @@ class TestReducedGramian:
         red = co.reduced
         idx = ops.grid.omega_idx
 
-        # W = R_omega P^{2n} E_omega from a dense matrix power: symmetric in
-        # M_omega, positive semidefinite, and what the eigenbasis rebuilds
+        # W = R_omega P^{2n} E_omega from a dense matrix power is symmetric
+        # in M_omega and positive semidefinite.  Z = P^n E_omega
+        # M_omega^{-1/2} Q has Z^T M Z = diag(eigenvalues), and with Q
+        # orthogonal (M^{1/2} Z)(M^{1/2} Z)^T is Y Y^T for the dense
+        # Y = M^{1/2} P^n E_omega M_omega^{-1/2}
         S = _dense_step(ops, sched.dt, sched.scheme)
+        P_obs = np.linalg.matrix_power(S, co.n_obs)
         W = np.linalg.matrix_power(S, 2 * co.n_obs)[np.ix_(idx, idx)]
         MW = ops.mass[idx][:, None] * W
         scale = np.abs(MW).max()
         assert np.abs(MW - MW.T).max() <= 1e-12 * scale
-        rebuilt = (red.Q * red.eigenvalues) @ red.Q.T
-        rebuilt = rebuilt / red.sqrt_mass[:, None] * red.sqrt_mass[None, :]
-        assert np.abs(rebuilt - W).max() <= 1e-10 * np.abs(W).max()
-        assert red.eigenvalues.min() >= -1e-12 * red.eigenvalues.max()
+        top = red.eigenvalues.max()
+        ZMZ = red.Z.T @ (ops.mass[:, None] * red.Z)
+        assert np.abs(ZMZ - np.diag(red.eigenvalues)).max() <= 1e-10 * top
+        sqrt_mass = np.sqrt(ops.mass)
+        Y = sqrt_mass[:, None] * P_obs[:, idx] / sqrt_mass[idx]
+        YY = Y @ Y.T
+        MZ = sqrt_mass[:, None] * red.Z
+        assert np.abs(MZ @ MZ.T - YY).max() <= 1e-10 * np.abs(YY).max()
+        assert red.eigenvalues.min() >= -1e-12 * top
 
         # predictions against a propagated synthesis from a zero start, and
         # the ladder against a test-local propagation-only ladder.  A
@@ -488,6 +498,42 @@ class TestReducedGramian:
         else:
             cal = _ladder(ops, sched, prob, states, seed, budget)
             assert (cal.kappa, cal.doublings) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=reduced_cases())
+    def test_reduced_coordinates_equal_the_stepped_observation(self, case):
+        """Z c = P^n E_omega R_omega P^n a, the right side stepped by
+        Propagator.flow: c = Z^T M a because P is self-adjoint in M."""
+        ops, sched, prob, states, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctl, "COLD_APPLIES_PER_MEMBER", ops.n_dofs)
+            co = ControlOperator(ops, sched, prob.tau)
+            flows = ctl._free_flows(co, states)
+        assert flows.red is co.reduced is not None
+        prop = dh.Propagator(ops, sched.dt, sched.scheme)
+        observed = ops.restrict_omega(prop.flow(flows.free_T, co.n_obs))
+        expected = prop.flow(ops.embed_omega(observed), co.n_obs)
+        error = ops.norm(flows.red.Z @ flows.c - expected)
+        assert np.all(error <= 1e-10 * ops.norm(expected))
+
+    def test_free_flows_step_each_member_over_the_horizon_only(
+            self, iv_ops, ctrl_sched, monkeypatch):
+        """With the reduced Gramian built, _free_flows steps each member
+        n_T times and no more: c is read off Z, not flowed."""
+        states = _mixed_ensemble(iv_ops)
+        co = ControlOperator(iv_ops, ctrl_sched, 0.5)
+        assert co.reduced is not None
+        columns = []
+        step = evolve.Propagator.step
+
+        def counted(self, u):
+            columns.append(1 if u.ndim == 1 else u.shape[1])
+            return step(self, u)
+
+        monkeypatch.setattr(evolve.Propagator, "step", counted)
+        flows = ctl._free_flows(co, states)
+        assert flows.red is co.reduced
+        assert sum(columns) == states.shape[1] * co.n_total
 
     def test_large_kappa_over_eps_keeps_the_propagated_ladder(self):
         """Backward Euler reaches eps = 0.002 at kappa / eps = 3.2e4, where

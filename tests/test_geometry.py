@@ -14,19 +14,19 @@ class TestDomainValidation:
         assert dom.dim == 1
 
     def test_anchor_on_boundary_rejected(self):
-        with pytest.raises(dh.InvalidDomainError):
+        with pytest.raises(dh.ConfigurationError):
             dh.DomainSpec.interval(0.0, 1.0, 0.0, 0.3, 0.7)
 
     def test_omega_must_be_compactly_contained(self):
-        with pytest.raises((dh.InvalidDomainError, dh.ConfigurationError)):
+        with pytest.raises(dh.ConfigurationError):
             dh.DomainSpec.interval(0.0, 1.0, 0.5, 0.3, 1.0)
 
     def test_anchor_must_lie_inside_omega(self):
-        with pytest.raises((dh.InvalidDomainError, dh.ConfigurationError)):
+        with pytest.raises(dh.ConfigurationError):
             dh.DomainSpec.interval(0.0, 1.0, 0.1, 0.3, 0.7)
 
     def test_disk_anchor_outside_rejected(self):
-        with pytest.raises(dh.InvalidDomainError):
+        with pytest.raises(dh.ConfigurationError):
             dh.DomainSpec.disk((0.0, 0.0), 1.0, (1.0, 0.0), (0.0, 0.0), 0.5)
 
     def test_measures(self):

@@ -840,7 +840,8 @@ class TestObservabilityFit:
         final = final_states(iv_ops, sched, states)
         fit = lc.fit_observability_constants(iv_ops, sched, states, final)
         assert 0.0 < fit.beta < 1.0
-        assert np.log(fit.mu) + fit.K / fit.T == pytest.approx(fit.log_G, rel=1e-12)
+        horizon = sched.t1 - sched.t0
+        assert np.log(fit.mu) + fit.K / horizon == pytest.approx(fit.log_G, rel=1e-12)
         assert fit.K1 == pytest.approx(fit.mu ** fit.beta, rel=1e-12)
         assert fit.K2 == pytest.approx(fit.beta * fit.K, rel=1e-12)
         expect = lc.derive_penalization_constants(fit.beta, fit.K1, fit.K2)
@@ -921,7 +922,7 @@ class TestObservabilityFit:
     def test_kappa_seed_worked_example(self):
         fit = lc.ObservabilityFit(beta=0.5, log_G=2.0, mu=np.e, K=1.0,
                                   K1=2.0, K2=1.0, M1=2.0, M2=2.0, delta=1.0,
-                                  T=1.0, n_members=2)
+                                  n_members=2)
         assert fit.kappa0(0.5, 0.1) == pytest.approx(20.0 * np.exp(4.0), rel=1e-12)
         with pytest.raises(dh.UsageError):
             fit.kappa0(0.0, 0.1)
