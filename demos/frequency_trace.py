@@ -33,7 +33,7 @@ def main():
     print(f"\nfitted C (rate fit)      : {trace.C:.6g}")
     print(f"fitted C (form variant)  : {trace.C_form:.6g}")
     print(f"bound violations         : "
-          f"{lc.count_bound_violations(trace, trace.C)}")
+          f"{lc.count_bound_violations([trace], trace.C)}")
 
 
 if __name__ == "__main__":

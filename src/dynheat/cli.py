@@ -2,10 +2,12 @@
 machine-readable artifacts.
 
 Exit codes: 0 when the run completed and every certification in scope
-passed; 1 when a certification failed; 2 on configuration or usage errors;
-3 on numerical failures, which also write failure.json (stage, error
-class, message, diagnostics) into the artifact directory.  That stage
-removes it when it next completes, and report fails while one is present.
+passed; 1 when a certification failed; 2 on configuration or usage errors,
+and when a stage runs out of memory (the message names the [grid] keys and
+ensemble.count); 3 on numerical failures, which also write failure.json
+(stage, error class, message, diagnostics) into the artifact directory.
+That stage removes it when it next completes, and report fails while one
+is present.
 Every number written to an artifact comes from a module operation; the CLI
 only aggregates.  Artifact names and each stage's pass rule come from
 reporting.ARTIFACTS and reporting.SECTION_PASSED, which report reads too.
@@ -129,7 +131,7 @@ def _cmd_observe(cfg, out_dir):
     traces = lc.run_traces(ops, params, states, sched)
 
     C = lc.fit_bound_constant(traces)
-    bound_violations = sum(lc.count_bound_violations(tr, C) for tr in traces)
+    bound_violations = lc.count_bound_violations(traces, C)
 
     # ten sorted triples of distinct samples per member, one draw per member
     triples = _interpolation_triples(cfg.seed, len(traces), traces[0].t.size)
@@ -265,9 +267,14 @@ def build_parser():
     return parser
 
 
+# argparse asks for the terminal size on every add_argument, so the parser
+# is built once, not on each of the in-process calls of main
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    out_dir = None
+    args = _PARSER.parse_args(argv)
+    cfg = out_dir = None
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
@@ -302,6 +309,13 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except DynHeatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # sizes that pass the config checks but that this machine cannot hold
+        sizes = "" if cfg is None else " with " + " and ".join(
+            [f"grid.{key} = {value}" for key, value in cfg.grid_args.items()]
+            + [f"ensemble.count = {cfg.ensemble_count}"])
+        print(f"error: {args.subcommand} ran out of memory{sizes}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .discretize import per_node
 from .errors import ConfigurationError, NumericalError
 
 SCHEMES = ("crank_nicolson", "backward_euler")
@@ -223,8 +222,10 @@ class Propagator:
         self.scheme = scheme
         self._cn = scheme == "crank_nicolson"
         c = 0.5 * self.dt if self._cn else self.dt
-        # 2 M is exact, so the CN solve is 2 solve(M u) bit for bit
-        self._rhs_mass = 2.0 * ops.mass if self._cn else ops.mass
+        # 2 M is exact, so the CN solve is 2 solve(M u) bit for bit; shaped
+        # here for a state (n,) and a block (n, m), by the state's ndim
+        rhs_mass = 2.0 * ops.mass if self._cn else ops.mass
+        self._rhs_mass = {1: rhs_mass, 2: rhs_mass[:, None]}
         if ops.grid.domain.kind == "disk":
             self._solve = _DiskSolver(ops, c)
         else:
@@ -233,8 +234,10 @@ class Propagator:
                                        f"{ops.n_dofs}-node interval")
 
     def step(self, u):
-        """Advance one step of a state (n,) or a block of states (n, m)."""
-        x = self._solve(per_node(self._rhs_mass, u) * u)
+        """Advance one step of a state (n,) or a block of states (n, m), an
+        ndarray; the node weights come shaped from construction, so a step
+        makes no shape dispatch of its own."""
+        x = self._solve(self._rhs_mass[u.ndim] * u)
         if self._cn:
             x -= u
         return x

@@ -85,8 +85,9 @@ def _weights(ops, params, times):
     """Yield the weights at each time as an array (7, n, 1) of columns:
     E^2 = exp(Phi); G = E^2 - c with c the midrange of E^2; d = dPhi/dt / 2,
     the diagonal part of P1; M E^2, M d E^2 and M d' E^2 with d' = dd/dt;
-    and 1 / (2 M E^2).  Up to WEIGHT_CHUNK values are formed at once, so a
-    long trace on a fine grid never holds every sample's weights.
+    and 1 / (2 M E^2).  Each is contiguous down the nodes, a view of
+    up to WEIGHT_CHUNK values formed at once, so a long trace on a fine
+    grid never holds every sample's weights.
     ParameterError names the first time where |Phi| passes PHI_EXP_GUARD."""
     s_phi, times = _s_phi(ops, params), np.asarray(times, dtype=float)
     step = max(1, WEIGHT_CHUNK // (7 * s_phi.size))
@@ -111,6 +112,9 @@ def _forms(ops, w, X):
     samples by m members and their weights w, shaped (7, n, S, 1) (see
     _weights), with one product by K.  An (n, m) block with one time's
     weights (7, n, 1) is the case S = 1, and its forms come back (m,).
+    Every product broadcasts a weight against X and runs fastest down the
+    nodes when the weights are contiguous there too, as _weighted_flow
+    stacks them; the layout changes no bit.
 
     B = E A E^{-1} and B* = E^{-1} A E give B F = -E K X / M and
     B* F = -K Y / (E M) with Y = E^2 X.  Aanti F and the forms rest on
@@ -185,18 +189,14 @@ class FrequencyTrace:
     C_form: float
     final: np.ndarray
 
-    @property
-    def C0(self):
-        return self.params.C0
-
-    def upsilon(self):
-        return self.params.T - self.t + self.params.h
-
-    def bound_with(self, C):
-        return (1.0 + self.C0) / self.upsilon() * self.neg_S + (C / self.params.h ** 2) * self.normF2
-
     def rows(self):
         return np.column_stack([self.t, self.normF2, self.N, self.Q, self.bound])
+
+
+def _drift_bound(params, t, neg_S, normF2, C):
+    """(1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2 at the times t, for one
+    trace's forms (s,) or stacked traces' (m, s), with C a float or (m, 1)."""
+    return (1.0 + params.C0) / (params.T - t + params.h) * neg_S + (C / params.h ** 2) * normF2
 
 
 def _weighted_flow(ops, params, block, sched):
@@ -204,8 +204,12 @@ def _weighted_flow(ops, params, block, sched):
     yield (X, forms) at every sample time: the block and its _forms.
 
     The forms of max(1, TRACE_CHUNK // (n m)) consecutive samples come
-    from one _forms call, the bits of one sample at a time.  Each yielded
-    X is the trajectory's own array, which later samples leave as it is.
+    from one _forms call, the bits of one sample at a time.  A chunk's
+    weights are stacked with the nodes fastest, (7, n, S, 1) with node
+    stride itemsize, and its blocks into a Fortran-order (n, S, m) copy;
+    a one-sample chunk hands _forms views of its weights and of the
+    trajectory's array.  Each yielded X is the trajectory's own array,
+    which later samples leave as it is.
     """
     if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
         raise UsageError(
@@ -220,9 +224,15 @@ def _weighted_flow(ops, params, block, sched):
     for k in range(0, times.size, per):
         t = times[k:k + per]
         ws, Xs = zip(*[(next(weights), next(states)) for _ in t])
-        # the blocks are copied in as (m, S, n) in C order, which is
-        # (n, S, m) in Fortran order
-        forms = _forms(ops, np.stack(ws, axis=2), np.stack([x.T for x in Xs], axis=1).T)
+        if len(t) == 1:
+            w, X = ws[0][:, :, None], Xs[0][:, None]
+        else:
+            # stacked as (7, S, n, 1) and seen as (7, n, S, 1); the blocks
+            # are copied in as (m, S, n) in C order, which is (n, S, m) in
+            # Fortran order
+            w = np.stack(ws, axis=1).swapaxes(1, 2)
+            X = np.stack([x.T for x in Xs], axis=1).T
+        forms = _forms(ops, w, X)
         vanished = np.any(forms[0] <= 0.0, axis=1)
         if np.any(vanished):
             raise DegenerateDataError(f"weighted state vanished at t={t[np.argmax(vanished)]}")
@@ -260,7 +270,7 @@ def run_traces(ops, params, block, sched):
     dN = (N[:, 2:] - N[:, :-2]) / (times[2:] - times[:-2])
     C = np.array([max(0.0, c) for c in np.max(
         h2 * (dN - (1.0 + C0) / ups[1:-1] * N[:, 1:-1]), axis=1, initial=-np.inf)])
-    bound = (1.0 + C0) / ups * neg_S + (C[:, None] / h2) * normF2
+    bound = _drift_bound(params, times, neg_S, normF2, C[:, None])
     return [FrequencyTrace(params=params, t=times, normF2=normF2[j], N=N[j], Q=Q[j],
                            neg_S=neg_S[j], bound=bound[j], C=float(C[j]),
                            C_form=float(max(0.0, C_form[j])), final=X[:, j])
@@ -279,11 +289,16 @@ def fit_bound_constant(traces):
     return max(tr.C for tr in traces)
 
 
-def count_bound_violations(trace, C):
-    """Recorded times where Q exceeds the drift bound with constant C."""
-    rhs = trace.bound_with(C)
-    scale = np.maximum(1.0, np.maximum(np.abs(trace.Q), np.abs(rhs)))
-    return int(np.sum(trace.Q > rhs + SLACK * scale))
+def count_bound_violations(traces, C):
+    """Recorded (trace, time) pairs where Q exceeds the drift bound with
+    constant C, over a non-empty sequence of traces on one time grid: one
+    comparison of the stacked (traces, samples) arrays, each entry as in
+    its own trace, so the count is the sum of the one-trace counts."""
+    Q, neg_S, normF2 = (np.array([getattr(tr, f) for tr in traces])
+                        for f in ("Q", "neg_S", "normF2"))
+    rhs = _drift_bound(traces[0].params, traces[0].t, neg_S, normF2, C)
+    scale = np.maximum(1.0, np.maximum(np.abs(Q), np.abs(rhs)))
+    return int(np.count_nonzero(Q > rhs + SLACK * scale))
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,20 @@ def canonical_json(obj):
 
 
 def csv_text(header, rows):
-    """Render a table as deterministic CSV text."""
+    """Render a table as deterministic CSV text.
+
+    A float64 ndarray table (rows, columns) is checked for non-finite
+    values once and rendered from Python floats; any other table cell by
+    cell.  Both give the same bytes, and the first non-finite value in row
+    order raises the same UsageError."""
     lines = [",".join(header)]
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
+        finite = np.isfinite(rows)
+        if not finite.all():
+            # the first in row order raises the per-cell path's UsageError
+            format_float(rows.flat[np.argmin(finite)])
+        row_fmt = ",".join([FLOAT_FMT] * rows.shape[1])
+        return "\n".join(lines + [row_fmt % tuple(row) for row in rows.tolist()]) + "\n"
     for row in rows:
         cells = []
         for v in row:

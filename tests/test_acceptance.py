@@ -158,7 +158,7 @@ def test_05_drift_bound_holdout(ops48, trace_sched, fitted_C):
     for seed in range(1000, 1050):
         tr = lc.run_trace(ops48, PARAMS, unit_random_state(ops48, seed),
                           trace_sched)
-        violations += lc.count_bound_violations(tr, C)
+        violations += lc.count_bound_violations([tr], C)
     elapsed = time.monotonic() - start
     assert violations == 0
     assert elapsed < 60.0

@@ -414,6 +414,30 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, sizes", [
+        (CONFIG, "grid.n = 16 and ensemble.count = 6"),
+        (DISK_CONFIG, "grid.nr = 6 and grid.ntheta = 16 and ensemble.count = 3")],
+        ids=["interval", "disk"])
+    @pytest.mark.parametrize("stage", ["simulate", "observe", "control", "cost-study"])
+    def test_out_of_memory_exits_2_naming_the_sizes(self, tmp_path, capsys, monkeypatch,
+                                                    stage, text, sizes):
+        """Sizes below MAX_NODES that the machine cannot hold exit 2, not
+        with a MemoryError traceback (exit 1), naming the stage, the [grid]
+        keys, ensemble.count and numpy's text, and write no artifact.  The
+        refused allocation is simulated; nothing large is allocated."""
+        numpy_text = ("Unable to allocate 7.28 TiB for an array with shape "
+                      "(1000000000000,) and data type float64")
+
+        def refuse(grid):
+            raise MemoryError(numpy_text)
+
+        monkeypatch.setattr(cli, "assemble_operator", refuse)
+        out = tmp_path / "out"
+        assert main([stage, "--config", self.write(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stage} ran out of memory with {sizes}: {numpy_text}\n")
+        assert list(out.iterdir()) == []
+
 
 class TestInterpolationTriples:
     def test_sorted_distinct_in_range_and_seeded(self):

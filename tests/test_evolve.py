@@ -191,6 +191,24 @@ class TestStructuredSolve:
         assert np.array_equal(prop.step(np.asfortranarray(block)), prop.step(block))
         assert_matches_dense_powers(ops, prop, dt, scheme, block, steps)
 
+    @pytest.mark.parametrize("which", ["iv_small_ops", "disk_ops"])
+    @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
+    def test_step_bits_do_not_depend_on_shape_or_order(self, request, which, scheme):
+        """A state (n,), its one-column block (n, 1) and C- and
+        Fortran-order blocks (n, m) step to the same bits column by column,
+        with the node weights shaped once at construction; the input is
+        left as it was."""
+        ops = request.getfixturevalue(which)
+        prop = dh.Propagator(ops, 0.05, scheme)
+        block = np.random.default_rng(8).standard_normal((ops.n_dofs, 4))
+        kept = block.copy()
+        want = np.column_stack([prop.step(u.copy()) for u in block.T])
+        for j in range(block.shape[1]):
+            assert np.array_equal(prop.step(block[:, j:j + 1].copy()), want[:, j:j + 1])
+        for same in (np.ascontiguousarray(block), np.asfortranarray(block)):
+            assert np.array_equal(prop.step(same), want)
+        assert np.array_equal(block, kept)
+
     @settings(max_examples=60, deadline=None)
     @given(disk=st.booleans(), n=st.integers(4, 200), nr=st.integers(2, 12),
            ntheta=st.integers(4, 40), width=st.integers(1, 6),

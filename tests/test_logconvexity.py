@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import dynheat as dh
@@ -17,6 +17,12 @@ from conftest import (dense_A, energy_residuals, final_states, interpolation_exp
 def _nodal_s_phi(ops, params):
     diff = ops.grid.points - ops.grid.domain.x0_array[None, :]
     return params.s * -0.25 * np.sum(diff * diff, axis=1)
+
+
+def _drift_bound(tr, C):
+    """The trace's drift bound (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2."""
+    p = tr.params
+    return (1.0 + p.C0) / (p.T - tr.t + p.h) * tr.neg_S + C / p.h ** 2 * tr.normF2
 
 
 def _dense_splitting(ops, params, t):
@@ -142,6 +148,13 @@ class TestWeightedOperators:
             lc.run_trace(ops, tight, np.ones(ops.n_dofs), dh.Schedule(0.0, 1.0, 0.1))
 
 
+# a drawn case where Q of member 0 is small against the forms' scale, so
+# that the dense splitting's rounding passed 1e-9 of Q
+_SMALL_Q_CASE = (
+    dh.assemble_operator(dh.build_grid(dh.DomainSpec.interval(0.0, 1.0, 0.375, 0.2, 0.8), n=64)),
+    dh.WeightParams(s=0.5, h=1.0, T=1.0), 0.0)
+
+
 @st.composite
 def _anchored_grids(draw):
     """An interval (n 4-64) or a disk (nr 2-8, ntheta 4-24) whose anchor
@@ -187,21 +200,33 @@ class TestFormsOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(case=_anchored_grids(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(case=_SMALL_Q_CASE, seed=178450298)
     def test_forms_match_dense_splitting_and_complex_step(self, case, seed):
-        """||F||^2, <-S F, F>, <S' F, F> and Q of a two-member block against
-        the dense splitting, and <S' F, F> against -d/dt <-S F, F> by
-        complex step.  Over 400 drawn cases Q was off the dense value by
-        at most 3.4e-11 relative and <S' F, F> off the complex step by
-        2.7e-13; the tolerances leave a factor of about 30."""
+        """||F||^2, <-S F, F> and <S' F, F> of a two-member block against
+        the dense splitting, <S' F, F> against -d/dt <-S F, F> by complex
+        step, and Q against _longdouble_Q to 2e-12 of the forms' scale
+        ||F||^2 max|S_ij|.  Over 1500 drawn cases (3000 members) Q was off
+        _longdouble_Q by at most 6.9e-14 of that scale, the dense
+        splitting's Q by 1.3e-13, and <S' F, F> off the complex step by
+        2.7e-13 relative; the tolerances leave a factor of about 30.
+        Wherever |Q| is at least 1% of the scale the Q bound is at most
+        2e-10 relative.  In the @example, member 0 has Q = -0.338 at a
+        scale of 3.2e4: the kernel is 5.8e-15 of the scale off
+        _longdouble_Q, the dense splitting 3.6e-14, so the two differ by
+        2.8e-9 relative."""
         ops, params, t = case
         F = np.random.default_rng(seed).standard_normal((ops.n_dofs, 2))
-        got = _kernel_forms(ops, params, t, F)
+        w = next(lc._weights(ops, params, [t]))
+        X = F / np.sqrt(w[0])
+        got = lc._forms(ops, w, X)
+        Q_exact = self._longdouble_Q(ops, params, t, X)
         dense = _dense_splitting(ops, params, t)
+        S_max = np.abs(dense.S).max()
         for j, f in enumerate(F.T):
-            normF2, neg_S, Q, s_prime = _dense_forms(ops, dense, f)
+            normF2, neg_S, _, s_prime = _dense_forms(ops, dense, f)
             assert got[0][j] == pytest.approx(normF2, rel=1e-13)
             assert got[1][j] == pytest.approx(neg_S, rel=1e-13)
-            assert got[2][j] == pytest.approx(Q, rel=1e-9)
+            assert abs(got[2][j] - Q_exact[j]) <= 2e-12 * normF2 * S_max
             assert got[3][j] == pytest.approx(s_prime, rel=1e-12)
             assert got[3][j] == pytest.approx(_complex_step_s_prime(ops, params, t, f), rel=1e-10)
 
@@ -353,7 +378,7 @@ class TestRunTrace:
         n = sched.steps + 1
         assert tr.t.shape == tr.normF2.shape == tr.N.shape == tr.Q.shape == (n,)
         assert tr.N == pytest.approx(tr.neg_S / tr.normF2)
-        assert tr.bound == pytest.approx(tr.bound_with(tr.C))
+        assert tr.bound == pytest.approx(_drift_bound(tr, tr.C))
         assert tr.rows().shape == (n, 5)
         assert tr.C >= 0.0 and tr.C_form >= 0.0
 
@@ -369,16 +394,52 @@ class TestRunTrace:
     def test_form_constant_certifies_own_trace(self, iv_small_ops, params, sched):
         st = unit_random_state(iv_small_ops, 52)
         tr = lc.run_trace(iv_small_ops, params, st, sched)
-        assert lc.count_bound_violations(tr, tr.C_form) == 0
-        assert lc.count_bound_violations(tr, tr.C) == 0
+        assert lc.count_bound_violations([tr], tr.C_form) == 0
+        assert lc.count_bound_violations([tr], tr.C) == 0
 
     def test_violation_counter_detects_excess(self, iv_small_ops, params, sched):
         st = unit_random_state(iv_small_ops, 53)
         tr = lc.run_trace(iv_small_ops, params, st, sched)
-        rhs = tr.bound_with(tr.C_form)
+        rhs = _drift_bound(tr, tr.C_form)
         tr.Q = tr.Q.copy()
         tr.Q[5] = rhs[5] + 10.0 * max(1.0, abs(rhs[5]))
-        assert lc.count_bound_violations(tr, tr.C_form) == 1
+        assert lc.count_bound_violations([tr], tr.C_form) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_block_violation_count_is_the_sum_of_one_trace_counts(self, data):
+        """One comparison over the stacked traces counts what each trace
+        alone counts and what the check in scalars counts, with Q drawn on
+        and about the edge rhs + SLACK * scale, where rounding decides."""
+        params = dh.WeightParams(s=data.draw(st.floats(0.1, 0.9)),
+                                 h=data.draw(st.floats(0.2, 1.0)),
+                                 T=data.draw(st.floats(0.5, 2.0)))
+        m, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 12))
+        C = data.draw(st.floats(0.0, 1e4))
+        t = np.linspace(0.0, params.T, s)
+
+        def column(elements):
+            return np.array(data.draw(st.lists(elements, min_size=s, max_size=s)))
+
+        traces = []
+        for _ in range(m):
+            tr = types.SimpleNamespace(params=params, t=t, neg_S=column(st.floats(-1e6, 1e6)),
+                                       normF2=column(st.floats(1e-6, 1e6)))
+            rhs = _drift_bound(tr, C)
+            edge = column(st.sampled_from([-1.0, 0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,
+                                           1.0 + 1e-8, 2.0]))
+            tr.Q = rhs + edge * lc.SLACK * np.maximum(1.0, np.abs(rhs))
+            traces.append(tr)
+
+        def scalar_count(tr):
+            count = 0
+            for q, rhs in zip(tr.Q.tolist(), _drift_bound(tr, C).tolist()):
+                count += q > rhs + lc.SLACK * max(1.0, abs(q), abs(rhs))
+            return count
+
+        one = [lc.count_bound_violations([tr], C) for tr in traces]
+        assert one == [scalar_count(tr) for tr in traces]
+        assert lc.count_bound_violations(traces, C) == sum(one)
 
     def test_fit_bound_constant_is_ensemble_max(self, iv_small_ops, params, sched):
         traces = [lc.run_trace(iv_small_ops, params, unit_random_state(iv_small_ops, s), sched)
@@ -628,6 +689,29 @@ class TestBlockTrace:
             monkeypatch.setattr(lc, "TRACE_CHUNK", per * ops.n_dofs * m)
         _assert_one_product_per_chunk(monkeypatch, ops, params, sched, m,
                                       max(1, lc.TRACE_CHUNK // (ops.n_dofs * m)))
+
+    @pytest.mark.parametrize("which, m, per", [("iv_ops", 3, 7), ("disk_ops", 2, 1)])
+    def test_forms_get_blocks_contiguous_down_the_nodes(self, request, monkeypatch, params,
+                                                        sched, which, m, per):
+        """Each chunk hands _forms weights (7, n, S, 1) and a block
+        (n, S, m) whose node axes have stride itemsize, and a one-sample
+        chunk hands it views of the trajectory's own array."""
+        ops = request.getfixturevalue(which)
+        monkeypatch.setattr(lc, "TRACE_CHUNK", per * ops.n_dofs * m)
+        calls, forms = [], lc._forms
+        monkeypatch.setattr(lc, "_forms",
+                            lambda ops, w, X: calls.append((w, X)) or forms(ops, w, X))
+        members = np.column_stack([unit_random_state(ops, 80 + j) for j in range(m)])
+        states = [X for X, _ in lc._weighted_flow(ops, params, members, sched)]
+        k = 0
+        for w, X in calls:
+            S = X.shape[1]
+            assert S == min(per, len(states) - k)
+            assert w.shape == (7, ops.n_dofs, S, 1) and X.shape == (ops.n_dofs, S, m)
+            assert w.strides[1] == X.strides[0] == w.itemsize
+            assert S > 1 or np.shares_memory(X, states[k])
+            k += S
+        assert k == len(states)
 
     def test_chunk_rule_at_benchmark_sizes(self, monkeypatch, iv_domain, wide_disk_ops):
         """The observe ensembles of the benchmark: 20 members on the

@@ -3,8 +3,11 @@ and the README library example run in process against the package."""
 
 import ast
 import importlib
+import json
 import re
 import runpy
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -86,6 +89,25 @@ def test_benchmark_setup_probe_runs(text, tmp_path, capsys):
     path.write_text(text)
     runpy.run_path(str(ROOT / "perfbench" / "setup_probe.py"))["main"](str(path))
     assert float(capsys.readouterr().out) > 0.0
+
+
+def test_artifact_digests_script_runs_and_repeats():
+    """tools/artifact_digests.py on one benchmark seed of large-disk (two
+    inputs, simulate and report): every stage exits 0 and records the
+    sha256 of what it wrote, and a second run prints the same text."""
+    argv = [sys.executable, str(ROOT / "tools" / "artifact_digests.py"),
+            "--workload", "large-disk", "--seeds", "1000-1000"]
+    out = [subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stdout
+           for _ in range(2)]
+    assert out[0] == out[1]
+    doc = json.loads(out[0])
+    assert doc["nonzero"] == [] and sorted(doc["inputs"]) == ["2000", "2001"]
+    for stages in doc["inputs"].values():
+        assert list(stages) == ["report", "simulate"]
+        assert sorted(stages["simulate"]["files"]) == ["simulate.json", "trajectory.csv"]
+        assert list(stages["report"]["files"]) == ["report.json"]
+        assert all(re.fullmatch("[0-9a-f]{64}", d)
+                   for rec in stages.values() for d in rec["files"].values())
 
 
 def test_benchmark_reads_the_direct_solve_threshold():
