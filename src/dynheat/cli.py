@@ -9,8 +9,8 @@ ensemble.count); 3 on numerical failures, which also write failure.json
 That stage removes it when it next completes, and report fails while one
 is present.
 Every number written to an artifact comes from a module operation; the CLI
-only aggregates.  Artifact names and each stage's pass rule come from
-reporting.ARTIFACTS and reporting.SECTION_PASSED, which report reads too.
+only aggregates.  Artifact names and the pass rule come from
+reporting.ARTIFACTS and reporting.passed, which report reads too.
 
 control calibrates kappa by doubling from 1 and never reads constants.json;
 cost-study seeds each eps level from the fit that observe wrote there, when
@@ -33,8 +33,8 @@ from .errors import (CalibrationError, ConfigurationError, DegenerateDataError,
                      DynHeatError, FitFailureError, NumericalError,
                      ParameterError, UsageError)
 from .evolve import propagate, propagate_impulsive
-from .reporting import (ARTIFACTS, REPORT, SECTION_PASSED, canonical_json,
-                        csv_text, merge_report, read_json, write_text)
+from .reporting import (ARTIFACTS, REPORT, canonical_json, check, csv_text,
+                        merge_report, passed, read_json, write_text)
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -47,12 +47,11 @@ _FIT_KEYS = ("beta", "mu", "K", "K1", "K2", "M1", "M2", "delta", "log_G", "n_mem
 
 def _emit(out_dir, section, doc, *tables):
     """Write the section's tables and then its document under the names
-    reporting.ARTIFACTS gives; EXIT_OK exactly when the document passes
-    reporting.SECTION_PASSED."""
+    reporting.ARTIFACTS gives; EXIT_OK exactly when the document passes."""
     for name, text in zip(ARTIFACTS[section], tables + (canonical_json(doc),),
                           strict=True):
         write_text(os.path.join(out_dir, name), text)
-    return EXIT_OK if SECTION_PASSED[section](doc) else EXIT_CERT_FAILED
+    return EXIT_OK if passed(doc) else EXIT_CERT_FAILED
 
 
 def _unit_random_states(ops, count, seed, initial):
@@ -97,7 +96,7 @@ def _cmd_simulate(cfg, out_dir):
     # contraction nor written twice
     moved = np.diff(rec.times) > 0.0
     keep = np.concatenate([[True], moved])
-    contraction = bool(np.all(np.diff(rec.norms)[moved] <= 1e-12 * rec.norms[0]))
+    contracts = np.diff(rec.norms)[moved] <= 1e-12 * rec.norms[0]
     doc = {
         "scheme": sched.scheme, "dt": sched.dt, "T": sched.t1,
         "tau_effective": info.get("tau_effective"),
@@ -105,7 +104,7 @@ def _cmd_simulate(cfg, out_dir):
         "norm_final": float(ops.norm(final)),
         "norm_before_kick": info.get("norm_before_kick"),
         "norm_after_kick": info.get("norm_after_kick"),
-        "contraction": contraction,
+        "checks": {"contraction": check(contracts.size, np.count_nonzero(~contracts))},
     }
     return _emit(out_dir, "simulate", doc, csv_text(
         ["t", "norm"], np.column_stack([rec.times[keep], rec.norms[keep]])))
@@ -131,13 +130,12 @@ def _cmd_observe(cfg, out_dir):
     traces = lc.run_traces(ops, params, states, sched)
 
     C = lc.fit_bound_constant(traces)
-    bound_violations = lc.count_bound_violations(traces, C)
+    bound = check(len(traces) * traces[0].t.size, lc.count_bound_violations(traces, C))
 
     # ten sorted triples of distinct samples per member, one draw per member
     triples = _interpolation_triples(cfg.seed, len(traces), traces[0].t.size)
-    interp = lc.interpolation_check(traces[0].t, np.array([tr.normF2 for tr in traces]),
-                                    params, C, triples)
-    interp_violations = np.count_nonzero(~interp.passed)
+    passes = lc.interpolation_check(traces[0].t, np.array([tr.normF2 for tr in traces]),
+                                    params, C, triples).passed
 
     fit = lc.fit_observability_constants(
         ops, sched, states, np.column_stack([tr.final for tr in traces]))
@@ -149,8 +147,7 @@ def _cmd_observe(cfg, out_dir):
         "C0": params.C0, "C": C, "ell": steps.ell,
         "M_ell": steps.M_ell, "D_ell": steps.D_ell,
         "sign_lhs": steps.sign_lhs, "sign_ok": steps.sign_ok,
-        "bound_violations": int(bound_violations),
-        "interpolation_violations": int(interp_violations),
+        "checks": {"bound": bound, "interpolation": check(passes.size, np.count_nonzero(~passes))},
         **{key: getattr(fit, key) for key in _FIT_KEYS},
     }
     return _emit(out_dir, "observe", doc, csv_text(
@@ -174,6 +171,7 @@ def _cmd_commutator_check(cfg, out_dir):
                                        resolutions)
 
     res_labels = ["x".join(map(str, r.values())) for r in rep.resolutions]
+    falls = np.diff(rep.rel_residual) < 0.0
     rows = [[res_labels[i], rep.spacings[i], rep.lhs[i], rep.rhs[i],
              rep.rel_residual[i]] for i in range(len(res_labels))]
     doc = {
@@ -181,7 +179,7 @@ def _cmd_commutator_check(cfg, out_dir):
         "resolutions": res_labels,
         "rel_residuals": list(rep.rel_residual),
         "orders": list(rep.orders),
-        "monotone": bool(np.all(np.diff(rep.rel_residual) < 0.0)),
+        "checks": {"monotone": check(falls.size, np.count_nonzero(~falls))},
     }
     return _emit(out_dir, "commutator", doc, csv_text(
         ["resolution", "spacing", "lhs", "rhs", "rel_residual"], rows))
@@ -204,7 +202,9 @@ def _cmd_control(cfg, out_dir):
     else:
         result = ctl.synthesize(ops, prob, sched, psi0s[:, 0])
 
-    return _emit(out_dir, "control", result.summary())
+    doc = result.summary()
+    doc["checks"] = {key: check(1, not doc["flags"].pop(key)) for key in ("target", "cost")}
+    return _emit(out_dir, "control", doc)
 
 
 def _cmd_cost_study(cfg, out_dir):
@@ -220,7 +220,7 @@ def _cmd_cost_study(cfg, out_dir):
     constants = None
     constants_path = os.path.join(out_dir, ARTIFACTS["observe"][-1])
     if os.path.exists(constants_path):
-        doc = read_json(constants_path)
+        doc = read_json(constants_path, _FIT_KEYS)
         constants = lc.ObservabilityFit(**{key: doc[key] for key in _FIT_KEYS})
 
     study = ctl.cost_study(ops, prob, sched, list(cfg.eps_list), psi0s,
@@ -231,8 +231,8 @@ def _cmd_cost_study(cfg, out_dir):
                   "passes": r.passes} for r in study.rows],
         "slope": study.slope,
         "delta_fitted": study.delta_fitted,
-        "all_certified": study.all_certified,
-        "nondecreasing": study.nondecreasing,
+        "checks": {"certified": check(1, not study.all_certified),
+                   "nondecreasing": check(1, not study.nondecreasing)},
     }
     return _emit(out_dir, "cost_study", doc,
                  csv_text(["eps", "sup_cost", "kappa", "passes"], rows))

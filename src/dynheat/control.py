@@ -66,7 +66,7 @@ The reduced solution is used twice, and never certifies anything:
   rung would wherever the prediction errs by less: the property tests hold
   it to 1e-9 up to kappa / eps = 1e3 and to 1e-7 beyond, on rungs whose
   propagated CG reaches a true residual of 1e-10.  Past that the
-  propagated rung is no oracle either (see ROADMAP item 6).
+  propagated rung is no oracle either (see ROADMAP item 8).
 
 The reduced Gramian is built only where it pays.  Its flow costs the
 steps of n_omega Gramian applies to one column, in one wide block, and a

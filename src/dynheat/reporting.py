@@ -1,4 +1,4 @@
-"""Canonical report serialization.
+"""Canonical report serialization and the one pass rule.
 
 All floats render with 17 significant digits and JSON keys are sorted, so
 a run's artifacts are byte-identical across repeated invocations with the
@@ -90,9 +90,17 @@ def write_text(path, text):
         fh.write(text)
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def read_json(path, keys=()):
+    """The JSON document at path, which must hold keys."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not a JSON document: {exc}") from None
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise ConfigurationError(f"{path} lacks the key {key!r}")
+    return doc
 
 
 # artifact names each subcommand emits, its JSON document last;
@@ -106,36 +114,32 @@ ARTIFACTS = {
     "cost_study": ("cost_study.csv", "cost_study.json"),
 }
 
-# whether a section's document certifies
-SECTION_PASSED = {
-    "simulate": lambda doc: doc["contraction"],
-    "observe": lambda doc: (doc["bound_violations"] == 0
-                            and doc["interpolation_violations"] == 0),
-    "commutator": lambda doc: doc["monotone"],
-    "control": lambda doc: doc["flags"]["target"] and doc["flags"]["cost"],
-    "cost_study": lambda doc: doc["all_certified"] and doc["nondecreasing"],
-}
+
+def check(checked, violations):
+    """One check's record: the items it checked and how many violate it."""
+    return {"checked": int(checked), "violations": int(violations)}
+
+
+def passed(doc):
+    """Whether a stage document passes: no check record has a violation."""
+    return all(record["violations"] == 0 for record in doc["checks"].values())
 
 
 def merge_report(directory):
     """Merge prior run artifacts in directory into one report document.
 
-    Sections without artifacts come out null; an empty directory is an
-    error listing every recognized artifact.  A failure.json is copied
-    under "failure" and fails the report.  The merge reads only files,
-    so running it twice produces the same document.
+    Sections without artifacts come out null.  An empty directory is an
+    error listing every artifact, and a document without "checks" one
+    naming it.  A failure.json is copied under "failure" and fails the
+    report.  The merge reads only files, so it repeats its document.
     """
     def have(name):
         return os.path.exists(os.path.join(directory, name))
 
-    report = {}
-    flags = []
-    for section, names in ARTIFACTS.items():
-        doc = None
-        if all(have(n) for n in names):
-            doc = read_json(os.path.join(directory, names[-1]))
-            flags.append(SECTION_PASSED[section](doc))
-        report[section] = doc
+    report = {section: read_json(os.path.join(directory, names[-1]), ("checks",))
+              if all(have(n) for n in names) else None
+              for section, names in ARTIFACTS.items()}
+    flags = [passed(doc) for doc in report.values() if doc is not None]
 
     if have("failure.json"):
         report["failure"] = read_json(os.path.join(directory, "failure.json"))

@@ -10,7 +10,7 @@ import pytest
 from dynheat import FitFailureError, cli, control as ctl, evolve, logconvexity as lc
 from dynheat.cli import main
 from dynheat.discretize import OperatorSet, assemble_operator
-from dynheat.reporting import ARTIFACTS, SECTION_PASSED, canonical_json
+from dynheat.reporting import ARTIFACTS, canonical_json, check, merge_report, passed
 
 from conftest import theta_broken
 
@@ -87,6 +87,11 @@ seed = 7
 PIPELINE = ["simulate", "observe", "commutator-check", "control",
             "cost-study", "report"]
 
+# the reporting.ARTIFACTS section each certifying stage writes
+SECTIONS = {"simulate": "simulate", "observe": "observe",
+            "commutator-check": "commutator", "control": "control",
+            "cost-study": "cost_study"}
+
 # a large explicit penalization: kappa^2 / eps^2 = 2.5e9 leaves the warm
 # start's full-space residual near 1e-7, which two CG iterations cannot
 # bring to cg_tol, so control exits 3
@@ -142,9 +147,17 @@ class TestPipeline:
                         "cost_study"):
             assert report[section] is not None
         assert report["all_passed"] is True
-        assert report["simulate"]["contraction"] is True
-        assert report["observe"]["bound_violations"] == 0
-        assert report["cost_study"]["nondecreasing"] is True
+        checks = {section: sorted(report[section]["checks"]) for section in ARTIFACTS}
+        assert checks == {"simulate": ["contraction"], "observe": ["bound", "interpolation"],
+                          "commutator": ["monotone"], "control": ["cost", "target"],
+                          "cost_study": ["certified", "nondecreasing"]}
+        # 6 members x 51 samples, 10 drawn triples each; one sweep of the
+        # tolerance ladder; 2 refinement steps
+        assert report["observe"]["checks"] == {"bound": check(306, 0),
+                                               "interpolation": check(60, 0)}
+        assert report["cost_study"]["checks"]["nondecreasing"] == check(1, 0)
+        assert report["commutator"]["checks"]["monotone"] == check(2, 0)
+        assert sorted(report["control"]["flags"]) == ["apriori", "observation"]
 
     def test_report_is_idempotent(self, config_path, pipeline_dir):
         out, _ = pipeline_dir
@@ -153,17 +166,13 @@ class TestPipeline:
         assert (out / "report.json").read_bytes() == first
 
 
-    @pytest.mark.parametrize("stage, section", [
-        ("simulate", "simulate"), ("observe", "observe"),
-        ("commutator-check", "commutator"), ("control", "control"),
-        ("cost-study", "cost_study"),
-    ])
+    @pytest.mark.parametrize("stage, section", SECTIONS.items())
     def test_a_stage_alone_writes_its_artifacts_and_exits_by_its_rule(
             self, config_path, tmp_path, stage, section):
         code = main([stage, "--config", config_path, "--out", str(tmp_path)])
         assert sorted(os.listdir(tmp_path)) == sorted(ARTIFACTS[section])
         doc = json.loads((tmp_path / ARTIFACTS[section][-1]).read_text())
-        assert code == (0 if SECTION_PASSED[section](doc) else 1)
+        assert code == (0 if passed(doc) else 1)
 
     def test_cost_study_reads_back_the_fit_observe_made(self, config_path, tmp_path,
                                                         monkeypatch):
@@ -582,7 +591,7 @@ class TestFailureArtifact:
         assert main(["report", "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is False
-        assert report["simulate"]["contraction"] is True
+        assert passed(report["simulate"])
         assert report["failure"]["stage"] == "control"
         assert report["failure"]["error"] == "NumericalError"
 
@@ -605,10 +614,67 @@ class TestFailureArtifact:
         assert set(codes.values()) == {0}
         assert not (out / "failure.json").exists()
         (tmp_path / "constants.json").write_text(
-            '{"bound_violations": 1, "interpolation_violations": 0}\n')
+            '{"checks": {"bound": {"checked": 1, "violations": 1}}}\n')
         (tmp_path / "frequency_trace.csv").write_text("t,normF2,N,Q,bound\n")
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "failure.json").exists()
+
+
+class TestPassRule:
+    """reporting.passed is the one rule: a document passes when no record
+    in its checks has a violation, whatever the check is called."""
+
+    def test_a_check_no_stage_writes_decides_every_reader(self, tmp_path):
+        doc = {"checks": {"contraction": check(3, 0), "held_out": check(4, 1)}}
+        assert not passed(doc)
+        assert cli._emit(str(tmp_path), "simulate", doc, "t,norm\n") == 1
+        assert merge_report(str(tmp_path))["all_passed"] is False
+        doc["checks"]["held_out"] = check(4, 0)
+        assert cli._emit(str(tmp_path), "simulate", doc, "t,norm\n") == 0
+        assert merge_report(str(tmp_path))["all_passed"] is True
+
+    def test_a_nan_norm_step_is_a_contraction_violation(self, tmp_path, monkeypatch):
+        """A NaN rise is not <= the tolerance, so it counts as a violation.
+        The NaN norm follows a zero-length step, which the trajectory does
+        not write, so it reaches the check and no table."""
+        path = tmp_path / "free.ini"
+        path.write_text(CONFIG.replace("[impulse]\ntau = 0.5\n", ""))
+        record = evolve.PropagationRecord(times=np.array([0.0, 0.5, 0.5, 1.0]),
+                                          norms=np.array([1.0, 0.9, np.nan, 0.8]))
+        monkeypatch.setattr(cli, "propagate", lambda ops, state0, sched: (0.8 * state0, record))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        doc = json.loads((out / "simulate.json").read_text())
+        assert doc["checks"] == {"contraction": check(2, 1)}
+        assert (out / "trajectory.csv").read_text().count("nan") == 0
+
+
+class TestReadBack:
+    """A stage document read back that is not a JSON object, or lacks a
+    key its reader needs, exits 2 naming the file and the key: exit 1
+    stays the failed-certificate code."""
+
+    @pytest.mark.parametrize("text, named", [
+        ("{}\n", "lacks the key 'checks'"),
+        # the shape written before the checks record
+        ('{"bound_violations": 0, "interpolation_violations": 0}\n',
+         "lacks the key 'checks'"),
+        ("5\n", "lacks the key 'checks'"),
+        ("not json\n", "is not a JSON document"),
+    ])
+    def test_report_on_a_document_without_checks(self, tmp_path, capsys, text, named):
+        (tmp_path / "constants.json").write_text(text)
+        (tmp_path / "frequency_trace.csv").write_text("t,normF2,N,Q,bound\n")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'constants.json'} {named}" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_cost_study_on_a_fit_without_mu(self, config_path, tmp_path, capsys):
+        (tmp_path / "constants.json").write_text('{"beta": 0.5}\n')
+        assert main(["cost-study", "--config", config_path, "--out", str(tmp_path)]) == 2
+        assert f"{tmp_path / 'constants.json'} lacks the key 'mu'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["constants.json"]
 
 
 class TestDegenerateData:
@@ -622,7 +688,7 @@ class TestDegenerateData:
         doc = json.loads((out / "control_result.json").read_text())
         assert doc["norm_h"] == 0.0
         assert doc["norm_Psi0"] == 0.0
-        assert doc["flags"]["target"] is True
+        assert doc["checks"]["target"] == check(1, 0)
 
     def test_zero_data_observe_is_config_error(self, tmp_path, capsys):
         cfg = CONFIG + "initial = zero\n"

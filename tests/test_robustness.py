@@ -5,7 +5,6 @@ failed flag in its artifact and exit 0 never does."""
 
 import contextlib
 import io
-import json
 import os
 import tempfile
 import traceback
@@ -14,29 +13,17 @@ import warnings
 from hypothesis import example, given, settings, strategies as st
 
 from dynheat.cli import main
+from dynheat.reporting import ARTIFACTS, REPORT, passed, read_json
 
-from test_cli import PIPELINE
+from test_cli import PIPELINE, SECTIONS
 
 
 def _failed_flag(stage, out):
-    def doc(name):
-        with open(os.path.join(out, name)) as fh:
-            return json.load(fh)
-
-    if stage == "simulate":
-        return not doc("simulate.json")["contraction"]
-    if stage == "observe":
-        d = doc("constants.json")
-        return d["bound_violations"] > 0 or d["interpolation_violations"] > 0
-    if stage == "commutator-check":
-        return not doc("commutator.json")["monotone"]
-    if stage == "control":
-        flags = doc("control_result.json")["flags"]
-        return not (flags["target"] and flags["cost"])
-    if stage == "cost-study":
-        d = doc("cost_study.json")
-        return not (d["all_certified"] and d["nondecreasing"])
-    return not doc("report.json")["all_passed"]
+    """Whether the stage's document records a failure: reporting.passed
+    decides it for a certifying stage, all_passed for report."""
+    if stage == "report":
+        return not read_json(os.path.join(out, REPORT))["all_passed"]
+    return not passed(read_json(os.path.join(out, ARTIFACTS[SECTIONS[stage]][-1])))
 
 
 def _config(lo, x0, hi, T, steps, eps, kappa, n, s, h_weight, ell, scheme,

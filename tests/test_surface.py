@@ -94,7 +94,8 @@ def test_benchmark_setup_probe_runs(text, tmp_path, capsys):
 def test_artifact_digests_script_runs_and_repeats():
     """tools/artifact_digests.py on one benchmark seed of large-disk (two
     inputs, simulate and report): every stage exits 0 and records the
-    sha256 of what it wrote, and a second run prints the same text."""
+    sha256 of what it wrote, simulate its checks, no check fails, and a
+    second run prints the same text."""
     argv = [sys.executable, str(ROOT / "tools" / "artifact_digests.py"),
             "--workload", "large-disk", "--seeds", "1000-1000"]
     out = [subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stdout
@@ -102,8 +103,12 @@ def test_artifact_digests_script_runs_and_repeats():
     assert out[0] == out[1]
     doc = json.loads(out[0])
     assert doc["nonzero"] == [] and sorted(doc["inputs"]) == ["2000", "2001"]
+    assert doc["failing"] == {}
     for stages in doc["inputs"].values():
         assert list(stages) == ["report", "simulate"]
+        assert list(stages["simulate"]["checks"]) == ["contraction"]
+        assert stages["simulate"]["checks"]["contraction"]["violations"] == 0
+        assert "checks" not in stages["report"]
         assert sorted(stages["simulate"]["files"]) == ["simulate.json", "trajectory.csv"]
         assert list(stages["report"]["files"]) == ["report.json"]
         assert all(re.fullmatch("[0-9a-f]{64}", d)

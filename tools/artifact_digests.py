@@ -1,4 +1,4 @@
-"""Exit codes and artifact digests of a benchmark workload's inputs.
+"""Exit codes, artifact digests and checks of a benchmark workload's inputs.
 
     python3 tools/artifact_digests.py --workload pipeline-interval --seeds 1000-1099
 
@@ -8,9 +8,12 @@ configs that ``perfbench/workloads.py`` generates, one per ensemble seed
 ``dynheat.cli.main`` into a fresh directory, with the arguments the
 benchmark passes.  The script prints one JSON object: per input and stage
 the exit code, the first line the stage printed to stderr when it exited
-nonzero, the sha256 of every file it wrote or changed and the files it
-removed; ``nonzero`` lists every nonzero exit.  Two checkouts give the same
-bytes on those inputs when their outputs are equal:
+nonzero, the sha256 of every file it wrote or changed, the files it
+removed and the ``checks`` of the stage document it wrote (none when the
+document has none, as an older checkout's may not); ``nonzero``
+lists every nonzero exit, and ``failing`` maps each ``stage.check`` to the
+inputs with a violation of it.  Two checkouts give the same bytes on those
+inputs when their outputs are equal:
 
     python3 tools/artifact_digests.py --workload W --seeds A-B > change.json
     python3 tools/artifact_digests.py --workload W --seeds A-B --root ../parent > parent.json
@@ -49,15 +52,18 @@ def _seed_range(text):
 
 
 def _load(root):
-    """dynheat.cli and perfbench's workloads module from the checkout root."""
+    """dynheat.cli's main, the names of the stage documents and perfbench's
+    workloads from the checkout root."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import dynheat.cli
+    import dynheat.reporting
     import workloads
-    for module in (dynheat.cli, workloads):
+    for module in (dynheat.cli, dynheat.reporting, workloads):
         if not Path(module.__file__).resolve().is_relative_to(root):
             raise SystemExit(f"{module.__name__} was imported from {module.__file__}, "
                              f"not from {root}")
-    return dynheat.cli.main, workloads.WORKLOADS
+    documents = {names[-1] for names in dynheat.reporting.ARTIFACTS.values()}
+    return dynheat.cli.main, documents, workloads.WORKLOADS
 
 
 def _digests(directory):
@@ -65,7 +71,7 @@ def _digests(directory):
             for path in sorted(directory.iterdir()) if path.is_file()}
 
 
-def run_input(main, workload, input_seed, work):
+def run_input(main, documents, workload, input_seed, work):
     """{stage: record} for one input, run in a fresh directory under work."""
     config = work / f"input{input_seed}.ini"
     config.write_text(workload.config_text(input_seed))
@@ -87,6 +93,10 @@ def run_input(main, workload, input_seed, work):
                   "removed": sorted(set(before) - set(after))}
         if code != 0:
             record["error"] = (err.getvalue().strip().splitlines() or [""])[0]
+        for name in documents.intersection(record["files"]):
+            doc = json.loads((out / name).read_text())
+            if "checks" in doc:
+                record["checks"] = doc["checks"]
         records[stage] = record
         before = after
     return records
@@ -100,21 +110,26 @@ def main(argv=None):
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout to run (default: the one holding this script)")
     args = parser.parse_args(argv)
-    cli_main, workloads = _load(args.root.resolve())
+    cli_main, documents, workloads = _load(args.root.resolve())
     if args.workload not in workloads:
         parser.error(f"unknown workload {args.workload!r}, pick one of {sorted(workloads)}")
     workload = workloads[args.workload]
 
-    inputs, nonzero = {}, []
+    inputs, nonzero, failing = {}, [], {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for input_seed in workload.input_seeds(seed):
-                inputs[input_seed] = run_input(cli_main, workload, input_seed, Path(tmp))
-                nonzero += [[input_seed, stage, rec["exit"]]
-                            for stage, rec in inputs[input_seed].items() if rec["exit"] != 0]
+                inputs[input_seed] = run_input(cli_main, documents, workload, input_seed,
+                                               Path(tmp))
+                for stage, rec in inputs[input_seed].items():
+                    if rec["exit"] != 0:
+                        nonzero.append([input_seed, stage, rec["exit"]])
+                    for name, check in rec.get("checks", {}).items():
+                        if check["violations"]:
+                            failing.setdefault(f"{stage}.{name}", []).append(input_seed)
     json.dump({"workload": workload.name,
                "seeds": [args.seeds.start, args.seeds.stop - 1],
-               "inputs": inputs, "nonzero": nonzero},
+               "inputs": inputs, "nonzero": nonzero, "failing": failing},
               sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
