@@ -24,16 +24,17 @@ def main():
     params = dh.WeightParams(s=0.5, h=0.5, T=1.0)
     state0 = smooth_state(ops, 100)
 
+    # the one-member record: every per-sample field is row 0 of (1, s)
     trace = lc.run_trace(ops, params, state0, dh.Schedule(0.0, 1.0, 0.01))
     print("t      ||F||^2    N(t)      Q(t)")
     for k in range(0, trace.t.size, 20):
-        print(f"{trace.t[k]:.2f}   {trace.normF2[k]:.5f}   "
-              f"{trace.N[k]:8.5f}  {trace.Q[k]:9.5f}")
+        print(f"{trace.t[k]:.2f}   {trace.normF2[0, k]:.5f}   "
+              f"{trace.N[0, k]:8.5f}  {trace.Q[0, k]:9.5f}")
 
-    print(f"\nfitted C (rate fit)      : {trace.C:.6g}")
-    print(f"fitted C (form variant)  : {trace.C_form:.6g}")
+    print(f"\nfitted C (rate fit)      : {trace.C[0]:.6g}")
+    print(f"fitted C (form variant)  : {trace.C_form[0]:.6g}")
     print(f"bound violations         : "
-          f"{lc.count_bound_violations([trace], trace.C)}")
+          f"{lc.count_bound_violations(trace, trace.C[0])}")
 
 
 if __name__ == "__main__":

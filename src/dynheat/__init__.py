@@ -22,8 +22,7 @@ from .evolve import Propagator, Schedule, propagate, propagate_impulsive
 from .geometry import DomainSpec, WeightParams
 from .logconvexity import (InteriorBump, commutator_identity_check,
                            count_bound_violations, count_observability_violations,
-                           diverse_ensemble, fit_bound_constant,
-                           fit_observability_constants, interpolation_check,
+                           diverse_ensemble, fit_observability_constants, interpolation_check,
                            run_trace, run_traces, step_constants)
 
 __version__ = "0.1.0"
@@ -32,7 +31,7 @@ __all__ = [
     "DomainSpec", "WeightParams", "build_grid", "assemble_operator",
     "load_config",
     "Schedule", "Propagator", "propagate", "propagate_impulsive",
-    "diverse_ensemble", "run_trace", "run_traces", "fit_bound_constant",
+    "diverse_ensemble", "run_trace", "run_traces",
     "count_bound_violations", "interpolation_check", "step_constants",
     "InteriorBump", "commutator_identity_check", "fit_observability_constants",
     "count_observability_violations",

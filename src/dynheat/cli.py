@@ -9,7 +9,8 @@ ensemble.count); 3 on numerical failures, which also write failure.json
 That stage removes it when it next completes, and report fails while one
 is present.
 Every number written to an artifact comes from a module operation; the CLI
-only aggregates.  Artifact names and the pass rule come from
+only aggregates (observe certifies with the largest member C of its one
+FrequencyTrace).  Artifact names and the pass rule come from
 reporting.ARTIFACTS and reporting.passed, which report reads too.
 
 control calibrates kappa by doubling from 1 and never reads constants.json;
@@ -127,18 +128,15 @@ def _cmd_observe(cfg, out_dir):
         raise ConfigurationError(
             f"observe needs at least 2 members; ensemble.count = {cfg.ensemble_count}")
     states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
-    traces = lc.run_traces(ops, params, states, sched)
-
-    C = lc.fit_bound_constant(traces)
-    bound = check(len(traces) * traces[0].t.size, lc.count_bound_violations(traces, C))
+    trace = lc.run_traces(ops, params, states, sched)
+    C = float(trace.C.max())
+    bound = check(trace.Q.size, lc.count_bound_violations(trace, C))
 
     # ten sorted triples of distinct samples per member, one draw per member
-    triples = _interpolation_triples(cfg.seed, len(traces), traces[0].t.size)
-    passes = lc.interpolation_check(traces[0].t, np.array([tr.normF2 for tr in traces]),
-                                    params, C, triples).passed
+    triples = _interpolation_triples(cfg.seed, *trace.normF2.shape)
+    passes = lc.interpolation_check(trace.t, trace.normF2, params, C, triples).passed
 
-    fit = lc.fit_observability_constants(
-        ops, sched, states, np.column_stack([tr.final for tr in traces]))
+    fit = lc.fit_observability_constants(ops, sched, states, trace.final)
     steps = lc.step_constants(grid.domain, params, C, cfg.ell)
 
     # the sign condition is reported, not certified: it is a property of the
@@ -151,7 +149,7 @@ def _cmd_observe(cfg, out_dir):
         **{key: getattr(fit, key) for key in _FIT_KEYS},
     }
     return _emit(out_dir, "observe", doc, csv_text(
-        ["t", "normF2", "N", "Q", "bound"], traces[0].rows()))
+        ["t", "normF2", "N", "Q", "bound"], trace.rows(0)))
 
 
 def _cmd_commutator_check(cfg, out_dir):

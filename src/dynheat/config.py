@@ -147,12 +147,13 @@ def _parse_sections(parser):
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown config section: {section}")
         schema = _SCHEMA[section]
-        block = {}
-        for key, raw in parser[section].items():
+        # items() lists the [DEFAULT] keys first, options() the section's own
+        values, block = dict(parser.items(section, raw=True)), {}
+        for key in parser.options(section):
             if key not in schema:
                 raise ConfigurationError(f"unknown config key: {section}.{key}")
             try:
-                block[key] = schema[key](raw)
+                block[key] = schema[key](values[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigurationError(
                     f"invalid value for {section}.{key}: {exc}") from exc

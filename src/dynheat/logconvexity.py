@@ -26,8 +26,8 @@ exact discrete identity.  This module provides:
   S' = diag(d') + [diag(d), Aanti] exactly, and the skewness of Aanti
   turns <S' F, F> into <d' F, F> + 2 <d F, Aanti F>, so no derivative in t
   is differenced,
-* the frequency trace runner, which traces an ensemble as one
-  block, bit for bit its one-member traces, and fits the drift constant C in
+* the frequency trace runner: an ensemble traced as one block into one
+  record, rows bit for bit its one-member traces, fitting C per member in
   Q <= (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2  with C0 = 1 - s^3,
 * the commutator identity refinement study (interval, and disk with the
   anchor at the center so the weight is constant on the boundary),
@@ -35,7 +35,7 @@ exact discrete identity.  This module provides:
   exponent M and additive drift D,
 * the telescoping constants M_ell, D_ell with their sign condition, and
 * the empirical observability fit (beta, mu, K), which reads the ensemble's
-  final states from its traces (FrequencyTrace.final), with the derived
+  final block from its trace (FrequencyTrace.final), with the derived
   penalization constants (M1, M2, delta).
 
 All operations are pure functions of immutable inputs.
@@ -110,11 +110,10 @@ def _forms(ops, w, X):
     """(||F||^2, <-S F, F>, Q, <S' F, F>) per column of F = E X, each
     (S, m), from the Fortran-order (n, S, m) block X of S consecutive
     samples by m members and their weights w, shaped (7, n, S, 1) (see
-    _weights), with one product by K.  An (n, m) block with one time's
-    weights (7, n, 1) is the case S = 1, and its forms come back (m,).
-    Every product broadcasts a weight against X and runs fastest down the
-    nodes when the weights are contiguous there too, as _weighted_flow
-    stacks them; the layout changes no bit.
+    _weights), with one product by K.  Every product broadcasts a weight
+    against X and runs fastest down the nodes when the weights are
+    contiguous there too, as _weighted_flow stacks them; the layout changes
+    no bit.
 
     B = E A E^{-1} and B* = E^{-1} A E give B F = -E K X / M and
     B* F = -K Y / (E M) with Y = E^2 X.  Aanti F and the forms rest on
@@ -129,8 +128,6 @@ def _forms(ops, w, X):
     product sums each column alone, so each column is its one-column,
     one-sample forms bit for bit.
     """
-    if X.ndim == 2:
-        return tuple(f[0] for f in _forms(ops, w[:, :, None], X[:, None]))
     E2, G, d, ME2, MdE2, MdpE2, half = w
     n, S, m = X.shape
     # column s + S j of the (n, S m) view is sample s of member j
@@ -149,8 +146,9 @@ def _state_forms(ops, params, t, F):
     """_forms of one weighted state F (n,) at a time t in [0, T], as floats."""
     if not 0.0 <= t <= params.T:
         raise UsageError(f"t={t} outside [0, {params.T}]")
-    w = next(_weights(ops, params, [t]))
-    return [float(f[0]) for f in _forms(ops, w, np.asarray(F, dtype=float)[:, None] / np.sqrt(w[0]))]
+    w = next(_weights(ops, params, [t]))[:, :, None]
+    X = np.asarray(F, dtype=float)[:, None, None] / np.sqrt(w[0])
+    return [float(f[0, 0]) for f in _forms(ops, w, X)]
 
 
 def s_prime_form(ops, params, t, F):
@@ -169,13 +167,12 @@ def commutator_form(ops, params, t, F):
 
 @dataclass
 class FrequencyTrace:
-    """Recorded weighted-flow diagnostics along one trajectory.
+    """Weighted-flow diagnostics of an ensemble of m members at s times t.
 
-    Arrays are aligned with t.  neg_S is <-S F, F>; bound is the fitted
-    drift bound (1 + C0)/Upsilon neg_S + C/h^2 normF2 with this trace's
-    fitted C (the rate fit).  C_form is the quadratic-form variant, the
-    smallest constant with Q <= (1 + C0)/Upsilon neg_S + C_form/h^2 normF2
-    along the trace.  final is the state U(T) the trace ends at.
+    normF2, N, Q, neg_S (<-S F, F>) and bound are (m, s), row j member
+    j's; bound is (1 + C0)/Upsilon neg_S + C/h^2 normF2.  C and C_form,
+    each member's rate and form fits, are (m,) (see run_traces).  final is
+    the (n, m) block U(T) the trajectory ends at.
     """
 
     params: geometry.WeightParams
@@ -185,17 +182,17 @@ class FrequencyTrace:
     Q: np.ndarray
     neg_S: np.ndarray
     bound: np.ndarray
-    C: float
-    C_form: float
+    C: np.ndarray
+    C_form: np.ndarray
     final: np.ndarray
 
-    def rows(self):
-        return np.column_stack([self.t, self.normF2, self.N, self.Q, self.bound])
+    def rows(self, j):
+        return np.column_stack([self.t, self.normF2[j], self.N[j], self.Q[j], self.bound[j]])
 
 
 def _drift_bound(params, t, neg_S, normF2, C):
-    """(1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2 at the times t, for one
-    trace's forms (s,) or stacked traces' (m, s), with C a float or (m, 1)."""
+    """(1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2 at the times t, with C a
+    float or, for the (m, s) forms, (m, 1)."""
     return (1.0 + params.C0) / (params.T - t + params.h) * neg_S + (C / params.h ** 2) * normF2
 
 
@@ -241,64 +238,53 @@ def _weighted_flow(ops, params, block, sched):
 
 
 def run_traces(ops, params, block, sched):
-    """Propagate the (n, m) block of states; one FrequencyTrace per column,
-    bit for bit its one-member trace (the step solve and every reduction treat
-    each column alone).  Each chunk of samples costs one product by K
-    (see _weighted_flow and _forms).
+    """Propagate the (n, m) block of states into one FrequencyTrace, row j
+    bit for bit member j's one-member trace (the step solve and every
+    reduction treat each column alone).  Each chunk of samples costs one
+    product by K (see _weighted_flow and _forms).
 
-    C, the rate fit, is the smallest constant >= 0 with dN/dt <= (1 + C0)
-    N / Upsilon + C / h^2 at the interior samples (centered differencing).
-    C_form, the form fit, is the smallest constant >= 0 with Q <= (1 + C0)
-    / Upsilon <-S F, F> + C_form / h^2 ||F||^2 at every sample: the bound
-    count_bound_violations checks with the C it is given, which observe
-    takes from the rate fit.  Neither bounds the other: on rough data
-    C can exceed C_form by orders of magnitude (the differenced N carries
-    CN's time-discretization transient), and on some inputs C falls below
+    C, the rate fit, is each member's smallest constant >= 0 with dN/dt <=
+    (1 + C0) N / Upsilon + C / h^2 at the interior samples (centered
+    differencing).  C_form, the form fit, is each member's smallest
+    constant >= 0 with Q <= (1 + C0) / Upsilon <-S F, F> + C_form / h^2
+    ||F||^2 at every sample: the bound count_bound_violations checks with
+    the C it is given, which observe takes as the ensemble's largest rate
+    fit.  Neither bounds the other: on rough data C can exceed C_form by
+    orders of magnitude (the differenced N carries CN's
+    time-discretization transient), and on some inputs C falls below
     C_form, so the bound with C fails (benchmark input 8020, a 32-node
     interval: C = 0 against C_form = 0.0145, 18 violations; ROADMAP item 1).
     """
     times = sched.times()
-    m = block.shape[1]
-    normF2, neg_S, Q = (np.empty((m, times.size)) for _ in range(3))
+    normF2, neg_S, Q = (np.empty((block.shape[1], times.size)) for _ in range(3))
     for k, (X, forms) in enumerate(_weighted_flow(ops, params, block, sched)):
         normF2[:, k], neg_S[:, k], Q[:, k] = forms[:3]
     N = neg_S / normF2
 
     C0, h2 = params.C0, params.h ** 2
     ups = params.T - times + params.h
-    C_form = np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2, axis=1)
     dN = (N[:, 2:] - N[:, :-2]) / (times[2:] - times[:-2])
-    C = np.array([max(0.0, c) for c in np.max(
-        h2 * (dN - (1.0 + C0) / ups[1:-1] * N[:, 1:-1]), axis=1, initial=-np.inf)])
-    bound = _drift_bound(params, times, neg_S, normF2, C[:, None])
-    return [FrequencyTrace(params=params, t=times, normF2=normF2[j], N=N[j], Q=Q[j],
-                           neg_S=neg_S[j], bound=bound[j], C=float(C[j]),
-                           C_form=float(max(0.0, C_form[j])), final=X[:, j])
-            for j in range(m)]
+    # max(0.0, c) in scalars, which reads a NaN fit as 0
+    C, C_form = (np.array([max(0.0, c) for c in fit]) for fit in (
+        np.max(h2 * (dN - (1.0 + C0) / ups[1:-1] * N[:, 1:-1]), axis=1, initial=-np.inf),
+        np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2, axis=1)))
+    return FrequencyTrace(params=params, t=times, normF2=normF2, N=N, Q=Q, neg_S=neg_S,
+                          bound=_drift_bound(params, times, neg_S, normF2, C[:, None]),
+                          C=C, C_form=C_form, final=X)
 
 
 def run_trace(ops, params, u0, sched):
-    """The FrequencyTrace of one state (n,): run_traces on a one-member block."""
-    return run_traces(ops, params, u0[:, None], sched)[0]
+    """The FrequencyTrace of one state (n,): run_traces of u0[:, None]."""
+    return run_traces(ops, params, u0[:, None], sched)
 
 
-def fit_bound_constant(traces):
-    """Smallest C >= 0 valid for every trace in the collection."""
-    if not traces:
-        raise ConfigurationError("need at least one trace to fit C")
-    return max(tr.C for tr in traces)
-
-
-def count_bound_violations(traces, C):
-    """Recorded (trace, time) pairs where Q exceeds the drift bound with
-    constant C, over a non-empty sequence of traces on one time grid: one
-    comparison of the stacked (traces, samples) arrays, each entry as in
-    its own trace, so the count is the sum of the one-trace counts."""
-    Q, neg_S, normF2 = (np.array([getattr(tr, f) for tr in traces])
-                        for f in ("Q", "neg_S", "normF2"))
-    rhs = _drift_bound(traces[0].params, traces[0].t, neg_S, normF2, C)
-    scale = np.maximum(1.0, np.maximum(np.abs(Q), np.abs(rhs)))
-    return int(np.count_nonzero(Q > rhs + SLACK * scale))
+def count_bound_violations(trace, C):
+    """(member, sample) pairs of a FrequencyTrace where Q exceeds the drift
+    bound with the constant C, in one comparison of its (m, s) arrays: the
+    sum of the one-member counts."""
+    rhs = _drift_bound(trace.params, trace.t, trace.neg_S, trace.normF2, C)
+    scale = np.maximum(1.0, np.maximum(np.abs(trace.Q), np.abs(rhs)))
+    return int(np.count_nonzero(trace.Q > rhs + SLACK * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +453,10 @@ def interpolation_check(times, normF2, params, C, triples):
     """Check (||F(t2)||^2)^{1+M} <= (||F(t1)||^2)^M ||F(t3)||^2 e^D
     on index triples (i1, i2, i3) of traces, with D = 2 (1+M) (t3-t1)^2 C / h^2.
 
-    normF2 is one trace (s,) over times with triples (k, 3), or one trace
-    per row (m, s) with triples (m, k, 3), row j's on trace j.  Comparison
-    happens in log space with the relative SLACK.  Returns one
-    InterpolationRecord of arrays.
+    normF2 is one trace (s,) over times with triples (k, 3), or one member
+    per row (m, s), as FrequencyTrace.normF2, with triples (m, k, 3), row
+    j's on member j.  Comparison happens in log space with the relative
+    SLACK.  Returns one InterpolationRecord of arrays.
     """
     times = np.asarray(times, dtype=float)
     normF2 = np.asarray(normF2, dtype=float)

@@ -91,7 +91,8 @@ def write_text(path, text):
 
 
 def read_json(path, keys=()):
-    """The JSON document at path, which must hold keys."""
+    """The JSON object at path, which must hold keys; when "checks" is one
+    of them, it must map each check to a record as check() writes it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -100,6 +101,14 @@ def read_json(path, keys=()):
     for key in keys:
         if not isinstance(doc, dict) or key not in doc:
             raise ConfigurationError(f"{path} lacks the key {key!r}")
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path} is not a JSON object")
+    checks = doc["checks"] if "checks" in keys else {}
+    if not (isinstance(checks, dict) and all(
+            isinstance(record, dict) and all(type(record.get(key)) is int
+                                             for key in ("checked", "violations"))
+            for record in checks.values())):
+        raise ConfigurationError(f"{path} has checks {checks!r}, not check() records")
     return doc
 
 

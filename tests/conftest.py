@@ -159,8 +159,9 @@ def energy_residuals(ops, params, block, sched):
     resid = np.empty((block.shape[1], times.size - 1))
     for k, (X, (normF2, *_)) in enumerate(lc._weighted_flow(ops, params, block, sched)):
         if k:
-            resid[:, k - 1] = (0.5 * (normF2 - prev_normF2) / sched.dt
-                               + lc._forms(ops, next(mid), 0.5 * (prev + X))[1])
+            # the step midpoint as one sample: weights (7, n, 1, 1), block (n, 1, m)
+            neg_S = lc._forms(ops, next(mid)[:, :, None], (0.5 * (prev + X))[:, None])[1][0]
+            resid[:, k - 1] = 0.5 * (normF2 - prev_normF2) / sched.dt + neg_S
         prev, prev_normF2 = X, normF2
     return resid
 

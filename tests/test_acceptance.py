@@ -42,9 +42,9 @@ def trace_sched():
 
 @pytest.fixture(scope="module")
 def fitted_C(ops48, trace_sched):
-    states = [unit_random_state(ops48, seed) for seed in range(10)]
-    traces = [lc.run_trace(ops48, PARAMS, st, trace_sched) for st in states]
-    return lc.fit_bound_constant(traces)
+    states = np.column_stack([unit_random_state(ops48, seed) for seed in range(10)])
+    # the smallest C >= 0 valid for every member
+    return float(lc.run_traces(ops48, PARAMS, states, trace_sched).C.max())
 
 
 @pytest.fixture(scope="module")
@@ -154,11 +154,8 @@ def test_05_drift_bound_holdout(ops48, trace_sched, fitted_C):
     start = time.monotonic()
     C = fitted_C
     assert np.isfinite(C) and C > 0.0
-    violations = 0
-    for seed in range(1000, 1050):
-        tr = lc.run_trace(ops48, PARAMS, unit_random_state(ops48, seed),
-                          trace_sched)
-        violations += lc.count_bound_violations([tr], C)
+    holdout = np.column_stack([unit_random_state(ops48, seed) for seed in range(1000, 1050)])
+    violations = lc.count_bound_violations(lc.run_traces(ops48, PARAMS, holdout, trace_sched), C)
     elapsed = time.monotonic() - start
     assert violations == 0
     assert elapsed < 60.0
@@ -179,7 +176,7 @@ def test_06_interpolation_inequality(ops48, trace_sched, fitted_C):
         while len(triples) < 10:
             i1, i2, i3 = sorted(rng.choice(n_times, size=3, replace=False))
             triples.append((int(i1), int(i2), int(i3)))
-        rec = lc.interpolation_check(tr.t, tr.normF2, PARAMS, fitted_C, triples)
+        rec = lc.interpolation_check(tr.t, tr.normF2[0], PARAMS, fitted_C, triples)
         checked += rec.passed.size
         failures += int(np.count_nonzero(~rec.passed))
     elapsed = time.monotonic() - start

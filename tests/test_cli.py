@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import functools
 import json
@@ -9,8 +10,9 @@ import pytest
 
 from dynheat import FitFailureError, cli, control as ctl, evolve, logconvexity as lc
 from dynheat.cli import main
+from dynheat.config import load_config
 from dynheat.discretize import OperatorSet, assemble_operator
-from dynheat.reporting import ARTIFACTS, canonical_json, check, merge_report, passed
+from dynheat.reporting import ARTIFACTS, canonical_json, check, csv_text, merge_report, passed
 
 from conftest import theta_broken
 
@@ -158,6 +160,32 @@ class TestPipeline:
         assert report["cost_study"]["checks"]["nondecreasing"] == check(1, 0)
         assert report["commutator"]["checks"]["monotone"] == check(2, 0)
         assert sorted(report["control"]["flags"]) == ["apriori", "observation"]
+
+    def test_observe_certifies_with_the_largest_member_C(self, config_path, pipeline_dir,
+                                                          tmp_path, monkeypatch):
+        """constants.json's C is the largest member C of the trace record
+        of the stage's ensemble, its bound check counts that record with
+        it, and its table is member 0's rows.  Every member C is 0 on this
+        config, so a second run gives the record distinct ones."""
+        out, _ = pipeline_dir
+        cfg = load_config(config_path)
+        ops, sched = assemble_operator(cfg.grid()), cfg.schedule()
+        states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
+        trace = lc.run_traces(ops, cfg.weight_params(), states, sched)
+        doc = json.loads((out / "constants.json").read_text())
+        assert doc["C"] == trace.C.max()
+        assert doc["checks"]["bound"] == check(
+            trace.Q.size, lc.count_bound_violations(trace, trace.C.max()))
+        assert (out / "frequency_trace.csv").read_text() == csv_text(
+            ["t", "normF2", "N", "Q", "bound"], trace.rows(0))
+
+        C = np.array([0.5, 3.0, 0.0, 2.5, 1.0, 0.25])
+        monkeypatch.setattr(lc, "run_traces", lambda *args: dataclasses.replace(trace, C=C))
+        main(["observe", "--config", config_path, "--out", str(tmp_path)])
+        doc = json.loads((tmp_path / "constants.json").read_text())
+        assert doc["C"] == 3.0
+        assert doc["checks"]["bound"] == check(
+            trace.Q.size, lc.count_bound_violations(trace, 3.0))
 
     def test_report_is_idempotent(self, config_path, pipeline_dir):
         out, _ = pipeline_dir
@@ -315,6 +343,13 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"{section}.{line.split()[0]}" in err and kind in err
         assert not out.exists()
+
+    def test_default_section_keys_follow_the_section_own_keys(self, tmp_path, capsys):
+        """A [DEFAULT] key reaches every section after the section's own
+        keys, so the first unknown key named is the section's own."""
+        bad = self.write(tmp_path, "[DEFAULT]\nzz = 1\n\n" + CONFIG.replace("b = 1.0", "bb = 1.0"))
+        assert main(["simulate", "--config", bad, "--out", str(tmp_path)]) == 2
+        assert "unknown config key: domain.bb" in capsys.readouterr().err
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = self.write(tmp_path, "kind = interval\nno section header\n")
@@ -668,6 +703,24 @@ class TestReadBack:
         assert main(["report", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / 'constants.json'} {named}" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("checks", [
+        '{"bound": 3}', '[]', '{"bound": {"checked": 1}}',
+        '{"bound": {"checked": 1, "violations": true}}',
+        '{"bound": {"checked": 1.0, "violations": 0}}'])
+    def test_report_on_a_malformed_checks_record(self, tmp_path, capsys, checks):
+        (tmp_path / "constants.json").write_text(f'{{"checks": {checks}}}\n')
+        (tmp_path / "frequency_trace.csv").write_text("t,normF2,N,Q,bound\n")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'constants.json'} has checks" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_report_on_a_failure_that_is_not_an_object(self, tmp_path, capsys):
+        (tmp_path / "failure.json").write_text("[]\n")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        assert f"{tmp_path / 'failure.json'} is not a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_cost_study_on_a_fit_without_mu(self, config_path, tmp_path, capsys):

@@ -54,8 +54,8 @@ def _complex_step_s_prime(ops, params, t, F, step=1e-30):
 def _kernel_forms(ops, params, t, F):
     """The kernel's (||F||^2, <-S F, F>, Q, <S' F, F>) per column of the
     (n, m) block F of weighted states at time t."""
-    w = next(lc._weights(ops, params, [t]))
-    return lc._forms(ops, w, F / np.sqrt(w[0]))
+    w = next(lc._weights(ops, params, [t]))[:, :, None]
+    return tuple(f[0] for f in lc._forms(ops, w, F[:, None] / np.sqrt(w[0])))
 
 
 def _dense_forms(ops, dense, F):
@@ -216,9 +216,8 @@ class TestFormsOracle:
         2.8e-9 relative."""
         ops, params, t = case
         F = np.random.default_rng(seed).standard_normal((ops.n_dofs, 2))
-        w = next(lc._weights(ops, params, [t]))
-        X = F / np.sqrt(w[0])
-        got = lc._forms(ops, w, X)
+        X = F / np.sqrt(next(lc._weights(ops, params, [t]))[0])
+        got = _kernel_forms(ops, params, t, F)
         Q_exact = self._longdouble_Q(ops, params, t, X)
         dense = _dense_splitting(ops, params, t)
         S_max = np.abs(dense.S).max()
@@ -267,7 +266,7 @@ class TestFormsOracle:
             ops = dh.assemble_operator(dh.build_grid(dom, nr=16, ntheta=48))
         params, sched = dh.WeightParams(s=0.5, h=0.5, T=0.5), dh.Schedule(0.0, 0.5, 0.05)
         members = lc.diverse_ensemble(ops, 5, 7, sched)
-        Q = np.array([tr.Q for tr in lc.run_traces(ops, params, members, sched)]).T
+        Q = lc.run_traces(ops, params, members, sched).Q.T
         prop = dh.Propagator(ops, sched.dt, sched.scheme)
         ref = np.array([self._longdouble_Q(ops, params, t, X) for t, X in
                         zip(sched.times(), prop.trajectory(members, sched.steps))])
@@ -376,11 +375,13 @@ class TestRunTrace:
         st = unit_random_state(iv_small_ops, 51)
         tr = lc.run_trace(iv_small_ops, params, st, sched)
         n = sched.steps + 1
-        assert tr.t.shape == tr.normF2.shape == tr.N.shape == tr.Q.shape == (n,)
+        assert tr.t.shape == (n,)
+        assert tr.normF2.shape == tr.N.shape == tr.Q.shape == tr.bound.shape == (1, n)
+        assert tr.C.shape == tr.C_form.shape == (1,) and tr.final.shape == (st.size, 1)
         assert tr.N == pytest.approx(tr.neg_S / tr.normF2)
-        assert tr.bound == pytest.approx(_drift_bound(tr, tr.C))
-        assert tr.rows().shape == (n, 5)
-        assert tr.C >= 0.0 and tr.C_form >= 0.0
+        assert tr.bound == pytest.approx(_drift_bound(tr, tr.C[0]))
+        assert tr.rows(0).shape == (n, 5)
+        assert tr.C[0] >= 0.0 and tr.C_form[0] >= 0.0
 
     def test_energy_identity_residual_is_second_order(self, iv_ops, params):
         """Halving dt must cut the midpoint residual about fourfold."""
@@ -394,23 +395,24 @@ class TestRunTrace:
     def test_form_constant_certifies_own_trace(self, iv_small_ops, params, sched):
         st = unit_random_state(iv_small_ops, 52)
         tr = lc.run_trace(iv_small_ops, params, st, sched)
-        assert lc.count_bound_violations([tr], tr.C_form) == 0
-        assert lc.count_bound_violations([tr], tr.C) == 0
+        assert lc.count_bound_violations(tr, tr.C_form[0]) == 0
+        assert lc.count_bound_violations(tr, tr.C[0]) == 0
 
     def test_violation_counter_detects_excess(self, iv_small_ops, params, sched):
         st = unit_random_state(iv_small_ops, 53)
         tr = lc.run_trace(iv_small_ops, params, st, sched)
-        rhs = _drift_bound(tr, tr.C_form)
+        rhs = _drift_bound(tr, tr.C_form[0])
         tr.Q = tr.Q.copy()
-        tr.Q[5] = rhs[5] + 10.0 * max(1.0, abs(rhs[5]))
-        assert lc.count_bound_violations([tr], tr.C_form) == 1
+        tr.Q[0, 5] = rhs[0, 5] + 10.0 * max(1.0, abs(rhs[0, 5]))
+        assert lc.count_bound_violations(tr, tr.C_form[0]) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_block_violation_count_is_the_sum_of_one_trace_counts(self, data):
-        """One comparison over the stacked traces counts what each trace
-        alone counts and what the check in scalars counts, with Q drawn on
-        and about the edge rhs + SLACK * scale, where rounding decides."""
+        """One comparison over a record's (m, s) arrays counts the sum of
+        what each member's one-member record counts and of what the check
+        in scalars counts, with Q drawn on and about the edge
+        rhs + SLACK * scale, where rounding decides."""
         params = dh.WeightParams(s=data.draw(st.floats(0.1, 0.9)),
                                  h=data.draw(st.floats(0.2, 1.0)),
                                  T=data.draw(st.floats(0.5, 2.0)))
@@ -421,7 +423,7 @@ class TestRunTrace:
         def column(elements):
             return np.array(data.draw(st.lists(elements, min_size=s, max_size=s)))
 
-        traces = []
+        members = []
         for _ in range(m):
             tr = types.SimpleNamespace(params=params, t=t, neg_S=column(st.floats(-1e6, 1e6)),
                                        normF2=column(st.floats(1e-6, 1e6)))
@@ -429,7 +431,11 @@ class TestRunTrace:
             edge = column(st.sampled_from([-1.0, 0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,
                                            1.0 + 1e-8, 2.0]))
             tr.Q = rhs + edge * lc.SLACK * np.maximum(1.0, np.abs(rhs))
-            traces.append(tr)
+            members.append(tr)
+
+        def record(rows):
+            return types.SimpleNamespace(params=params, t=t, **{
+                f: np.array([getattr(tr, f) for tr in rows]) for f in ("Q", "neg_S", "normF2")})
 
         def scalar_count(tr):
             count = 0
@@ -437,16 +443,10 @@ class TestRunTrace:
                 count += q > rhs + lc.SLACK * max(1.0, abs(q), abs(rhs))
             return count
 
-        one = [lc.count_bound_violations([tr], C) for tr in traces]
-        assert one == [scalar_count(tr) for tr in traces]
-        assert lc.count_bound_violations(traces, C) == sum(one)
+        one = [lc.count_bound_violations(record([tr]), C) for tr in members]
+        assert one == [scalar_count(tr) for tr in members]
+        assert lc.count_bound_violations(record(members), C) == sum(one)
 
-    def test_fit_bound_constant_is_ensemble_max(self, iv_small_ops, params, sched):
-        traces = [lc.run_trace(iv_small_ops, params, unit_random_state(iv_small_ops, s), sched)
-                  for s in (54, 55)]
-        assert lc.fit_bound_constant(traces) == max(tr.C for tr in traces)
-        with pytest.raises(dh.ConfigurationError):
-            lc.fit_bound_constant([])
 
 
 # The one-member trace loop, frozen here as the bit-for-bit reference of the
@@ -510,10 +510,17 @@ def _frozen_trace(ops, params, state0, sched):
                                  C_form=C_form)
 
 
+def member(trace, j):
+    """Row j of a FrequencyTrace: member j's fields, as the frozen loop's."""
+    return types.SimpleNamespace(final=trace.final[:, j], **{
+        name: getattr(trace, name)[j]
+        for name in ("normF2", "N", "Q", "neg_S", "bound", "C", "C_form")})
+
+
 def assert_same_trace(tr, ref):
-    for name in ("normF2", "N", "Q", "neg_S", "bound", "final"):
+    """Every field bit for bit: of two records, or of two members."""
+    for name in ("normF2", "N", "Q", "neg_S", "bound", "final", "C", "C_form"):
         assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
-    assert (tr.C, tr.C_form) == (ref.C, ref.C_form)
 
 
 def _mixed_members(ops, sched):
@@ -590,16 +597,16 @@ class TestBlockTrace:
         sched = dh.Schedule(0.0, T, dt)
         members = (_mixed_members(ops, sched) if seed is None
                    else dh.diverse_ensemble(ops, 5, seed, sched))
-        traces = lc.run_traces(ops, params, members, sched)
+        trace = lc.run_traces(ops, params, members, sched)
         resid = energy_residuals(ops, params, members, sched)
-        assert len(traces) == members.shape[1] == len(resid)
+        assert trace.C.shape == (members.shape[1],) == resid.shape[:1]
         prop = dh.Propagator(ops, sched.dt, sched.scheme)
-        for tr, row, st0 in zip(traces, resid, members.T):
+        for j, (row, st0) in enumerate(zip(resid, members.T)):
             ref = _frozen_trace(ops, params, st0, sched)
-            assert_same_trace(tr, ref)
+            assert_same_trace(member(trace, j), ref)
             assert np.array_equal(row, ref.energy_residuals)
-            assert_same_trace(tr, lc.run_trace(ops, params, st0, sched))
-            assert np.array_equal(tr.final, prop.flow(st0, sched.steps))
+            assert_same_trace(member(trace, j), member(lc.run_trace(ops, params, st0, sched), 0))
+            assert np.array_equal(trace.final[:, j], prop.flow(st0, sched.steps))
             assert np.array_equal(row, energy_residuals(ops, params, st0[:, None], sched)[0])
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
@@ -622,13 +629,14 @@ class TestBlockTrace:
         assert ops.n_dofs <= 64
         sched = dh.Schedule(0.0, 1.0, 0.05)
         members = _mixed_members(ops, sched)
-        traces = lc.run_traces(ops, params, members, sched)
+        trace = lc.run_traces(ops, params, members, sched)
 
         m = ops.mass
         K = -m[:, None] * dense_A(ops)
         step = np.linalg.solve(np.diag(m) + 0.5 * sched.dt * K,
                                np.diag(m) - 0.5 * sched.dt * K)
-        for tr, st0 in zip(traces, members.T):
+        for j, st0 in enumerate(members.T):
+            tr = member(trace, j)
             u = st0
             for k, t in enumerate(sched.times()):
                 dense = _dense_splitting(ops, params, t)
@@ -646,8 +654,7 @@ class TestBlockTrace:
         members = _mixed_members(disk_ops, sched)
         whole = lc.run_traces(disk_ops, params, members, sched)
         monkeypatch.setattr(lc, "WEIGHT_CHUNK", 3 * 7 * disk_ops.n_dofs)
-        for tr, ref in zip(lc.run_traces(disk_ops, params, members, sched), whole):
-            assert_same_trace(tr, ref)
+        assert_same_trace(lc.run_traces(disk_ops, params, members, sched), whole)
         dom = dh.DomainSpec.interval(0.0, 100.0, 50.0, 40.0, 60.0)
         ops = dh.assemble_operator(dh.build_grid(dom, n=8))
         monkeypatch.setattr(lc, "WEIGHT_CHUNK", 2 * 7 * ops.n_dofs)
@@ -747,8 +754,7 @@ def test_chunked_traces_equal_per_sample_traces(iv_domain, n, m, steps, chunk):
         one_by_one = lc.run_traces(ops, params, members, sched)
         mp.setattr(lc, "TRACE_CHUNK", chunk)
         chunked = lc.run_traces(ops, params, members, sched)
-    for tr, ref in zip(chunked, one_by_one, strict=True):
-        assert_same_trace(tr, ref)
+    assert_same_trace(chunked, one_by_one)
 
 
 class TestSharedFormKernel:
@@ -759,13 +765,13 @@ class TestSharedFormKernel:
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_block_forms_equal_frozen_forms(self, request, params, which, t):
         ops = request.getfixturevalue(which)
-        w = next(lc._weights(ops, params, [t]))
+        w = next(lc._weights(ops, params, [t]))[:, :, None]
         X = np.asfortranarray(np.random.default_rng(66).standard_normal((ops.n_dofs, 4)))
-        block = lc._forms(ops, w, X)
+        block = lc._forms(ops, w, X[:, None])
         for j in range(X.shape[1]):
             frozen = _frozen_forms(ops, params, t, X[:, j])
-            for got, want, ref in zip(block, lc._forms(ops, w, X[:, [j]]), frozen):
-                assert got[j] == want[0] == ref
+            for got, want, ref in zip(block, lc._forms(ops, w, X[:, None, [j]]), frozen):
+                assert got[0, j] == want[0, 0] == ref
 
 
 _ENSEMBLE_SCHED = dh.Schedule(0.0, 1.0, 0.05)
@@ -774,7 +780,7 @@ _ENSEMBLE_SCHED = dh.Schedule(0.0, 1.0, 0.05)
 @pytest.fixture(scope="module")
 def one_member_traces(iv_small_ops, params):
     members = _mixed_members(iv_small_ops, _ENSEMBLE_SCHED)
-    return members, [lc.run_trace(iv_small_ops, params, st0, _ENSEMBLE_SCHED)
+    return members, [member(lc.run_trace(iv_small_ops, params, st0, _ENSEMBLE_SCHED), 0)
                      for st0 in members.T]
 
 
@@ -784,10 +790,9 @@ def test_any_subset_in_any_order_traces_as_its_members(
         iv_small_ops, params, one_member_traces, order, size):
     members, singles = one_member_traces
     pick = order[:size]
-    traces = lc.run_traces(iv_small_ops, params, members[:, pick],
-                           _ENSEMBLE_SCHED)
-    for tr, i in zip(traces, pick):
-        assert_same_trace(tr, singles[i])
+    trace = lc.run_traces(iv_small_ops, params, members[:, pick], _ENSEMBLE_SCHED)
+    for j, i in enumerate(pick):
+        assert_same_trace(member(trace, j), singles[i])
 
 
 class TestInterpolation:
@@ -829,21 +834,21 @@ class TestInterpolation:
         st = unit_random_state(iv_small_ops, 56)
         tr = lc.run_trace(iv_small_ops, params, st, sched)
         triples = [(0, 30, 60), (10, 50, 90), (0, 50, 100), (20, 40, 80)]
-        rec = lc.interpolation_check(tr.t, tr.normF2, params, tr.C, triples)
+        rec = lc.interpolation_check(tr.t, tr.normF2[0], params, tr.C[0], triples)
         assert rec.passed.shape == (4,) and rec.passed.all()
 
     def test_block_check_equals_the_per_triple_loop(self, iv_small_ops, params, sched):
         """Traces as rows, ten triples each, in one call: every field is
         the scalar per-triple computation's, bit for bit."""
-        traces = lc.run_traces(iv_small_ops, params, _mixed_members(iv_small_ops, sched), sched)
+        trace = lc.run_traces(iv_small_ops, params, _mixed_members(iv_small_ops, sched), sched)
         rng = np.random.default_rng(57)
         triples = np.sort([[rng.choice(101, size=3, replace=False) for _ in range(10)]
-                           for _ in traces], axis=-1)
-        C = lc.fit_bound_constant(traces)
-        rec = lc.interpolation_check(sched.times(), [tr.normF2 for tr in traces],
-                                     params, C, triples)
-        assert rec.passed.shape == (len(traces), 10)
-        for j, tr in enumerate(traces):
+                           for _ in trace.C], axis=-1)
+        C = float(trace.C.max())
+        rec = lc.interpolation_check(sched.times(), trace.normF2, params, C, triples)
+        assert rec.passed.shape == (trace.C.size, 10)
+        for j in range(trace.C.size):
+            tr = types.SimpleNamespace(t=trace.t, normF2=trace.normF2[j])
             for k, (i1, i2, i3) in enumerate(triples[j]):
                 t1, t2, t3 = tr.t[i1], tr.t[i2], tr.t[i3]
                 M = interpolation_exponent(params, t1, t2, t3)
@@ -985,7 +990,7 @@ class TestObservabilityFit:
         sched = dh.Schedule(0.0, 0.2, 0.01)
         params = dh.WeightParams(s=0.5, h=0.5, T=0.2)
         states = dh.diverse_ensemble(ops, 5, 51, sched)
-        traced = np.column_stack([tr.final for tr in lc.run_traces(ops, params, states, sched)])
+        traced = lc.run_traces(ops, params, states, sched).final
         flowed = final_states(ops, sched, states)
         assert np.array_equal(traced, flowed)
         fit = lc.fit_observability_constants(ops, sched, states, traced)

@@ -49,6 +49,18 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     runpy.run_path(str(script), run_name="__main__")
 
 
+def test_readme_config_example_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### Config file\n", 1)[1]
+    path = tmp_path / "run.ini"
+    path.write_text(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
+    cfg = dynheat.load_config(str(path))
+    assert cfg.domain().kind == "interval" and cfg.grid_args == {"n": 64}
+    assert (cfg.scheme, cfg.tau, cfg.eps_list, cfg.kappa) == ("crank_nicolson", 0.5,
+                                                              (0.2, 0.1), None)
+    assert (cfg.ensemble_count, cfg.seed, cfg.initial, cfg.out_dir) == (6, 7, "random", "out")
+
+
 def _tracer_targets():
     """perfbench/tracer.py's TARGETS, read from its source without importing
     the benchmark."""
