@@ -35,7 +35,7 @@ push-through identity h = kappa^2 (eps^2 + kappa^2 W)^{-1} R_omega P^n b
 with b = -P^{n_T} Psi0 and W = R_omega P^{2n} E_omega, an n_omega x n_omega
 matrix symmetric in the omega mass M_omega (omega's nodes are interior, so
 they carry bulk mass only).  Each ControlOperator builds it once, on first
-use, from one block flow of the n_omega unit payloads, and one eigh of
+use, from two modal flows of the n_omega unit payloads, and one eigh of
 M_omega^{1/2} W M_omega^{-1/2} = Q diag(lam) Q^T turns every (kappa, eps)
 pair into a diagonal scaling.  Z = P^n E_omega M_omega^{-1/2} Q maps
 payload coordinates to the state they add at T.  With a = P^{n_T} Psi0,
@@ -66,28 +66,34 @@ The reduced solution is used twice, and never certifies anything:
   rung would wherever the prediction errs by less: the property tests hold
   it to 1e-9 up to kappa / eps = 1e3 and to 1e-7 beyond, on rungs whose
   propagated CG reaches a true residual of 1e-10.  Past that the
-  propagated rung is no oracle either (see ROADMAP item 8).
+  propagated rung is no oracle either (see ROADMAP item 8).  The ladder
+  stops with CalibrationError at the first rung whose kappa^2
+  lambda_max(W) / eps^2 passes GRAMIAN_CONDITION_MAX, propagated or not.
 
-The reduced Gramian is built only where it pays.  Its flow costs the
-steps of n_omega Gramian applies to one column, in one wide block, and a
-calibration from a zero start costs about as much time as
-COLD_APPLIES_PER_MEMBER of them per member, so a calibration or cost
-study of m members with nonzero data uses it when
-n_omega <= m * COLD_APPLIES_PER_MEMBER, and when Z holds at most
-REDUCED_GRAMIAN_MAX_ENTRIES numbers.  Otherwise the CG starts from zero
-and the ladder from its seed, as a one-member control on the 816-dof
-disk does (n_omega = 240).
+What is modal and what steps.  P^n inside the solve comes from the
+generator's modes (_ModalFlow): the eigenpairs of (K, M), which the step
+solve's tridiagonal structure gives, built on a ControlOperator's first
+use.  The modes serve every Gramian apply in the CG, the warm start's
+P^n theta0 and G theta0, the true residual's flow of the columns that
+moved, and Z and W.  Propagator steps the rest: P^{n_tau} Psi0 and
+P^{n_T} Psi0 (the right-hand side, c and cost_study's free decay),
+theta(T) = P^{n_tau} P^n theta and the impulsive trajectory
+Psi(T) = P^n (P^{n_tau} Psi0 + E_omega h).  So target and cost are
+certified on the stepped trajectory, and terminal_identity,
+||Psi(T) + eps^2 theta|| / ||Psi0||, checks stepping against the modes.
+Where the modes' matrices or Z would hold more than
+REDUCED_GRAMIAN_MAX_ENTRIES numbers there are no modes: the Gramian
+applies step, the CG starts from zero and the ladder from its seed.
 
 The ensemble is solved as one block.  A ControlOperator depends only on
 (ops, sched, tau), so a calibration or a cost study factors the step
-matrix once and reuses it for every kappa doubling, every eps level and
-every member, and flows each member once.  Each propagated rung runs one
-block CG whose columns keep their own scalars and stopping tests.  The
-step solve and every inner product treat each column alone, and the
-reduced products are taken per column, so on every grid a member's result
-is bit-identical to a one-member synthesis wherever both take the same
-start: n_omega <= COLD_APPLIES_PER_MEMBER, where one member already uses
-the reduced Gramian, or a block too small to use it.
+matrix and builds the modes once and reuses them for every kappa
+doubling, every eps level and every member, and flows each member once.
+Each propagated rung runs one block CG whose columns keep their own
+scalars and stopping tests.  The step solve, the modal products (one
+stacked matmul item per column) and every inner product treat each
+column alone, and the reduced products are taken per column, so on every
+grid a member's result is bit-identical to a one-member synthesis.
 """
 
 from __future__ import annotations
@@ -99,24 +105,22 @@ import numpy as np
 
 from .errors import (CalibrationError, ConfigurationError, NumericalError,
                      UsageError)
-from .evolve import Propagator
+from .evolve import Propagator, _ModalFlow
 
 CERT_SLACK = 1e-8
 DEFAULT_CG_TOL = 1e-12
 DEFAULT_CG_MAXIT = 400
 DEFAULT_DOUBLING_BUDGET = 40
-# cap on n_dofs * n_omega, the numbers in Z.  Building the reduced Gramian
-# raised peak RSS by 48 bytes per number on a 2000-node interval and by 66
-# to 72 on 816- and 2624-node disks (Z, P^n E_omega, the flow's working
-# blocks and eigh), so the cap keeps the build under about 150 MB
+# cap on the numbers in each dense factor control holds: the modal flow's
+# matrices (modes x rings x rings) and Z (n_dofs x n_omega).  Above it
+# the CG steps from zero.  At the cap, a 1414-node interval's build
+# (modes, Z, W and its eigh) raised peak RSS by 69 MB
 REDUCED_GRAMIAN_MAX_ENTRIES = 2_000_000
-# the time of a calibration from a zero start per member, in Gramian
-# applies to one column within the reduced Gramian's wide block flow.  A
-# zero start spends 56 to 68 applies per member on disks of 816 and 1600
-# dofs (omega radius 0.3 and 0.5, one rung), on narrow blocks, which
-# price a column higher; timed against the reduced Gramian for 2 to 16
-# members, the two broke even at n_omega / m of 38 to 48
-COLD_APPLIES_PER_MEMBER = 40
+# a rung whose kappa^2 lambda_max(W) / eps^2 passes this is not propagated.
+# G's eigenvalues lie in [eps^2, eps^2 (1 + that ratio)] and an apply
+# rounds at about 1e-16 of the top one, so past 1e14 rounding is a percent
+# of eps^2, and past about 1e16 G is indefinite in floating point
+GRAMIAN_CONDITION_MAX = 1e14
 # a rung predicted to miss by less than this, relative, is propagated too
 _NEAR_MISS = 1e-6
 
@@ -176,8 +180,8 @@ class ControlOperator:
     """Flow-based pieces of impulsive control with a kick at tau.
 
     Depends only on (ops, sched, tau), so one Propagator, hence one
-    factorization, serves every kappa, every eps and every member.
-    gramian_apply takes a state (n,) or a block (n, m).
+    factorization, and one set of modes serve every kappa, every eps and
+    every member.  gramian_apply takes a state (n,) or a block (n, m).
     """
 
     def __init__(self, ops, sched, tau):
@@ -188,27 +192,43 @@ class ControlOperator:
         self.n_obs = self.n_total - self.n_tau
         self.tau_effective = sched.t0 + self.n_tau * sched.dt
 
+    @cached_property
+    def modes(self):
+        """P^n as a _ModalFlow, built on first use; None when its matrices
+        or Z would hold more than REDUCED_GRAMIAN_MAX_ENTRIES numbers."""
+        grid = self.ops.grid
+        if max(_ModalFlow.entries(grid),
+               grid.n_dofs * grid.omega_idx.size) > REDUCED_GRAMIAN_MAX_ENTRIES:
+            return None
+        return _ModalFlow(self.ops, self.prop.dt, self.prop.scheme, self.n_obs)
+
+    def _flow_obs(self, zeta):
+        """P^n zeta, from the modes where they fit, else stepped."""
+        if self.modes is None:
+            return self.prop.flow(zeta, self.n_obs)
+        return self.modes(zeta)
+
     def gramian_apply(self, zeta, kappa, eps):
         """kappa^2 P^n E_omega R_omega P^n zeta + eps^2 zeta."""
         if kappa is None:
             raise UsageError("gramian needs a calibrated kappa; run calibrate_kappa")
-        return self._gramian_from(self.prop.flow(zeta, self.n_obs), zeta, kappa, eps)
+        return self._gramian_from(self._flow_obs(zeta), zeta, kappa, eps)
 
     def _gramian_from(self, flowed, zeta, kappa, eps):
         """G zeta from flowed = P^n zeta, which the caller keeps."""
         v = self.ops.embed_omega(self.ops.restrict_omega(flowed))
-        return kappa ** 2 * self.prop.flow(v, self.n_obs) + eps ** 2 * zeta
+        return kappa ** 2 * self._flow_obs(v) + eps ** 2 * zeta
 
     @cached_property
     def reduced(self):
-        """The _ReducedGramian, built on first use; None when Z would hold
-        more than REDUCED_GRAMIAN_MAX_ENTRIES numbers."""
+        """The _ReducedGramian, built from the modes on first use; None
+        without them."""
+        if self.modes is None:
+            return None
         ops = self.ops
         idx = ops.grid.omega_idx
-        if ops.n_dofs * idx.size > REDUCED_GRAMIAN_MAX_ENTRIES:
-            return None
-        Z0 = self.prop.flow(ops.embed_omega(np.eye(idx.size)), self.n_obs)
-        W = ops.restrict_omega(self.prop.flow(Z0, self.n_obs))
+        Z0 = self.modes(ops.embed_omega(np.eye(idx.size)))
+        W = ops.restrict_omega(self.modes(Z0))
         sqrt_mass = np.sqrt(ops.mass[idx])
         S = sqrt_mass[:, None] * W / sqrt_mass[None, :]
         eigenvalues, Q = np.linalg.eigh(0.5 * (S + S.T))
@@ -304,8 +324,8 @@ class _Flows:
 
     norms holds ||Psi0|| per member; free_tau and free_T hold P^{n_tau}
     Psi0 and a = P^{n_T} Psi0, one column per member; red is the
-    operator's reduced Gramian where it pays for these members, else None,
-    and c = Z^T M a the reduced coordinates of a (None without red).
+    operator's reduced Gramian, None above the size cap, and c = Z^T M a
+    the reduced coordinates of a (None without red).
     """
 
     norms: np.ndarray
@@ -321,19 +341,15 @@ class _Flows:
 
 
 def _free_flows(co, psi0s):
-    """_Flows of the initial states psi0s, an (n, m) block.
+    """_Flows of the initial states psi0s, an (n, m) block, stepped.
 
-    The reduced Gramian is used for at least n_omega /
-    COLD_APPLIES_PER_MEMBER members with nonzero data only (see the
-    module docstring).  c is read off Z, column by column, so a member's
-    bits do not depend on the block.
+    c is read off Z, column by column, so a member's bits do not depend on
+    the block.
     """
     norms = co.ops.norm(psi0s)
     free_tau = co.prop.flow(psi0s, co.n_tau)
     free_T = co.prop.flow(free_tau, co.n_obs)
-    members = np.count_nonzero(norms)
-    pays = co.ops.grid.omega_idx.size <= members * COLD_APPLIES_PER_MEMBER
-    red = co.reduced if pays else None
+    red = co.reduced
     c = None if red is None else _per_column(red.Z.T, co.ops.mass[:, None] * free_T)
     return _Flows(norms=norms, free_tau=free_tau, free_T=free_T, red=red, c=c)
 
@@ -355,7 +371,7 @@ def _warm_start(co, flows, rhs, kappa, eps):
     with np.errstate(all="ignore"):
         y = red.payload(flows.c, kappa, eps)
         theta0 = (rhs - _per_column(red.Z, y)) / eps ** 2
-        flowed = co.prop.flow(theta0, co.n_obs)
+        flowed = co._flow_obs(theta0)
         G_theta0 = co._gramian_from(flowed, theta0, kappa, eps)
         r0 = rhs - G_theta0
         cold = ~(co.ops.inner(r0, r0) < co.ops.inner(rhs, rhs))
@@ -397,19 +413,19 @@ def _synthesize_block(co, prob, flows):
     # theta0 already has P^n theta and G theta from its start
     moved = cg_iters > 0
     if moved.any():
-        flowed = co.prop.flow(theta[:, moved], co.n_obs)
+        flowed = co._flow_obs(theta[:, moved])
         theta_obs[:, moved] = flowed
         G_theta[:, moved] = co._gramian_from(flowed, theta[:, moved], kappa, eps)
     true_r = rhs - G_theta
     rhs_norm = np.sqrt(ops.inner(rhs, rhs))
     cg_rel = np.sqrt(ops.inner(true_r, true_r)) / np.where(rhs_norm > 0.0, rhs_norm, 1.0)
 
-    # P^{n_total} theta = P^{n_tau} P^{n_obs} theta: the same steps in turn
+    # P^{n_total} theta = P^{n_tau} P^{n_obs} theta, the last n_tau stepped
     theta_T = co.prop.flow(theta_obs, co.n_tau)
     V = ops.restrict_omega(theta_obs)
     H = kappa ** 2 * V
 
-    # impulsive trajectory with the synthesized payloads
+    # impulsive trajectory with the synthesized payloads, stepped
     psi_T = co.prop.flow(flows.free_tau + ops.embed_omega(H), co.n_obs)
 
     norm_psi0 = flows.norms
@@ -507,6 +523,15 @@ def _predicted_miss(co, flows, kappa, eps):
     return bool(np.any(ratio > eps * bound) or np.any(cost > bound))
 
 
+def _spread(flows, kappa, eps):
+    """kappa^2 lambda_max(W) / eps^2, which bounds G's condition number;
+    nan without a reduced Gramian, inf where it overflows."""
+    if flows.red is None:
+        return np.nan
+    with np.errstate(all="ignore"):
+        return kappa * kappa * flows.red.eigenvalues[-1] / (eps * eps)
+
+
 def _calibration_diagnostics(co, flows, kappa, eps):
     """n_omega, W's extreme eigenvalues and each member's predicted
     ||Psi(T)|| / ||Psi0|| at kappa, None where unknown."""
@@ -528,23 +553,33 @@ def _calibrate(co, prob, flows, seed):
     The rungs that the reduced model predicts to miss by more than
     _NEAR_MISS are skipped without a flow; from the first other rung on,
     each rung synthesizes all members as one block.  Exhausting
-    DEFAULT_DOUBLING_BUDGET doublings raises CalibrationError with
-    diagnostics at the last rung.
+    DEFAULT_DOUBLING_BUDGET doublings, or reaching a rung whose finite
+    kappa^2 lambda_max(W) / eps^2 passes GRAMIAN_CONDITION_MAX, raises
+    CalibrationError with diagnostics at that rung.
     """
-    budget = DEFAULT_DOUBLING_BUDGET
+    budget, eps = DEFAULT_DOUBLING_BUDGET, prob.eps
     kappa, start = seed, 0
-    while start < budget and _predicted_miss(co, flows, kappa, prob.eps):
+    while (start < budget and not _spread(flows, kappa, eps) > GRAMIAN_CONDITION_MAX
+           and _predicted_miss(co, flows, kappa, eps)):
         kappa *= 2.0
         start += 1
     for k in range(start, budget + 1):
+        spread = _spread(flows, kappa, eps)
+        if GRAMIAN_CONDITION_MAX < spread < np.inf:
+            raise CalibrationError(
+                f"no kappa below {kappa:.6g} certifies at eps={eps}, and there "
+                f"kappa^2 lambda_max(W) / eps^2 = {spread:.3e} passes "
+                f"{GRAMIAN_CONDITION_MAX:g}: the Gramian is too ill-conditioned "
+                f"to solve in floating point",
+                diagnostics=_calibration_diagnostics(co, flows, kappa, eps))
         results = _synthesize_block(co, replace(prob, kappa=kappa), flows)
         if all(r.certified for r in results):
             return CalibrationResult(kappa=kappa, doublings=k, results=tuple(results))
         last, kappa = kappa, kappa * 2.0
     raise CalibrationError(
         f"no certifying kappa within {budget} doublings from {seed:.6g} "
-        f"(eps={prob.eps})",
-        diagnostics=_calibration_diagnostics(co, flows, last, prob.eps))
+        f"(eps={eps})",
+        diagnostics=_calibration_diagnostics(co, flows, last, eps))
 
 
 def calibrate_kappa(ops, prob, sched, psi0s):

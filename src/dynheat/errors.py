@@ -40,8 +40,8 @@ class _DiagnosedError(DynHeatError):
 
 
 class CalibrationError(_DiagnosedError):
-    """Penalization calibration exhausted its doubling budget; diagnostics
-    attached."""
+    """Penalization calibration exhausted its doubling budget or reached a
+    rung too ill-conditioned to solve; diagnostics attached."""
 
 
 class FitFailureError(_DiagnosedError):

@@ -23,8 +23,12 @@ localized payload, free flow to T.  tau is rounded to the nearest step
 boundary by Schedule.kick_step, which the control layer shares, and the
 effective value is reported.
 
-Propagator is the one place where the flow advances, for single states and
-for blocks of states alike.
+Propagator is the one place where the flow steps, for single states and
+for blocks of states alike.  _ModalFlow gives P^k in one product per
+state from the generator's modes, which the same structure yields
+(eigh_tridiagonal of each symmetrised tridiagonal); the control layer's
+Gramian solve uses it, built on first use, and every trajectory that a
+certificate reads is stepped.
 
 Every step solve is exact up to rounding and structured.  The interval's
 step matrix M + cK is SPD tridiagonal: LAPACK's L D L^T factorization
@@ -43,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import ConfigurationError, NumericalError
 
@@ -204,6 +208,75 @@ class _DiskSolver:
         F = np.ascontiguousarray(parts).view(np.complex128)[..., 0]
         x = np.fft.irfft(F, n=ntheta, axis=-1)
         return x.reshape(rhs.shape[::-1]).T
+
+
+class _ModalFlow:
+    """P^steps from the eigenpairs of (K, M), which the step solve's own
+    structure gives.
+
+    M is diagonal, so on the interval M^{-1/2} K M^{-1/2} is symmetric
+    tridiagonal.  On a disk the real FFT over theta leaves one such
+    tridiagonal in r per Fourier mode, from the ring masses and
+    _ring_coefficients, as in _DiskSolver.  eigh_tridiagonal splits
+    each into U diag(eigenvalues) U^T, and with the scheme's factor r(x) =
+    (1 - x) / (1 + x) for Crank-Nicolson and 1 / (1 + x) for backward Euler,
+    at x = c lambda with the step solve's c,
+
+        P^steps = M^{-1/2} U diag(r^steps) U^T M^{1/2},
+
+    formed once per mode as a dense (rings, rings) matrix.  A block is
+    applied as one stacked matmul with one item per column (and per mode
+    and real or imaginary part on a disk), so each column carries the bits
+    of a one-column product.
+    """
+
+    def __init__(self, ops, dt, scheme, steps):
+        if ops.grid.domain.kind == "disk":
+            nr, ntheta = ops.grid.shape
+            self._shape = (nr + 1, ntheta)
+            diag, angular, radial = _ring_coefficients(ops)
+            # the step solve's mode diagonals without mass, in its form
+            half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
+            k_diag = (diag - 2.0 * angular) + (4.0 * angular) * half[:, None]
+            k_off, mass = -radial, ops.mass[::ntheta]
+        else:
+            self._shape = None
+            k_diag, k_off, mass = ops.diagonal[None, :], -ops.edge_weights, ops.mass
+        root = np.sqrt(mass)
+        c = 0.5 * dt if scheme == "crank_nicolson" else dt
+        self.eigenvalues = np.empty(k_diag.shape)
+        # transposed, P^T per mode: the stacked product takes states as rows
+        self._flows = np.empty(k_diag.shape + (mass.size,))
+        for k, d in enumerate(k_diag):
+            lam, U = eigh_tridiagonal(d / mass, k_off / (root[:-1] * root[1:]))
+            x = c * lam
+            r = (1.0 - x) / (1.0 + x) if scheme == "crank_nicolson" else 1.0 / (1.0 + x)
+            self.eigenvalues[k] = lam
+            self._flows[k] = (root[:, None] * U) @ (r[:, None] ** steps * U.T) / root
+
+    @staticmethod
+    def entries(grid):
+        """The numbers in the flow matrices of a grid."""
+        if grid.domain.kind == "disk":
+            nr, ntheta = grid.shape
+            return (ntheta // 2 + 1) * (nr + 1) ** 2
+        return grid.n_dofs ** 2
+
+    def __call__(self, u):
+        """P^steps u for a state (n,) or a block (n, m); a block comes back
+        in Fortran order."""
+        X = np.ascontiguousarray(np.reshape(u, (u.shape[0], -1)).T)
+        m = X.shape[0]
+        if self._shape is None:
+            return (X[:, None, None, :] @ self._flows).reshape(m, -1).T.reshape(u.shape)
+        rings, ntheta = self._shape
+        F = np.fft.rfft(X.reshape(m, rings, ntheta), axis=-1)
+        # (m, rings, modes, part) -> (m, modes, part, rings): one item per
+        # column and mode holds its real and imaginary part as two rows
+        parts = F.view(np.float64).reshape(m, rings, -1, 2).transpose(0, 2, 3, 1)
+        parts = np.ascontiguousarray(parts) @ self._flows
+        F = np.ascontiguousarray(parts.transpose(0, 3, 1, 2)).view(np.complex128)[..., 0]
+        return np.fft.irfft(F, n=ntheta, axis=-1).reshape(m, -1).T.reshape(u.shape)
 
 
 class Propagator:

@@ -3,7 +3,9 @@ import filecmp
 import functools
 import json
 import os
+import runpy
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from dynheat.discretize import OperatorSet, assemble_operator
 from dynheat.reporting import ARTIFACTS, canonical_json, check, csv_text, merge_report, passed
 
 from conftest import theta_broken
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """\
 [domain]
@@ -84,6 +88,47 @@ tau = 0.04
 [ensemble]
 count = 3
 seed = 7
+"""
+
+# the 32-node interval of the pipeline-interval benchmark at ensemble seed
+# 4000: its members fit distinct, positive drift constants C
+INTERVAL_32_CONFIG = """\
+[domain]
+kind = interval
+a = 0.0
+b = 1.0
+x0 = 0.5
+
+[omega]
+lo = 0.3
+hi = 0.7
+
+[grid]
+n = 32
+
+[weight]
+s = 0.5
+h_weight = 0.5
+ell = 2.0
+
+[time]
+T = 0.5
+dt = 0.01
+scheme = crank_nicolson
+
+[impulse]
+tau = 0.25
+
+[control]
+eps = 0.2, 0.1
+kappa = auto
+cg_tol = 1e-12
+cg_maxit = 400
+
+[ensemble]
+count = 20
+seed = 4000
+initial = random
 """
 
 PIPELINE = ["simulate", "observe", "commutator-check", "control",
@@ -187,6 +232,22 @@ class TestPipeline:
         assert doc["checks"]["bound"] == check(
             trace.Q.size, lc.count_bound_violations(trace, 3.0))
 
+    def test_observe_certifies_a_positive_C(self, tmp_path):
+        """On INTERVAL_32_CONFIG observe certifies with C > 0, unpatched:
+        C is the trace record's largest member C, and the bound and
+        interpolation checks hold with it."""
+        path = tmp_path / "run.ini"
+        path.write_text(INTERVAL_32_CONFIG)
+        assert main(["observe", "--config", str(path), "--out", str(tmp_path)]) == 0
+        cfg = load_config(str(path))
+        ops, sched = assemble_operator(cfg.grid()), cfg.schedule()
+        states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
+        trace = lc.run_traces(ops, cfg.weight_params(), states, sched)
+        doc = json.loads((tmp_path / "constants.json").read_text())
+        assert doc["C"] > 0.0 and doc["C"] == trace.C.max()
+        assert doc["checks"] == {"bound": check(trace.Q.size, 0),
+                                 "interpolation": check(200, 0)}
+
     def test_report_is_idempotent(self, config_path, pipeline_dir):
         out, _ = pipeline_dir
         first = (out / "report.json").read_bytes()
@@ -282,14 +343,14 @@ class TestDeterminism:
 
 class TestWorkCounts:
     """Step-solve ceilings for control and cost-study on CONFIG (50 steps,
-    the kick after 25).  control: the reduced Gramian's block flow (50),
-    the free flows (50) and one propagated rung with no CG iteration:
-    P^n theta0 and G theta0 (50), theta(T) (25) and Psi(T) (25).
-    cost-study: the same 100 once and one such rung per eps.  Flowing
-    every rung, the members once per eps, or R_omega P^n a beside the
-    free flows exceeds them."""
+    the kick after 25), at their exact counts.  control: the free flows
+    (50) and one propagated rung, whose theta(T) (25) and Psi(T) (25) are
+    stepped; the Gramian, the warm start and the reduced Gramian take the
+    modes.  cost-study: the free flows once (50) and one such rung per eps
+    (2 x 50).  Stepping a Gramian apply, the reduced Gramian's build, every
+    rung or the members once per eps exceeds them."""
 
-    @pytest.mark.parametrize("stage, ceiling", [("control", 200), ("cost-study", 300)])
+    @pytest.mark.parametrize("stage, ceiling", [("control", 100), ("cost-study", 150)])
     def test_step_calls_stay_under_the_ceiling(self, config_path, tmp_path,
                                                monkeypatch, stage, ceiling):
         calls = []
@@ -302,6 +363,29 @@ class TestWorkCounts:
         monkeypatch.setattr(evolve.Propagator, "step", counted)
         assert main([stage, "--config", config_path, "--out", str(tmp_path)]) == 0
         assert 0 < len(calls) <= ceiling
+
+
+class TestSetupPath:
+    @pytest.mark.parametrize("text", [CONFIG, DISK_CONFIG], ids=["interval", "disk"])
+    def test_only_control_builds_the_modes(self, text, tmp_path, capsys, monkeypatch):
+        """With the modes' eigh_tridiagonal raising, perfbench/setup_probe.py's
+        main (import, load_config, build_grid, assemble_operator, one
+        Propagator) and simulate still run: the benchmark's setup_s and
+        the stages without control build no modes.  A ControlOperator's
+        reduced Gramian does reach the patched function."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh_tridiagonal called")
+
+        monkeypatch.setattr(evolve, "eigh_tridiagonal", refuse)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        runpy.run_path(str(ROOT / "perfbench" / "setup_probe.py"))["main"](str(path))
+        assert float(capsys.readouterr().out) > 0.0
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        cfg = load_config(str(path))
+        co = ctl.ControlOperator(assemble_operator(cfg.grid()), cfg.schedule(), cfg.tau)
+        with pytest.raises(AssertionError, match="eigh_tridiagonal called"):
+            co.reduced
 
 
 class TestConfigErrors:
@@ -574,6 +658,27 @@ class TestFailureArtifact:
         assert (out / "failure.json").read_text() == canonical_json(
             {"stage": "control", "error": "NumericalError", "message": message,
              "diagnostics": {}})
+
+    def test_an_ill_conditioned_rung_is_a_named_exit(self, tmp_path, capsys):
+        """On INTERVAL_32_CONFIG at n = 200 no kappa certifies eps = 0.2.
+        The ladder stops at the first rung whose kappa^2 lambda_max(W) /
+        eps^2 passes GRAMIAN_CONDITION_MAX, without propagating it, and
+        names kappa, eps and that ratio, with the reduced model's
+        diagnostics."""
+        path = tmp_path / "run.ini"
+        path.write_text(INTERVAL_32_CONFIG.replace("n = 32", "n = 200"))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = main(["control", "--config", str(path), "--out", str(out), "--seed", "4000"])
+        assert code == 3 and time.perf_counter() - start < 1.0
+        doc = json.loads((out / "failure.json").read_text())
+        assert doc["error"] == "CalibrationError"
+        diag = doc["diagnostics"]
+        spread = diag["kappa_last"] ** 2 * diag["w_eigenvalue_max"] / 0.2 ** 2
+        assert ctl.GRAMIAN_CONDITION_MAX < spread < 4.0 * ctl.GRAMIAN_CONDITION_MAX
+        assert f"kappa below {diag['kappa_last']:.6g}" in doc["message"]
+        assert "eps=0.2" in doc["message"] and f"{spread:.3e}" in doc["message"]
+        assert capsys.readouterr().err.startswith("numerical failure: no kappa below")
 
     def test_calibration_failure_diagnostics_are_kept(self, config_path, tmp_path,
                                                       monkeypatch):

@@ -433,13 +433,6 @@ class TestReducedGramian:
     @given(case=reduced_cases())
     def test_reduced_model_against_dense_flow_and_propagation(self, case):
         ops, sched, prob, states, seed = case
-        # one member on a wide omega would start from zero: build anyway
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ctl, "COLD_APPLIES_PER_MEMBER", ops.n_dofs)
-            self._check_reduced_model(ops, sched, prob, states, seed)
-
-    @staticmethod
-    def _check_reduced_model(ops, sched, prob, states, seed):
         co = ControlOperator(ops, sched, prob.tau)
         red = co.reduced
         idx = ops.grid.omega_idx
@@ -505,10 +498,8 @@ class TestReducedGramian:
         """Z c = P^n E_omega R_omega P^n a, the right side stepped by
         Propagator.flow: c = Z^T M a because P is self-adjoint in M."""
         ops, sched, prob, states, _ = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ctl, "COLD_APPLIES_PER_MEMBER", ops.n_dofs)
-            co = ControlOperator(ops, sched, prob.tau)
-            flows = ctl._free_flows(co, states)
+        co = ControlOperator(ops, sched, prob.tau)
+        flows = ctl._free_flows(co, states)
         assert flows.red is co.reduced is not None
         prop = dh.Propagator(ops, sched.dt, sched.scheme)
         observed = ops.restrict_omega(prop.flow(flows.free_T, co.n_obs))
@@ -553,28 +544,40 @@ class TestReducedGramian:
         flows = ctl._free_flows(co, states)
         assert ctl._predicted_miss(co, flows, cal.kappa / 2.0, prob.eps)
 
-    def test_one_member_on_a_wide_omega_starts_from_zero(self, disk_ops):
-        """On a disk whose omega holds more nodes than a calibration from
-        zero spends Gramian applies on one member, a one-member synthesis
-        runs the CG from zero without building the reduced Gramian, and a
-        block of enough members builds it."""
+    def test_one_member_on_a_wide_omega_takes_the_warm_start(self, disk_ops):
+        """On a disk whose omega holds 48 nodes, a one-member synthesis
+        builds the modes and the reduced Gramian and stops in fewer CG
+        iterations than the zero start, on the same solution."""
         sched = dh.Schedule(0.0, 0.2, 0.02)
-        n_omega = disk_ops.grid.omega_idx.size
-        assert n_omega > ctl.COLD_APPLIES_PER_MEMBER
         st = unit_random_state(disk_ops, 96)
+        prob = dh.ControlProblem(tau=0.1, eps=0.1, kappa=4.0)
         co = ControlOperator(disk_ops, sched, 0.1)
         flows = ctl._free_flows(co, st[:, None])
-        assert flows.red is None and "reduced" not in vars(co)
-        prob = dh.ControlProblem(tau=0.1, eps=0.1, kappa=4.0)
+        assert flows.red is co.reduced is not None
         one = ctl._synthesize_block(co, prob, flows)[0]
         cold = _cold_operator(disk_ops, sched, 0.1)
         zero_start = ctl._synthesize_block(cold, prob, ctl._free_flows(cold, st[:, None]))[0]
-        assert one.summary() == zero_start.summary()
-        assert one.residuals["cg_iterations"] > 0
+        assert one.residuals["cg_iterations"] < zero_start.residuals["cg_iterations"]
+        assert one.flags == zero_start.flags
+        assert np.linalg.norm(one.h - zero_start.h) <= 1e-9 * np.linalg.norm(zero_start.h)
 
-        members = -(-n_omega // ctl.COLD_APPLIES_PER_MEMBER)
-        states = np.column_stack([unit_random_state(disk_ops, 96 + k) for k in range(members)])
-        assert ctl._free_flows(co, states).red is co.reduced is not None
+    @pytest.mark.parametrize("which", ["iv_ops", "disk_ops"])
+    def test_one_cap_bounds_the_modes_and_Z(self, request, ctrl_sched, monkeypatch, which):
+        """REDUCED_GRAMIAN_MAX_ENTRIES caps the larger of the modal flow's
+        matrices (the larger on the interval) and Z (on the disk): at that
+        size both are built, one number below it neither, and the Gramian
+        apply steps."""
+        ops = request.getfixturevalue(which)
+        grid = ops.grid
+        largest = max(evolve._ModalFlow.entries(grid), grid.n_dofs * grid.omega_idx.size)
+        for cap, built in ((largest, True), (largest - 1, False)):
+            monkeypatch.setattr(ctl, "REDUCED_GRAMIAN_MAX_ENTRIES", cap)
+            co = ControlOperator(ops, ctrl_sched, 0.5)
+            assert (co.modes is not None) is (co.reduced is not None) is built
+        z = unit_random_state(ops, 97)
+        stepped = co.prop.flow(ops.embed_omega(ops.restrict_omega(co.prop.flow(z, co.n_obs))),
+                               co.n_obs)
+        assert np.array_equal(co.gramian_apply(z, 2.0, 0.1), 2.0 ** 2 * stepped + 0.1 ** 2 * z)
 
     def test_above_the_memory_cap_the_solver_starts_from_zero(
             self, iv_ops, ctrl_sched, monkeypatch):
