@@ -165,15 +165,17 @@ def _disk_grid(domain, nr, ntheta):
     dtheta = 2.0 * np.pi / ntheta
     radii = (np.arange(nr) + 0.5) * dr
     theta = dtheta * np.arange(ntheta)
-
-    # interior nodes first (ring-major), boundary ring last
-    rr = np.repeat(radii, ntheta)
-    tt = np.tile(theta, nr)
-    pts_int = np.column_stack([cx + rr * np.cos(tt), cy + rr * np.sin(tt)])
-    pts_bnd = np.column_stack([cx + R * np.cos(theta), cy + R * np.sin(theta)])
-    points = np.vstack([pts_int, pts_bnd])
+    cos, sin = np.cos(theta), np.sin(theta)
     n_int = nr * ntheta
     n = n_int + ntheta
+
+    # interior nodes first (ring-major), boundary ring last; each angle's
+    # cos and sin serve every ring and the normals
+    points = np.empty((n, 2))
+    rings = points.reshape(nr + 1, ntheta, 2)
+    rr = np.append(radii, R)[:, None]
+    rings[..., 0] = cx + rr * cos
+    rings[..., 1] = cy + rr * sin
 
     w_bulk = np.empty(n)
     w_bulk[:n_int] = np.repeat(radii * dr * dtheta, ntheta)
@@ -183,7 +185,7 @@ def _disk_grid(domain, nr, ntheta):
     w_trace[n_int:] = R * dtheta
 
     boundary_idx = np.arange(n_int, n)
-    normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    normals = np.column_stack([cos, sin])
 
     oc = np.asarray(domain.omega.center)
     d = np.hypot(points[:, 0] - oc[0], points[:, 1] - oc[1])
@@ -337,22 +339,24 @@ def _edges_disk(grid):
     j = np.arange(ntheta)
     jn = (j + 1) % ntheta
     # radial fluxes from ring i to ring i + 1 (the boundary ring for
-    # i = nr - 1, its nodes at n_int + j), weighted by the edge radius
-    inner = np.arange(n_int)
-    radial = np.column_stack([inner, inner + ntheta])
-    g_radial = np.arange(1, nr + 1) * dr * dtheta / dr
-    # angular fluxes within each interior ring, then twice along the
+    # i = nr - 1, its nodes at n_int + j), weighted by the edge radius;
+    # then angular fluxes within each interior ring, and twice along the
     # boundary ring: the outermost half cell and the Laplace-Beltrami
     # coupling
+    edges = np.empty((n_int + (nr + 2) * ntheta, 2), dtype=np.int64)
+    edges[:n_int, 0] = np.arange(n_int)
+    edges[:n_int, 1] = np.arange(ntheta, n_int + ntheta)
+    angular = edges[n_int:].reshape(nr + 2, ntheta, 2)
     rings = np.append(np.arange(nr + 1), nr)[:, None] * ntheta
-    angular = np.column_stack([(rings + j).ravel(), (rings + jn).ravel()])
+    angular[..., 0] = rings + j
+    angular[..., 1] = rings + jn
+    g_radial = np.arange(1, nr + 1) * dr * dtheta / dr
     r = (np.arange(nr) + 0.5) * dr
     r_half = (nr + 0.25) * dr
     g_angular = np.concatenate([dr / (r * dtheta),
                                 [0.5 * dr / (r_half * dtheta),
                                  1.0 / (grid.domain.radius * dtheta)]])
-    return (np.vstack([radial, angular]),
-            np.repeat(np.concatenate([g_radial, g_angular]), ntheta))
+    return edges, np.repeat(np.concatenate([g_radial, g_angular]), ntheta)
 
 
 def assemble_operator(grid):

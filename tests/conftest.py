@@ -74,12 +74,20 @@ def final_states(ops, sched, block):
     return dh.Propagator(ops, sched.dt, sched.scheme).flow(block, sched.steps)
 
 
-def theta_broken(ops):
-    """Disk ops with one edge weight doubled, that of the angular edge from
-    ring 2's theta index 3 to 4, off the ring's theta = 0 node: K is no
-    longer invariant under rotation in theta."""
-    node = 2 * ops.grid.shape[1] + 3
-    (edge,) = np.flatnonzero((ops.edges[:, 0] == node) & (ops.edges[:, 1] == node + 1))
+THETA_BROKEN_KINDS = ("radial", "angular", "boundary")
+
+
+def theta_broken(ops, kind):
+    """Disk ops with one edge weight doubled, off the rings' theta = 0
+    nodes, so K is no longer invariant under rotation in theta.  The edge
+    leaves ring 2's theta index 3: for kind "radial" to ring 3, for
+    "angular" to theta index 4 of ring 2; for "boundary" it is the first
+    of the boundary ring's two edges from theta index 3 to 4."""
+    nr, ntheta = ops.grid.shape
+    a, b = ops.edges.T
+    node = (nr if kind == "boundary" else 2) * ntheta + 3
+    other = node + ntheta if kind == "radial" else node + 1
+    edge = np.flatnonzero((a == node) & (b == other))[0]
     g = ops.edge_weights.copy()
     g[edge] *= 2.0
     return OperatorSet(grid=ops.grid, mass=ops.mass.copy(), edges=ops.edges, edge_weights=g)
@@ -105,6 +113,32 @@ def frozen_step_solver(ops, c):
                                    "frozen interval")
     with mock.patch.object(evolve, "_ring_coefficients", frozen_ring_coefficients):
         return evolve._DiskSolver(ops, c)
+
+
+def frozen_disk_grid(domain, nr, ntheta):
+    """points, normals, w_bulk and omega_idx of a disk grid as build_grid
+    first formed them, with one cos and sin call per node: the frozen
+    reference that build_grid matches bit for bit."""
+    R = domain.radius
+    cx, cy = domain.center
+    dr = R / (nr + 0.5)
+    dtheta = 2.0 * np.pi / ntheta
+    radii = (np.arange(nr) + 0.5) * dr
+    theta = dtheta * np.arange(ntheta)
+    rr = np.repeat(radii, ntheta)
+    tt = np.tile(theta, nr)
+    pts_int = np.column_stack([cx + rr * np.cos(tt), cy + rr * np.sin(tt)])
+    pts_bnd = np.column_stack([cx + R * np.cos(theta), cy + R * np.sin(theta)])
+    points = np.vstack([pts_int, pts_bnd])
+    n_int = nr * ntheta
+    w_bulk = np.empty(n_int + ntheta)
+    w_bulk[:n_int] = np.repeat(radii * dr * dtheta, ntheta)
+    w_bulk[n_int:] = 0.5 * (R ** 2 - (nr * dr) ** 2) * dtheta
+    normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    oc = np.asarray(domain.omega.center)
+    d = np.hypot(points[:, 0] - oc[0], points[:, 1] - oc[1])
+    omega_idx = np.nonzero(d <= domain.omega.radius)[0]
+    return {"points": points, "normals": normals, "w_bulk": w_bulk, "omega_idx": omega_idx}
 
 
 def frozen_assembly(grid):

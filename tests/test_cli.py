@@ -16,7 +16,7 @@ from dynheat.config import load_config
 from dynheat.discretize import OperatorSet, assemble_operator
 from dynheat.reporting import ARTIFACTS, canonical_json, check, csv_text, merge_report, passed
 
-from conftest import theta_broken
+from conftest import THETA_BROKEN_KINDS, theta_broken
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -735,19 +735,25 @@ class TestFailureArtifact:
         assert report["failure"]["stage"] == "control"
         assert report["failure"]["error"] == "NumericalError"
 
-    def test_structured_solve_check_is_a_numerical_exit(self, tmp_path, monkeypatch):
-        """A K that is not theta-invariant fails the structured disk solve's
+    @pytest.mark.parametrize("kind", THETA_BROKEN_KINDS)
+    @pytest.mark.parametrize("nr, ntheta", [(6, 16), (16, 48)])
+    def test_structured_solve_check_is_a_numerical_exit(self, tmp_path, monkeypatch, kind,
+                                                        nr, ntheta):
+        """A K that is not theta-invariant, through a radial, an interior
+        angular or a boundary ring edge, fails the structured disk solve's
         construction check instead of flowing with the wrong matrix."""
         path = tmp_path / "disk.ini"
-        path.write_text(DISK_CONFIG)
+        path.write_text(DISK_CONFIG.replace("nr = 6\nntheta = 16",
+                                            f"nr = {nr}\nntheta = {ntheta}"))
         monkeypatch.setattr(cli, "assemble_operator",
-                            lambda grid: theta_broken(assemble_operator(grid)))
+                            lambda grid: theta_broken(assemble_operator(grid), kind))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
         assert os.listdir(out) == ["failure.json"]
         doc = json.loads((out / "failure.json").read_text())
         assert doc["stage"] == "simulate" and doc["error"] == "NumericalError"
-        assert doc["message"].startswith("structured step solve misses M + cK on the 6x16 disk")
+        assert doc["message"].startswith(
+            f"structured step solve misses M + cK on the {nr}x{ntheta} disk")
 
     def test_other_exits_write_none(self, pipeline_dir, tmp_path):
         out, codes = pipeline_dir

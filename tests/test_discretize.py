@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import dynheat as dh
 from dynheat import discretize
 
-from conftest import apply_A, dense_A, dirichlet_form, frozen_assembly, unit_random_state
+from conftest import (apply_A, dense_A, dirichlet_form, frozen_assembly, frozen_disk_grid,
+                      unit_random_state)
 
 
 class TestGridWeights:
@@ -144,6 +145,9 @@ def assert_assembly_equals_frozen_product(grid):
     assert_same_csr(ops.incidence, D)
 
 
+DISK_SIZES = [(2, 4), (3, 5), (7, 13), (16, 48), (32, 96), (64, 192), (128, 160)]
+
+
 class TestAssemblyAgainstProduct:
     """assemble_operator writes K and D from the edge list; both equal the
     sparse product D^T diag(g) D and its incidence D bit for bit, index
@@ -153,8 +157,7 @@ class TestAssemblyAgainstProduct:
     def test_interval(self, iv_domain, n):
         assert_assembly_equals_frozen_product(dh.build_grid(iv_domain, n=n))
 
-    @pytest.mark.parametrize("nr, ntheta", [(2, 4), (3, 5), (7, 13), (16, 48), (32, 96),
-                                            (64, 192), (128, 160)])
+    @pytest.mark.parametrize("nr, ntheta", DISK_SIZES)
     def test_disk(self, disk_domain, nr, ntheta):
         assert_assembly_equals_frozen_product(dh.build_grid(disk_domain, nr=nr, ntheta=ntheta))
 
@@ -176,6 +179,31 @@ class TestAssemblyAgainstProduct:
             with pytest.raises(AssertionError, match="sparse matrix product"):
                 frozen_assembly(grid)
             dh.assemble_operator(grid)
+
+
+class TestDiskGridAgainstFrozen:
+    """build_grid takes cos and sin once per angle; the disk grid's points,
+    normals, bulk weights and omega nodes equal those of one call per node
+    (conftest.frozen_disk_grid) bit for bit."""
+
+    @staticmethod
+    def assert_equals_frozen(domain, nr, ntheta):
+        grid = dh.build_grid(domain, nr=nr, ntheta=ntheta)
+        for name, frozen in frozen_disk_grid(domain, nr, ntheta).items():
+            got = getattr(grid, name)
+            assert got.dtype == frozen.dtype and got.shape == frozen.shape, name
+            assert got.tobytes() == frozen.tobytes(), name
+
+    @pytest.mark.parametrize("nr, ntheta", DISK_SIZES)
+    def test_disk(self, disk_domain, nr, ntheta):
+        self.assert_equals_frozen(disk_domain, nr, ntheta)
+
+    @pytest.mark.parametrize("omega_radius, nr, ntheta", [(0.3, 16, 48), (0.3, 8, 24),
+                                                          (0.5, 128, 160)],
+                             ids=["certify-disk", "certify-disk-tiny", "large-disk"])
+    def test_benchmark_grids(self, omega_radius, nr, ntheta):
+        domain = dh.DomainSpec.disk((0.0, 0.0), 1.0, (0.0, 0.0), (0.0, 0.0), omega_radius)
+        self.assert_equals_frozen(domain, nr, ntheta)
 
 
 def ring_loop_edges(grid):

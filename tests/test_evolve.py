@@ -10,7 +10,8 @@ from dynheat import evolve
 from dynheat.control import ControlOperator
 from dynheat.discretize import OperatorSet
 
-from conftest import dense_A, frozen_step_solver, theta_broken, unit_random_state
+from conftest import (THETA_BROKEN_KINDS, dense_A, frozen_step_solver, theta_broken,
+                      unit_random_state)
 
 
 class TestSchedule:
@@ -283,9 +284,10 @@ class TestStructuredSolve:
         block = np.random.default_rng(n + nr * ntheta).standard_normal((ops.n_dofs, width))
         assert np.array_equal(prop.flow(block, steps), frozen.flow(block, steps))
 
-    def test_k_off_theta_invariance_is_a_numerical_error(self, disk_ops):
+    @pytest.mark.parametrize("kind", THETA_BROKEN_KINDS)
+    def test_k_off_theta_invariance_is_a_numerical_error(self, disk_ops, kind):
         with pytest.raises(dh.NumericalError, match=r"6x16 disk: relative residual"):
-            dh.Propagator(theta_broken(disk_ops), 0.05)
+            dh.Propagator(theta_broken(disk_ops, kind), 0.05)
 
     @pytest.mark.parametrize("scheme", ["crank_nicolson", "backward_euler"])
     @pytest.mark.parametrize("disk", [False, True], ids=["interval", "disk"])
