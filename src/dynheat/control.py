@@ -555,7 +555,8 @@ def _calibrate(co, prob, flows, seed):
     each rung synthesizes all members as one block.  Exhausting
     DEFAULT_DOUBLING_BUDGET doublings, or reaching a rung whose finite
     kappa^2 lambda_max(W) / eps^2 passes GRAMIAN_CONDITION_MAX, raises
-    CalibrationError with diagnostics at that rung.
+    CalibrationError with diagnostics at that rung; the latter's message
+    gives the largest predicted ||Psi(T)|| / ||Psi0|| there, if any.
     """
     budget, eps = DEFAULT_DOUBLING_BUDGET, prob.eps
     kappa, start = seed, 0
@@ -566,12 +567,16 @@ def _calibrate(co, prob, flows, seed):
     for k in range(start, budget + 1):
         spread = _spread(flows, kappa, eps)
         if GRAMIAN_CONDITION_MAX < spread < np.inf:
+            diagnostics = _calibration_diagnostics(co, flows, kappa, eps)
+            ratios = diagnostics["predicted_ratio_last"]
+            floor = ("" if ratios is None else
+                     f"; at that kappa the reduced model predicts ||Psi(T)|| / "
+                     f"||Psi0|| up to {max(ratios):.3g}, against eps={eps}")
             raise CalibrationError(
                 f"no kappa below {kappa:.6g} certifies at eps={eps}, and there "
                 f"kappa^2 lambda_max(W) / eps^2 = {spread:.3e} passes "
                 f"{GRAMIAN_CONDITION_MAX:g}: the Gramian is too ill-conditioned "
-                f"to solve in floating point",
-                diagnostics=_calibration_diagnostics(co, flows, kappa, eps))
+                f"to solve in floating point{floor}", diagnostics=diagnostics)
         results = _synthesize_block(co, replace(prob, kappa=kappa), flows)
         if all(r.certified for r in results):
             return CalibrationResult(kappa=kappa, doublings=k, results=tuple(results))

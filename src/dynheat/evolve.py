@@ -32,14 +32,14 @@ certificate reads is stepped.
 
 Every step solve is exact up to rounding and structured.  The interval's
 step matrix M + cK is SPD tridiagonal: LAPACK's L D L^T factorization
-(dpttrf) runs once and its solve (dpttrs) every step.  On a disk every ring carries ntheta
-nodes with ring-only weights, so the step matrix is block-circulant in
-theta.  A real FFT over theta splits it into ntheta/2 + 1 SPD tridiagonal
-systems in r, one per Fourier mode, which are stacked into one
-block-diagonal tridiagonal system and solved the same way (Hockney, J. ACM
-12, 1965; Swarztrauber, SIAM J. Numer. Anal. 11, 1974).  dpttrs sweeps
-every right-hand side alone and in the same order, so on every grid a
-block's columns equal their one-state steps bit for bit.
+(dpttrf) runs once and its solve (dpttrs) every step.  On a disk a real
+FFT over theta (_RingModes) splits it into one SPD tridiagonal system in
+r per Fourier mode and part, real or imaginary, stacked into one
+block-diagonal tridiagonal system with one right-hand side per column and
+solved the same way (Hockney, J. ACM 12, 1965; Swarztrauber, SIAM J.
+Numer. Anal. 11, 1974).  dpttrs sweeps every right-hand side alone and in
+the same order, so on every grid a block's columns equal their one-state
+steps bit for bit.
 """
 
 from __future__ import annotations
@@ -146,41 +146,65 @@ def _ring_coefficients(ops):
     return ops.diagonal[::ntheta], angular, radial
 
 
-class _DiskSolver:
-    """Exact solve of (diag(mass) + c K) x = b on a disk grid.
+class _RingModes:
+    """The disk's Fourier modes in theta, the one place that knows their
+    layout, (member, mode, part, ring) with part 0 real and 1 imaginary.
+    Nodes are ring-major, the boundary ring last; a real FFT over theta
+    turns the circulant angular coupling into 2 cos(2 pi k / ntheta) per
+    mode k, so ring weights plus c K leave one tridiagonal in r per mode.
+    mass holds the ring masses, radial the ring couplings (K's
+    off-diagonal negated; _ring_coefficients)."""
 
-    Nodes are ring-major, the boundary ring last, so a state reshapes to
-    (nr + 1, ntheta).  The ring coefficients are read at each ring's
-    theta = 0 node from K's diagonal and edge weights
-    (_ring_coefficients).  A real FFT over theta turns the circulant
-    angular coupling into the diagonal factor 2 cos(2 pi k / ntheta) per
-    mode k; each mode leaves an SPD tridiagonal system in r.  The modes' systems, with zero couplings
-    between them, form one block-diagonal tridiagonal system, factorized
-    once; the real and the imaginary part of every column are two of its
-    right-hand sides.  Construction solves one fixed zero-mean white
-    vector, default_rng(0).random(n) - 0.5, checks it against K applied
-    from the whole edge list and raises NumericalError when the relative
-    residual exceeds 1e-10, as it does for a K that is not theta-invariant:
-    up to the 128 x 160 disk a sound K leaves at most about 2e-14, and one
-    doubled edge weight, radial, angular or on the boundary ring, 4e-6 or
-    more.
-    """
+    def __init__(self, ops):
+        self._ntheta = ntheta = ops.grid.shape[1]
+        self.mass = ops.mass[::ntheta]
+        self._diag, self._angular, self.radial = _ring_coefficients(ops)
+        self._half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
 
-    def __init__(self, ops, c):
-        nr, ntheta = ops.grid.shape
-        self._shape = (nr + 1, ntheta)
-        diag, angular, radial = _ring_coefficients(ops)
+    def diagonals(self, shift, c):
+        """(modes, rings): the mode diagonals of diag(shift) + c K."""
         # diag - 2 angular cos(phi) as (diag - 2 angular) + 4 angular
         # sin^2(phi / 2): on the inner rings the angular weights dwarf the
         # radial ones, and there the first difference is exact (Sterbenz),
-        # so the low modes keep their small radial part
-        half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
-        d = (ops.mass[::ntheta] + c * (diag - 2.0 * angular))[:, None] \
-            + (4.0 * c * angular)[:, None] * half
-        # mode-major: the rings of mode k are unknowns k (nr + 1) + i
-        e = np.zeros((half.size, nr + 1))
-        e[:, :-1] = -c * radial
-        self._solve = _Tridiagonal(d.T.ravel(), e.ravel()[:-1], f"{nr}x{ntheta} disk")
+        # so the low modes keep their small radial part.  c multiplies each
+        # term: at shift 0 and c 1 these are K's own, bit for bit
+        return ((shift + c * (self._diag - 2.0 * self._angular))
+                + (4.0 * c * self._angular) * self._half[:, None])
+
+    def forward(self, u):
+        """A state (n,) or a block (n, m) in the layout (m, modes, 2, rings)."""
+        X = np.ascontiguousarray(np.reshape(u, (u.shape[0], -1)).T)
+        F = np.fft.rfft(X.reshape(X.shape[0], -1, self._ntheta), axis=-1)
+        return np.ascontiguousarray(F.view(np.float64).reshape(*F.shape, 2).transpose(0, 2, 3, 1))
+
+    def back(self, parts, shape):
+        """The layout's states in shape, (n,) or (n, m), a block in Fortran order."""
+        # one contiguous copy: faster here than writing a complex array's planes
+        F = np.ascontiguousarray(parts.transpose(0, 3, 1, 2)).view(np.complex128)[..., 0]
+        x = np.fft.irfft(F, n=self._ntheta, axis=-1)
+        return x.reshape(parts.shape[0], -1).T.reshape(shape)
+
+
+class _DiskSolver:
+    """Exact solve of (diag(mass) + c K) x = b on a disk grid, over
+    _RingModes' (mode, part) blocks: one SPD tridiagonal in r each, stacked
+    with zero couplings into one block-diagonal tridiagonal system,
+    factorized once, with one right-hand side per column.  Construction
+    solves one fixed zero-mean white vector, default_rng(0).random(n) -
+    0.5, checks it against K applied from the whole edge list and raises
+    NumericalError when the relative residual exceeds 1e-10, as it does
+    for a K that is not theta-invariant: up to the 128 x 160 disk a sound
+    K leaves at most about 2e-14, and one doubled edge weight, radial,
+    angular or on the boundary ring, 4e-6 or more."""
+
+    def __init__(self, ops, c):
+        nr, ntheta = ops.grid.shape
+        self._modes = modes = _RingModes(ops)
+        d = modes.diagonals(modes.mass, c)
+        e = np.zeros((d.shape[0], 2, nr + 1))
+        e[..., :-1] = -c * modes.radial
+        self._solve = _Tridiagonal(np.repeat(d, 2, axis=0).ravel(), e.ravel()[:-1],
+                                   f"{nr}x{ntheta} disk")
 
         b = np.random.default_rng(0).random(ops.n_dofs) - 0.5
         x = self(b)
@@ -200,19 +224,9 @@ class _DiskSolver:
     def __call__(self, rhs):
         """x for a right-hand side (n,) or a block (n, m), same shape;
         a block comes back in Fortran order."""
-        rings, ntheta = self._shape
-        m = rhs.size // (rings * ntheta)
-        F = np.fft.rfft(np.ascontiguousarray(rhs.T).reshape(m, rings, ntheta), axis=-1)
-        # (m, rings, modes, part) -> (m, part, modes, rings): one contiguous
-        # right-hand side per column and part
-        parts = F.view(np.float64).reshape(m, rings, -1, 2).transpose(0, 3, 2, 1)
-        X = self._solve(np.reshape(parts, (2 * m, -1)).T)
-        # back into F's planes, (m, part, modes, rings) -> (m, rings, modes)
-        parts = X.T.reshape(m, 2, -1, rings)
-        F.real = parts[:, 0].transpose(0, 2, 1)
-        F.imag = parts[:, 1].transpose(0, 2, 1)
-        x = np.fft.irfft(F, n=ntheta, axis=-1)
-        return x.reshape(rhs.shape[::-1]).T
+        parts = self._modes.forward(rhs)
+        X = self._solve(parts.reshape(parts.shape[0], -1).T)
+        return self._modes.back(X.T.reshape(parts.shape), rhs.shape)
 
 
 class _ModalFlow:
@@ -220,43 +234,33 @@ class _ModalFlow:
     structure gives.
 
     M is diagonal, so on the interval M^{-1/2} K M^{-1/2} is symmetric
-    tridiagonal.  On a disk the real FFT over theta leaves one such
-    tridiagonal in r per Fourier mode, from the ring masses and
-    _ring_coefficients, as in _DiskSolver.  eigh_tridiagonal splits
-    each into U diag(eigenvalues) U^T, and with the scheme's factor r(x) =
-    (1 - x) / (1 + x) for Crank-Nicolson and 1 / (1 + x) for backward Euler,
-    at x = c lambda with the step solve's c,
+    tridiagonal, and on a disk _RingModes leaves one such tridiagonal in r
+    per Fourier mode.  eigh_tridiagonal splits each into U diag(lambda)
+    U^T, and with the scheme's factor r(x) = (1 - x) / (1 + x) for
+    Crank-Nicolson and 1 / (1 + x) for backward Euler, at x = c lambda
+    with the step solve's c,
 
         P^steps = M^{-1/2} U diag(r^steps) U^T M^{1/2},
 
     formed once per mode as a dense (rings, rings) matrix.  A block is
     applied as one stacked matmul with one item per column (and per mode
-    and real or imaginary part on a disk), so each column carries the bits
-    of a one-column product.
+    on a disk), so each column carries the bits of a one-column product.
     """
 
     def __init__(self, ops, dt, scheme, steps):
-        if ops.grid.domain.kind == "disk":
-            nr, ntheta = ops.grid.shape
-            self._shape = (nr + 1, ntheta)
-            diag, angular, radial = _ring_coefficients(ops)
-            # the step solve's mode diagonals without mass, in its form
-            half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
-            k_diag = (diag - 2.0 * angular) + (4.0 * angular) * half[:, None]
-            k_off, mass = -radial, ops.mass[::ntheta]
+        self._modes = modes = _RingModes(ops) if ops.grid.domain.kind == "disk" else None
+        if modes is not None:
+            k_diag, k_off, mass = modes.diagonals(0.0, 1.0), -modes.radial, modes.mass
         else:
-            self._shape = None
             k_diag, k_off, mass = ops.diagonal[None, :], -ops.edge_weights, ops.mass
         root = np.sqrt(mass)
         c = 0.5 * dt if scheme == "crank_nicolson" else dt
-        self.eigenvalues = np.empty(k_diag.shape)
         # transposed, P^T per mode: the stacked product takes states as rows
         self._flows = np.empty(k_diag.shape + (mass.size,))
         for k, d in enumerate(k_diag):
             lam, U = eigh_tridiagonal(d / mass, k_off / (root[:-1] * root[1:]))
             x = c * lam
             r = (1.0 - x) / (1.0 + x) if scheme == "crank_nicolson" else 1.0 / (1.0 + x)
-            self.eigenvalues[k] = lam
             self._flows[k] = (root[:, None] * U) @ (r[:, None] ** steps * U.T) / root
 
     @staticmethod
@@ -270,20 +274,10 @@ class _ModalFlow:
     def __call__(self, u):
         """P^steps u for a state (n,) or a block (n, m); a block comes back
         in Fortran order."""
+        if self._modes is not None:
+            return self._modes.back(self._modes.forward(u) @ self._flows, u.shape)
         X = np.ascontiguousarray(np.reshape(u, (u.shape[0], -1)).T)
-        m = X.shape[0]
-        if self._shape is None:
-            return (X[:, None, None, :] @ self._flows).reshape(m, -1).T.reshape(u.shape)
-        rings, ntheta = self._shape
-        F = np.fft.rfft(X.reshape(m, rings, ntheta), axis=-1)
-        # (m, rings, modes, part) -> (m, modes, part, rings): one item per
-        # column and mode holds its real and imaginary part as two rows
-        parts = F.view(np.float64).reshape(m, rings, -1, 2).transpose(0, 2, 3, 1)
-        parts = np.ascontiguousarray(parts) @ self._flows
-        # a contiguous copy over short strides: here it is faster than
-        # writing F's real and imaginary planes as _DiskSolver does
-        F = np.ascontiguousarray(parts.transpose(0, 3, 1, 2)).view(np.complex128)[..., 0]
-        return np.fft.irfft(F, n=ntheta, axis=-1).reshape(m, -1).T.reshape(u.shape)
+        return (X[:, None, None, :] @ self._flows).reshape(X.shape[0], -1).T.reshape(u.shape)
 
 
 class Propagator:

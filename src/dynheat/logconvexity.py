@@ -253,7 +253,7 @@ def run_traces(ops, params, block, sched):
     orders of magnitude (the differenced N carries CN's
     time-discretization transient), and on some inputs C falls below
     C_form, so the bound with C fails (benchmark input 8020, a 32-node
-    interval: C = 0 against C_form = 0.0145, 18 violations; ROADMAP item 1).
+    interval: C = 0 against C_form = 0.0145, 18 violations; ROADMAP item 15).
     """
     times = sched.times()
     normF2, neg_S, Q = (np.empty((block.shape[1], times.size)) for _ in range(3))

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import dynheat as dh
@@ -113,6 +114,86 @@ def frozen_step_solver(ops, c):
                                    "frozen interval")
     with mock.patch.object(evolve, "_ring_coefficients", frozen_ring_coefficients):
         return evolve._DiskSolver(ops, c)
+
+
+def frozen_edge_ring_coefficients(ops):
+    """Each disk ring's diagonal, angular and radial coupling at its
+    theta = 0 node, read from K's diagonal and the edge list as the disk
+    solver and the modal flow read them before they shared one ring-mode
+    layer."""
+    nr, ntheta = ops.grid.shape
+    a, b = ops.edges.T
+    first = np.zeros(ops.n_dofs, dtype=bool)
+    first[::ntheta] = True
+    at_first = np.flatnonzero(first[a])
+    ring, hop = a[at_first] // ntheta, b[at_first] - a[at_first]
+    g = ops.edge_weights[at_first]
+    angular = np.bincount(ring[hop == 1], g[hop == 1], nr + 1)
+    radial = np.bincount(ring[hop == ntheta], g[hop == ntheta], nr)
+    return ops.diagonal[::ntheta], angular, radial
+
+
+class FrozenDiskSolver:
+    """The disk's solve of M + c K in its (part, mode, ring) layout, with
+    the real and the imaginary part of every column two right-hand sides
+    and the result written back through the complex planes: the frozen
+    reference that the step solve matches bit for bit."""
+
+    def __init__(self, ops, c):
+        nr, ntheta = ops.grid.shape
+        self._shape = (nr + 1, ntheta)
+        diag, angular, radial = frozen_edge_ring_coefficients(ops)
+        half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
+        d = (ops.mass[::ntheta] + c * (diag - 2.0 * angular))[:, None] \
+            + (4.0 * c * angular)[:, None] * half
+        e = np.zeros((half.size, nr + 1))
+        e[:, :-1] = -c * radial
+        self._solve = evolve._Tridiagonal(d.T.ravel(), e.ravel()[:-1], "frozen disk")
+
+    def __call__(self, rhs):
+        rings, ntheta = self._shape
+        m = rhs.size // (rings * ntheta)
+        F = np.fft.rfft(np.ascontiguousarray(rhs.T).reshape(m, rings, ntheta), axis=-1)
+        parts = F.view(np.float64).reshape(m, rings, -1, 2).transpose(0, 3, 2, 1)
+        X = self._solve(np.reshape(parts, (2 * m, -1)).T)
+        parts = X.T.reshape(m, 2, -1, rings)
+        F.real = parts[:, 0].transpose(0, 2, 1)
+        F.imag = parts[:, 1].transpose(0, 2, 1)
+        x = np.fft.irfft(F, n=ntheta, axis=-1)
+        return x.reshape(rhs.shape[::-1]).T
+
+
+def frozen_disk_modal_flow(ops, dt, scheme, steps, u):
+    """P^steps u on a disk from the generator's modes in the (mode, part,
+    ring) layout that the modal flow formed on its own: the frozen
+    reference that _ModalFlow matches bit for bit."""
+    nr, ntheta = ops.grid.shape
+    rings = nr + 1
+    diag, angular, radial = frozen_edge_ring_coefficients(ops)
+    half = np.sin(np.pi / ntheta * np.arange(ntheta // 2 + 1)) ** 2
+    k_diag = (diag - 2.0 * angular) + (4.0 * angular) * half[:, None]
+    k_off, mass = -radial, ops.mass[::ntheta]
+    root = np.sqrt(mass)
+    c = 0.5 * dt if scheme == "crank_nicolson" else dt
+    flows = np.empty(k_diag.shape + (rings,))
+    for k, d in enumerate(k_diag):
+        lam, U = sla.eigh_tridiagonal(d / mass, k_off / (root[:-1] * root[1:]))
+        x = c * lam
+        r = (1.0 - x) / (1.0 + x) if scheme == "crank_nicolson" else 1.0 / (1.0 + x)
+        flows[k] = (root[:, None] * U) @ (r[:, None] ** steps * U.T) / root
+    X = np.ascontiguousarray(np.reshape(u, (u.shape[0], -1)).T)
+    m = X.shape[0]
+    F = np.fft.rfft(X.reshape(m, rings, ntheta), axis=-1)
+    parts = F.view(np.float64).reshape(m, rings, -1, 2).transpose(0, 2, 3, 1)
+    parts = np.ascontiguousarray(parts) @ flows
+    F = np.ascontiguousarray(parts.transpose(0, 3, 1, 2)).view(np.complex128)[..., 0]
+    return np.fft.irfft(F, n=ntheta, axis=-1).reshape(m, -1).T.reshape(u.shape)
+
+
+def same_bits(a, b):
+    """Equal shapes and values, sign bits of zeros included."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def frozen_disk_grid(domain, nr, ntheta):

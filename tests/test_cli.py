@@ -663,8 +663,9 @@ class TestFailureArtifact:
         """On INTERVAL_32_CONFIG at n = 200 no kappa certifies eps = 0.2.
         The ladder stops at the first rung whose kappa^2 lambda_max(W) /
         eps^2 passes GRAMIAN_CONDITION_MAX, without propagating it, and
-        names kappa, eps and that ratio, with the reduced model's
-        diagnostics."""
+        names kappa, eps, that ratio and the largest predicted
+        ||Psi(T)|| / ||Psi0|| there, the floor that eps lies below, with
+        the reduced model's diagnostics."""
         path = tmp_path / "run.ini"
         path.write_text(INTERVAL_32_CONFIG.replace("n = 32", "n = 200"))
         out = tmp_path / "out"
@@ -678,6 +679,9 @@ class TestFailureArtifact:
         assert ctl.GRAMIAN_CONDITION_MAX < spread < 4.0 * ctl.GRAMIAN_CONDITION_MAX
         assert f"kappa below {diag['kappa_last']:.6g}" in doc["message"]
         assert "eps=0.2" in doc["message"] and f"{spread:.3e}" in doc["message"]
+        floor = max(diag["predicted_ratio_last"])
+        assert floor > 0.2
+        assert doc["message"].endswith(f"up to {floor:.3g}, against eps=0.2")
         assert capsys.readouterr().err.startswith("numerical failure: no kappa below")
 
     def test_calibration_failure_diagnostics_are_kept(self, config_path, tmp_path,

@@ -132,10 +132,27 @@ def test_benchmark_reads_the_direct_solve_threshold():
     assert isinstance(evolve.DIRECT_SOLVE_MAX_DOFS, int)
 
 
+def test_the_disk_fourier_layout_lives_in_one_class():
+    """np.fft is called only inside evolve._RingModes, the one place that
+    knows the disk's Fourier layout, and no module imports an fft."""
+    calls = []
+    for path in sorted((ROOT / "src" / "dynheat").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {id(node): f"{path.stem}.{cls.name}" for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                calls.append(owners.get(id(node), path.stem))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+                assert not any("fft" in (name or "") for name in names), path.name
+    assert calls and set(calls) == {"evolve._RingModes"}
+
+
 # library names that wait for the production caller a ROADMAP item gives them
 _AWAITING_CALLER = {
     ("control", "verify_duality"),  # item 3: control writes its duality residual
-    ("logconvexity", "count_observability_violations"),  # item 2: held-out check
+    ("logconvexity", "count_observability_violations"),  # item 16: held-out check
 }
 
 
