@@ -38,25 +38,27 @@ def main():
     print(f"calibrated kappa = {cal.kappa:.4f} ({cal.doublings} doublings from 1), "
           f"fitted seed {fit.kappa0(sched.t1 - prob.tau, prob.eps):.4f}")
 
-    res = cal.results[0]
-    print(f"\n||Psi0|| = {res.norm_Psi0:.6f}")
-    print(f"||Psi(T)|| = {res.norm_PsiT:.6e}  (target eps ||Psi0|| = "
-          f"{prob.eps * res.norm_Psi0:.6e})")
-    print(f"||h||_omega = {res.norm_h:.6f}, impulse applied at t = "
-          f"{res.tau_effective}")
-    cost = res.norm_h ** 2 / res.kappa ** 2 + res.norm_PsiT ** 2 / prob.eps ** 2
+    res = cal.result.summary(0)
+    norm_psi0, norm_psiT, norm_h = res["norm_Psi0"], res["norm_PsiT"], res["norm_h"]
+    print(f"\n||Psi0|| = {norm_psi0:.6f}")
+    print(f"||Psi(T)|| = {norm_psiT:.6e}  (target eps ||Psi0|| = "
+          f"{prob.eps * norm_psi0:.6e})")
+    print(f"||h||_omega = {norm_h:.6f}, impulse applied at t = "
+          f"{res['tau_effective']}")
+    cost = norm_h ** 2 / res["kappa"] ** 2 + norm_psiT ** 2 / prob.eps ** 2
     print(f"cost functional = {cost:.6f}  (bound ||Psi0||^2 = "
-          f"{res.norm_Psi0 ** 2:.6f})")
-    print("certificates:", ", ".join(f"{k}={v}" for k, v in res.flags.items()))
-    print(f"cg: {res.residuals['cg_iterations']} iterations, relative "
-          f"residual {res.residuals['cg_rel']:.3e}")
+          f"{norm_psi0 ** 2:.6f})")
+    print("certificates:", ", ".join(f"{k}={v}" for k, v in res["flags"].items()))
+    residuals = res["residuals"]
+    print(f"cg: {residuals['cg_iterations']} iterations, relative "
+          f"residual {residuals['cg_rel']:.3e}")
     print(f"terminal identity |Psi(T) + eps^2 theta| / ||Psi0|| = "
-          f"{res.residuals['terminal_identity']:.3e}")
+          f"{residuals['terminal_identity']:.3e}")
 
     # five adjoint initial states, one per column
     Z0 = np.random.default_rng(99).standard_normal((5, ops.n_dofs)).T
     dual = co.verify_duality(ops, replace(prob, kappa=cal.kappa), sched,
-                             psi0, res, Z0)
+                             psi0[:, None], cal.result, Z0)
     print(f"duality residuals over {Z0.shape[1]} adjoint runs: "
           f"max {dual.max():.3e}")
 

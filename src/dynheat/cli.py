@@ -149,7 +149,7 @@ def _cmd_observe(cfg, out_dir):
         **{key: getattr(fit, key) for key in _FIT_KEYS},
     }
     return _emit(out_dir, "observe", doc, csv_text(
-        ["t", "normF2", "N", "Q", "bound"], trace.rows(0)))
+        ["t", "normF2", "N", "Q", "bound"], trace.rows(0, C)))
 
 
 def _cmd_commutator_check(cfg, out_dir):
@@ -195,12 +195,11 @@ def _cmd_control(cfg, out_dir):
     psi0s = _unit_random_states(ops, 1, cfg.seed, cfg.initial)
 
     if cfg.kappa is None:
-        cal = ctl.calibrate_kappa(ops, prob, sched, psi0s)
-        result = cal.results[0]
+        result = ctl.calibrate_kappa(ops, prob, sched, psi0s).result
     else:
-        result = ctl.synthesize(ops, prob, sched, psi0s[:, 0])
+        result = ctl.synthesize(ops, prob, sched, psi0s)
 
-    doc = result.summary()
+    doc = result.summary(0)
     doc["checks"] = {key: check(1, not doc["flags"].pop(key)) for key in ("target", "cost")}
     return _emit(out_dir, "control", doc)
 

@@ -90,10 +90,12 @@ The ensemble is solved as one block.  A ControlOperator depends only on
 matrix and builds the modes once and reuses them for every kappa
 doubling, every eps level and every member, and flows each member once.
 Each propagated rung runs one block CG whose columns keep their own
-scalars and stopping tests.  The step solve, the modal products (one
+scalars and stopping tests, and returns one ControlResult of block arrays,
+one column or entry per member.  The step solve, the modal products (one
 stacked matmul item per column) and every inner product treat each
 column alone, and the reduced products are taken per column, so on every
-grid a member's result is bit-identical to a one-member synthesis.
+grid a member's column is bit-identical to a one-member synthesis.  A
+member with zero data has residual 0: it never enters the CG and stays 0.
 """
 
 from __future__ import annotations
@@ -284,16 +286,18 @@ def _cg_mass_inner(apply_G, rhs, inner, tol, maxit, x0, r0):
     return X, iters
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlResult:
-    """Synthesized impulse with certificates and solver residuals; theta
-    solves the Gramian system and psi_T is the controlled state at T."""
+    """Synthesized impulses of a rung's m members with certificates and
+    solver residuals.  norm_h, norm_PsiT, norm_Psi0 and each entry of flags
+    and residuals are (m,); h is (n_omega, m); theta, which solves the
+    Gramian system, and psi_T, the controlled state at T, are (n, m)."""
 
     kappa: float
     eps: float
-    norm_h: float
-    norm_PsiT: float
-    norm_Psi0: float
+    norm_h: np.ndarray
+    norm_PsiT: np.ndarray
+    norm_Psi0: np.ndarray
     flags: dict
     residuals: dict
     tau_effective: float
@@ -303,19 +307,15 @@ class ControlResult:
 
     @property
     def certified(self):
-        return bool(self.flags["target"] and self.flags["cost"])
+        return self.flags["target"] & self.flags["cost"]
 
-    def summary(self):
-        return {
-            "kappa": self.kappa,
-            "eps": self.eps,
-            "norm_h": self.norm_h,
-            "norm_PsiT": self.norm_PsiT,
-            "norm_Psi0": self.norm_Psi0,
-            "tau_effective": self.tau_effective,
-            "flags": dict(self.flags),
-            "residuals": dict(self.residuals),
-        }
+    def summary(self, j):
+        """Member j's numbers and certificates as Python scalars."""
+        norms = ("norm_h", "norm_PsiT", "norm_Psi0")
+        return {"kappa": self.kappa, "eps": self.eps, "tau_effective": self.tau_effective,
+                **{key: float(getattr(self, key)[j]) for key in norms},
+                "flags": {key: bool(v[j]) for key, v in self.flags.items()},
+                "residuals": {key: v[j].item() for key, v in self.residuals.items()}}
 
 
 @dataclass(frozen=True)
@@ -323,21 +323,19 @@ class _Flows:
     """The members' data, flowed once per calibration or cost study.
 
     norms holds ||Psi0|| per member; free_tau and free_T hold P^{n_tau}
-    Psi0 and a = P^{n_T} Psi0, one column per member; red is the
-    operator's reduced Gramian, None above the size cap, and c = Z^T M a
-    the reduced coordinates of a (None without red).
+    Psi0 and a = P^{n_T} Psi0, one column per member; c = Z^T M a holds the
+    reduced coordinates of a, None without the operator's reduced Gramian.
     """
 
     norms: np.ndarray
     free_tau: np.ndarray
     free_T: np.ndarray
-    red: _ReducedGramian | None
     c: np.ndarray | None
 
     def subset(self, idx):
         return _Flows(norms=self.norms[idx],
                       free_tau=self.free_tau[:, idx], free_T=self.free_T[:, idx],
-                      red=self.red, c=None if self.c is None else self.c[:, idx])
+                      c=None if self.c is None else self.c[:, idx])
 
 
 def _free_flows(co, psi0s):
@@ -351,7 +349,7 @@ def _free_flows(co, psi0s):
     free_T = co.prop.flow(free_tau, co.n_obs)
     red = co.reduced
     c = None if red is None else _per_column(red.Z.T, co.ops.mass[:, None] * free_T)
-    return _Flows(norms=norms, free_tau=free_tau, free_T=free_T, red=red, c=c)
+    return _Flows(norms=norms, free_tau=free_tau, free_T=free_T, c=c)
 
 
 def _warm_start(co, flows, rhs, kappa, eps):
@@ -363,7 +361,7 @@ def _warm_start(co, flows, rhs, kappa, eps):
     are 0 without a step.
     """
     zero = np.zeros(rhs.shape, order="F")
-    red = flows.red
+    red = co.reduced
     if red is None:
         return zero, zero.copy(), zero.copy(), rhs
     # a tiny eps can blow theta0 up past the float range; such columns fail
@@ -382,27 +380,20 @@ def _warm_start(co, flows, rhs, kappa, eps):
 
 
 def _synthesize_block(co, prob, flows):
-    """One ControlResult per member: the Gramian solve and certificates as blocks.
+    """The members' ControlResult: the Gramian solve and certificates as blocks.
 
-    Members with zero data need no control: the minimizer of their dual
-    functional is 0.
+    A member with zero data needs no control: its right-hand side and
+    residual are 0, so it never enters the CG and stays 0 through every
+    flow, with every certificate met.  Zero data is controlled by 0 at
+    every (kappa, eps), so where a square leaves the float range and no
+    member has data it is solved at kappa = eps = 1.
     """
     ops, kappa, eps = co.ops, prob.kappa, prob.eps
-    n_omega = ops.grid.omega_idx.size
-    results = [ControlResult(
-        kappa=kappa, eps=eps, norm_h=0.0, norm_PsiT=0.0, norm_Psi0=0.0,
-        flags={"target": True, "cost": True, "apriori": True, "observation": True},
-        residuals={"cg_rel": 0.0, "cg_iterations": 0, "terminal_identity": 0.0},
-        tau_effective=co.tau_effective, h=np.zeros(n_omega),
-        theta=np.zeros(ops.n_dofs), psi_T=np.zeros(ops.n_dofs))
-        for _ in flows.norms]
-    live = np.flatnonzero(flows.norms)
-    if live.size == 0:
-        return results
     if not (0.0 < kappa * kappa < np.inf and 0.0 < eps * eps < np.inf):
-        raise NumericalError(
-            f"kappa={kappa:.6g} or eps={eps:.6g} leaves the float range when squared")
-    flows = flows.subset(live)
+        if flows.norms.any():
+            raise NumericalError(
+                f"kappa={kappa:.6g} or eps={eps:.6g} leaves the float range when squared")
+        kappa = eps = 1.0
 
     rhs = -flows.free_T
     theta0, theta_obs, G_theta, r0 = _warm_start(co, flows, rhs, kappa, eps)
@@ -431,75 +422,68 @@ def _synthesize_block(co, prob, flows):
     norm_psi0 = flows.norms
     norm_h, norm_v = ops.norm_omega(H), ops.norm_omega(V)
     norm_psiT, norm_theta = ops.norm(psi_T), ops.norm(theta)
-    terminal = ops.norm(psi_T + eps ** 2 * theta) / norm_psi0
+    terminal = (ops.norm(psi_T + eps ** 2 * theta)
+                / np.where(norm_psi0 > 0.0, norm_psi0, 1.0))
     lhs_apriori = kappa ** 2 * ops.inner_omega(V, V) + eps ** 2 * norm_theta ** 2
     rhs_apriori = norm_psi0 * ops.norm(theta_T)
     cost_lhs = norm_h ** 2 / kappa ** 2 + norm_psiT ** 2 / eps ** 2
     slack = 1.0 + CERT_SLACK
-    for k, j in enumerate(live):
-        flags = {
-            "target": bool(norm_psiT[k] <= eps * norm_psi0[k] * slack),
-            "cost": bool(cost_lhs[k] <= norm_psi0[k] ** 2 * slack),
-            "apriori": bool(lhs_apriori[k] <= rhs_apriori[k] * slack),
-            "observation": bool(norm_v[k] <= norm_psi0[k] * slack),
-        }
-        residuals = {
-            "cg_rel": float(cg_rel[k]),
-            "cg_iterations": int(cg_iters[k]),
-            "terminal_identity": float(terminal[k]),
-        }
-        results[j] = ControlResult(kappa=kappa, eps=eps, norm_h=float(norm_h[k]),
-                                   norm_PsiT=float(norm_psiT[k]),
-                                   norm_Psi0=float(norm_psi0[k]),
-                                   flags=flags, residuals=residuals,
-                                   tau_effective=co.tau_effective,
-                                   h=H[:, k], theta=theta[:, k], psi_T=psi_T[:, k])
-    return results
+    return ControlResult(
+        kappa=prob.kappa, eps=prob.eps, norm_h=norm_h, norm_PsiT=norm_psiT,
+        norm_Psi0=norm_psi0,
+        flags={"target": norm_psiT <= eps * norm_psi0 * slack,
+               "cost": cost_lhs <= norm_psi0 ** 2 * slack,
+               "apriori": lhs_apriori <= rhs_apriori * slack,
+               "observation": norm_v <= norm_psi0 * slack},
+        residuals={"cg_rel": cg_rel, "cg_iterations": cg_iters,
+                   "terminal_identity": terminal},
+        tau_effective=co.tau_effective, h=H, theta=theta, psi_T=psi_T)
 
 
-def synthesize(ops, prob, sched, psi0):
-    """Solve the dual Gramian system for the state psi0 (n,) and build the
-    certified impulse."""
+def synthesize(ops, prob, sched, psi0s):
+    """Solve the dual Gramian system for the initial states, one per column
+    of the block psi0s (n, m), and build the certified impulses."""
     if prob.kappa is None:
         raise UsageError("synthesize needs kappa; set it or run calibrate_kappa")
     co = ControlOperator(ops, sched, prob.tau)
-    return _synthesize_block(co, prob, _free_flows(co, psi0[:, None]))[0]
+    return _synthesize_block(co, prob, _free_flows(co, psi0s))
 
 
-def verify_duality(ops, prob, sched, psi0, result, Z0):
+def verify_duality(ops, prob, sched, psi0s, result, Z0):
     """Residuals of <h, z(T-tau)>_omega + <Psi0, zeta(T)> - <Psi(T), zeta0>
-    for each column zeta0 of the block Z0 (n, m).
+    for each member of result, whose initial states are the columns of
+    psi0s (n, m), and each column zeta0 of the block Z0 (n, k).
 
-    Returns the per-member residuals normalized by ||Psi0|| ||zeta0||; the
+    Returns the (m, k) residuals normalized by ||Psi0|| ||zeta0||; the
     identity holds at solver precision because the discrete flow is
     self-adjoint in the mass inner product.
     """
     co = ControlOperator(ops, sched, prob.tau)
-    norm_psi0 = ops.norm(psi0)
     Z_obs = co.prop.flow(Z0, co.n_obs)
     Z_T = co.prop.flow(Z_obs, co.n_tau)  # P^{n_total} = P^{n_tau} P^{n_obs}
-    val = (ops.inner_omega(result.h[:, None], ops.restrict_omega(Z_obs))
-           + ops.inner(psi0[:, None], Z_T)
-           - ops.inner(result.psi_T[:, None], Z0))
-    return np.abs(val) / (norm_psi0 * ops.norm(Z0))
+    m, k = psi0s.shape[1], Z0.shape[1]
+    # column j k + l pairs member j with column l of Z0
+    h, p0, pT = (np.repeat(A, k, axis=1) for A in (result.h, psi0s, result.psi_T))
+    z_obs, z_T, z_0 = (np.tile(Z, m) for Z in (ops.restrict_omega(Z_obs), Z_T, Z0))
+    val = ops.inner_omega(h, z_obs) + ops.inner(p0, z_T) - ops.inner(pT, z_0)
+    return np.abs(val).reshape(m, k) / np.outer(ops.norm(psi0s), ops.norm(Z0))
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
     kappa: float
     doublings: int
-    results: tuple
+    result: ControlResult
 
 
 def _predict(co, flows, kappa, eps):
     """Reduced-model ||Psi(T)|| / ||Psi0|| and cost / ||Psi0||^2 per member
     at (kappa, eps), 0 for zero data; None without a reduced Gramian, when
     kappa^2 leaves the float range or when a prediction is not finite."""
-    red, k2 = flows.red, kappa * kappa
+    red, k2 = co.reduced, kappa * kappa
     if red is None or not 0.0 < k2 < np.inf:
         return None
-    n0 = np.array(flows.norms)
-    n0[n0 == 0.0] = 1.0  # zero data has a = c = y = 0
+    n0 = np.where(flows.norms > 0.0, flows.norms, 1.0)  # zero data has a = c = y = 0
     a, c = flows.free_T, flows.c
     with np.errstate(all="ignore"):
         y = red.payload(c, kappa, eps)
@@ -523,19 +507,19 @@ def _predicted_miss(co, flows, kappa, eps):
     return bool(np.any(ratio > eps * bound) or np.any(cost > bound))
 
 
-def _spread(flows, kappa, eps):
+def _spread(co, kappa, eps):
     """kappa^2 lambda_max(W) / eps^2, which bounds G's condition number;
     nan without a reduced Gramian, inf where it overflows."""
-    if flows.red is None:
+    if co.reduced is None:
         return np.nan
     with np.errstate(all="ignore"):
-        return kappa * kappa * flows.red.eigenvalues[-1] / (eps * eps)
+        return kappa * kappa * co.reduced.eigenvalues[-1] / (eps * eps)
 
 
 def _calibration_diagnostics(co, flows, kappa, eps):
     """n_omega, W's extreme eigenvalues and each member's predicted
     ||Psi(T)|| / ||Psi0|| at kappa, None where unknown."""
-    red = flows.red
+    red = co.reduced
     pred = _predict(co, flows, kappa, eps)
     return {
         "n_omega": int(co.ops.grid.omega_idx.size),
@@ -560,12 +544,12 @@ def _calibrate(co, prob, flows, seed):
     """
     budget, eps = DEFAULT_DOUBLING_BUDGET, prob.eps
     kappa, start = seed, 0
-    while (start < budget and not _spread(flows, kappa, eps) > GRAMIAN_CONDITION_MAX
+    while (start < budget and not _spread(co, kappa, eps) > GRAMIAN_CONDITION_MAX
            and _predicted_miss(co, flows, kappa, eps)):
         kappa *= 2.0
         start += 1
     for k in range(start, budget + 1):
-        spread = _spread(flows, kappa, eps)
+        spread = _spread(co, kappa, eps)
         if GRAMIAN_CONDITION_MAX < spread < np.inf:
             diagnostics = _calibration_diagnostics(co, flows, kappa, eps)
             ratios = diagnostics["predicted_ratio_last"]
@@ -577,9 +561,9 @@ def _calibrate(co, prob, flows, seed):
                 f"kappa^2 lambda_max(W) / eps^2 = {spread:.3e} passes "
                 f"{GRAMIAN_CONDITION_MAX:g}: the Gramian is too ill-conditioned "
                 f"to solve in floating point{floor}", diagnostics=diagnostics)
-        results = _synthesize_block(co, replace(prob, kappa=kappa), flows)
-        if all(r.certified for r in results):
-            return CalibrationResult(kappa=kappa, doublings=k, results=tuple(results))
+        result = _synthesize_block(co, replace(prob, kappa=kappa), flows)
+        if result.certified.all():
+            return CalibrationResult(kappa=kappa, doublings=k, result=result)
         last, kappa = kappa, kappa * 2.0
     raise CalibrationError(
         f"no certifying kappa within {budget} doublings from {seed:.6g} "
@@ -668,8 +652,8 @@ def cost_study(ops, prob_template, sched, eps_list, psi0s, constants=None):
         if active.size:
             cal = _calibrate(co, prob, flows.subset(active), seed)
             kappa_floor = cal.kappa
-            sup_cost = max(r.norm_h for r in cal.results)
-            passes = all(r.certified for r in cal.results)
+            sup_cost = cal.result.norm_h.max()
+            passes = cal.result.certified.all()
             kappa_row = cal.kappa
         else:
             sup_cost, passes, kappa_row = 0.0, True, seed

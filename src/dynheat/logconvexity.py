@@ -169,10 +169,9 @@ def commutator_form(ops, params, t, F):
 class FrequencyTrace:
     """Weighted-flow diagnostics of an ensemble of m members at s times t.
 
-    normF2, N, Q, neg_S (<-S F, F>) and bound are (m, s), row j member
-    j's; bound is (1 + C0)/Upsilon neg_S + C/h^2 normF2.  C and C_form,
-    each member's rate and form fits, are (m,) (see run_traces).  final is
-    the (n, m) block U(T) the trajectory ends at.
+    normF2, N, Q and neg_S (<-S F, F>) are (m, s), row j member j's.  C
+    and C_form, each member's rate and form fits, are (m,) (see
+    run_traces).  final is the (n, m) block U(T) the trajectory ends at.
     """
 
     params: geometry.WeightParams
@@ -181,13 +180,16 @@ class FrequencyTrace:
     N: np.ndarray
     Q: np.ndarray
     neg_S: np.ndarray
-    bound: np.ndarray
     C: np.ndarray
     C_form: np.ndarray
     final: np.ndarray
 
-    def rows(self, j):
-        return np.column_stack([self.t, self.normF2[j], self.N[j], self.Q[j], self.bound[j]])
+    def rows(self, j, C):
+        """Member j's t, normF2, N, Q and drift bound with the constant C,
+        the bound count_bound_violations checks, one row per sample."""
+        return np.column_stack([self.t, self.normF2[j], self.N[j], self.Q[j],
+                                _drift_bound(self.params, self.t, self.neg_S[j],
+                                             self.normF2[j], C)])
 
 
 def _drift_bound(params, t, neg_S, normF2, C):
@@ -269,7 +271,6 @@ def run_traces(ops, params, block, sched):
         np.max(h2 * (dN - (1.0 + C0) / ups[1:-1] * N[:, 1:-1]), axis=1, initial=-np.inf),
         np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2, axis=1)))
     return FrequencyTrace(params=params, t=times, normF2=normF2, N=N, Q=Q, neg_S=neg_S,
-                          bound=_drift_bound(params, times, neg_S, normF2, C[:, None]),
                           C=C, C_form=C_form, final=X)
 
 

@@ -131,6 +131,20 @@ seed = 4000
 initial = random
 """
 
+
+def _assert_trace_table_is_the_certified_bound(out, trace):
+    """frequency_trace.csv is member 0's rows of the trace record with the
+    drift bound at the C that constants.json certifies with; where the
+    bound check passes, no row has Q above that bound."""
+    doc = json.loads((out / "constants.json").read_text())
+    table = (out / "frequency_trace.csv").read_text()
+    assert table == csv_text(["t", "normF2", "N", "Q", "bound"], trace.rows(0, doc["C"]))
+    if doc["checks"]["bound"]["violations"] == 0:
+        Q, bound = np.loadtxt(out / "frequency_trace.csv", delimiter=",", skiprows=1)[:, 3:].T
+        scale = np.maximum(1.0, np.maximum(np.abs(Q), np.abs(bound)))
+        assert np.all(Q <= bound + lc.SLACK * scale)
+
+
 PIPELINE = ["simulate", "observe", "commutator-check", "control",
             "cost-study", "report"]
 
@@ -221,8 +235,7 @@ class TestPipeline:
         assert doc["C"] == trace.C.max()
         assert doc["checks"]["bound"] == check(
             trace.Q.size, lc.count_bound_violations(trace, trace.C.max()))
-        assert (out / "frequency_trace.csv").read_text() == csv_text(
-            ["t", "normF2", "N", "Q", "bound"], trace.rows(0))
+        _assert_trace_table_is_the_certified_bound(out, trace)
 
         C = np.array([0.5, 3.0, 0.0, 2.5, 1.0, 0.25])
         monkeypatch.setattr(lc, "run_traces", lambda *args: dataclasses.replace(trace, C=C))
@@ -232,21 +245,26 @@ class TestPipeline:
         assert doc["checks"]["bound"] == check(
             trace.Q.size, lc.count_bound_violations(trace, 3.0))
 
-    def test_observe_certifies_a_positive_C(self, tmp_path):
+    @pytest.mark.parametrize("seed", [4000, 4003])
+    def test_observe_certifies_a_positive_C(self, tmp_path, seed):
         """On INTERVAL_32_CONFIG observe certifies with C > 0, unpatched:
-        C is the trace record's largest member C, and the bound and
-        interpolation checks hold with it."""
+        C is the trace record's largest member C, above member 0's own
+        fit, the bound and interpolation checks hold with it, and the
+        table's bound column is formed with it.  At seed 4003 member 0's
+        fit is 0 against about 227: a column formed with member 0's fit
+        puts Q above it on two rows while the bound check passes."""
         path = tmp_path / "run.ini"
-        path.write_text(INTERVAL_32_CONFIG)
+        path.write_text(INTERVAL_32_CONFIG.replace("seed = 4000", f"seed = {seed}"))
         assert main(["observe", "--config", str(path), "--out", str(tmp_path)]) == 0
         cfg = load_config(str(path))
         ops, sched = assemble_operator(cfg.grid()), cfg.schedule()
         states = lc.diverse_ensemble(ops, cfg.ensemble_count, cfg.seed, sched)
         trace = lc.run_traces(ops, cfg.weight_params(), states, sched)
         doc = json.loads((tmp_path / "constants.json").read_text())
-        assert doc["C"] > 0.0 and doc["C"] == trace.C.max()
+        assert doc["C"] > 0.0 and doc["C"] == trace.C.max() > trace.C[0]
         assert doc["checks"] == {"bound": check(trace.Q.size, 0),
                                  "interpolation": check(200, 0)}
+        _assert_trace_table_is_the_certified_bound(tmp_path, trace)
 
     def test_report_is_idempotent(self, config_path, pipeline_dir):
         out, _ = pipeline_dir

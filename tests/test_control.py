@@ -97,37 +97,44 @@ class TestSynthesize:
     def test_needs_kappa(self, iv_ops, ctrl_sched):
         with pytest.raises(dh.UsageError):
             dh.synthesize(iv_ops, dh.ControlProblem(tau=0.5, eps=0.1), ctrl_sched,
-                          unit_random_state(iv_ops, 71))
+                          unit_random_state(iv_ops, 71)[:, None])
 
     def test_certificates_and_residuals(self, iv_ops, prob, ctrl_sched):
         psi0 = unit_random_state(iv_ops, 72)
-        res = dh.synthesize(iv_ops, prob, ctrl_sched, psi0)
-        assert res.certified
-        assert res.flags == {"target": True, "cost": True,
-                             "apriori": True, "observation": True}
-        assert res.norm_PsiT <= prob.eps * res.norm_Psi0 * (1.0 + 1e-8)
-        assert (res.norm_h ** 2 / prob.kappa ** 2
-                + res.norm_PsiT ** 2 / prob.eps ** 2
-                <= res.norm_Psi0 ** 2 * (1.0 + 1e-8))
-        assert res.residuals["cg_rel"] <= 1e-10
-        assert res.residuals["terminal_identity"] <= 1e-10
-        assert res.tau_effective == pytest.approx(0.5)
-        summary = res.summary()
-        assert summary["kappa"] == prob.kappa
-        assert summary["flags"]["target"] is True
+        res = dh.synthesize(iv_ops, prob, ctrl_sched, psi0[:, None])
+        assert res.certified.tolist() == [True]
+        assert res.h.shape == (iv_ops.grid.omega_idx.size, 1)
+        assert res.theta.shape == res.psi_T.shape == (iv_ops.n_dofs, 1)
+        one = res.summary(0)
+        assert one["flags"] == {"target": True, "cost": True,
+                                "apriori": True, "observation": True}
+        assert one["norm_PsiT"] <= prob.eps * one["norm_Psi0"] * (1.0 + 1e-8)
+        assert (one["norm_h"] ** 2 / prob.kappa ** 2
+                + one["norm_PsiT"] ** 2 / prob.eps ** 2
+                <= one["norm_Psi0"] ** 2 * (1.0 + 1e-8))
+        assert one["residuals"]["cg_rel"] <= 1e-10
+        assert one["residuals"]["terminal_identity"] <= 1e-10
+        assert type(one["residuals"]["cg_iterations"]) is int
+        assert one["tau_effective"] == pytest.approx(0.5)
+        assert one["kappa"] == prob.kappa
 
     def test_terminal_state_is_scaled_dual_minimizer(self, iv_ops, prob, ctrl_sched):
         psi0 = unit_random_state(iv_ops, 73)
-        res = dh.synthesize(iv_ops, prob, ctrl_sched, psi0)
+        res = dh.synthesize(iv_ops, prob, ctrl_sched, psi0[:, None])
         gap = iv_ops.norm(res.psi_T + prob.eps ** 2 * res.theta)
-        assert gap <= 1e-10 * res.norm_Psi0
+        assert np.all(gap <= 1e-10 * res.norm_Psi0)
 
     def test_duality_identity(self, iv_ops, prob, ctrl_sched):
-        psi0 = unit_random_state(iv_ops, 74)
-        res = dh.synthesize(iv_ops, prob, ctrl_sched, psi0)
+        psi0s = np.column_stack([unit_random_state(iv_ops, 74 - k) for k in range(2)])
+        res = dh.synthesize(iv_ops, prob, ctrl_sched, psi0s)
         zetas = np.column_stack([unit_random_state(iv_ops, 75 + k) for k in range(5)])
-        resid = dh.verify_duality(iv_ops, prob, ctrl_sched, psi0, res, zetas)
+        resid = dh.verify_duality(iv_ops, prob, ctrl_sched, psi0s, res, zetas)
+        assert resid.shape == (2, 5)
         assert np.all(resid <= 1e-12)
+        # a member's row has the bits of its one-member residuals
+        one = dh.synthesize(iv_ops, prob, ctrl_sched, psi0s[:, 1:])
+        assert np.array_equal(
+            dh.verify_duality(iv_ops, prob, ctrl_sched, psi0s[:, 1:], one, zetas), resid[1:])
 
     def test_minimizes_penalized_dual_functional(self, iv_small_ops, ctrl_sched):
         """Independent oracle: BFGS on J(z) = 1/2 <Gz, z> + <Psi_free(T), z>
@@ -136,7 +143,7 @@ class TestSynthesize:
         prob = dh.ControlProblem(tau=0.5, eps=0.2, kappa=5.0)
         co = ControlOperator(ops, ctrl_sched, prob.tau)
         psi0 = unit_random_state(ops, 76)
-        res = dh.synthesize(ops, prob, ctrl_sched, psi0)
+        theta = dh.synthesize(ops, prob, ctrl_sched, psi0[:, None]).theta[:, 0]
         free_T = co.prop.flow(psi0, co.n_total)
 
         def G(u):
@@ -153,9 +160,9 @@ class TestSynthesize:
 
         out = minimize(J, np.zeros(ops.n_dofs), jac=grad, hessp=hessp,
                        method="Newton-CG", options={"xtol": 1e-12, "maxiter": 200})
-        assert res.theta == pytest.approx(out.x, rel=1e-4, abs=1e-6)
+        assert theta == pytest.approx(out.x, rel=1e-4, abs=1e-6)
         # no independently found point beats the synthesized minimizer
-        assert J(res.theta) <= J(out.x) + 1e-12 * max(1.0, abs(J(out.x)))
+        assert J(theta) <= J(out.x) + 1e-12 * max(1.0, abs(J(out.x)))
 
     def test_a_warm_start_worse_than_zero_is_dropped(self, iv_ops, ctrl_sched):
         """At eps = 1e-100 theta0 = (b - Z y) / eps^2 is far past any useful
@@ -165,14 +172,28 @@ class TestSynthesize:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(dh.NumericalError, match="did not reach tol"):
-                dh.synthesize(iv_ops, prob, ctrl_sched, unit_random_state(iv_ops, 5))
+                dh.synthesize(iv_ops, prob, ctrl_sched, unit_random_state(iv_ops, 5)[:, None])
 
     def test_zero_data_needs_no_control(self, iv_ops, prob, ctrl_sched):
-        res = dh.synthesize(iv_ops, prob, ctrl_sched, np.zeros(iv_ops.n_dofs))
-        assert res.certified
-        assert res.norm_h == 0.0 and res.norm_Psi0 == 0.0
-        assert np.all(res.h == 0.0) and np.all(res.psi_T == 0.0)
-        assert res.residuals["cg_iterations"] == 0
+        """Zero data is controlled by 0 with every certificate met, also
+        where kappa^2 or eps^2 leaves the float range, with no float
+        warning on the way."""
+        for kappa, eps in ((prob.kappa, prob.eps), (1e200, 0.1), (1.0, 1e-200), (1.0, 1e200)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = dh.synthesize(iv_ops, replace(prob, kappa=kappa, eps=eps), ctrl_sched,
+                                    np.zeros((iv_ops.n_dofs, 2)))
+            assert res.certified.tolist() == [True, True]
+            assert all(v.all() for v in res.flags.values())
+            assert res.summary(1) == {
+                "kappa": kappa, "eps": eps, "tau_effective": res.tau_effective,
+                "norm_h": 0.0, "norm_PsiT": 0.0, "norm_Psi0": 0.0,
+                "flags": dict.fromkeys(res.flags, True),
+                "residuals": {"cg_rel": 0.0, "cg_iterations": 0, "terminal_identity": 0.0}}
+            assert not (res.h.any() or res.theta.any() or res.psi_T.any())
+        with pytest.raises(dh.NumericalError, match="float range"):
+            dh.synthesize(iv_ops, replace(prob, kappa=1e200), ctrl_sched,
+                          np.column_stack([np.zeros(iv_ops.n_dofs), unit_random_state(iv_ops, 5)]))
 
 
 class TestCalibration:
@@ -187,8 +208,7 @@ class TestCalibration:
         cal = _ladder(iv_ops, ctrl_sched, prob, states, 20.0)
         assert cal.doublings == 0
         assert cal.kappa == 20.0
-        assert all(r.certified for r in cal.results)
-        assert len(cal.results) == 2
+        assert cal.result.certified.tolist() == [True, True]
 
     def test_small_seed_doubles_up(self, iv_ops, ctrl_sched):
         prob = dh.ControlProblem(tau=0.5, eps=0.1)
@@ -196,7 +216,7 @@ class TestCalibration:
         cal = _ladder(iv_ops, ctrl_sched, prob, st[:, None], 0.5)
         assert cal.doublings > 0
         assert cal.kappa == 0.5 * 2 ** cal.doublings
-        assert all(r.certified for r in cal.results)
+        assert cal.result.certified.all()
 
     def test_budget_exhaustion_raises(self, iv_ops, ctrl_sched):
         prob = dh.ControlProblem(tau=0.5, eps=0.05)
@@ -218,8 +238,8 @@ class TestCalibration:
         assert 0.0 <= diag["w_eigenvalue_max"] <= 1.0
         assert diag["w_eigenvalue_min"] >= -1e-12 * diag["w_eigenvalue_max"]
         ratio, zero = diag["predicted_ratio_last"]
-        res = dh.synthesize(iv_ops, replace(prob, kappa=4e-6), ctrl_sched, states[:, 0])
-        assert ratio == pytest.approx(res.norm_PsiT / res.norm_Psi0, rel=1e-9)
+        res = dh.synthesize(iv_ops, replace(prob, kappa=4e-6), ctrl_sched, states[:, :1])
+        assert ratio == pytest.approx(res.norm_PsiT[0] / res.norm_Psi0[0], rel=1e-9)
         assert ratio > prob.eps and zero == 0.0
 
     def test_seed_beyond_the_float_range_is_a_numerical_error(self, iv_ops, ctrl_sched):
@@ -258,20 +278,23 @@ class TestBatchedCalibration:
             lambda z: co.gramian_apply(z, cal.kappa, prob.eps), rhs, iv_ops.inner,
             prob.cg_tol, prob.cg_maxit, np.zeros(rhs.shape), rhs)
         assert len(set(iters)) >= 3 and iters[-1] == 0
-        warm = [r.residuals["cg_iterations"] for r in cal.results]
-        assert all(w <= c for w, c in zip(warm, iters))
-        for k, res in enumerate(cal.results[:-1]):
-            assert np.linalg.norm(res.theta - theta[:, k]) <= 1e-9 * np.linalg.norm(theta[:, k])
+        assert np.all(cal.result.residuals["cg_iterations"] <= iters)
+        live = theta[:, :-1]
+        assert np.all(np.linalg.norm(cal.result.theta[:, :-1] - live, axis=0)
+                      <= 1e-9 * np.linalg.norm(live, axis=0))
 
     def test_block_equals_one_member_synthesis_bit_for_bit(
             self, iv_ops, ctrl_sched, calibrated):
+        """Every member's column of the rung's record, the zero member's
+        too, has the bits of that member's one-member synthesis."""
         prob, states, cal = calibrated
         prob_k = replace(prob, kappa=cal.kappa)
-        for st, res in zip(states.T, cal.results):
-            one = dh.synthesize(iv_ops, prob_k, ctrl_sched, st)
-            assert res.summary() == one.summary()
+        for j in range(states.shape[1]):
+            one = dh.synthesize(iv_ops, prob_k, ctrl_sched, states[:, j:j + 1])
+            assert cal.result.summary(j) == one.summary(0)
             for name in ("h", "theta", "psi_T"):
-                assert np.array_equal(getattr(res, name), getattr(one, name)), name
+                assert np.array_equal(getattr(cal.result, name)[:, j:j + 1],
+                                      getattr(one, name)), name
 
     def test_theta_matches_dense_cholesky_oracle(self, iv_ops, ctrl_sched, calibrated):
         """Dense CN step matrix, dense G, Cholesky of the mass-symmetric M G."""
@@ -287,9 +310,9 @@ class TestBatchedCalibration:
         G = (cal.kappa ** 2 * P_obs @ (on_omega[:, None] * P_obs)
              + prob.eps ** 2 * np.eye(ops.n_dofs))
         factor = sla.cho_factor(M @ G)
-        for st, res in zip(states.T, cal.results):
+        for st, res_theta in zip(states.T[:-1], cal.result.theta.T):
             theta = sla.cho_solve(factor, -M @ (P_T @ st))
-            assert np.linalg.norm(res.theta - theta) <= 1e-9 * np.linalg.norm(theta)
+            assert np.linalg.norm(res_theta - theta) <= 1e-9 * np.linalg.norm(theta)
 
 
 # seeds kappa at M1 e^{M2/(T - tau)} / eps^delta = 20 e^4 for T - tau = 0.5
@@ -396,8 +419,7 @@ def _propagated_ladder(ops, sched, prob, states, seed, budget):
     flows = ctl._free_flows(cold, states)
     kappa = seed
     for k in range(budget + 1):
-        results = ctl._synthesize_block(cold, replace(prob, kappa=kappa), flows)
-        if all(r.certified for r in results):
+        if ctl._synthesize_block(cold, replace(prob, kappa=kappa), flows).certified.all():
             return kappa, k
         kappa *= 2.0
     return None
@@ -471,17 +493,18 @@ class TestReducedGramian:
         flows = ctl._free_flows(co, states)
         budget, kappa, expected = 8, seed, None
         for k in range(budget + 1):
-            results = ctl._synthesize_block(cold, replace(prob, kappa=kappa), cold_flows)
+            result = ctl._synthesize_block(cold, replace(prob, kappa=kappa), cold_flows)
             ratio, cost = ctl._predict(co, flows, kappa, prob.eps)
             rel = 1e-9 if kappa <= 1e3 * prob.eps else 0.1 * ctl._NEAR_MISS
-            for r, pr, pc in zip(results, ratio, cost):
-                if r.residuals["cg_rel"] > 1e-10:
+            for j, (pr, pc) in enumerate(zip(ratio, cost)):
+                r = result.summary(j)
+                if r["residuals"]["cg_rel"] > 1e-10:
                     continue
-                assert pr == pytest.approx(r.norm_PsiT / r.norm_Psi0, rel=rel)
-                prop_cost = (r.norm_h ** 2 / kappa ** 2
-                             + r.norm_PsiT ** 2 / prob.eps ** 2) / r.norm_Psi0 ** 2
+                assert pr == pytest.approx(r["norm_PsiT"] / r["norm_Psi0"], rel=rel)
+                prop_cost = (r["norm_h"] ** 2 / kappa ** 2
+                             + r["norm_PsiT"] ** 2 / prob.eps ** 2) / r["norm_Psi0"] ** 2
                 assert pc == pytest.approx(prop_cost, rel=rel)
-            if all(r.certified for r in results):
+            if result.certified.all():
                 expected = (kappa, k)
                 break
             kappa *= 2.0
@@ -500,11 +523,11 @@ class TestReducedGramian:
         ops, sched, prob, states, _ = case
         co = ControlOperator(ops, sched, prob.tau)
         flows = ctl._free_flows(co, states)
-        assert flows.red is co.reduced is not None
+        assert co.reduced is not None
         prop = dh.Propagator(ops, sched.dt, sched.scheme)
         observed = ops.restrict_omega(prop.flow(flows.free_T, co.n_obs))
         expected = prop.flow(ops.embed_omega(observed), co.n_obs)
-        error = ops.norm(flows.red.Z @ flows.c - expected)
+        error = ops.norm(co.reduced.Z @ flows.c - expected)
         assert np.all(error <= 1e-10 * ops.norm(expected))
 
     def test_free_flows_step_each_member_over_the_horizon_only(
@@ -523,7 +546,7 @@ class TestReducedGramian:
 
         monkeypatch.setattr(evolve.Propagator, "step", counted)
         flows = ctl._free_flows(co, states)
-        assert flows.red is co.reduced
+        assert flows.c.shape == (iv_ops.grid.omega_idx.size, states.shape[1])
         assert sum(columns) == states.shape[1] * co.n_total
 
     def test_large_kappa_over_eps_keeps_the_propagated_ladder(self):
@@ -553,12 +576,12 @@ class TestReducedGramian:
         prob = dh.ControlProblem(tau=0.1, eps=0.1, kappa=4.0)
         co = ControlOperator(disk_ops, sched, 0.1)
         flows = ctl._free_flows(co, st[:, None])
-        assert flows.red is co.reduced is not None
-        one = ctl._synthesize_block(co, prob, flows)[0]
+        assert co.reduced is not None
+        one = ctl._synthesize_block(co, prob, flows)
         cold = _cold_operator(disk_ops, sched, 0.1)
-        zero_start = ctl._synthesize_block(cold, prob, ctl._free_flows(cold, st[:, None]))[0]
-        assert one.residuals["cg_iterations"] < zero_start.residuals["cg_iterations"]
-        assert one.flags == zero_start.flags
+        zero_start = ctl._synthesize_block(cold, prob, ctl._free_flows(cold, st[:, None]))
+        assert one.residuals["cg_iterations"][0] < zero_start.residuals["cg_iterations"][0]
+        assert one.summary(0)["flags"] == zero_start.summary(0)["flags"]
         assert np.linalg.norm(one.h - zero_start.h) <= 1e-9 * np.linalg.norm(zero_start.h)
 
     @pytest.mark.parametrize("which", ["iv_ops", "disk_ops"])
@@ -589,8 +612,12 @@ class TestReducedGramian:
         monkeypatch.setattr(ctl, "REDUCED_GRAMIAN_MAX_ENTRIES", iv_ops.n_dofs - 1)
         cold = dh.calibrate_kappa(iv_ops, prob, ctrl_sched, states)
         assert (cold.kappa, cold.doublings) == (warm.kappa, warm.doublings)
-        for w, c in zip(warm.results[:-1], cold.results[:-1]):
-            assert w.flags == c.flags
-            assert np.linalg.norm(w.h - c.h) <= 1e-9 * np.linalg.norm(c.h)
-            assert c.residuals["cg_iterations"] > w.residuals["cg_iterations"]
-            assert c.residuals["cg_rel"] <= 1e-10
+        w, c = warm.result, cold.result
+        for key in w.flags:
+            assert np.array_equal(w.flags[key], c.flags[key]), key
+        live = slice(0, -1)
+        assert np.all(np.linalg.norm(w.h[:, live] - c.h[:, live], axis=0)
+                      <= 1e-9 * np.linalg.norm(c.h[:, live], axis=0))
+        cg_iters = c.residuals["cg_iterations"][live]
+        assert np.all(cg_iters > w.residuals["cg_iterations"][live])
+        assert np.all(c.residuals["cg_rel"] <= 1e-10)

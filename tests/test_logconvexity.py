@@ -376,11 +376,13 @@ class TestRunTrace:
         tr = lc.run_trace(iv_small_ops, params, st, sched)
         n = sched.steps + 1
         assert tr.t.shape == (n,)
-        assert tr.normF2.shape == tr.N.shape == tr.Q.shape == tr.bound.shape == (1, n)
+        assert tr.normF2.shape == tr.N.shape == tr.Q.shape == (1, n)
         assert tr.C.shape == tr.C_form.shape == (1,) and tr.final.shape == (st.size, 1)
         assert tr.N == pytest.approx(tr.neg_S / tr.normF2)
-        assert tr.bound == pytest.approx(_drift_bound(tr, tr.C[0]))
-        assert tr.rows(0).shape == (n, 5)
+        rows = tr.rows(0, 2.5)
+        assert rows.shape == (n, 5)
+        assert np.array_equal(rows[:, :4], np.column_stack([tr.t, tr.normF2[0], tr.N[0], tr.Q[0]]))
+        assert rows[:, 4] == pytest.approx(_drift_bound(tr, 2.5)[0])
         assert tr.C[0] >= 0.0 and tr.C_form[0] >= 0.0
 
     def test_energy_identity_residual_is_second_order(self, iv_ops, params):
@@ -511,16 +513,19 @@ def _frozen_trace(ops, params, state0, sched):
 
 
 def member(trace, j):
-    """Row j of a FrequencyTrace: member j's fields, as the frozen loop's."""
-    return types.SimpleNamespace(final=trace.final[:, j], **{
-        name: getattr(trace, name)[j]
-        for name in ("normF2", "N", "Q", "neg_S", "bound", "C", "C_form")})
+    """Row j of a FrequencyTrace: member j's fields and its rows' drift bound
+    with its own C, as the frozen loop's."""
+    return types.SimpleNamespace(final=trace.final[:, j], bound=trace.rows(j, trace.C[j])[:, 4],
+                                 **{name: getattr(trace, name)[j]
+                                    for name in ("normF2", "N", "Q", "neg_S", "C", "C_form")})
 
 
 def assert_same_trace(tr, ref):
-    """Every field bit for bit: of two records, or of two members."""
-    for name in ("normF2", "N", "Q", "neg_S", "bound", "final", "C", "C_form"):
-        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+    """Every field bit for bit: of two records, or of two members, whose
+    drift bounds are compared too."""
+    for name in ("normF2", "N", "Q", "neg_S", "final", "C", "C_form", "bound"):
+        if hasattr(ref, name):
+            assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
 
 
 def _mixed_members(ops, sched):

@@ -103,26 +103,41 @@ def test_benchmark_setup_probe_runs(text, tmp_path, capsys):
     assert float(capsys.readouterr().out) > 0.0
 
 
-def test_artifact_digests_script_runs_and_repeats():
-    """tools/artifact_digests.py on one benchmark seed of large-disk (two
-    inputs, simulate and report): every stage exits 0 and records the
-    sha256 of what it wrote, simulate its checks, no check fails, and a
-    second run prints the same text."""
+# the artifacts each stage writes, by CLI stage name
+_STAGE_FILES = {"simulate": ["simulate.json", "trajectory.csv"],
+                "observe": ["constants.json", "frequency_trace.csv"],
+                "commutator-check": ["commutator.json", "commutator_residuals.csv"],
+                "control": ["control_result.json"],
+                "cost-study": ["cost_study.csv", "cost_study.json"],
+                "report": ["report.json"]}
+
+
+@pytest.mark.parametrize("workload, inputs", [
+    pytest.param("large-disk", ["2000", "2001"], id="large-disk"),
+    pytest.param("pipeline-interval", ["4000", "4001", "4002", "4003"], id="pipeline-interval")])
+def test_artifact_digests_script_runs_and_repeats(workload, inputs):
+    """tools/artifact_digests.py on one benchmark seed of a workload:
+    large-disk runs simulate and report, pipeline-interval all six stages.
+    Every stage exits 0 and records the sha256 of what it wrote, every
+    certifying stage its checks, no check fails, and a second run prints
+    the same text."""
     argv = [sys.executable, str(ROOT / "tools" / "artifact_digests.py"),
-            "--workload", "large-disk", "--seeds", "1000-1000"]
+            "--workload", workload, "--seeds", "1000-1000"]
     out = [subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stdout
            for _ in range(2)]
     assert out[0] == out[1]
     doc = json.loads(out[0])
-    assert doc["nonzero"] == [] and sorted(doc["inputs"]) == ["2000", "2001"]
+    assert doc["nonzero"] == [] and sorted(doc["inputs"]) == inputs
     assert doc["failing"] == {}
     for stages in doc["inputs"].values():
-        assert list(stages) == ["report", "simulate"]
-        assert list(stages["simulate"]["checks"]) == ["contraction"]
-        assert stages["simulate"]["checks"]["contraction"]["violations"] == 0
-        assert "checks" not in stages["report"]
-        assert sorted(stages["simulate"]["files"]) == ["simulate.json", "trajectory.csv"]
-        assert list(stages["report"]["files"]) == ["report.json"]
+        assert sorted(stages) == sorted(stage for stage in _STAGE_FILES
+                                        if workload == "pipeline-interval"
+                                        or stage in ("simulate", "report"))
+        for stage, rec in stages.items():
+            assert rec["exit"] == 0
+            assert sorted(rec["files"]) == _STAGE_FILES[stage]
+            assert ("checks" in rec) is (stage != "report")
+            assert all(c["violations"] == 0 for c in rec.get("checks", {}).values())
         assert all(re.fullmatch("[0-9a-f]{64}", d)
                    for rec in stages.values() for d in rec["files"].values())
 
