@@ -185,11 +185,11 @@ class TestSynthesize:
                                     np.zeros((iv_ops.n_dofs, 2)))
             assert res.certified.tolist() == [True, True]
             assert all(v.all() for v in res.flags.values())
-            assert res.summary(1) == {
+            assert [res.summary(j) for j in range(2)] == 2 * [{
                 "kappa": kappa, "eps": eps, "tau_effective": res.tau_effective,
                 "norm_h": 0.0, "norm_PsiT": 0.0, "norm_Psi0": 0.0,
                 "flags": dict.fromkeys(res.flags, True),
-                "residuals": {"cg_rel": 0.0, "cg_iterations": 0, "terminal_identity": 0.0}}
+                "residuals": {"cg_rel": 0.0, "cg_iterations": 0, "terminal_identity": 0.0}}]
             assert not (res.h.any() or res.theta.any() or res.psi_T.any())
         with pytest.raises(dh.NumericalError, match="float range"):
             dh.synthesize(iv_ops, replace(prob, kappa=1e200), ctrl_sched,
@@ -310,7 +310,7 @@ class TestBatchedCalibration:
         G = (cal.kappa ** 2 * P_obs @ (on_omega[:, None] * P_obs)
              + prob.eps ** 2 * np.eye(ops.n_dofs))
         factor = sla.cho_factor(M @ G)
-        for st, res_theta in zip(states.T[:-1], cal.result.theta.T):
+        for st, res_theta in zip(states.T, cal.result.theta.T):
             theta = sla.cho_solve(factor, -M @ (P_T @ st))
             assert np.linalg.norm(res_theta - theta) <= 1e-9 * np.linalg.norm(theta)
 

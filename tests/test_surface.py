@@ -138,6 +138,7 @@ def test_artifact_digests_script_runs_and_repeats(workload, inputs):
             assert sorted(rec["files"]) == _STAGE_FILES[stage]
             assert ("checks" in rec) is (stage != "report")
             assert all(c["violations"] == 0 for c in rec.get("checks", {}).values())
+        assert list(stages["simulate"]["checks"]) == ["contraction"]
         assert all(re.fullmatch("[0-9a-f]{64}", d)
                    for rec in stages.values() for d in rec["files"].values())
 
