@@ -287,7 +287,11 @@ def main(argv=None):
             if args.seed is not None:
                 cfg.seed = args.seed
             out_dir = args.out or cfg.out_dir or "."
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot make the artifact directory {out_dir}: {exc.strerror}") from exc
         code = _COMMANDS[args.subcommand](cfg, out_dir)
         failure = os.path.join(out_dir, "failure.json")
         if os.path.exists(failure) and read_json(failure).get("stage") == args.subcommand:

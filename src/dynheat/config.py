@@ -166,9 +166,11 @@ def load_config(path):
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from exc
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
     sections = _parse_sections(parser)

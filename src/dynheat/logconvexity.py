@@ -17,18 +17,20 @@ holds up to time discretization only, and the commutator identity for
 becomes a statement about convergence to the closed-form integrals, not an
 exact discrete identity.  This module provides:
 
-* the weights at every sample time in one pass (with an overflow guard on
-  the exponent), and one kernel that reads a block of states X, never
-  forms F, and gives ||F||^2, <-S F, F>, Q and <S' F, F> per column from
-  one product of K with X and a weighted copy of X; the trace hands it
-  several consecutive samples of an ensemble at once (TRACE_CHUNK),
+* the weights at a chunk of sample times as one array (with an overflow
+  guard on the exponent), and one kernel that reads a block of states X,
+  never forms F, and gives ||F||^2, <-S F, F>, Q and <S' F, F> per column
+  from one product of K with X and a weighted copy of X; the trace hands
+  both the same chunk of consecutive samples of an ensemble (TRACE_CHUNK),
 * Q in closed form from that one product: dE/dt = d E gives
   S' = diag(d') + [diag(d), Aanti] exactly, and the skewness of Aanti
   turns <S' F, F> into <d' F, F> + 2 <d F, Aanti F>, so no derivative in t
   is differenced,
 * the frequency trace runner: an ensemble traced as one block into one
-  record, rows bit for bit its one-member traces, fitting C per member in
-  Q <= (1 + C0)/Upsilon <-S F, F> + C/h^2 ||F||^2  with C0 = 1 - s^3,
+  record, rows bit for bit its one-member traces, with two fits per
+  member, where C0 = 1 - s^3: the rate fit C in
+  dN/dt <= (1 + C0) N/Upsilon + C/h^2, and the form fit C_form in
+  Q <= (1 + C0)/Upsilon <-S F, F> + C_form/h^2 ||F||^2,
 * the commutator identity refinement study (interval, and disk with the
   anchor at the center so the weight is constant on the boundary),
 * the three-point logarithmic interpolation inequality with the explicit
@@ -58,8 +60,6 @@ PHI_EXP_GUARD = 700.0
 # observability estimate
 SLACK = 1e-8
 OBSERVABILITY_SLACK = 1e-12
-# values of _weights formed at once (1 MiB)
-WEIGHT_CHUNK = 2 ** 17
 # ensemble values whose forms one _forms call takes (64 KiB): the trace
 # gathers max(1, TRACE_CHUNK // (n m)) samples of an (n, m) ensemble per
 # call.  Each call costs tens of microseconds of dispatch whatever its
@@ -75,35 +75,34 @@ TRACE_CHUNK = 2 ** 13
 # weights and the weighted forms
 # ---------------------------------------------------------------------------
 
-def _s_phi(ops, params):
-    """s phi at the grid nodes: Phi(t) = s phi / Upsilon(t) for every t."""
+def _s_phi(ops, params, times):
+    """s phi at the grid nodes, Phi(t) = s phi / Upsilon(t), guarded at all
+    the given times: ParameterError names the first where |Phi| passes
+    PHI_EXP_GUARD (max|s phi| / Upsilon is max|Phi| to the bit)."""
     grid = ops.grid
-    return params.s * geometry.weight_phi_bundle(grid.domain, grid.points).phi
+    s_phi = params.s * geometry.weight_phi_bundle(grid.domain, grid.points).phi
+    ups = params.T - np.asarray(times, dtype=float) + params.h
+    past = np.abs(s_phi).max() / ups > PHI_EXP_GUARD
+    if np.any(past):
+        Phi = np.abs(s_phi / ups[np.argmax(past)])
+        raise ParameterError(
+            f"|Phi| exceeds {PHI_EXP_GUARD} at {int((Phi > PHI_EXP_GUARD).sum())} nodes "
+            f"(max {Phi.max():.3g}); increase the pad h")
+    return s_phi
 
 
-def _weights(ops, params, times):
-    """Yield the weights at each time as an array (7, n, 1) of columns:
-    E^2 = exp(Phi); G = E^2 - c with c the midrange of E^2; d = dPhi/dt / 2,
-    the diagonal part of P1; M E^2, M d E^2 and M d' E^2 with d' = dd/dt;
-    and 1 / (2 M E^2).  Each is contiguous down the nodes, a view of
-    up to WEIGHT_CHUNK values formed at once, so a long trace on a fine
-    grid never holds every sample's weights.
-    ParameterError names the first time where |Phi| passes PHI_EXP_GUARD."""
-    s_phi, times = _s_phi(ops, params), np.asarray(times, dtype=float)
-    step = max(1, WEIGHT_CHUNK // (7 * s_phi.size))
-    for k in range(0, times.size, step):
-        ups = (params.T - times[k:k + step] + params.h)[:, None]
-        Phi = s_phi / ups
-        bad = np.abs(Phi) > PHI_EXP_GUARD
-        if np.any(bad):
-            j = int(np.argmax(np.any(bad, axis=1)))
-            raise ParameterError(
-                f"|Phi| exceeds {PHI_EXP_GUARD} at {int(bad[j].sum())} nodes "
-                f"(max {np.abs(Phi[j]).max():.3g}); increase the pad h")
-        E2, d = np.exp(Phi), 0.5 * (s_phi / ups ** 2)
-        G, ME2 = E2 - 0.5 * (E2.max(axis=1) + E2.min(axis=1))[:, None], ops.mass * E2
-        yield from np.stack([E2, G, d, ME2, d * ME2, s_phi / ups ** 3 * ME2, 0.5 / ME2],
-                            axis=1)[..., None]
+def _weights(ops, params, s_phi, times):
+    """The weights at the S given times as one array (7, n, S, 1) of
+    columns, contiguous down the nodes: E^2 = exp(Phi); G = E^2 - c with c
+    the midrange of E^2; d = dPhi/dt / 2, the diagonal part of P1; M E^2,
+    M d E^2 and M d' E^2 with d' = dd/dt; and 1 / (2 M E^2).  s_phi comes
+    from _s_phi, which guards these times."""
+    ups = (params.T - np.asarray(times, dtype=float) + params.h)[:, None]
+    E2, d = np.exp(s_phi / ups), 0.5 * (s_phi / ups ** 2)
+    G, ME2 = E2 - 0.5 * (E2.max(axis=1) + E2.min(axis=1))[:, None], ops.mass * E2
+    # stacked as (7, S, n) and seen as (7, n, S)
+    return np.stack([E2, G, d, ME2, d * ME2, s_phi / ups ** 3 * ME2,
+                     0.5 / ME2]).swapaxes(1, 2)[..., None]
 
 
 def _forms(ops, w, X):
@@ -112,8 +111,8 @@ def _forms(ops, w, X):
     samples by m members and their weights w, shaped (7, n, S, 1) (see
     _weights), with one product by K.  Every product broadcasts a weight
     against X and runs fastest down the nodes when the weights are
-    contiguous there too, as _weighted_flow stacks them; the layout changes
-    no bit.
+    contiguous there too, as _weights stacks them; the layout changes no
+    bit.
 
     B = E A E^{-1} and B* = E^{-1} A E give B F = -E K X / M and
     B* F = -K Y / (E M) with Y = E^2 X.  Aanti F and the forms rest on
@@ -146,7 +145,7 @@ def _state_forms(ops, params, t, F):
     """_forms of one weighted state F (n,) at a time t in [0, T], as floats."""
     if not 0.0 <= t <= params.T:
         raise UsageError(f"t={t} outside [0, {params.T}]")
-    w = next(_weights(ops, params, [t]))[:, :, None]
+    w = _weights(ops, params, _s_phi(ops, params, [t]), [t])
     X = np.asarray(F, dtype=float)[:, None, None] / np.sqrt(w[0])
     return [float(f[0, 0]) for f in _forms(ops, w, X)]
 
@@ -198,52 +197,15 @@ def _drift_bound(params, t, neg_S, normF2, C):
     return (1.0 + params.C0) / (params.T - t + params.h) * neg_S + (C / params.h ** 2) * normF2
 
 
-def _weighted_flow(ops, params, block, sched):
-    """Flow the (n, m) block of states over the weight horizon and
-    yield (X, forms) at every sample time: the block and its _forms.
-
-    The forms of max(1, TRACE_CHUNK // (n m)) consecutive samples come
-    from one _forms call, the bits of one sample at a time.  A chunk's
-    weights are stacked with the nodes fastest, (7, n, S, 1) with node
-    stride itemsize, and its blocks into a Fortran-order (n, S, m) copy;
-    a one-sample chunk hands _forms views of its weights and of the
-    trajectory's array.  Each yielded X is the trajectory's own array,
-    which later samples leave as it is.
-    """
-    if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
-        raise UsageError(
-            f"schedule [{sched.t0}, {sched.t1}] must match the weight horizon [0, {params.T}]")
-    if np.any(ops.norm(block) == 0.0):
-        raise DegenerateDataError("cannot trace a zero initial state")
-
-    times = sched.times()
-    per = max(1, TRACE_CHUNK // block.size)
-    weights = _weights(ops, params, times)
-    states = Propagator(ops, sched.dt, sched.scheme).trajectory(block, sched.steps)
-    for k in range(0, times.size, per):
-        t = times[k:k + per]
-        ws, Xs = zip(*[(next(weights), next(states)) for _ in t])
-        if len(t) == 1:
-            w, X = ws[0][:, :, None], Xs[0][:, None]
-        else:
-            # stacked as (7, S, n, 1) and seen as (7, n, S, 1); the blocks
-            # are copied in as (m, S, n) in C order, which is (n, S, m) in
-            # Fortran order
-            w = np.stack(ws, axis=1).swapaxes(1, 2)
-            X = np.stack([x.T for x in Xs], axis=1).T
-        forms = _forms(ops, w, X)
-        vanished = np.any(forms[0] <= 0.0, axis=1)
-        if np.any(vanished):
-            raise DegenerateDataError(f"weighted state vanished at t={t[np.argmax(vanished)]}")
-        for s, x in enumerate(Xs):
-            yield x, tuple(f[s] for f in forms)
-
-
 def run_traces(ops, params, block, sched):
     """Propagate the (n, m) block of states into one FrequencyTrace, row j
     bit for bit member j's one-member trace (the step solve and every
-    reduction treat each column alone).  Each chunk of samples costs one
-    product by K (see _weighted_flow and _forms).
+    reduction treat each column alone).
+
+    Each chunk of max(1, TRACE_CHUNK // (n m)) samples takes one _weights
+    and one _forms call, with one product by K; a one-sample chunk hands
+    _forms a view of the trajectory's own array.  The |Phi| guard checks
+    every sample time before the first step.
 
     C, the rate fit, is each member's smallest constant >= 0 with dN/dt <=
     (1 + C0) N / Upsilon + C / h^2 at the interior samples (centered
@@ -257,10 +219,28 @@ def run_traces(ops, params, block, sched):
     C_form, so the bound with C fails (benchmark input 8020, a 32-node
     interval: C = 0 against C_form = 0.0145, 18 violations; ROADMAP item 15).
     """
+    if abs(sched.t1 - params.T) > 1e-12 * max(1.0, params.T) or sched.t0 != 0.0:
+        raise UsageError(
+            f"schedule [{sched.t0}, {sched.t1}] must match the weight horizon [0, {params.T}]")
+    if np.any(ops.norm(block) == 0.0):
+        raise DegenerateDataError("cannot trace a zero initial state")
+
     times = sched.times()
+    s_phi = _s_phi(ops, params, times)
+    per = max(1, TRACE_CHUNK // block.size)
+    states = Propagator(ops, sched.dt, sched.scheme).trajectory(block, sched.steps)
     normF2, neg_S, Q = (np.empty((block.shape[1], times.size)) for _ in range(3))
-    for k, (X, forms) in enumerate(_weighted_flow(ops, params, block, sched)):
-        normF2[:, k], neg_S[:, k], Q[:, k] = forms[:3]
+    for k in range(0, times.size, per):
+        t = times[k:k + per]
+        Xs = [next(states) for _ in t]
+        # a chunk's blocks are copied in as (m, S, n) in C order, which is
+        # (n, S, m) in Fortran order
+        X = Xs[0][:, None] if t.size == 1 else np.stack([x.T for x in Xs], axis=1).T
+        forms = _forms(ops, _weights(ops, params, s_phi, t), X)
+        vanished = np.any(forms[0] <= 0.0, axis=1)
+        if np.any(vanished):
+            raise DegenerateDataError(f"weighted state vanished at t={t[np.argmax(vanished)]}")
+        normF2[:, k:k + per], neg_S[:, k:k + per], Q[:, k:k + per] = (f.T for f in forms[:3])
     N = neg_S / normF2
 
     C0, h2 = params.C0, params.h ** 2
@@ -271,7 +251,7 @@ def run_traces(ops, params, block, sched):
         np.max(h2 * (dN - (1.0 + C0) / ups[1:-1] * N[:, 1:-1]), axis=1, initial=-np.inf),
         np.max(h2 * (Q - (1.0 + C0) / ups * neg_S) / normF2, axis=1)))
     return FrequencyTrace(params=params, t=times, normF2=normF2, N=N, Q=Q, neg_S=neg_S,
-                          C=C, C_form=C_form, final=X)
+                          C=C, C_form=C_form, final=Xs[-1])
 
 
 def run_trace(ops, params, u0, sched):

@@ -266,18 +266,22 @@ def energy_residuals(ops, params, block, sched):
 
     Entry k is 1/2 (||F_{k+1}||^2 - ||F_k||^2)/dt + <-S F, F> at the step
     midpoint, with F the weighted mean of the step's end states; it
-    vanishes at order dt^2.  The states flow as one block, as in
-    run_traces, and every row is bit for bit its one-member residuals.
+    vanishes at order dt^2.  ||F||^2 is run_traces' own, and its refusals
+    are run_traces'; the states flow once more as one block, and every row
+    is bit for bit its one-member residuals.
     """
+    normF2 = lc.run_traces(ops, params, block, sched).normF2
     times = sched.times()
-    mid = lc._weights(ops, params, 0.5 * (times[:-1] + times[1:]))
+    s_phi = lc._s_phi(ops, params, times)
     resid = np.empty((block.shape[1], times.size - 1))
-    for k, (X, (normF2, *_)) in enumerate(lc._weighted_flow(ops, params, block, sched)):
-        if k:
-            # the step midpoint as one sample: weights (7, n, 1, 1), block (n, 1, m)
-            neg_S = lc._forms(ops, next(mid)[:, :, None], (0.5 * (prev + X))[:, None])[1][0]
-            resid[:, k - 1] = 0.5 * (normF2 - prev_normF2) / sched.dt + neg_S
-        prev, prev_normF2 = X, normF2
+    states = evolve.Propagator(ops, sched.dt, sched.scheme).trajectory(block, sched.steps)
+    prev = next(states)
+    for k, (X, t_mid) in enumerate(zip(states, 0.5 * (times[:-1] + times[1:]))):
+        # the step midpoint as one sample: weights (7, n, 1, 1), block (n, 1, m)
+        w = lc._weights(ops, params, s_phi, [t_mid])
+        neg_S = lc._forms(ops, w, (0.5 * (prev + X))[:, None])[1][0]
+        resid[:, k] = 0.5 * (normF2[:, k + 1] - normF2[:, k]) / sched.dt + neg_S
+        prev = X
     return resid
 
 

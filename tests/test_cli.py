@@ -467,6 +467,24 @@ class TestConfigErrors:
         assert main(["simulate", "--out", str(tmp_path)]) == 2
         assert "needs --config" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(CONFIG.encode() + b"# \xff\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {bad} is not UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["simulate", "report"])
+    def test_out_naming_a_file_is_named(self, config_path, tmp_path, capsys, stage):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        argv = [stage, "--out", str(taken)]
+        assert main(argv + (["--config", config_path] if stage == "simulate" else [])) == 2
+        assert f"cannot make the artifact directory {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+
     @pytest.mark.parametrize("old, new, key", [
         ("dt = 0.02", "dt = nan", "time.dt"),
         ("T = 1.0", "T = inf", "time.T"),

@@ -51,10 +51,15 @@ def _complex_step_s_prime(ops, params, t, F, step=1e-30):
     return -neg_S.imag / step
 
 
+def _weights_at(ops, params, t):
+    """The kernel's weights at the one time t, (7, n, 1, 1)."""
+    return lc._weights(ops, params, lc._s_phi(ops, params, [t]), [t])
+
+
 def _kernel_forms(ops, params, t, F):
     """The kernel's (||F||^2, <-S F, F>, Q, <S' F, F>) per column of the
     (n, m) block F of weighted states at time t."""
-    w = next(lc._weights(ops, params, [t]))[:, :, None]
+    w = _weights_at(ops, params, t)
     return tuple(f[0] for f in lc._forms(ops, w, F[:, None] / np.sqrt(w[0])))
 
 
@@ -216,7 +221,7 @@ class TestFormsOracle:
         2.8e-9 relative."""
         ops, params, t = case
         F = np.random.default_rng(seed).standard_normal((ops.n_dofs, 2))
-        X = F / np.sqrt(next(lc._weights(ops, params, [t]))[0])
+        X = F / np.sqrt(_weights_at(ops, params, t)[0, :, 0])
         got = _kernel_forms(ops, params, t, F)
         Q_exact = self._longdouble_Q(ops, params, t, X)
         dense = _dense_splitting(ops, params, t)
@@ -573,7 +578,7 @@ def _assert_one_product_per_chunk(monkeypatch, ops, params, sched, m, chunk):
     products = _traced_products(monkeypatch, ops, params, members, sched)
     samples = list(dh.Propagator(ops, sched.dt, sched.scheme).trajectory(
         members, sched.steps))
-    weights = list(lc._weights(ops, params, sched.times()))
+    G = lc._weights(ops, params, lc._s_phi(ops, params, sched.times()), sched.times())[1]
     assert len(products) == -(-len(samples) // chunk)
     assert sum(P.shape[1] for P in products) == 2 * m * (sched.steps + 1)
     k = 0
@@ -583,7 +588,7 @@ def _assert_one_product_per_chunk(monkeypatch, ops, params, sched, m, chunk):
         X, GX = (half.reshape(n, S, m, order="F") for half in np.split(P, 2, axis=1))
         for s in range(S):
             assert np.array_equal(X[:, s], samples[k])
-            assert np.array_equal(GX[:, s], weights[k][1] * samples[k])
+            assert np.array_equal(GX[:, s], G[:, k] * samples[k])
             k += 1
     assert k == len(samples)
 
@@ -654,21 +659,38 @@ class TestBlockTrace:
                 assert tr.Q[k] == pytest.approx(Q, rel=1e-9)
                 u = step @ u
 
-    def test_weights_in_chunks_change_no_bit(self, monkeypatch, disk_ops, params, sched):
-        """Weights formed three samples at a time give the traces of one
-        pass, and the guard still names the first time past it."""
-        members = _mixed_members(disk_ops, sched)
-        whole = lc.run_traces(disk_ops, params, members, sched)
-        monkeypatch.setattr(lc, "WEIGHT_CHUNK", 3 * 7 * disk_ops.n_dofs)
-        assert_same_trace(lc.run_traces(disk_ops, params, members, sched), whole)
+    def test_phi_guard_names_the_first_time_past_it(self):
         dom = dh.DomainSpec.interval(0.0, 100.0, 50.0, 40.0, 60.0)
         ops = dh.assemble_operator(dh.build_grid(dom, n=8))
-        monkeypatch.setattr(lc, "WEIGHT_CHUNK", 2 * 7 * ops.n_dofs)
         # |Phi| = 0.5 (dist^2 / 4) / (1.05 - t) passes 700 first at the two
         # end nodes (dist 50) at t = 0.61, with 710; at t = 1 it is 6250
         with pytest.raises(dh.ParameterError, match=r"at 2 nodes \(max 710\)"):
             lc.run_trace(ops, dh.WeightParams(s=0.5, h=0.05, T=1.0), np.ones(8),
                          dh.Schedule(0.0, 1.0, 0.01))
+
+    def test_phi_guard_raises_before_the_first_step(self, monkeypatch):
+        """On a 20,000-node grid |Phi| = 312.5 / (0.47 - t) passes 700
+        only at the last sample, t = T = 0.03, with 710 at 146 nodes; the
+        trace raises before it takes a step."""
+        dom = dh.DomainSpec.interval(0.0, 100.0, 50.0, 40.0, 60.0)
+        ops = dh.assemble_operator(dh.build_grid(dom, n=20000))
+
+        def refuse(self, u):
+            raise AssertionError("the trace stepped before its |Phi| guard")
+
+        monkeypatch.setattr(dh.Propagator, "step", refuse)
+        with pytest.raises(dh.ParameterError, match=r"at 146 nodes \(max 710\)"):
+            lc.run_trace(ops, dh.WeightParams(s=0.5, h=0.44, T=0.03), np.ones(ops.n_dofs),
+                         dh.Schedule(0.0, 0.03, 0.01))
+
+    def test_one_weight_phi_bundle_per_trace(self, monkeypatch, iv_small_ops, params, sched):
+        """s phi is formed once per trace, whatever its number of chunks."""
+        calls, bundle = [], geometry.weight_phi_bundle
+        monkeypatch.setattr(geometry, "weight_phi_bundle",
+                            lambda *args: calls.append(args) or bundle(*args))
+        monkeypatch.setattr(lc, "TRACE_CHUNK", iv_small_ops.n_dofs)
+        lc.run_traces(iv_small_ops, params, unit_random_state(iv_small_ops, 65)[:, None], sched)
+        assert len(calls) == 1
 
     def test_zero_member_is_degenerate(self, iv_small_ops, params, sched):
         members = np.column_stack([unit_random_state(iv_small_ops, 64),
@@ -714,8 +736,16 @@ class TestBlockTrace:
         calls, forms = [], lc._forms
         monkeypatch.setattr(lc, "_forms",
                             lambda ops, w, X: calls.append((w, X)) or forms(ops, w, X))
+        states, trajectory = [], dh.Propagator.trajectory
+
+        def recording(self, u, steps):
+            for X in trajectory(self, u, steps):
+                states.append(X)
+                yield X
+
+        monkeypatch.setattr(dh.Propagator, "trajectory", recording)
         members = np.column_stack([unit_random_state(ops, 80 + j) for j in range(m)])
-        states = [X for X, _ in lc._weighted_flow(ops, params, members, sched)]
+        lc.run_traces(ops, params, members, sched)
         k = 0
         for w, X in calls:
             S = X.shape[1]
@@ -749,8 +779,9 @@ class TestBlockTrace:
 @given(n=st.integers(4, 40), m=st.integers(1, 6), steps=st.integers(2, 30),
        chunk=st.integers(1, 4096))
 def test_chunked_traces_equal_per_sample_traces(iv_domain, n, m, steps, chunk):
-    """Traces whose forms are taken over chunks of samples, at any
-    TRACE_CHUNK, carry the bits of traces taken one sample at a time."""
+    """Traces whose weights and forms are taken over chunks of samples, at
+    any TRACE_CHUNK, carry the bits of traces taken one sample at a time,
+    and each member those of the frozen one-member loop."""
     ops = dh.assemble_operator(dh.build_grid(iv_domain, n=n))
     params = dh.WeightParams(s=0.5, h=0.5, T=0.02 * steps)
     sched = dh.Schedule(0.0, params.T, 0.02)
@@ -761,6 +792,8 @@ def test_chunked_traces_equal_per_sample_traces(iv_domain, n, m, steps, chunk):
         mp.setattr(lc, "TRACE_CHUNK", chunk)
         chunked = lc.run_traces(ops, params, members, sched)
     assert_same_trace(chunked, one_by_one)
+    for j, st0 in enumerate(members.T):
+        assert_same_trace(member(chunked, j), _frozen_trace(ops, params, st0, sched))
 
 
 class TestSharedFormKernel:
@@ -771,7 +804,7 @@ class TestSharedFormKernel:
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_block_forms_equal_frozen_forms(self, request, params, which, t):
         ops = request.getfixturevalue(which)
-        w = next(lc._weights(ops, params, [t]))[:, :, None]
+        w = _weights_at(ops, params, t)
         X = np.asfortranarray(np.random.default_rng(66).standard_normal((ops.n_dofs, 4)))
         block = lc._forms(ops, w, X[:, None])
         for j in range(X.shape[1]):

@@ -112,15 +112,19 @@ _STAGE_FILES = {"simulate": ["simulate.json", "trajectory.csv"],
                 "report": ["report.json"]}
 
 
-@pytest.mark.parametrize("workload, inputs", [
-    pytest.param("large-disk", ["2000", "2001"], id="large-disk"),
-    pytest.param("pipeline-interval", ["4000", "4001", "4002", "4003"], id="pipeline-interval")])
-def test_artifact_digests_script_runs_and_repeats(workload, inputs):
+@pytest.mark.parametrize("workload, inputs, stages", [
+    pytest.param("large-disk", ["2000", "2001"], ["simulate", "report"], id="large-disk"),
+    pytest.param("certify-disk", ["2000", "2001"],
+                 ["simulate", "observe", "commutator-check", "report"], id="certify-disk"),
+    pytest.param("pipeline-interval", ["4000", "4001", "4002", "4003"], list(_STAGE_FILES),
+                 id="pipeline-interval")])
+def test_artifact_digests_script_runs_and_repeats(workload, inputs, stages):
     """tools/artifact_digests.py on one benchmark seed of a workload:
-    large-disk runs simulate and report, pipeline-interval all six stages.
-    Every stage exits 0 and records the sha256 of what it wrote, every
-    certifying stage its checks, no check fails, and a second run prints
-    the same text."""
+    large-disk runs simulate and report, certify-disk simulate, observe,
+    commutator-check and report (every trace chunk one sample), and
+    pipeline-interval all six stages.  Every stage exits 0 and records the
+    sha256 of what it wrote, every certifying stage its checks, no check
+    fails, and a second run prints the same text."""
     argv = [sys.executable, str(ROOT / "tools" / "artifact_digests.py"),
             "--workload", workload, "--seeds", "1000-1000"]
     out = [subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stdout
@@ -129,18 +133,16 @@ def test_artifact_digests_script_runs_and_repeats(workload, inputs):
     doc = json.loads(out[0])
     assert doc["nonzero"] == [] and sorted(doc["inputs"]) == inputs
     assert doc["failing"] == {}
-    for stages in doc["inputs"].values():
-        assert sorted(stages) == sorted(stage for stage in _STAGE_FILES
-                                        if workload == "pipeline-interval"
-                                        or stage in ("simulate", "report"))
-        for stage, rec in stages.items():
+    for stages_run in doc["inputs"].values():
+        assert sorted(stages_run) == sorted(stages)
+        for stage, rec in stages_run.items():
             assert rec["exit"] == 0
             assert sorted(rec["files"]) == _STAGE_FILES[stage]
             assert ("checks" in rec) is (stage != "report")
             assert all(c["violations"] == 0 for c in rec.get("checks", {}).values())
-        assert list(stages["simulate"]["checks"]) == ["contraction"]
+        assert list(stages_run["simulate"]["checks"]) == ["contraction"]
         assert all(re.fullmatch("[0-9a-f]{64}", d)
-                   for rec in stages.values() for d in rec["files"].values())
+                   for rec in stages_run.values() for d in rec["files"].values())
 
 
 def test_benchmark_reads_the_direct_solve_threshold():
